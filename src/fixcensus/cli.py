@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -38,7 +39,6 @@ class RunConfig:
     out: str | None = None
     format: str | None = None
     jobs: int = 1
-    deterministic: bool = True  # no RNG anywhere; kept explicit
 
 
 _CONFIG_KEYS = {"field_cap", "exp_cap", "sieve_cap", "out", "format", "jobs"}
@@ -550,8 +550,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-5:5" for a flag
+        if argv[k - 1] == "--c-range" and re.match(r"-\d", argv[k]):
+            argv[k - 1 : k + 1] = [f"--c-range={argv[k]}"]
+    args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return args.func(args, cfg)

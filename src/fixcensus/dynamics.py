@@ -45,8 +45,8 @@ __all__ = [
     "integral_fixed_points",
 ]
 
-# Degrees above this are refused: the scan engines cost O(q log d) and the
-# gcd engine O(d^2 log q), so a runaway exponent hurts long before a runaway
+# Degrees above this are refused: a scan costs up to O(q log d) and the gcd
+# engine O(d^2 log q), so a runaway exponent hurts long before a runaway
 # field does.
 DEFAULT_EXP_CAP = 10**6
 
@@ -265,24 +265,13 @@ def _poly_mul(a: list[int], b: list[int], ops) -> list[int]:
     if not a or not b:
         return []
     out = [0] * (len(a) + len(b) - 1)
-    mt, at = ops.mul_table, ops.add_table
-    if mt is not None:
-        q = ops.q
-        for i, ai in enumerate(a):
-            if ai:
-                row = ai * q
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = at[out[k] * q + mt[row + bj]]
-    else:
-        add, mul = ops.add, ops.mul
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        k = i + j
-                        out[k] = add(out[k], mul(ai, bj))
+    add, mul = ops.add, ops.mul
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    k = i + j
+                    out[k] = add(out[k], mul(ai, bj))
     return out
 
 

@@ -350,6 +350,12 @@ class TestNf:
         assert lines[2] == "3,1,-23,1.000000,IRREDUCIBLE,true"
         assert lines[3] == "3,2,-104,1.259921,IRREDUCIBLE,false"
 
+    def test_readme_negative_c_range(self, capsys):
+        code, out, err = run(capsys, ["nf", "--d", "3", "--c-range", "-5:5"])
+        assert code == 0 and err == ""
+        assert [row["c"] for row in json.loads(out)] == list(range(-5, 6))
+        assert run(capsys, ["nf", "--d", "3", "--c-range=-5:5"]) == (0, out, "")
+
     def test_mode_flags_are_exclusive(self, capsys):
         code, _, err = run(capsys, ["nf", "--d", "3"])
         assert code == 2

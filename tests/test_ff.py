@@ -18,6 +18,15 @@ FIELDS = [
     ff.standard_field(11, 1),
 ]
 
+# Larger fields in the log-table engine's range: characteristic 2 (where
+# -1 = 1), a degree-7 extension, and two cubic extensions.
+LOG_FIELDS = [
+    ff.standard_field(2, 8),
+    ff.standard_field(3, 7),
+    ff.standard_field(11, 3),
+    ff.standard_field(5, 3),
+]
+
 
 def trial_division_is_prime(u):
     if u < 2:
@@ -181,8 +190,8 @@ class TestArithmeticExamples:
 
 
 @st.composite
-def field_and_indexes(draw, count):
-    fs = draw(st.sampled_from(FIELDS))
+def field_and_indexes(draw, count, fields=FIELDS):
+    fs = draw(st.sampled_from(fields))
     idxs = [draw(st.integers(0, fs.order - 1)) for _ in range(count)]
     return fs, idxs
 
@@ -228,32 +237,73 @@ class TestFieldAxioms:
 class TestFieldOps:
     """The integer-index engines must agree with FFElement arithmetic."""
 
-    @pytest.mark.parametrize("fs", FIELDS, ids=str)
+    @pytest.mark.parametrize("fs", FIELDS + LOG_FIELDS, ids=str)
     def test_engine_matches_elements(self, fs):
         ops = field_ops(fs)
         q = fs.order
-        sample = range(q) if q <= 30 else range(0, q, 7)
+        sample = range(q) if q <= 30 else [*range(0, q, max(7, q // 40)), fs.p - 1, q - 1]
         for i in sample:
             a = fs.element_at(i)
             assert ops.decode(i) == a
             assert ops.encode(a) == i
             assert ops.neg(i) == (-a).index
             assert ops.pow(i, 5) == (a**5).index
+            if i:
+                assert ops.inv(i) == (a ** (q - 2)).index
             for j in sample:
                 b = fs.element_at(j)
                 assert ops.add(i, j) == (a + b).index
                 assert ops.sub(i, j) == (a - b).index
                 assert ops.mul(i, j) == (a * b).index
 
-    def test_vector_engine_on_a_larger_field(self):
-        fs = ff.standard_field(3, 7)  # order 2187, above the table limit
+    @given(field_and_indexes(2, FIELDS + LOG_FIELDS), st.integers(0, 10**6))
+    @settings(max_examples=200, deadline=None)
+    def test_engine_matches_elements_at_random(self, data, e):
+        fs, (i, j) = data
         ops = field_ops(fs)
-        assert ops.mul_table is None
-        a = fs.element_at(1000)
-        b = fs.element_at(77)
-        assert ops.mul(1000, 77) == (a * b).index
-        assert ops.add(1000, 77) == (a + b).index
-        assert ops.inv(1000) == (a ** (fs.order - 2)).index
+        a, b = fs.element_at(i), fs.element_at(j)
+        assert ops.add(i, j) == (a + b).index
+        assert ops.sub(i, j) == (a - b).index
+        assert ops.mul(i, j) == (a * b).index
+        assert ops.pow(i, e) == (a**e).index
+        if i:
+            assert ops.mul(i, ops.inv(i)) == 1
+
+    @pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 2), (5, 2), (7, 2)])
+    def test_log_engine_uses_least_primitive_element(self, p, n):
+        fs = ff.standard_field(p, n)
+
+        def order(i):
+            a = x = fs.element_at(i)
+            k = 1
+            while x != fs.one:
+                x, k = x * a, k + 1
+            return k
+
+        g = field_ops(fs).exp[1]
+        assert order(g) == fs.order - 1
+        assert all(order(i) < fs.order - 1 for i in range(1, g))
+
+    def test_engine_selection(self):
+        assert type(field_ops(ff.standard_field(5, 1))) is ff._PrimeOps
+        assert type(field_ops(ff.standard_field(3, 2))) is ff._LogOps
+        assert type(field_ops(ff.standard_field(3, 7))) is ff._LogOps
+        above = ff.standard_field(2, 18)
+        assert above.order == ff._LOG_LIMIT + 1
+        assert type(field_ops(above)) is ff._VectorOps
+        assert field_ops(above).mul_table is None
+
+    def test_vector_engine_on_a_larger_field(self):
+        fs = ff.standard_field(3, 7)
+        ops = ff._VectorOps(fs)
+        for i, j in [(1000, 77), (0, 5), (2186, 2186), (3, 1)]:
+            a, b = fs.element_at(i), fs.element_at(j)
+            assert ops.add(i, j) == (a + b).index
+            assert ops.sub(i, j) == (a - b).index
+            assert ops.neg(i) == (-a).index
+            assert ops.mul(i, j) == (a * b).index
+            assert ops.pow(i, 13) == (a**13).index
+        assert ops.inv(1000) == (fs.element_at(1000) ** (fs.order - 2)).index
 
     def test_zero_and_one_indexes(self):
         for fs in FIELDS:
