@@ -516,6 +516,11 @@ class _PrimeOps(FieldOps):
     def mul(self, i: int, j: int) -> int:
         return i * j % self.p
 
+    def pow(self, i: int, e: int) -> int:
+        if e < 0:
+            raise ValueError("negative exponents are not defined here")
+        return pow(i, e, self.p)
+
 
 class _LogOps(FieldOps):
     """Discrete-log and Zech tables (K. Huber, IEEE Trans. Inf. Theory 36, 1990).

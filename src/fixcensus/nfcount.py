@@ -15,6 +15,8 @@ first-class answer.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -190,8 +192,9 @@ def closed_form_disc(d: int, c: int) -> int:
 DEFAULT_Q_MAX = 50
 
 
+@functools.lru_cache(maxsize=1 << 16)
 def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
-    """Factor-degree certificate for x^d - x + c over F_q.
+    """Factor-degree certificate for x^d - x + c over F_q, memoized.
 
     Irreducible over F_q exactly when gcd(x^(q^k) - x, f) = 1 for all
     1 <= k <= d // 2; f stays monic of degree d under reduction, so a pass
@@ -207,6 +210,19 @@ def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
     return True
 
 
+def certifying_prime(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> int | None:
+    """The smallest prime q <= q_max with f irreducible mod q, if any.
+
+    f mod q depends only on c mod q, so the certificate is looked up by
+    (d, c mod q, q): a run computes at most the sum of the primes up to
+    q_max of them per degree.  A reducible f has no certifying prime, since
+    its monic factors stay factors mod every q.
+    """
+    if d < 2:
+        raise ValueError(f"degree {d} must be at least 2")
+    return next((q for q in stats.prime_sieve(q_max) if _irreducible_mod_q(d, c % q, q)), None)
+
+
 def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> IrreducibilityStatus:
     """Certified irreducibility of x^d - x + c over Q; UNKNOWN when unsure.
 
@@ -218,51 +234,35 @@ def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> Irre
         raise ValueError(f"degree {d} must be at least 2")
     if c == 0 or integral_fixed_points(d, c).roots:
         return IrreducibilityStatus.REDUCIBLE
-    for q in stats.prime_sieve(q_max):
-        if _irreducible_mod_q(d, c, q):
-            return IrreducibilityStatus.IRREDUCIBLE
-    return IrreducibilityStatus.UNKNOWN
+    if certifying_prime(d, c, q_max=q_max) is None:
+        return IrreducibilityStatus.UNKNOWN
+    return IrreducibilityStatus.IRREDUCIBLE
 
 
-def certifying_prime(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> int | None:
-    """The smallest prime q <= q_max with f irreducible mod q, if any."""
-    if d < 2:
-        raise ValueError(f"degree {d} must be at least 2")
-    if c == 0 or integral_fixed_points(d, c).roots:
-        return None
-    for q in stats.prime_sieve(q_max):
-        if _irreducible_mod_q(d, c, q):
-            return q
-    return None
-
-
-def bounded_trinomials(d: int, X: int, *, margin: int = 3) -> list[Trinomial]:
+def bounded_trinomials(d: int, X: int) -> list[Trinomial]:
     """All trinomials with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
 
-    |disc| grows monotonically in |c| once d^d |c|^(d-1) dominates, but can
-    dip near small c; the enumeration therefore keeps going until margin
-    consecutive |c| levels produce nothing.
+    The first |c| level with no hit ends the enumeration, exactly: for
+    a = |c| >= 1 both members of the level have |disc| >= d^d a^(d-1) -
+    (d-1)^(d-1), with equality at c = a, and that minimum strictly increases
+    in a; and |disc(0)| = (d-1)^(d-1) < d^d - (d-1)^(d-1) = |disc(1)|
+    because d^d > 2 (d-1)^(d-1).
     """
     if X < 1:
         raise ValueError(f"bound {X} must be at least 1")
     out: list[Trinomial] = []
-    misses = 0
-    a = 0
-    while True:
-        level = (0,) if a == 0 else (a, -a)
-        hit = False
-        for c in level:
-            t = Trinomial.build(d, c)
-            if abs(t.disc) < X:
-                out.append(t)
-                hit = True
-        if hit:
-            misses = 0
-        else:
-            misses += 1
-            if misses >= margin:
-                return out
-        a += 1
+    for a in itertools.count():
+        level = [t for t in (Trinomial.build(d, c) for c in ((a, -a) if a else (0,))) if abs(t.disc) < X]
+        if not level:
+            return out
+        out += level
+
+
+def _within_bound(count: int, constant: float, d: int, X: int) -> bool:
+    """count <= constant * X^(d/(2d-2)) for X >= 1, decided in integers."""
+    if not math.isfinite(constant) or constant <= 0:  # X^(d/(2d-2)) is positive
+        return constant > 0 or (constant == 0 and count == 0)
+    return (count / Fraction(constant)) ** (2 * d - 2) <= X**d
 
 
 def count_by_disc(
@@ -274,8 +274,8 @@ def count_by_disc(
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
-    bound_ok records whether count <= constant * X^(d/(2d-2)); the exponent
-    is also reported exactly as a Fraction.
+    bound_ok records whether count <= constant * X^(d/(2d-2)), compared
+    exactly; the exponent is also reported exactly as a Fraction.
     """
     count = 0
     unknown = 0
@@ -288,7 +288,7 @@ def count_by_disc(
         elif status is IrreducibilityStatus.UNKNOWN:
             unknown += 1
     exponent = Fraction(d, 2 * d - 2)
-    bound_ok = count <= constant * X ** (d / (2 * d - 2))
+    bound_ok = _within_bound(count, constant, d, X)
     return FieldCountRow(d, X, count, unknown, exponent, constant, bound_ok, tuple(admissible))
 
 

@@ -13,8 +13,12 @@ at p = 5, matching the smallest primes the counting claims cover.
 
 from __future__ import annotations
 
+import bisect
 import enum
-from collections.abc import Iterable, Sequence
+import functools
+import itertools
+import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -109,50 +113,40 @@ class DensityRow:
 
 
 def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
-    """All primes <= limit, ascending; plain Eratosthenes on a bytearray."""
+    """All primes <= limit, ascending, as a fresh list the caller may keep."""
     if limit > sieve_cap:
         raise SieveCapError(f"sieve limit {limit} exceeds the cap {sieve_cap}")
+    return list(_sieve(limit))
+
+
+@functools.lru_cache(maxsize=8)
+def _sieve(limit: int) -> tuple[int, ...]:
+    # Eratosthenes on the odd numbers (mark[k] stands for 2k + 1), memoized
+    # by limit so that equal limits in one run sieve once; a tuple, so no
+    # caller can alter the shared result.
     if limit < 2:
-        return []
-    mark = bytearray([1]) * (limit + 1)
-    mark[0] = mark[1] = 0
-    i = 2
-    while i * i <= limit:
-        if mark[i]:
-            mark[i * i :: i] = bytearray((limit - i * i) // i + 1)
-        i += 1
-    return [i for i in range(2, limit + 1) if mark[i]]
+        return ()
+    size = (limit + 1) // 2
+    mark = bytearray([1]) * size
+    mark[0] = 0
+    for i in range(3, math.isqrt(limit) + 1, 2):
+        if mark[i // 2]:
+            mark[i * i // 2 :: i] = bytes(len(range(i * i // 2, size, i)))
+    return (2, *itertools.compress(range(1, limit + 1, 2), mark))
 
 
-def _family_floor(family: Family) -> int:
-    if family is Family.PRIME_POWER:
-        return 3
-    if family is Family.P_MINUS_ONE:
-        return 5
-    raise ValueError("averages and densities are defined for the two named families")
+# Averages start at the smallest prime each family's claims cover.
+_FLOOR = {Family.PRIME_POWER: 3, Family.P_MINUS_ONE: 5}
+
+# Each selector's divisibility target is c shifted by this much; averages
+# take the primes up to the target, densities the primes up to c.
+_SHIFT = {Selector.DIVIDES_C_MINUS_1: -1, Selector.DIVIDES_C_PLUS_1: 1}
 
 
-def _qualifying_primes(
-    selector: Selector, c: int, floor: int, sieve_cap: int
-) -> list[int]:
-    # The prime range tracks the divisibility target: p | c+1 admits primes
-    # up to c+1, p | c-1 up to c-1, and the rest up to c.
-    if selector is Selector.DIVIDES_C_PLUS_1:
-        bound, target = c + 1, c + 1
-    elif selector is Selector.DIVIDES_C_MINUS_1:
-        bound, target = c - 1, c - 1
-    else:
-        bound, target = c, c
-    primes = [p for p in prime_sieve(max(bound, 0), sieve_cap=sieve_cap) if p >= floor]
-    if selector is Selector.NOT_DIVIDES_C:
-        return [p for p in primes if target % p != 0]
-    return [p for p in primes if target % p == 0]
-
-
-def _family_map(family: Family, p: int, ell: int, c: int) -> MapSpec:
-    if family is Family.PRIME_POWER:
-        return MapSpec.prime_power(p, ell, c)
-    return MapSpec.p_minus_one(p, ell, c)
+def _between(primes: list[int], floor: int, bound: int) -> tuple[int, int]:
+    """The index range of the primes in [floor, bound] within primes."""
+    hi = bisect.bisect_right(primes, bound)
+    return bisect.bisect_left(primes, floor, 0, hi), hi
 
 
 def average_report(
@@ -174,17 +168,21 @@ def average_report(
     exact rational; an empty qualifying set yields denominator 0 and no
     ratio rather than an error.
     """
-    floor = _family_floor(family)
+    if family not in _FLOOR:
+        raise ValueError("averages and densities are defined for the two named families")
+    floor = _FLOOR[family]
+    spec = MapSpec.prime_power if family is Family.PRIME_POWER else MapSpec.p_minus_one
+    targets = [(c, c + _SHIFT.get(selector, 0)) for c in c_list]
+    primes = prime_sieve(max([0] + [t for _, t in targets]), sieve_cap=sieve_cap)
+    wanted = selector is not Selector.NOT_DIVIDES_C
     rows = []
-    for c in c_list:
-        qual = _qualifying_primes(selector, c, floor, sieve_cap)
-        numerator = 0
-        for p in qual:
-            fs = standard_field(p, n)
-            m = _family_map(family, p, ell, c)
-            numerator += dynamics.fixed_point_count(
-                fs, m, field_cap=field_cap, exp_cap=exp_cap
-            )
+    for c, target in targets:
+        lo, hi = _between(primes, floor, target)
+        qual = [p for p in itertools.islice(primes, lo, hi) if (target % p == 0) is wanted]
+        numerator = sum(
+            dynamics.fixed_point_count(standard_field(p, n), spec(p, ell, c), field_cap=field_cap, exp_cap=exp_cap)
+            for p in qual
+        )
         ratio = Fraction(numerator, len(qual)) if qual else None
         rows.append(AverageRow(c, selector, floor, numerator, len(qual), ratio))
     return rows
@@ -217,18 +215,15 @@ def density_table(
     if n < 1 or ell < 1:
         raise ValueError("n and ell must be at least 1")
     floor, selector = _KIND_RULES[kind]
+    c_list = list(c_list)
+    primes = prime_sieve(max([0] + c_list), sieve_cap=sieve_cap)
     rows = []
     for c in c_list:
-        primes = [p for p in prime_sieve(max(c, 0), sieve_cap=sieve_cap) if p >= floor]
-        denominator = len(primes)
-        if selector is Selector.NOT_DIVIDES_C:
-            numerator = sum(1 for p in primes if c % p != 0)
-        elif selector is Selector.DIVIDES_C:
-            numerator = sum(1 for p in primes if c % p == 0)
-        elif selector is Selector.DIVIDES_C_MINUS_1:
-            numerator = sum(1 for p in primes if (c - 1) % p == 0)
-        else:
-            numerator = sum(1 for p in primes if (c + 1) % p == 0)
+        lo, hi = _between(primes, floor, c)
+        target = c + _SHIFT.get(selector, 0)
+        dividing = sum(1 for p in itertools.islice(primes, lo, hi) if target % p == 0)
+        denominator = hi - lo
+        numerator = denominator - dividing if selector is Selector.NOT_DIVIDES_C else dividing
         ratio = Fraction(numerator, denominator) if denominator else None
         rows.append(DensityRow(c, kind, numerator, denominator, ratio))
     return rows

@@ -315,6 +315,18 @@ class TestFieldOps:
         with pytest.raises(ZeroDivisionError):
             ops.inv(0)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7919, 100003])
+    def test_prime_pow_matches_square_and_multiply(self, p):
+        ops = field_ops(ff.standard_field(p, 1))
+        assert type(ops) is ff._PrimeOps
+        for i in sorted({0, 1, 2, p // 2, p - 1}):
+            for e in (0, 1, 2, p - 1, p, 10**30 + 7, 2**200):
+                assert ops.pow(i, e) == ff.FieldOps.pow(ops, i, e), (i, e)
+        with pytest.raises(ValueError):
+            ops.pow(2 % p, -1)
+        with pytest.raises(ValueError):
+            ops.pow(0, -3)
+
 
 class TestRendering:
     def test_poly_rendering(self):

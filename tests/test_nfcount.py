@@ -118,6 +118,38 @@ class TestIrreducibility:
         assert nfcount.certifying_prime(3, 0) is None
         assert nfcount.certifying_prime(3, 6) is None
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 7),
+        st.integers(-(10**6), 10**6),
+        st.sampled_from([q for q in range(2, 51) if all(q % k for k in range(2, q))]),
+    )
+    def test_memoized_certificate_matches_brute_force(self, d, c, q):
+        # the lookup by residue class answers for c itself, and for every
+        # c' = c (mod q) once the memo holds the residue
+        want = brute_irreducible_mod_q(d, c, q)
+        assert nfcount._irreducible_mod_q(d, c % q, q) == want
+        assert nfcount._irreducible_mod_q(d, (c + 7 * q) % q, q) == want
+
+    def test_certificates_computed_once_per_residue(self):
+        nfcount._irreducible_mod_q.cache_clear()
+        nfcount.count_by_disc(3, 10**7)
+        primes = [q for q in range(2, nfcount.DEFAULT_Q_MAX + 1) if all(q % k for k in range(2, q))]
+        assert nfcount._irreducible_mod_q.cache_info().misses <= sum(primes)
+
+    def test_status_and_certifying_prime_agree(self):
+        for d in (2, 3, 4, 5):
+            for c in range(-40, 41):
+                q = nfcount.certifying_prime(d, c, q_max=11)
+                status = nfcount.irreducibility_status(d, c, q_max=11)
+                if status is IrreducibilityStatus.IRREDUCIBLE:
+                    assert q is not None
+                    assert not any(
+                        brute_irreducible_mod_q(d, c, r) for r in (2, 3, 5, 7, 11) if r < q
+                    )
+                else:
+                    assert q is None
+
 
 class TestBoundedTrinomials:
     def test_enumeration_order_and_contents(self):
@@ -131,18 +163,24 @@ class TestBoundedTrinomials:
         assert nfcount.bounded_trinomials(3, 1) == []
         assert [t.c for t in nfcount.bounded_trinomials(3, 5)] == [0]
 
-    def test_completeness_against_window_scan(self):
-        for d in (2, 3, 4):
-            for X in (10, 100, 1000):
-                got = sorted(t.c for t in nfcount.bounded_trinomials(d, X))
-                want = sorted(
-                    c for c in range(-300, 301) if abs(nfcount.closed_form_disc(d, c)) < X
-                )
-                assert got == want, (d, X)
-
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             nfcount.bounded_trinomials(3, 0)
+
+    def test_completeness_against_window_scan(self):
+        # the enumeration stops at its first empty |c| level; the window
+        # scan checks that no later level holds a hit
+        for d in range(2, 9):
+            # every c with |disc| below this bound has |c| <= 300
+            reach = abs(nfcount.closed_form_disc(d, 301))
+            edges = [abs(nfcount.closed_form_disc(d, c)) + e for c in (0, 1, -1, 2, 37, -150) for e in (0, 1)]
+            for X in [1, 2, 5, 10, 100, 10**4, 10**6, 10**9, 10**15, *edges]:
+                if X > reach:
+                    continue
+                got = [t.c for t in nfcount.bounded_trinomials(d, X)]
+                want = [c for c in range(-300, 301) if abs(nfcount.closed_form_disc(d, c)) < X]
+                assert sorted(got) == want, (d, X)
+                assert [abs(c) for c in got] == sorted(abs(c) for c in got)
 
 
 class TestCountByDisc:
@@ -177,6 +215,34 @@ class TestCountByDisc:
     def test_bound_flag_responds_to_constant(self):
         assert nfcount.count_by_disc(3, 1000, constant=4.0).bound_ok
         assert not nfcount.count_by_disc(3, 1000, constant=0.01).bound_ok
+
+    def test_bound_compared_exactly_where_float_is_wrong(self):
+        # 16 = 1 * 64^(4/6) exactly, but the float power rounds below 16
+        assert not 16 <= 1.0 * 64 ** (4 / 6)
+        assert nfcount._within_bound(16, 1.0, 4, 64)
+        # 9742^3 > (9742^4 - 1)^(3/4), but the float power rounds up to it
+        t = 9742
+        assert t**3 <= 1.0 * (t**4 - 1) ** 0.75
+        assert not nfcount._within_bound(t**3, 1.0, 3, t**4 - 1)
+        assert nfcount._within_bound(t**3, 1.0, 3, t**4)
+
+    def test_bound_sign_cases(self):
+        assert nfcount._within_bound(0, 0.0, 3, 10)
+        assert not nfcount._within_bound(1, 0.0, 3, 10)
+        assert not nfcount._within_bound(0, -1.0, 3, 10)
+        assert nfcount._within_bound(10**9, float("inf"), 3, 10)
+        assert not nfcount._within_bound(0, float("nan"), 3, 10)
+
+    def test_bound_at_huge_X(self, monkeypatch):
+        X = 10**400
+        with pytest.raises(OverflowError):
+            X ** (3 / 4)
+        stub = [nfcount.Trinomial.build(3, c) for c in (0, 1, 2)]
+        monkeypatch.setattr(nfcount, "bounded_trinomials", lambda d, bound: stub)
+        row = nfcount.count_by_disc(3, X)
+        assert (row.count, row.unknown) == (2, 0)
+        assert row.bound_ok
+        assert not nfcount.count_by_disc(3, X, constant=-1.0).bound_ok
 
     def test_as_dict_schema(self):
         payload = nfcount.count_by_disc(3, 100).as_dict()

@@ -21,6 +21,10 @@ def trial_division_primes(limit):
     ]
 
 
+# Bounds out of order, repeated, and below every prime floor.
+SHUFFLED_C = [105, 17, 0, 105, 2, 60, -3, 1, 17, 3]
+
+
 class TestPrimeSieve:
     def test_small_values(self):
         assert stats.prime_sieve(10) == [2, 3, 5, 7]
@@ -29,13 +33,20 @@ class TestPrimeSieve:
         assert stats.prime_sieve(0) == []
         assert len(stats.prime_sieve(30)) == 10
 
-    def test_matches_trial_division(self):
-        assert stats.prime_sieve(500) == trial_division_primes(500)
-
     def test_cap(self):
         with pytest.raises(stats.SieveCapError):
             stats.prime_sieve(1000, sieve_cap=100)
         assert stats.prime_sieve(100, sieve_cap=100)[-1] == 97
+
+    def test_matches_trial_division(self):
+        want = trial_division_primes(2000)
+        for limit in range(2001):
+            got = stats.prime_sieve(limit)
+            assert got == [p for p in want if p <= limit], limit
+            got.append(-1)  # the caller owns its list; the memo must not see this
+            got[:1] = [4]
+            assert stats.prime_sieve(limit) == [p for p in want if p <= limit], limit
+        assert stats.prime_sieve(2000) is not stats.prime_sieve(2000)
 
 
 class TestAverageReport:
@@ -126,6 +137,13 @@ class TestAverageReport:
             assert isinstance(row.denominator, int)
             assert row.ratio is None or isinstance(row.ratio, Fraction)
 
+    @pytest.mark.parametrize("selector", list(Selector))
+    @pytest.mark.parametrize("family", [Family.PRIME_POWER, Family.P_MINUS_ONE])
+    def test_unsorted_duplicated_c_list_matches_per_c(self, family, selector):
+        rows = stats.average_report(family, 1, 1, selector, SHUFFLED_C)
+        assert rows == [stats.average_report(family, 1, 1, selector, [c])[0] for c in SHUFFLED_C]
+        assert stats.average_report(family, 1, 1, selector, iter(SHUFFLED_C)) == rows
+
     def test_raw_family_rejected(self):
         with pytest.raises(ValueError):
             stats.average_report(Family.RAW, 1, 1, Selector.DIVIDES_C, [3])
@@ -182,6 +200,12 @@ class TestDensityTable:
         (row,) = stats.density_table(DensityKind.MC2, c_list=[3])
         assert (row.numerator, row.denominator) == (0, 0)
         assert row.ratio is None
+
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_unsorted_duplicated_c_list_matches_per_c(self, kind):
+        rows = stats.density_table(kind, c_list=SHUFFLED_C + [10**4])
+        assert rows == [stats.density_table(kind, c_list=[c])[0] for c in SHUFFLED_C + [10**4]]
+        assert stats.density_table(kind, c_list=iter(SHUFFLED_C)) == rows[:-1]
 
     def test_as_dict(self):
         (row,) = stats.density_table(DensityKind.NC3, c_list=[30])
