@@ -16,7 +16,6 @@ from .dynamics import (
     IntegerRootReport,
     MapSpec,
     OrbitCensus,
-    census_record,
     classify_residue,
     count_profile,
     eval_map,
@@ -72,7 +71,7 @@ __all__ = [
     "DEFAULT_EXP_CAP", "ExponentCapError", "Family", "MapSpec", "CensusRecord",
     "OrbitCensus", "IntegerRootReport", "eval_map", "fixed_point_count",
     "fixed_points", "count_profile", "gcd_root_count", "orbit_census",
-    "classify_residue", "census_record", "integral_fixed_points",
+    "classify_residue", "integral_fixed_points",
     # claims
     "Verdict", "Witness", "ClaimSpec", "ClaimReport", "registry", "check",
     "check_all",

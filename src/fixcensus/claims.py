@@ -15,8 +15,9 @@ counts are reported separately as informational material.
 from __future__ import annotations
 
 import enum
+import functools
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from . import dynamics, ff
@@ -33,6 +34,7 @@ __all__ = [
     "claim_by_id",
     "check",
     "check_point",
+    "check_at",
     "check_all",
 ]
 
@@ -109,8 +111,7 @@ class ClaimSpec:
     ell_min: int = 1
 
     def degree(self, p: int, ell: int) -> int:
-        base = p if self.family is Family.PRIME_POWER else p - 1
-        return base**ell
+        return self.family.degree(p, ell)
 
     def applies(self, p: int, n: int, ell: int) -> bool:
         if self.p_eq is not None and p != self.p_eq:
@@ -290,6 +291,14 @@ def claim_by_id(claim_id: str) -> ClaimSpec:
     raise KeyError(f"unknown claim id {claim_id!r}")
 
 
+@functools.lru_cache(maxsize=1)
+def _profile(fs: ff.FieldSpec, d: int) -> tuple[int, ...]:
+    """count_profile(fs, d), kept for the next claim of the same family at
+    the same grid point; a tuple, since every caller shares it.  check_point
+    has already applied the caps, so the scan runs with caps it meets."""
+    return tuple(dynamics.count_profile(fs, d, field_cap=fs.order, exp_cap=d))
+
+
 def check_point(
     claim: ClaimSpec,
     p: int,
@@ -316,7 +325,7 @@ def check_point(
             p, n, ell, Verdict.SKIPPED, note=f"field order {p}^{n} exceeds the field cap {field_cap}"
         )
     fs = ff.standard_field(p, n)
-    profile = dynamics.count_profile(fs, d, field_cap=field_cap, exp_cap=exp_cap)
+    profile = _profile(fs, d)
     witnesses = []
     unjudged: Counter[int] = Counter()
     for idx, actual in enumerate(profile):
@@ -355,14 +364,33 @@ def check(
     return ClaimReport(spec, points)
 
 
+def check_at(
+    point: tuple[int, int, int],
+    field_cap: int = DEFAULT_FIELD_CAP,
+    exp_cap: int = DEFAULT_EXP_CAP,
+) -> list[PointResult]:
+    """Every registered claim at one grid point (p, n, ell), in registry
+    order; the claims of one family share one scan."""
+    p, n, ell = point
+    return [
+        check_point(spec, p, n, ell, field_cap=field_cap, exp_cap=exp_cap) for spec in _REGISTRY
+    ]
+
+
 def check_all(
     grid: Iterable[tuple[int, int, int]],
     *,
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
+    mapper: Callable = map,
 ) -> list[ClaimReport]:
-    """Every registered claim over the same grid, in registry order."""
-    pts = list(grid)
+    """Every registered claim over the same grid, in registry order.
+
+    The grid is walked point first through mapper(check_at, points), which
+    may be a process pool's map as long as it keeps the task order; each
+    report lists its points in grid order.
+    """
+    rows = list(mapper(functools.partial(check_at, field_cap=field_cap, exp_cap=exp_cap), list(grid)))
     return [
-        check(spec, pts, field_cap=field_cap, exp_cap=exp_cap) for spec in _REGISTRY
+        ClaimReport(spec, tuple(row[k] for row in rows)) for k, spec in enumerate(_REGISTRY)
     ]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import re
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import claims, dynamics, nfcount, stats
@@ -31,7 +31,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     field_cap: int = DEFAULT_FIELD_CAP
     exp_cap: int = DEFAULT_EXP_CAP
@@ -41,7 +41,9 @@ class RunConfig:
     jobs: int = 1
 
 
-_CONFIG_KEYS = {"field_cap", "exp_cap", "sieve_cap", "out", "format", "jobs"}
+_CONFIG_TYPES = {
+    "field_cap": int, "exp_cap": int, "sieve_cap": int, "out": str, "format": str, "jobs": int,
+}
 
 
 def _load_config(path: str) -> dict:
@@ -52,9 +54,13 @@ def _load_config(path: str) -> dict:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - set(_CONFIG_TYPES)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    for key, value in data.items():
+        kind = _CONFIG_TYPES[key]
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise UsageError(f"config key {key} must be a JSON {'integer' if kind is int else 'string'}")
     return data
 
 
@@ -69,12 +75,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         return default
 
     cfg = RunConfig(
-        field_cap=int(pick(args.field_cap, "field_cap", DEFAULT_FIELD_CAP)),
-        exp_cap=int(pick(args.exp_cap, "exp_cap", DEFAULT_EXP_CAP)),
-        sieve_cap=int(pick(args.sieve_cap, "sieve_cap", DEFAULT_SIEVE_CAP)),
+        field_cap=pick(args.field_cap, "field_cap", DEFAULT_FIELD_CAP),
+        exp_cap=pick(args.exp_cap, "exp_cap", DEFAULT_EXP_CAP),
+        sieve_cap=pick(args.sieve_cap, "sieve_cap", DEFAULT_SIEVE_CAP),
         out=pick(args.out, "out", None),
         format=pick(args.format, "format", None),
-        jobs=int(pick(args.jobs, "jobs", 1)),
+        jobs=pick(args.jobs, "jobs", 1),
     )
     if cfg.field_cap <= 0 or cfg.exp_cap <= 0 or cfg.sieve_cap <= 0:
         raise UsageError("caps must be positive")
@@ -111,6 +117,22 @@ def _ratio_cell(ratio: Fraction | None) -> str:
     return f"{ratio.numerator / ratio.denominator:.6f}"
 
 
+def _map(jobs: int, fn, tasks: list) -> list:
+    """[fn(t) for t in tasks], on up to jobs worker processes; same order."""
+    if jobs > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _coefficient(fs, text: str):
+    """A command-line coefficient: an integer, or an element string like 2*t+1."""
+    try:
+        return fs.from_int(int(text))
+    except ValueError:
+        return fs.parse(text)
+
+
 def _parse_int_list(text: str, flag: str) -> list[int]:
     if text.strip() == "":
         return []
@@ -124,26 +146,20 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # census
 
 def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
-    p, n, ell, family_value, d_raw, c_spec, field_cap, exp_cap = task
+    p, n, family_value, k, c_spec, field_cap, exp_cap = task
     fs = standard_field(p, n)
-    family = Family(family_value)
-    if family is Family.PRIME_POWER:
-        build = lambda c: MapSpec.prime_power(p, ell, c)  # noqa: E731
-    elif family is Family.P_MINUS_ONE:
-        build = lambda c: MapSpec.p_minus_one(p, ell, c)  # noqa: E731
-    else:
-        build = lambda c: MapSpec.raw(d_raw, c)  # noqa: E731
     if c_spec == ("all",):
         coefficients = list(fs.elements())
     else:
-        coefficients = []
-        for item in c_spec:
-            try:
-                coefficients.append(fs.from_int(int(item)))
-            except ValueError:
-                coefficients.append(fs.parse(item))
+        coefficients = [_coefficient(fs, item) for item in c_spec]
+    if not coefficients:
+        return []
+    m = MapSpec.of(Family(family_value), p, k, 0)  # validates (family, p, k); c is unused
+    profile = dynamics.count_profile(fs, m.d, field_cap=field_cap, exp_cap=exp_cap)
     return [
-        dynamics.census_record(fs, build(c), field_cap=field_cap, exp_cap=exp_cap)
+        dynamics.CensusRecord(
+            p, n, m.ell, family_value, dynamics.classify_residue(fs, c), str(c), profile[c.index]
+        )
         for c in coefficients
     ]
 
@@ -152,98 +168,47 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
     p_list = _parse_int_list(args.p, "--p")
     n_list = _parse_int_list(args.n, "--n")
     family = Family(args.family)
-    if family is Family.RAW:
-        if args.d is None:
-            raise UsageError("--family raw needs --d")
-        d_list = _parse_int_list(args.d, "--d")
-        ell_list = [None]
-    else:
-        if args.ell is None:
-            raise UsageError(f"--family {family} needs --ell")
-        d_list = [None]
-        ell_list = _parse_int_list(args.ell, "--ell")
+    flag, text = ("--d", args.d) if family is Family.RAW else ("--ell", args.ell)
+    if text is None:
+        raise UsageError(f"--family {family} needs {flag}")
+    k_list = _parse_int_list(text, flag)  # ell, or d for raw
     if args.c.strip() == "all":
         c_spec = ("all",)
     else:
         c_spec = tuple(part for part in args.c.split(",") if part.strip() != "")
 
-    tasks = []
-    for p in p_list:
-        for n in n_list:
-            for ell in ell_list:
-                for d in d_list:
-                    tasks.append(
-                        (p, n, ell, family.value, d, c_spec, cfg.field_cap, cfg.exp_cap)
-                    )
-    if cfg.jobs > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            chunks = list(pool.map(_census_point, tasks))
-    else:
-        chunks = [_census_point(t) for t in tasks]
-    records = [rec for chunk in chunks for rec in chunk]
+    tasks = [
+        (p, n, family.value, k, c_spec, cfg.field_cap, cfg.exp_cap)
+        for p in p_list
+        for n in n_list
+        for k in k_list
+    ]
+    records = [rec for chunk in _map(cfg.jobs, _census_point, tasks) for rec in chunk]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
 
     if (cfg.format or "csv") == "csv":
-        header = ["p", "n", "ell", "family", "c_class", "c_repr", "fixed_count"]
-        rows = [
-            [r.p, r.n, "" if r.ell is None else r.ell, r.family, r.c_class, r.c_repr, r.fixed_count]
-            for r in records
-        ]
-        _emit(cfg, _csv_text(header, rows))
+        header = [f.name for f in dataclasses.fields(dynamics.CensusRecord)]
+        # csv writes the raw family's ell (None) as an empty cell
+        _emit(cfg, _csv_text(header, [dataclasses.astuple(r) for r in records]))
     else:
-        _emit(
-            cfg,
-            _json_text(
-                [
-                    {
-                        "p": r.p,
-                        "n": r.n,
-                        "ell": r.ell,
-                        "family": r.family,
-                        "c_class": r.c_class,
-                        "c_repr": r.c_repr,
-                        "fixed_count": r.fixed_count,
-                    }
-                    for r in records
-                ]
-            ),
-        )
+        _emit(cfg, _json_text([dataclasses.asdict(r) for r in records]))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # claims
 
-def _claims_point(task: tuple) -> tuple[str, claims.PointResult]:
-    claim_id, p, n, ell, field_cap, exp_cap = task
-    spec = claims.claim_by_id(claim_id)
-    result = claims.check_point(spec, p, n, ell, field_cap=field_cap, exp_cap=exp_cap)
-    return claim_id, result
-
-
 def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
     p_list = _parse_int_list(args.p, "--p")
     n_list = _parse_int_list(args.n, "--n")
     ell_list = _parse_int_list(args.ell, "--ell")
     grid = [(p, n, ell) for p in p_list for n in n_list for ell in ell_list]
-
-    if cfg.jobs > 1 and len(grid) > 1:
-        tasks = [
-            (spec.id, p, n, ell, cfg.field_cap, cfg.exp_cap)
-            for spec in claims.registry()
-            for (p, n, ell) in grid
-        ]
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_claims_point, tasks))
-        by_claim: dict[str, list[claims.PointResult]] = {}
-        for claim_id, result in results:
-            by_claim.setdefault(claim_id, []).append(result)
-        reports = [
-            claims.ClaimReport(spec, tuple(by_claim.get(spec.id, ())))
-            for spec in claims.registry()
-        ]
-    else:
-        reports = claims.check_all(grid, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+    reports = claims.check_all(
+        grid,
+        field_cap=cfg.field_cap,
+        exp_cap=cfg.exp_cap,
+        mapper=lambda fn, points: _map(cfg.jobs, fn, points),
+    )
 
     if (cfg.format or "json") == "json":
         _emit(cfg, _json_text([rep.as_dict() for rep in reports]))
@@ -284,11 +249,14 @@ def _compare_verdicts(golden, reports: list[claims.ClaimReport]) -> list[str]:
         for rep in reports
         for pt in rep.points
     }
-    pinned = {}
-    for entry in golden:
-        claim_id = entry.get("claim")
-        for pt in entry.get("grid", []):
-            pinned[(claim_id, pt.get("p"), pt.get("n"), pt.get("ell"))] = pt.get("status")
+    try:  # the file is user data: a non-object entry or point is a usage error
+        pinned = {
+            (entry.get("claim"), pt.get("p"), pt.get("n"), pt.get("ell")): pt.get("status")
+            for entry in golden
+            for pt in entry.get("grid", [])
+        }
+    except (AttributeError, TypeError) as exc:
+        raise UsageError(f"--expect entries must be objects with a grid of objects: {exc}") from exc
     lines = []
     for key in sorted(set(fresh) | set(pinned), key=str):
         a, b = pinned.get(key), fresh.get(key)
@@ -369,11 +337,16 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             header = ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
             _emit(cfg, _csv_text(header, [[row.d, row.X, row.count, row.unknown, str(row.exponent_ref), row.bound_ok]]))
     elif args.height is not None:
-        count = nfcount.count_by_height(args.d, args.height)
+        try:
+            hmax = Fraction(args.height)
+            shown = float(hmax)
+        except (ValueError, OverflowError) as exc:  # inf, nan, junk, beyond float range
+            raise UsageError(f"--height expects a finite number in float range: {args.height!r}") from exc
+        count = nfcount.count_by_height(args.d, hmax)
         if fmt == "json":
-            _emit(cfg, _json_text({"d": args.d, "hmax": args.height, "count": count}))
+            _emit(cfg, _json_text({"d": args.d, "hmax": shown, "count": count}))
         else:
-            _emit(cfg, _csv_text(["d", "hmax", "count"], [[args.d, args.height, count]]))
+            _emit(cfg, _csv_text(["d", "hmax", "count"], [[args.d, shown, count]]))
     elif args.squarefree is not None:
         report = nfcount.squarefree_disc_fraction(args.d, args.squarefree, trial_bound=args.trial_bound)
         if fmt == "json":
@@ -424,22 +397,16 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
     fs = standard_field(args.p, args.n)
-    try:
-        c = fs.from_int(int(args.c))
-    except ValueError:
-        c = fs.parse(args.c)
+    c = _coefficient(fs, args.c)
     if args.d is not None:
-        m = MapSpec.raw(args.d, c)
-    elif args.family == "prime-power":
-        if args.ell is None:
-            raise UsageError("--family prime-power needs --ell")
-        m = MapSpec.prime_power(args.p, args.ell, c)
-    elif args.family == "pminus1":
-        if args.ell is None:
-            raise UsageError("--family pminus1 needs --ell")
-        m = MapSpec.p_minus_one(args.p, args.ell, c)
-    else:
+        family, k = Family.RAW, args.d
+    elif args.family is None:
         raise UsageError("orbits needs --d or --family with --ell")
+    elif args.ell is None:
+        raise UsageError(f"--family {args.family} needs --ell")
+    else:
+        family, k = Family(args.family), args.ell
+    m = MapSpec.of(family, args.p, k, c)
     census = dynamics.orbit_census(fs, m, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     if (cfg.format or "json") == "json":
         payload = {"field": fs.as_dict(), "d": m.d, "c": str(c)}
@@ -524,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_nf = subs.add_parser("nf", help="trinomial discriminant and height counting")
     p_nf.add_argument("--d", type=int, required=True)
     p_nf.add_argument("--X", type=int, default=None, help="count |disc| < X")
-    p_nf.add_argument("--height", type=float, default=None, help="count height <= Hmax")
+    p_nf.add_argument("--height", default=None, help="count height <= Hmax")
     p_nf.add_argument("--squarefree", type=int, default=None,
                       help="squarefree |disc| fraction over c in [1, C]")
     p_nf.add_argument("--c-range", dest="c_range", default=None,

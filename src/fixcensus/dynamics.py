@@ -1,11 +1,14 @@
 """Power maps z -> z^d + c on finite fields.
 
 Fixed points of the map are the roots of z^d - z + c, and this module counts
-them two independent ways on purpose: fixed_point_count scans every field
-element, while gcd_root_count never enumerates the field at all and instead
-measures deg gcd(z^d - z + c, z^q - z) in the quotient ring.  The two paths
-share no code beyond basic field arithmetic, so their agreement on a grid is
-a real consistency check, and the test suite enforces it.
+them two independent ways on purpose.  The scan side is count_profile: one
+pass over the field computes z - z^d for every z, which is the one
+coefficient c that makes z a fixed point, so its histogram answers every c
+at once; fixed_point_count and fixed_points read the same scan for a single
+c.  The gcd side, gcd_root_count, never enumerates the field at all and
+instead measures deg gcd(z^d - z + c, z^q - z) in the quotient ring.  The
+two sides share no code beyond basic field arithmetic, so their agreement
+on a grid is a real consistency check, and the test suite enforces it.
 
 Also here: the full functional-graph census (components, cycle structure,
 tail depths) and exact integer fixed points of z^d + c on the integers.
@@ -14,6 +17,8 @@ tail depths) and exact integer fixed points of z^d + c on the integers.
 from __future__ import annotations
 
 import enum
+import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 from .ff import (
@@ -41,7 +46,6 @@ __all__ = [
     "gcd_root_count",
     "orbit_census",
     "classify_residue",
-    "census_record",
     "integral_fixed_points",
 ]
 
@@ -65,6 +69,12 @@ class Family(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
+    def degree(self, p: int, ell: int) -> int:
+        """The map degree at (p, ell): p^ell, or (p-1)^ell for pminus1."""
+        if self is Family.RAW:
+            raise ValueError("raw family has no degree rule; give d directly")
+        return (p if self is Family.PRIME_POWER else p - 1) ** ell
+
 
 @dataclass(frozen=True)
 class MapSpec:
@@ -83,29 +93,33 @@ class MapSpec:
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError(f"map degree {self.d} must be at least 2")
-        if self.family is Family.PRIME_POWER:
-            if self.p is None or self.ell is None or self.ell < 1 or not is_prime(self.p):
-                raise ValueError("prime-power family needs a prime p and ell >= 1")
-            if self.d != self.p**self.ell:
-                raise ValueError("degree does not match p^ell")
-        elif self.family is Family.P_MINUS_ONE:
-            if self.p is None or self.ell is None or self.ell < 1 or not is_prime(self.p):
-                raise ValueError("pminus1 family needs a prime p and ell >= 1")
-            if self.p < 5:
-                raise ValueError("pminus1 family needs p >= 5")
-            if self.d != (self.p - 1) ** self.ell:
-                raise ValueError("degree does not match (p-1)^ell")
-        else:
+        if self.family is Family.RAW:
             if self.p is not None or self.ell is not None:
                 raise ValueError("raw family takes no p or ell")
+            return
+        if self.p is None or self.ell is None or self.ell < 1 or not is_prime(self.p):
+            raise ValueError(f"{self.family} family needs a prime p and ell >= 1")
+        if self.family is Family.P_MINUS_ONE and self.p < 5:
+            raise ValueError("pminus1 family needs p >= 5")
+        if self.d != self.family.degree(self.p, self.ell):
+            base = "p" if self.family is Family.PRIME_POWER else "(p-1)"
+            raise ValueError(f"degree does not match {base}^ell")
+
+    @classmethod
+    def of(cls, family: Family, p: int | None, k: int, c: int | FFElement) -> "MapSpec":
+        """The map of family with exponent k: ell for the named families
+        (degree by Family.degree), the degree itself for raw (p unused)."""
+        if family is Family.RAW:
+            return cls(family, k, c)
+        return cls(family, family.degree(p, k), c, p, k)
 
     @classmethod
     def prime_power(cls, p: int, ell: int, c: int | FFElement) -> "MapSpec":
-        return cls(Family.PRIME_POWER, p**ell, c, p, ell)
+        return cls.of(Family.PRIME_POWER, p, ell, c)
 
     @classmethod
     def p_minus_one(cls, p: int, ell: int, c: int | FFElement) -> "MapSpec":
-        return cls(Family.P_MINUS_ONE, (p - 1) ** ell, c, p, ell)
+        return cls.of(Family.P_MINUS_ONE, p, ell, c)
 
     @classmethod
     def raw(cls, d: int, c: int | FFElement) -> "MapSpec":
@@ -189,6 +203,20 @@ def eval_map(fs: FieldSpec, m: MapSpec, z: FFElement) -> FFElement:
     return z**m.d + m.coefficient(fs)
 
 
+def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
+    """z - z^d for every z in index order, as element indexes.
+
+    z - z^d is the one coefficient c that makes z a fixed point of
+    z -> z^d + c.  The caps are checked before the first element.
+    """
+    if d < 2:
+        raise ValueError(f"map degree {d} must be at least 2")
+    _check_caps(fs, d, field_cap, exp_cap)
+    ops = field_ops(fs)
+    powf, sub = ops.pow, ops.sub
+    return (sub(z, powf(z, d)) for z in range(ops.q))
+
+
 def fixed_point_count(
     fs: FieldSpec,
     m: MapSpec,
@@ -197,16 +225,8 @@ def fixed_point_count(
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> int:
     """Exact count of z with z^d + c = z, by scanning every element."""
-    _check_caps(fs, m.d, field_cap, exp_cap)
-    ops = field_ops(fs)
-    target = ops.neg(ops.encode(m.coefficient(fs)))
-    d = m.d
-    powf, sub = ops.pow, ops.sub
-    count = 0
-    for z in range(ops.q):
-        if sub(powf(z, d), z) == target:
-            count += 1
-    return count
+    scan = _scan(fs, m.d, field_cap, exp_cap)
+    return operator.countOf(scan, m.coefficient(fs).index)
 
 
 def fixed_points(
@@ -217,12 +237,9 @@ def fixed_points(
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> list[FFElement]:
     """The fixed points themselves, in enumeration order."""
-    _check_caps(fs, m.d, field_cap, exp_cap)
-    ops = field_ops(fs)
-    target = ops.neg(ops.encode(m.coefficient(fs)))
-    d = m.d
-    powf, sub = ops.pow, ops.sub
-    return [ops.decode(z) for z in range(ops.q) if sub(powf(z, d), z) == target]
+    scan = _scan(fs, m.d, field_cap, exp_cap)
+    target = m.coefficient(fs).index
+    return [fs.element_at(z) for z, c in enumerate(scan) if c == target]
 
 
 def count_profile(
@@ -235,17 +252,12 @@ def count_profile(
     """Fixed-point counts for every coefficient at once.
 
     profile[i] is the fixed-point count of z -> z^d + c where c is the
-    element with enumeration index i: one scan over the field histograms
-    z - z^d, which is the unique c putting z among the fixed points.
+    element with enumeration index i: the histogram of one scan.
     """
-    if d < 2:
-        raise ValueError(f"map degree {d} must be at least 2")
-    _check_caps(fs, d, field_cap, exp_cap)
-    ops = field_ops(fs)
-    profile = [0] * ops.q
-    powf, sub = ops.pow, ops.sub
-    for z in range(ops.q):
-        profile[sub(z, powf(z, d))] += 1
+    scan = _scan(fs, d, field_cap, exp_cap)
+    profile = [0] * fs.order
+    for c in scan:
+        profile[c] += 1
     return profile
 
 
@@ -438,25 +450,6 @@ def classify_residue(fs: FieldSpec, c: FFElement) -> str:
     if c == fs.from_int(-1):
         return "-1"
     return "other"
-
-
-def census_record(
-    fs: FieldSpec,
-    m: MapSpec,
-    *,
-    field_cap: int = DEFAULT_FIELD_CAP,
-    exp_cap: int = DEFAULT_EXP_CAP,
-) -> CensusRecord:
-    c = m.coefficient(fs)
-    return CensusRecord(
-        p=fs.p,
-        n=fs.n,
-        ell=m.ell,
-        family=m.family.value,
-        c_class=classify_residue(fs, c),
-        c_repr=str(c),
-        fixed_count=fixed_point_count(fs, m, field_cap=field_cap, exp_cap=exp_cap),
-    )
 
 
 def _divisors(u: int) -> list[int]:

@@ -292,17 +292,21 @@ def count_by_disc(
     return FieldCountRow(d, X, count, unknown, exponent, constant, bound_ok, tuple(admissible))
 
 
-def count_by_height(d: int, hmax: float) -> int:
-    """#{c integer : |c|^(1/d) <= hmax}, by the closed form 2*floor(hmax^d)+1."""
+def count_by_height(d: int, hmax: int | float | Fraction) -> int:
+    """#{c integer : |c|^(1/d) <= hmax}, by the closed form 2*floor(hmax^d)+1.
+
+    floor(hmax^d) is exact: a float counts as the binary value it holds, so
+    pass a Fraction (as the CLI does) to mean a decimal height exactly.
+    """
     if d < 2:
         raise ValueError(f"degree {d} must be at least 2")
-    if hmax < 0:
+    try:
+        h = Fraction(hmax)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"height bound {hmax} must be finite") from exc
+    if h < 0:
         raise ValueError(f"height bound {hmax} must be nonnegative")
-    if float(hmax).is_integer():
-        limit = int(hmax) ** d
-    else:
-        limit = math.floor(float(hmax) ** d)
-    return 2 * limit + 1
+    return 2 * (h.numerator**d // h.denominator**d) + 1
 
 
 DEFAULT_TRIAL_BOUND = 10**5

@@ -171,7 +171,6 @@ def average_report(
     if family not in _FLOOR:
         raise ValueError("averages and densities are defined for the two named families")
     floor = _FLOOR[family]
-    spec = MapSpec.prime_power if family is Family.PRIME_POWER else MapSpec.p_minus_one
     targets = [(c, c + _SHIFT.get(selector, 0)) for c in c_list]
     primes = prime_sieve(max([0] + [t for _, t in targets]), sieve_cap=sieve_cap)
     wanted = selector is not Selector.NOT_DIVIDES_C
@@ -180,7 +179,9 @@ def average_report(
         lo, hi = _between(primes, floor, target)
         qual = [p for p in itertools.islice(primes, lo, hi) if (target % p == 0) is wanted]
         numerator = sum(
-            dynamics.fixed_point_count(standard_field(p, n), spec(p, ell, c), field_cap=field_cap, exp_cap=exp_cap)
+            dynamics.fixed_point_count(
+                standard_field(p, n), MapSpec.of(family, p, ell, c), field_cap=field_cap, exp_cap=exp_cap
+            )
             for p in qual
         )
         ratio = Fraction(numerator, len(qual)) if qual else None

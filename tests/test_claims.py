@@ -216,3 +216,31 @@ class TestCheckAndCheckAll:
         a = [r.as_dict() for r in claims.check_all(grid)]
         b = [r.as_dict() for r in claims.check_all(grid)]
         assert a == b
+
+
+class TestScanSharing:
+    GRID = [(p, n, ell) for p in (3, 5, 7, 11) for n in (1, 2, 3) for ell in (1, 2)]
+
+    def test_check_all_scans_once_per_field_and_degree(self, monkeypatch):
+        scans = []
+        real = dynamics.count_profile
+
+        def counting(fs, d, **caps):
+            scans.append((fs.p, fs.n, d))
+            return real(fs, d, **caps)
+
+        monkeypatch.setattr(dynamics, "count_profile", counting)
+        claims._profile.cache_clear()
+        reports = claims.check_all(self.GRID)
+        assert len(scans) == len(set(scans)) == 42
+        # point-first walking keeps registry order and grid order
+        assert reports == [claims.check(spec, self.GRID) for spec in claims.registry()]
+
+    def test_caps_checked_on_every_point(self):
+        spec = claims.claim_by_id("C-2.3")
+        # leaves the scan of F_27 at d = 3 in the memo; the caps still refuse it
+        assert claims.check_point(spec, 3, 3, 1).status is Verdict.FAILS
+        res = claims.check_point(spec, 3, 3, 1, field_cap=20)
+        assert res.status is Verdict.SKIPPED
+        res = claims.check_point(spec, 3, 3, 1, exp_cap=2)
+        assert res.status is Verdict.SKIPPED

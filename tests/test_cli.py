@@ -99,6 +99,34 @@ class TestCensus:
         _, parallel, _ = run(capsys, argv + ["--jobs", "2"])
         assert parallel == first
 
+    def test_jobs_invariant_over_ells_and_raw_degrees(self, capsys):
+        for argv in (
+            ["census", "--p", "5,7", "--n", "1,2", "--family", "pminus1", "--ell", "1,2,3"],
+            ["census", "--p", "5,7", "--n", "1,2", "--family", "raw", "--d", "3,4"],
+            ["census", "--p", "5", "--n", "2", "--family", "raw", "--d", "3,4",
+             "--c", "1,t,2*t+1", "--format", "json"],
+        ):
+            code, serial, _ = run(capsys, argv)
+            assert code == 0
+            assert run(capsys, argv + ["--jobs", "2"]) == (0, serial, "")
+
+    def test_scans_once_per_field_and_degree(self, capsys, monkeypatch):
+        scans = []
+        real = dynamics.count_profile
+
+        def counting(fs, d, **caps):
+            scans.append((fs.p, fs.n, d))
+            return real(fs, d, **caps)
+
+        monkeypatch.setattr(dynamics, "count_profile", counting)
+        run(capsys, ["census", "--p", "3,5", "--n", "1,2", "--family", "prime-power",
+                     "--ell", "1,2", "--c", "all"])
+        assert scans == [(p, n, p**ell) for p in (3, 5) for n in (1, 2) for ell in (1, 2)]
+        scans.clear()
+        run(capsys, ["census", "--p", "5", "--n", "2", "--family", "raw", "--d", "3,4",
+                     "--c", "0,1,t"])
+        assert scans == [(5, 2, 3), (5, 2, 4)]
+
     def test_raw_family_needs_d(self, capsys):
         code, _, err = run(
             capsys,
@@ -181,6 +209,18 @@ class TestConfig:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("text", ['{"field_cap": null}', '{"jobs": [2]}', '{"out": 5}'])
+    def test_wrong_value_type_rejected(self, capsys, tmp_path, text):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(text)
+        code, out, err = run(
+            capsys,
+            ["census", "--p", "3", "--n", "1", "--family", "prime-power",
+             "--ell", "1", "--c", "0", "--config", str(cfg)],
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: config key ")
+
     def test_bad_cap_values(self, capsys):
         code, _, err = run(
             capsys,
@@ -258,6 +298,25 @@ class TestClaims:
         _, parallel, _ = run(capsys, argv + ["--jobs", "2"])
         assert serial == parallel
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_jobs_invariant_with_skipped_and_not_applicable(self, capsys, fmt):
+        argv = ["claims", "--p", "3,5,7", "--n", "1,2,3", "--ell", "1,2",
+                "--field-cap", "100", "--format", fmt]
+        code, serial, _ = run(capsys, argv)
+        assert code == 0
+        assert "SKIPPED" in serial and "NOT-APPLICABLE" in serial
+        assert run(capsys, argv + ["--jobs", "2"]) == (0, serial, "")
+
+    @pytest.mark.parametrize("golden", ["[1]", '[{"claim": "C-2.1", "grid": [1]}]'])
+    def test_expect_entries_must_be_objects(self, capsys, tmp_path, golden):
+        path = tmp_path / "golden.json"
+        path.write_text(golden)
+        code, _, err = run(
+            capsys, ["claims", "--p", "3", "--n", "1", "--ell", "1", "--expect", str(path)]
+        )
+        assert code == 2
+        assert err.startswith("error: --expect entries must be objects")
+
     def test_non_prime_grid_exits_2(self, capsys):
         code, _, err = run(capsys, ["claims", "--p", "4", "--n", "1", "--ell", "1"])
         assert code == 2
@@ -328,6 +387,20 @@ class TestNf:
         code, out, _ = run(capsys, ["nf", "--d", "3", "--height", "2"])
         assert code == 0
         assert json.loads(out) == {"d": 3, "hmax": 2.0, "count": 17}
+
+    def test_height_is_read_exactly(self, capsys):
+        # 2 * floor((1234567/10)^4) + 1; a float height gave ...494209
+        code, out, _ = run(capsys, ["nf", "--d", "4", "--height", "123456.7"])
+        assert code == 0
+        assert json.loads(out) == {"d": 4, "hmax": 123456.7, "count": 464610105844390516269}
+        code, out, _ = run(capsys, ["nf", "--d", "3", "--height", "2", "--format", "csv"])
+        assert out.splitlines() == ["d,hmax,count", "3,2.0,17"]
+
+    @pytest.mark.parametrize("height", ["inf", "nan", "1e400", "abc"])
+    def test_non_finite_height_exits_2(self, capsys, height):
+        code, out, err = run(capsys, ["nf", "--d", "3", "--height", height])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --height")
 
     def test_squarefree_csv(self, capsys):
         code, out, _ = run(

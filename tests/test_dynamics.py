@@ -5,8 +5,10 @@ here are three separate code paths; the tests hold them to exact agreement.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixcensus import dynamics, ff
+from fixcensus.cli import _census_point
 from fixcensus.dynamics import Family, MapSpec
 from fixcensus.ff import FieldCapError
 
@@ -192,6 +194,21 @@ class TestCountProfile:
                     m = MapSpec.raw(d, fs.element_at(idx))
                     assert profile[idx] == dynamics.fixed_point_count(fs, m)
 
+    @given(
+        st.sampled_from([(2, 1), (3, 1), (7, 1), (13, 1), (2, 3), (3, 2), (5, 2), (2, 4)]),
+        st.integers(2, 200),
+        st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_scan_views_match_brute_force(self, field, d, data):
+        fs = ff.standard_field(*field)
+        c = fs.element_at(data.draw(st.integers(0, fs.order - 1)))
+        m = MapSpec.raw(d, c)
+        points = dynamics.fixed_points(fs, m)
+        count = dynamics.fixed_point_count(fs, m)
+        assert count == dynamics.count_profile(fs, d)[c.index] == len(points)
+        assert points == brute_force_fixed_points(fs, d, c)
+
 
 class TestOrbitCensus:
     def test_example_c0(self):
@@ -255,19 +272,18 @@ class TestClassifyResidue:
         assert dynamics.classify_residue(fs, fs.element([0, 1])) == "other"
 
     def test_census_record(self):
-        fs = ff.standard_field(3, 2)
-        rec = dynamics.census_record(fs, MapSpec.prime_power(3, 1, fs.element([0, 1])))
-        assert rec == dynamics.CensusRecord(
-            p=3, n=2, ell=1, family="prime-power", c_class="other", c_repr="t", fixed_count=3
-        )
+        # the record the census command builds for z -> z^3 + t on F_9
+        task = (3, 2, "prime-power", 1, ("t",), ff.DEFAULT_FIELD_CAP, dynamics.DEFAULT_EXP_CAP)
+        assert _census_point(task) == [
+            dynamics.CensusRecord(
+                p=3, n=2, ell=1, family="prime-power", c_class="other", c_repr="t", fixed_count=3
+            )
+        ]
 
     def test_fixed_count_never_exceeds_degree_or_field(self):
         fs = ff.standard_field(7, 1)
         for d in (2, 3, 4):
-            for idx in range(fs.order):
-                m = MapSpec.raw(d, fs.element_at(idx))
-                rec = dynamics.census_record(fs, m)
-                assert rec.fixed_count <= min(d, fs.order)
+            assert max(dynamics.count_profile(fs, d)) <= min(d, fs.order)
 
 
 class TestIntegralFixedPoints:

@@ -274,6 +274,18 @@ class TestCountByHeight:
             nfcount.count_by_height(1, 2)
         with pytest.raises(ValueError):
             nfcount.count_by_height(3, -1)
+        for hmax in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                nfcount.count_by_height(3, hmax)
+
+    def test_exact_floor(self):
+        h = Fraction("123456.7")
+        assert nfcount.count_by_height(4, h) == 2 * (1234567**4 // 10**4) + 1
+        assert nfcount.count_by_height(4, h) == 464610105844390516269
+        # a float is its binary value, just below 123456.7
+        assert nfcount.count_by_height(4, 123456.7) == 2 * math.floor(Fraction(123456.7) ** 4) + 1
+        assert nfcount.count_by_height(3, Fraction(5, 2)) == 2 * 15 + 1
+        assert nfcount.count_by_height(2, 10**30) == 2 * 10**60 + 1
 
 
 class TestSquarefree:
