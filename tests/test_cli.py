@@ -2,6 +2,8 @@
 config resolution, and byte-identical determinism."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -14,6 +16,206 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# Full stdout text for (command, format) cases whose bytes no other test
+# pins; recorded before the CLI writers were merged into one.
+GOLDEN = [
+    pytest.param(
+        ["nf", "--d", "3", "--X", "100", "--format", "csv"],
+        "d,X,count,unknown,exponent_ref,bound_ok\n"
+        "3,100,2,0,3/4,True\n",
+        id="nf-X-csv",
+    ),
+    pytest.param(
+        ["nf", "--d", "3", "--squarefree", "10"],
+        """{
+  "d": 3,
+  "limit": 10,
+  "squarefree": 5,
+  "unknown": 0,
+  "numerator": 5,
+  "denominator": 10,
+  "fraction": "1/2",
+  "reference": "0.607927"
+}
+""",
+        id="nf-squarefree-json",
+    ),
+    pytest.param(
+        ["nf", "--d", "3", "--height", "2", "--format", "json"],
+        """{
+  "d": 3,
+  "hmax": 2.0,
+  "count": 17
+}
+""",
+        id="nf-height-json",
+    ),
+    pytest.param(
+        ["nf", "--d", "3", "--c-range", "0:2"],
+        """[
+  {
+    "d": 3,
+    "c": 0,
+    "disc": 4,
+    "height": "0.000000",
+    "irreducibility": "REDUCIBLE",
+    "squarefree": "false"
+  },
+  {
+    "d": 3,
+    "c": 1,
+    "disc": -23,
+    "height": "1.000000",
+    "irreducibility": "IRREDUCIBLE",
+    "squarefree": "true"
+  },
+  {
+    "d": 3,
+    "c": 2,
+    "disc": -104,
+    "height": "1.259921",
+    "irreducibility": "IRREDUCIBLE",
+    "squarefree": "false"
+  }
+]
+""",
+        id="nf-c-range-json",
+    ),
+    pytest.param(["nf", "--d", "3", "--c-range", "5:1"], "[]\n", id="nf-empty-c-range-json"),
+    pytest.param(
+        ["nf", "--d", "3", "--c-range", "5:1", "--format", "csv"],
+        "d,c,disc,height,irreducibility,squarefree\n",
+        id="nf-empty-c-range-csv",
+    ),
+    pytest.param(
+        ["density", "--kind", "mc2", "--c", "3,30", "--format", "json"],
+        """[
+  {
+    "c": 3,
+    "kind": "mc2",
+    "numerator": 0,
+    "denominator": 0,
+    "ratio": null
+  },
+  {
+    "c": 30,
+    "kind": "mc2",
+    "numerator": 1,
+    "denominator": 8,
+    "ratio": "1/8"
+  }
+]
+""",
+        id="density-json",
+    ),
+    pytest.param(
+        ["avg", "--family", "prime-power", "--selector", "p|c", "--c", "3,4", "--format", "json"],
+        """[
+  {
+    "c": 3,
+    "selector": "p|c",
+    "prime_floor": 3,
+    "numerator": 3,
+    "denominator": 1,
+    "ratio": "3"
+  },
+  {
+    "c": 4,
+    "selector": "p|c",
+    "prime_floor": 3,
+    "numerator": 0,
+    "denominator": 0,
+    "ratio": null
+  }
+]
+""",
+        id="avg-json",
+    ),
+    pytest.param(
+        ["avg", "--family", "prime-power", "--selector", "p|c", "--c", ""],
+        "c,selector,numerator,denominator,ratio\n",
+        id="avg-empty-csv",
+    ),
+    pytest.param(
+        ["density", "--kind", "nc3", "--c", ""],
+        "c,kind,numerator,denominator,ratio\n",
+        id="density-empty-csv",
+    ),
+    pytest.param(
+        ["orbits", "--p", "7", "--n", "1", "--d", "2", "--c", "0", "--format", "csv"],
+        "p,n,d,c,components,cycle_lengths,fixed_points,max_tail\n"
+        "7,1,2,0,3,1;1;2,2,1\n",
+        id="orbits-csv-cycles",
+    ),
+    pytest.param(
+        ["census", "--p", "5", "--n", "1", "--family", "raw", "--d", "3", "--c", "0,1",
+         "--format", "json"],
+        """[
+  {
+    "p": 5,
+    "n": 1,
+    "ell": null,
+    "family": "raw",
+    "c_class": "0",
+    "c_repr": "0",
+    "fixed_count": 3
+  },
+  {
+    "p": 5,
+    "n": 1,
+    "ell": null,
+    "family": "raw",
+    "c_class": "1",
+    "c_repr": "1",
+    "fixed_count": 1
+  }
+]
+""",
+        id="census-raw-json",
+    ),
+    pytest.param(
+        ["claims", "--p", "5", "--n", "1,3", "--ell", "1", "--field-cap", "100",
+         "--format", "csv"],
+        """claim,p,n,ell,status,c,predicted,actual
+C-2.1,5,1,1,NOT-APPLICABLE,,,
+C-2.1,5,3,1,NOT-APPLICABLE,,,
+C-2.2,5,1,1,NOT-APPLICABLE,,,
+C-2.2,5,3,1,SKIPPED,,,
+C-2.3,5,1,1,NOT-APPLICABLE,,,
+C-2.3,5,3,1,SKIPPED,,,
+C-2.4,5,1,1,FAILS,0,3,5
+C-2.4,5,3,1,NOT-APPLICABLE,,,
+C-3.1,5,1,1,NOT-APPLICABLE,,,
+C-3.1,5,3,1,SKIPPED,,,
+C-3.2,5,1,1,NOT-APPLICABLE,,,
+C-3.2,5,3,1,SKIPPED,,,
+C-3.3,5,1,1,NOT-APPLICABLE,,,
+C-3.3,5,3,1,SKIPPED,,,
+C-3.4,5,1,1,HOLDS,,,
+C-3.4,5,3,1,NOT-APPLICABLE,,,
+""",
+        id="claims-csv-bare-rows",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, text", GOLDEN)
+def test_golden_bytes(capsys, argv, text):
+    assert run(capsys, argv) == (0, text, "")
+
+
+def test_readme_examples(capsys, tmp_path, monkeypatch):
+    """Every README line starting with `fixcensus `, in file order."""
+    monkeypatch.chdir(tmp_path)  # golden.json, trend.csv land here
+    lines = [line for line in README.read_text().splitlines() if line.startswith("fixcensus ")]
+    assert lines
+    for line in lines:
+        code, _, err = run(capsys, shlex.split(line, comments=True)[1:])
+        assert (code, err) == (0, ""), line
 
 
 class TestCensus:
