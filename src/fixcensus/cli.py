@@ -3,8 +3,8 @@
 Exit codes: 0 success (claim FAILS verdicts are data, not errors), 2 usage
 or cap violations, 3 when --expect pins verdicts and the fresh run differs.
 Identical invocations produce byte-identical output; --jobs changes wall
-time only, because records are fully sorted before a single writer emits
-them.
+time only, because records are fully sorted before the one writer, _write,
+emits them.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import claims, dynamics, nfcount, stats
 from .dynamics import DEFAULT_EXP_CAP, Family, MapSpec
-from .ff import DEFAULT_FIELD_CAP, CapError, standard_field
+from .ff import DEFAULT_FIELD_CAP, standard_field
 from .stats import DEFAULT_SIEVE_CAP, DensityKind, Selector
 
 __all__ = ["RunConfig", "main"]
@@ -65,23 +65,10 @@ def _load_config(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
+    """Flags over the --config file over the RunConfig defaults."""
     file_values = _load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_values:
-            return file_values[key]
-        return default
-
-    cfg = RunConfig(
-        field_cap=pick(args.field_cap, "field_cap", DEFAULT_FIELD_CAP),
-        exp_cap=pick(args.exp_cap, "exp_cap", DEFAULT_EXP_CAP),
-        sieve_cap=pick(args.sieve_cap, "sieve_cap", DEFAULT_SIEVE_CAP),
-        out=pick(args.out, "out", None),
-        format=pick(args.format, "format", None),
-        jobs=pick(args.jobs, "jobs", 1),
-    )
+    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES and value is not None}
+    cfg = RunConfig(**{**file_values, **flags})
     if cfg.field_cap <= 0 or cfg.exp_cap <= 0 or cfg.sieve_cap <= 0:
         raise UsageError("caps must be positive")
     if cfg.jobs < 1:
@@ -91,30 +78,35 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _cell(value):
+    """The CSV cell rule: a Fraction to six decimals, a list joined by ';', None empty.
+
+    JSON never sees this rule; it keeps exact rationals as "a/b" strings
+    (the records' as_dict), so values that only look like fractions are
+    formatted strings before they reach either format.
+    """
+    if isinstance(value, Fraction):
+        return f"{value.numerator / value.denominator:.6f}"
+    if isinstance(value, list):
+        return ";".join(map(str, value))
+    return "" if value is None else value
+
+
+def _write(cfg: RunConfig, default_format: str, columns: list[str], rows: list[dict], payload=None) -> None:
+    """The one writer: CSV of columns read from each row, or JSON of payload (else rows)."""
+    if (cfg.format or default_format) == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
+        text = buf.getvalue()
+    else:
+        text = json.dumps(rows if payload is None else payload, indent=2) + "\n"
     if cfg.out:
         with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _csv_text(header: list[str], rows: list[list]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _ratio_cell(ratio: Fraction | None) -> str:
-    if ratio is None:
-        return ""
-    return f"{ratio.numerator / ratio.denominator:.6f}"
 
 
 def _map(jobs: int, fn, tasks: list) -> list:
@@ -185,13 +177,8 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     records = [rec for chunk in _map(cfg.jobs, _census_point, tasks) for rec in chunk]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
-
-    if (cfg.format or "csv") == "csv":
-        header = [f.name for f in dataclasses.fields(dynamics.CensusRecord)]
-        # csv writes the raw family's ell (None) as an empty cell
-        _emit(cfg, _csv_text(header, [dataclasses.astuple(r) for r in records]))
-    else:
-        _emit(cfg, _json_text([dataclasses.asdict(r) for r in records]))
+    columns = [f.name for f in dataclasses.fields(dynamics.CensusRecord)]
+    _write(cfg, "csv", columns, [dataclasses.asdict(r) for r in records])
     return 0
 
 
@@ -209,22 +196,13 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
         exp_cap=cfg.exp_cap,
         mapper=lambda fn, points: _map(cfg.jobs, fn, points),
     )
-
-    if (cfg.format or "json") == "json":
-        _emit(cfg, _json_text([rep.as_dict() for rep in reports]))
-    else:
-        header = ["claim", "p", "n", "ell", "status", "c", "predicted", "actual"]
-        rows = []
-        for rep in reports:
-            for pt in rep.points:
-                if pt.witnesses:
-                    for w in pt.witnesses:
-                        rows.append(
-                            [rep.claim.id, pt.p, pt.n, pt.ell, pt.status.value, str(w.c), w.predicted, w.actual]
-                        )
-                else:
-                    rows.append([rep.claim.id, pt.p, pt.n, pt.ell, pt.status.value, "", "", ""])
-        _emit(cfg, _csv_text(header, rows))
+    rows = []  # CSV: one row per witness, or one bare row per point
+    for rep in reports:
+        for pt in rep.points:
+            point = {"claim": rep.claim.id, "p": pt.p, "n": pt.n, "ell": pt.ell, "status": pt.status.value}
+            rows.extend([{**point, **w.as_dict()} for w in pt.witnesses] or [point])
+    columns = ["claim", "p", "n", "ell", "status", "c", "predicted", "actual"]
+    _write(cfg, "json", columns, rows, [rep.as_dict() for rep in reports])
 
     if args.expect:
         try:
@@ -282,17 +260,7 @@ def cmd_avg(args: argparse.Namespace, cfg: RunConfig) -> int:
         exp_cap=cfg.exp_cap,
         sieve_cap=cfg.sieve_cap,
     )
-    if (cfg.format or "csv") == "csv":
-        header = ["c", "selector", "numerator", "denominator", "ratio"]
-        table = [
-            [r.c, r.selector.value, r.numerator, r.denominator, _ratio_cell(r.ratio)]
-            for r in rows
-        ]
-        _emit(cfg, _csv_text(header, table))
-    else:
-        _emit(cfg, _json_text([r.as_dict() for r in rows]))
-    if args.emit_plot_data:
-        _write_plot_data(args.emit_plot_data, [(r.c, r.ratio) for r in rows])
+    _write_ratios(args, cfg, ["c", "selector", "numerator", "denominator", "ratio"], rows)
     return 0
 
 
@@ -300,25 +268,16 @@ def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     kind = DensityKind(args.kind)
     c_list = _parse_int_list(args.c, "--c")
     rows = stats.density_table(kind, c_list=c_list, sieve_cap=cfg.sieve_cap)
-    if (cfg.format or "csv") == "csv":
-        header = ["c", "kind", "numerator", "denominator", "ratio"]
-        table = [
-            [r.c, r.kind.value, r.numerator, r.denominator, _ratio_cell(r.ratio)]
-            for r in rows
-        ]
-        _emit(cfg, _csv_text(header, table))
-    else:
-        _emit(cfg, _json_text([r.as_dict() for r in rows]))
-    if args.emit_plot_data:
-        _write_plot_data(args.emit_plot_data, [(r.c, r.ratio) for r in rows])
+    _write_ratios(args, cfg, ["c", "kind", "numerator", "denominator", "ratio"], rows)
     return 0
 
 
-def _write_plot_data(path: str, pairs: list[tuple[int, Fraction | None]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("c,ratio\n")
-        for c, ratio in pairs:
-            fh.write(f"{c},{_ratio_cell(ratio)}\n")
+def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], rows: list) -> None:
+    """avg/density rows (exact ratio in JSON), then the --emit-plot-data c,ratio CSV."""
+    cells = [{**r.as_dict(), "ratio": r.ratio} for r in rows]
+    _write(cfg, "csv", columns, cells, [r.as_dict() for r in rows])
+    if args.emit_plot_data:
+        _write(dataclasses.replace(cfg, out=args.emit_plot_data, format="csv"), "csv", ["c", "ratio"], cells)
 
 
 # ---------------------------------------------------------------------------
@@ -328,39 +287,23 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
     chosen = [v is not None for v in (args.X, args.height, args.squarefree, args.c_range)]
     if sum(chosen) != 1:
         raise UsageError("nf needs exactly one of --X, --height, --squarefree, --c-range")
-    fmt = cfg.format or "json"
+    payload = None  # every mode but --c-range has one result: JSON is one object
     if args.X is not None:
-        row = nfcount.count_by_disc(args.d, args.X, constant=args.bound_constant, q_max=args.q_max)
-        if fmt == "json":
-            _emit(cfg, _json_text(row.as_dict()))
-        else:
-            header = ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
-            _emit(cfg, _csv_text(header, [[row.d, row.X, row.count, row.unknown, str(row.exponent_ref), row.bound_ok]]))
+        payload = nfcount.count_by_disc(args.d, args.X, constant=args.bound_constant, q_max=args.q_max).as_dict()
+        rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
     elif args.height is not None:
         try:
             hmax = Fraction(args.height)
             shown = float(hmax)
         except (ValueError, OverflowError) as exc:  # inf, nan, junk, beyond float range
             raise UsageError(f"--height expects a finite number in float range: {args.height!r}") from exc
-        count = nfcount.count_by_height(args.d, hmax)
-        if fmt == "json":
-            _emit(cfg, _json_text({"d": args.d, "hmax": shown, "count": count}))
-        else:
-            _emit(cfg, _csv_text(["d", "hmax", "count"], [[args.d, shown, count]]))
+        payload = {"d": args.d, "hmax": shown, "count": nfcount.count_by_height(args.d, hmax)}
+        rows, columns = [payload], ["d", "hmax", "count"]
     elif args.squarefree is not None:
         report = nfcount.squarefree_disc_fraction(args.d, args.squarefree, trial_bound=args.trial_bound)
-        if fmt == "json":
-            _emit(cfg, _json_text(report.as_dict()))
-        else:
-            header = ["d", "limit", "squarefree", "unknown", "fraction", "reference"]
-            _emit(
-                cfg,
-                _csv_text(
-                    header,
-                    [[report.d, report.limit, report.squarefree, report.unknown,
-                      _ratio_cell(report.fraction), f"{report.reference:.6f}"]],
-                ),
-            )
+        payload = report.as_dict()
+        rows = [{**payload, "fraction": report.fraction}]
+        columns = ["d", "limit", "squarefree", "unknown", "fraction", "reference"]
     else:
         lo, sep, hi = args.c_range.partition(":")
         if not sep:
@@ -369,26 +312,12 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             c_lo, c_hi = int(lo), int(hi)
         except ValueError as exc:
             raise UsageError(f"--c-range expects integers: {args.c_range!r}") from exc
-        rows = [
-            nfcount.trinomial_row(args.d, c, q_max=args.q_max, trial_bound=args.trial_bound)
-            for c in range(c_lo, c_hi + 1)
-        ]
-        if fmt == "json":
-            for row in rows:
-                row["height"] = f"{row['height']:.6f}"
-            _emit(cfg, _json_text(rows))
-        else:
-            header = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
-            _emit(
-                cfg,
-                _csv_text(
-                    header,
-                    [
-                        [r["d"], r["c"], r["disc"], f"{r['height']:.6f}", r["irreducibility"], r["squarefree"]]
-                        for r in rows
-                    ],
-                ),
-            )
+        rows = []
+        for c in range(c_lo, c_hi + 1):
+            row = nfcount.trinomial_row(args.d, c, q_max=args.q_max, trial_bound=args.trial_bound)
+            rows.append({**row, "height": f"{row['height']:.6f}"})
+        columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
+    _write(cfg, "json", columns, rows, payload)
     return 0
 
 
@@ -408,23 +337,9 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
         family, k = Family(args.family), args.ell
     m = MapSpec.of(family, args.p, k, c)
     census = dynamics.orbit_census(fs, m, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
-    if (cfg.format or "json") == "json":
-        payload = {"field": fs.as_dict(), "d": m.d, "c": str(c)}
-        payload.update(census.as_dict())
-        _emit(cfg, _json_text(payload))
-    else:
-        header = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]
-        row = [
-            fs.p,
-            fs.n,
-            m.d,
-            str(c),
-            census.component_count,
-            ";".join(str(k) for k in census.cycle_lengths),
-            census.fixed_point_count,
-            census.max_tail_length,
-        ]
-        _emit(cfg, _csv_text(header, [row]))
+    result = {"field": fs.as_dict(), "d": m.d, "c": str(c), **census.as_dict()}
+    columns = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]
+    _write(cfg, "json", columns, [{"p": fs.p, "n": fs.n, **result}], result)
     return 0
 
 
@@ -525,10 +440,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(args, cfg)
-    except CapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, ValueError, KeyError) as exc:
+    except ValueError as exc:  # UsageError, CapError and the library's own argument checks
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,12 +18,13 @@ import enum
 import functools
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stats
 from .dynamics import integral_fixed_points
-from .ff import _pgcd, _ppowmod, _psub, _trim
+from .ff import CapError, _pgcd, _ppowmod, _psub, _trim
 
 __all__ = [
     "ZETA2_INV",
@@ -297,6 +298,8 @@ def count_by_height(d: int, hmax: int | float | Fraction) -> int:
 
     floor(hmax^d) is exact: a float counts as the binary value it holds, so
     pass a Fraction (as the CLI does) to mean a decimal height exactly.
+    A count that may outgrow the interpreter's int-to-str digit limit is
+    refused with CapError before the power is formed.
     """
     if d < 2:
         raise ValueError(f"degree {d} must be at least 2")
@@ -306,6 +309,14 @@ def count_by_height(d: int, hmax: int | float | Fraction) -> int:
         raise ValueError(f"height bound {hmax} must be finite") from exc
     if h < 0:
         raise ValueError(f"height bound {hmax} must be nonnegative")
+    # h < 2^(a-b+1) for numerator/denominator bit lengths a, b, so the count
+    # is below 2^bits and has at most floor(bits * log10(2)) + 1 digits
+    bits = d * max(h.numerator.bit_length() - h.denominator.bit_length() + 1, 0) + 2
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 0: no limit
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        raise CapError(
+            f"height count for d = {d} may exceed the limit ({limit} digits) for integer string conversion"
+        )
     return 2 * (h.numerator**d // h.denominator**d) + 1
 
 

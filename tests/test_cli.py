@@ -7,7 +7,7 @@ import shlex
 
 import pytest
 
-from fixcensus import dynamics, ff
+from fixcensus import cli, dynamics, ff
 from fixcensus.cli import main
 from fixcensus.dynamics import MapSpec
 
@@ -367,6 +367,16 @@ class TestCensus:
         assert target.read_text().splitlines()[1] == "3,1,1,prime-power,0,0,3"
 
 
+def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(args, cfg):
+        return {}["missing"]
+
+    monkeypatch.setattr(cli, "cmd_nf", broken)
+    with pytest.raises(KeyError, match="missing"):
+        main(["nf", "--d", "3", "--X", "100"])
+    assert capsys.readouterr().err == ""
+
+
 class TestConfig:
     def test_config_supplies_format(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -597,6 +607,16 @@ class TestNf:
         assert json.loads(out) == {"d": 4, "hmax": 123456.7, "count": 464610105844390516269}
         code, out, _ = run(capsys, ["nf", "--d", "3", "--height", "2", "--format", "csv"])
         assert out.splitlines() == ["d,hmax,count", "3,2.0,17"]
+
+    def test_height_count_beyond_the_digit_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, ["nf", "--d", "20000", "--height", "2"])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: height count for d = 20000 may exceed the limit (4300 digits)"
+            " for integer string conversion\n"
+        )
+        code, out, _ = run(capsys, ["nf", "--d", "4", "--height", "123456.7"])
+        assert code == 0 and json.loads(out)["count"] == 464610105844390516269
 
     @pytest.mark.parametrize("height", ["inf", "nan", "1e400", "abc"])
     def test_non_finite_height_exits_2(self, capsys, height):

@@ -9,12 +9,13 @@ checked against exhaustive trial division over F_q.
 
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcensus import nfcount
+from fixcensus import ff, nfcount
 from fixcensus.nfcount import IrreducibilityStatus, ZETA2_INV
 
 
@@ -286,6 +287,19 @@ class TestCountByHeight:
         assert nfcount.count_by_height(4, 123456.7) == 2 * math.floor(Fraction(123456.7) ** 4) + 1
         assert nfcount.count_by_height(3, Fraction(5, 2)) == 2 * 15 + 1
         assert nfcount.count_by_height(2, 10**30) == 2 * 10**60 + 1
+
+    def test_count_beyond_the_digit_limit_is_refused(self, monkeypatch):
+        with pytest.raises(ff.CapError, match=r"limit \(4300 digits\)"):
+            nfcount.count_by_height(20000, 2)
+        assert nfcount.count_by_height(1000, 10**4) == 2 * 10**4000 + 1
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 50, raising=False)
+        with pytest.raises(ff.CapError, match=r"limit \(50 digits\)"):
+            nfcount.count_by_height(3, 10**20)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+        assert nfcount.count_by_height(3, 10**20) == 2 * 10**60 + 1
+        monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)  # builds without the limit
+        with pytest.raises(ff.CapError, match=r"limit \(4300 digits\)"):
+            nfcount.count_by_height(20000, 2)
 
 
 class TestSquarefree:
