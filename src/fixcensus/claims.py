@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
@@ -93,9 +94,10 @@ class PointResult:
 class ClaimSpec:
     """One counting claim: applicability slice plus per-class predictions.
 
-    predictions maps residue-class labels to exact counts.  For the
-    prime-power family the classes are "0" and "nonzero"; for the pminus1
-    family they are "0", "1" and "-1", with everything else unjudged.
+    predictions maps residue classes to exact counts.  For the prime-power
+    family the classes are "0" and "nonzero"; for the pminus1 family they
+    are "0", "1" and "-1", with everything else unjudged.  The slice is
+    three inclusive (lo, hi) ranges for p, n and ell.
     """
 
     id: str
@@ -103,42 +105,21 @@ class ClaimSpec:
     statement: str
     conditional: bool
     predictions: tuple[tuple[str, int], ...]
-    p_eq: int | None = None
-    p_min: int = 2
-    n_eq: int | None = None
-    n_min: int = 1
-    ell_eq: int | None = None
-    ell_min: int = 1
-
-    def degree(self, p: int, ell: int) -> int:
-        return self.family.degree(p, ell)
+    p_range: tuple[int, float] = (2, math.inf)
+    n_range: tuple[int, float] = (1, math.inf)
+    ell_range: tuple[int, float] = (1, math.inf)
 
     def applies(self, p: int, n: int, ell: int) -> bool:
-        if self.p_eq is not None and p != self.p_eq:
-            return False
-        if p < self.p_min:
-            return False
-        if self.n_eq is not None and n != self.n_eq:
-            return False
-        if n < self.n_min:
-            return False
-        if self.ell_eq is not None and ell != self.ell_eq:
-            return False
-        return ell >= self.ell_min
+        ranges = (self.p_range, self.n_range, self.ell_range)
+        return all(lo <= v <= hi for v, (lo, hi) in zip((p, n, ell), ranges))
 
-    def class_for(self, label: str) -> str | None:
-        """Map a census label to this claim's class, or None if unjudged."""
-        keys = [k for k, _ in self.predictions]
-        if label in keys:
-            return label
-        if label != "0" and "nonzero" in keys:
-            return "nonzero"
-        return None
-
-    def prediction(self, label: str) -> int | None:
-        for k, v in self.predictions:
-            if k == label:
-                return v
+    def expected(self, label: str) -> int | None:
+        """The predicted count for a census label (see classify_residue),
+        or None when the claim does not judge that label; the class
+        "nonzero" covers every label but "0"."""
+        for key, count in self.predictions:
+            if key == label or (key == "nonzero" and label != "0"):
+                return count
         return None
 
 
@@ -183,9 +164,9 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_N_PREDICTIONS,
-        p_eq=3,
-        n_min=2,
-        ell_eq=1,
+        p_range=(3, 3),
+        n_range=(2, math.inf),
+        ell_range=(1, 1),
     ),
     ClaimSpec(
         id="C-2.2",
@@ -196,9 +177,9 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=True,
         predictions=_N_PREDICTIONS,
-        p_min=3,
-        n_min=2,
-        ell_eq=1,
+        p_range=(3, math.inf),
+        n_range=(2, math.inf),
+        ell_range=(1, 1),
     ),
     ClaimSpec(
         id="C-2.3",
@@ -210,8 +191,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=True,
         predictions=_N_PREDICTIONS,
-        p_min=3,
-        n_min=2,
+        p_range=(3, math.inf),
+        n_range=(2, math.inf),
     ),
     ClaimSpec(
         id="C-2.4",
@@ -222,8 +203,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=True,
         predictions=_N_PREDICTIONS,
-        p_min=3,
-        n_eq=1,
+        p_range=(3, math.inf),
+        n_range=(1, 1),
     ),
     ClaimSpec(
         id="C-3.1",
@@ -235,9 +216,9 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_eq=5,
-        n_min=2,
-        ell_eq=1,
+        p_range=(5, 5),
+        n_range=(2, math.inf),
+        ell_range=(1, 1),
     ),
     ClaimSpec(
         id="C-3.2",
@@ -248,9 +229,9 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_min=5,
-        n_min=2,
-        ell_eq=1,
+        p_range=(5, math.inf),
+        n_range=(2, math.inf),
+        ell_range=(1, 1),
     ),
     ClaimSpec(
         id="C-3.3",
@@ -261,8 +242,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_min=5,
-        n_min=2,
+        p_range=(5, math.inf),
+        n_range=(2, math.inf),
     ),
     ClaimSpec(
         id="C-3.4",
@@ -273,8 +254,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_min=5,
-        n_eq=1,
+        p_range=(5, math.inf),
+        n_range=(1, 1),
     ),
 )
 
@@ -308,14 +289,17 @@ def check_point(
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> PointResult:
-    """Evaluate one claim at one grid point by scanning all residues."""
+    """Evaluate one claim at one grid point by scanning all residues.
+
+    Residues are labelled by enumeration index; an element is built only
+    for a witness."""
     if not ff.is_prime(p):
         raise ValueError(f"grid point has non-prime p = {p}")
     if n < 1 or ell < 1:
         raise ValueError(f"grid point ({p}, {n}, {ell}) needs n >= 1 and ell >= 1")
     if not claim.applies(p, n, ell):
         return PointResult(p, n, ell, Verdict.NOT_APPLICABLE, note="outside the stated hypotheses")
-    d = claim.degree(p, ell)
+    d = claim.family.degree(p, ell)
     if d > exp_cap:
         return PointResult(
             p, n, ell, Verdict.SKIPPED, note=f"degree {d} exceeds the exponent cap {exp_cap}"
@@ -325,18 +309,14 @@ def check_point(
             p, n, ell, Verdict.SKIPPED, note=f"field order {p}^{n} exceeds the field cap {field_cap}"
         )
     fs = ff.standard_field(p, n)
-    profile = _profile(fs, d)
     witnesses = []
     unjudged: Counter[int] = Counter()
-    for idx, actual in enumerate(profile):
-        c = fs.element_at(idx)
-        cls = claim.class_for(dynamics.classify_residue(fs, c))
-        if cls is None:
+    for idx, actual in enumerate(_profile(fs, d)):
+        predicted = claim.expected(dynamics.classify_residue(p, idx))
+        if predicted is None:
             unjudged[actual] += 1
-            continue
-        predicted = claim.prediction(cls)
-        if actual != predicted:
-            witnesses.append(Witness(c, predicted, actual))
+        elif actual != predicted:
+            witnesses.append(Witness(fs.element_at(idx), predicted, actual))
     status = Verdict.FAILS if witnesses else Verdict.HOLDS
     return PointResult(
         p,

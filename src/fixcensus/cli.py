@@ -118,11 +118,15 @@ def _map(jobs: int, fn, tasks: list) -> list:
 
 
 def _coefficient(fs, text: str):
-    """A command-line coefficient: an integer, or an element string like 2*t+1."""
+    """A --c coefficient: an integer, or an element string like 2*t+1."""
     try:
         return fs.from_int(int(text))
     except ValueError:
+        pass
+    try:
         return fs.parse(text)
+    except ValueError as exc:
+        raise UsageError(f"--c: {exc}") from exc
 
 
 def _parse_int_list(text: str, flag: str) -> list[int]:
@@ -150,7 +154,7 @@ def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
     profile = dynamics.count_profile(fs, m.d, field_cap=field_cap, exp_cap=exp_cap)
     return [
         dynamics.CensusRecord(
-            p, n, m.ell, family_value, dynamics.classify_residue(fs, c), str(c), profile[c.index]
+            p, n, m.ell, family_value, dynamics.classify_residue(p, c.index), str(c), profile[c.index]
         )
         for c in coefficients
     ]

@@ -435,19 +435,19 @@ def orbit_census(
     )
 
 
-def classify_residue(fs: FieldSpec, c: FFElement) -> str:
-    """Census label of a coefficient: "0", "1", "-1", or "other".
+def classify_residue(p: int, index: int) -> str:
+    """Census label of the coefficient at enumeration position index in a
+    field of characteristic p: "0", "1", "-1", or "other".
 
-    Checked in that order; in characteristic 2 the classes 1 and -1
-    coincide and the label "1" wins.
+    The prime subfield holds indexes 0 to p - 1 in every F_{p^n}, so 0, 1
+    and p - 1 are the elements 0, 1 and -1.  Checked in that order; in
+    characteristic 2 the classes 1 and -1 coincide and the label "1" wins.
     """
-    if c.field != fs:
-        raise ValueError("coefficient belongs to a different field")
-    if c.is_zero:
+    if index == 0:
         return "0"
-    if c == fs.one:
+    if index == 1:
         return "1"
-    if c == fs.from_int(-1):
+    if index == p - 1:
         return "-1"
     return "other"
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
@@ -83,7 +84,7 @@ def is_prime(u: int) -> bool:
 # Dense polynomial arithmetic over F_p on plain tuples, lowest degree first,
 # trimmed (no trailing zeros; the zero polynomial is the empty tuple).  These
 # helpers are the workhorse layer under FpPoly, FFElement and the
-# irreducibility certificates; they are also reused by sibling modules.
+# irreducibility certificates.
 
 def _trim(cs: Sequence[int]) -> tuple[int, ...]:
     i = len(cs)
@@ -336,6 +337,10 @@ class FieldSpec:
         return f"F_{self.p}^{self.n}"
 
 
+# One term of an element string after its sign: digits, or [digits][*]t[^digits].
+_TERM = re.compile(r"(\d*)(\*?t(?:\^(\d+))?)?")
+
+
 def _parse_poly_text(text: str) -> dict[int, int]:
     s = text.replace(" ", "")
     if not s:
@@ -346,25 +351,13 @@ def _parse_poly_text(text: str) -> dict[int, int]:
         raise ValueError(f"cannot parse element {text!r}")
     powers: dict[int, int] = {}
     for part in parts:
-        sign = 1
-        if part.startswith("-"):
-            sign = -1
-            part = part[1:]
-        if "t" in part:
-            coef_s, _, pow_s = part.partition("t")
-            coef_s = coef_s.rstrip("*")
-            coef = int(coef_s) if coef_s else 1
-            if pow_s == "":
-                k = 1
-            elif pow_s.startswith("^"):
-                k = int(pow_s[1:])
-            else:
-                raise ValueError(f"cannot parse term {part!r}")
-        else:
-            coef = int(part)
-            k = 0
-        if k < 0:
-            raise ValueError(f"negative power in term {part!r}")
+        sign = -1 if part.startswith("-") else 1
+        m = _TERM.fullmatch(part[1:] if sign < 0 else part)
+        if m is None or not any(m.groups()):
+            raise ValueError(f"cannot parse term {part!r} of element {text!r}")
+        digits, t_term, power = m.groups()
+        coef = int(digits) if digits else 1
+        k = 0 if not t_term else int(power) if power else 1
         powers[k] = powers.get(k, 0) + sign * coef
     return powers
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 
 from . import stats
 from .dynamics import integral_fixed_points
-from .ff import CapError, _pgcd, _ppowmod, _psub, _trim
+from .ff import CapError, FpPoly, certify_irreducible
 
 __all__ = [
     "ZETA2_INV",
@@ -195,20 +195,13 @@ DEFAULT_Q_MAX = 50
 
 @functools.lru_cache(maxsize=1 << 16)
 def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
-    """Factor-degree certificate for x^d - x + c over F_q, memoized.
+    """certify_irreducible on x^d - x + c over F_q, memoized; certifying_prime
+    passes c mod q, so the key is (d, c mod q, q).
 
-    Irreducible over F_q exactly when gcd(x^(q^k) - x, f) = 1 for all
-    1 <= k <= d // 2; f stays monic of degree d under reduction, so a pass
-    certifies irreducibility over Q as well.
+    f stays monic of degree d under reduction, so a pass certifies
+    irreducibility over Q as well.
     """
-    f = _trim([c % q, (q - 1) % q] + [0] * (d - 2) + [1])
-    x = (0, 1)
-    for k in range(1, d // 2 + 1):
-        xqk = _ppowmod(x, q**k, f, q)
-        g = _pgcd(f, _psub(xqk, x, q), q)
-        if len(g) - 1 != 0:
-            return False
-    return True
+    return certify_irreducible(FpPoly.of(q, [c, -1] + [0] * (d - 2) + [1]))
 
 
 def certifying_prime(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> int | None:

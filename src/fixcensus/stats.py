@@ -200,9 +200,7 @@ _KIND_RULES: dict[DensityKind, tuple[int, Selector]] = {
 
 def density_table(
     kind: DensityKind,
-    n: int = 1,
-    ell: int = 1,
-    c_list: Iterable[int] = (),
+    c_list: Iterable[int],
     *,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> list[DensityRow]:
@@ -210,11 +208,8 @@ def density_table(
 
     numerator counts primes p in [floor, c] satisfying the kind's
     divisibility condition; denominator counts all primes in [floor, c].
-    n and ell label the ambient family but never change the counts, which
-    depend on divisibility in the integers alone.
+    The counts depend on divisibility in the integers alone.
     """
-    if n < 1 or ell < 1:
-        raise ValueError("n and ell must be at least 1")
     floor, selector = _KIND_RULES[kind]
     c_list = list(c_list)
     primes = prime_sieve(max([0] + c_list), sieve_cap=sieve_cap)

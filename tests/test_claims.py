@@ -38,20 +38,22 @@ class TestRegistry:
 
     def test_predictions(self):
         by_id = {c.id: c for c in claims.registry()}
-        assert by_id["C-2.1"].prediction("0") == 3
-        assert by_id["C-2.1"].prediction("nonzero") == 0
-        assert by_id["C-3.4"].prediction("-1") == 0
-        assert by_id["C-3.2"].prediction("other") is None
-        assert by_id["C-3.2"].prediction("1") == 1
+        assert by_id["C-2.1"].expected("0") == 3
+        assert [by_id["C-2.1"].expected(label) for label in ("1", "-1", "other")] == [0, 0, 0]
+        assert by_id["C-3.4"].expected("-1") == 0
+        assert by_id["C-3.2"].expected("other") is None
+        assert by_id["C-3.2"].expected("1") == 1
 
     def test_class_for(self):
+        # "nonzero" covers every label but "0"; labels outside the
+        # pminus1 classes are unjudged
         n_claim = claims.claim_by_id("C-2.2")
-        assert n_claim.class_for("0") == "0"
-        assert n_claim.class_for("1") == "nonzero"
-        assert n_claim.class_for("other") == "nonzero"
+        assert n_claim.expected("0") == 3
+        assert n_claim.expected("1") == 0
+        assert n_claim.expected("other") == 0
         m_claim = claims.claim_by_id("C-3.2")
-        assert m_claim.class_for("-1") == "-1"
-        assert m_claim.class_for("other") is None
+        assert m_claim.expected("-1") == 0
+        assert m_claim.expected("other") is None
 
     def test_applicability_slices(self):
         by_id = {c.id: c for c in claims.registry()}
@@ -67,8 +69,8 @@ class TestRegistry:
         assert not by_id["C-3.3"].applies(3, 2, 1)  # family needs p >= 5
 
     def test_degree(self):
-        assert claims.claim_by_id("C-2.3").degree(3, 2) == 9
-        assert claims.claim_by_id("C-3.3").degree(5, 2) == 16
+        assert claims.claim_by_id("C-2.3").family.degree(3, 2) == 9
+        assert claims.claim_by_id("C-3.3").family.degree(5, 2) == 16
 
     def test_unknown_id(self):
         with pytest.raises(KeyError):
@@ -152,12 +154,29 @@ class TestCheckPoint:
             spec = claims.claim_by_id(cid)
             res = claims.check_point(spec, *pt)
             fs = ff.standard_field(pt[0], pt[1])
-            d = spec.degree(pt[0], pt[2])
+            d = spec.family.degree(pt[0], pt[2])
             for w in res.witnesses:
                 assert dynamics.fixed_point_count(fs, MapSpec.raw(d, w.c)) == w.actual
-                cls = spec.class_for(dynamics.classify_residue(fs, w.c))
-                assert spec.prediction(cls) == w.predicted
+                assert spec.expected(dynamics.classify_residue(fs.p, w.c.index)) == w.predicted
                 assert w.predicted != w.actual
+
+    def test_elements_built_only_for_witnesses(self, monkeypatch):
+        points = [("C-2.2", (5, 2, 1)), ("C-3.2", (7, 2, 1))]
+        for _, (p, n, _) in points:
+            ff.field_ops(ff.standard_field(p, n))  # the log-table build decodes elements
+        decoded = []
+        real = ff.FieldSpec.element_at
+
+        def counting(fs, index):
+            decoded.append(index)
+            return real(fs, index)
+
+        monkeypatch.setattr(ff.FieldSpec, "element_at", counting)
+        for cid, pt in points:
+            decoded.clear()
+            res = claims.check_point(claims.claim_by_id(cid), *pt)
+            assert res.witnesses
+            assert len(decoded) == len(res.witnesses)
 
     def test_zero_class_holds_at_p3_ell1(self):
         # the 3-points-at-zero prediction itself is solid for d = 3

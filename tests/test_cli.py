@@ -337,6 +337,13 @@ class TestCensus:
         assert code == 2
         assert "needs --d" in err
 
+    def test_bad_element_string_names_flag_and_term(self, capsys):
+        argv = ["census", "--p", "3", "--n", "2", "--family", "raw", "--d", "2", "--c", "x+1"]
+        for jobs in ("1", "2"):
+            assert run(capsys, argv + ["--jobs", jobs]) == (
+                2, "", "error: --c: cannot parse term 'x' of element 'x+1'\n"
+            )
+
     def test_field_cap_exit(self, capsys):
         code, _, err = run(
             capsys,
@@ -716,3 +723,8 @@ class TestOrbits:
         payload = json.loads(out)
         assert payload["c"] == "t"
         assert payload["fixed_points"] == 3
+
+    def test_bad_element_string_names_flag_and_term(self, capsys):
+        assert run(capsys, ["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "t^"]) == (
+            2, "", "error: --c: cannot parse term 't^' of element 't^'\n"
+        )

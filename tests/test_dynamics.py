@@ -265,11 +265,20 @@ class TestOrbitCensus:
 class TestClassifyResidue:
     def test_labels(self):
         fs = ff.standard_field(5, 2)
-        assert dynamics.classify_residue(fs, fs.zero) == "0"
-        assert dynamics.classify_residue(fs, fs.one) == "1"
-        assert dynamics.classify_residue(fs, fs.from_int(4)) == "-1"
-        assert dynamics.classify_residue(fs, fs.from_int(2)) == "other"
-        assert dynamics.classify_residue(fs, fs.element([0, 1])) == "other"
+        assert dynamics.classify_residue(5, fs.zero.index) == "0"
+        assert dynamics.classify_residue(5, fs.one.index) == "1"
+        assert dynamics.classify_residue(5, fs.from_int(4).index) == "-1"
+        assert dynamics.classify_residue(5, fs.from_int(2).index) == "other"
+        assert dynamics.classify_residue(5, fs.element([0, 1]).index) == "other"
+
+    @pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (5, 2), (7, 1)])
+    def test_index_rule_matches_element_definition(self, p, n):
+        # zero, then one, then minus one: in characteristic 2 "1" wins
+        fs = ff.standard_field(p, n)
+        minus_one = fs.from_int(-1)
+        for c in fs.elements():
+            want = "0" if c.is_zero else "1" if c == fs.one else "-1" if c == minus_one else "other"
+            assert dynamics.classify_residue(p, c.index) == want
 
     def test_census_record(self):
         # the record the census command builds for z -> z^3 + t on F_9

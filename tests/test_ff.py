@@ -1,5 +1,7 @@
 """Field construction, canonical moduli, and arithmetic laws."""
 
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -152,6 +154,12 @@ class TestFieldSpec:
         assert fs.parse(" 3*t + 4 ") == fs.element([4, 3])
         with pytest.raises(ValueError):
             fs.parse("")
+
+    @pytest.mark.parametrize("text, term", [("x+1", "'x'"), ("t^", "'t^'"), ("2*", "'2*'"), ("1-tt", "'-tt'")])
+    def test_parse_errors_name_the_term(self, text, term):
+        message = f"cannot parse term {term} of element {text!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ff.standard_field(5, 2).parse(text)
 
 
 class TestArithmeticExamples:

@@ -183,16 +183,7 @@ class TestDensityTable:
             (row,) = stats.density_table(DensityKind.NC3, c_list=[c])
             assert row.numerator <= math.log2(c)
 
-    def test_marker_parameters_do_not_change_counts(self):
-        base = stats.density_table(DensityKind.MC2, c_list=[40])
-        relabeled = stats.density_table(DensityKind.MC2, n=3, ell=2, c_list=[40])
-        assert [(r.numerator, r.denominator) for r in base] == [
-            (r.numerator, r.denominator) for r in relabeled
-        ]
-
     def test_validation_and_caps(self):
-        with pytest.raises(ValueError):
-            stats.density_table(DensityKind.NC3, n=0, c_list=[10])
         with pytest.raises(stats.SieveCapError):
             stats.density_table(DensityKind.NC3, c_list=[10**6], sieve_cap=1000)
 
