@@ -22,11 +22,13 @@ from .dynamics import (
     fixed_point_count,
     fixed_points,
     gcd_root_count,
+    integer_root,
     integral_fixed_points,
     orbit_census,
 )
 from .ff import (
     DEFAULT_FIELD_CAP,
+    ArgumentError,
     CapError,
     FFElement,
     FieldCapError,
@@ -56,6 +58,7 @@ from .stats import (
     Selector,
     average_report,
     density_table,
+    prime_count,
     prime_sieve,
 )
 
@@ -64,19 +67,19 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # ff
-    "DEFAULT_FIELD_CAP", "CapError", "FieldCapError", "is_prime", "FpPoly",
+    "DEFAULT_FIELD_CAP", "ArgumentError", "CapError", "FieldCapError", "is_prime", "FpPoly",
     "find_irreducible", "certify_irreducible", "FieldSpec", "FFElement",
     "standard_field",
     # dynamics
     "DEFAULT_EXP_CAP", "ExponentCapError", "Family", "MapSpec", "CensusRecord",
     "OrbitCensus", "IntegerRootReport", "eval_map", "fixed_point_count",
     "fixed_points", "count_profile", "gcd_root_count", "orbit_census",
-    "classify_residue", "integral_fixed_points",
+    "classify_residue", "integral_fixed_points", "integer_root",
     # claims
     "Verdict", "Witness", "ClaimSpec", "ClaimReport", "registry", "check",
     "check_all",
     # stats
-    "Selector", "DensityKind", "AverageRow", "DensityRow", "prime_sieve",
+    "Selector", "DensityKind", "AverageRow", "DensityRow", "prime_sieve", "prime_count",
     "average_report", "density_table",
     # nfcount
     "IrreducibilityStatus", "Trinomial", "FieldCountRow", "SquarefreeReport",

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import dynamics, ff
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP
+from .ff import DEFAULT_FIELD_CAP, ArgumentError
 
 __all__ = [
     "Verdict",
@@ -294,9 +294,9 @@ def check_point(
     Residues are labelled by enumeration index; an element is built only
     for a witness."""
     if not ff.is_prime(p):
-        raise ValueError(f"grid point has non-prime p = {p}")
+        raise ArgumentError(f"grid point has non-prime p = {p}")
     if n < 1 or ell < 1:
-        raise ValueError(f"grid point ({p}, {n}, {ell}) needs n >= 1 and ell >= 1")
+        raise ArgumentError(f"grid point ({p}, {n}, {ell}) needs n >= 1 and ell >= 1")
     if not claim.applies(p, n, ell):
         return PointResult(p, n, ell, Verdict.NOT_APPLICABLE, note="outside the stated hypotheses")
     d = claim.family.degree(p, ell)

@@ -1,10 +1,11 @@
 """Command-line front end: deterministic CSV/JSON emission of all censuses.
 
 Exit codes: 0 success (claim FAILS verdicts are data, not errors), 2 usage
-or cap violations, 3 when --expect pins verdicts and the fresh run differs.
-Identical invocations produce byte-identical output; --jobs changes wall
-time only, because records are fully sorted before the one writer, _write,
-emits them.
+errors, the library's ArgumentError and cap violations, 3 when --expect
+pins verdicts and the fresh run differs.  Any other exception is a fault
+and propagates.  Identical invocations produce byte-identical output;
+--jobs changes wall time only, because records are fully sorted before
+the one writer, _write, emits them.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import claims, dynamics, nfcount, stats
 from .dynamics import DEFAULT_EXP_CAP, Family, MapSpec
-from .ff import DEFAULT_FIELD_CAP, standard_field
+from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, standard_field
 from .stats import DEFAULT_SIEVE_CAP, DensityKind, Selector
 
 __all__ = ["RunConfig", "main"]
@@ -125,7 +126,7 @@ def _coefficient(fs, text: str):
         pass
     try:
         return fs.parse(text)
-    except ValueError as exc:
+    except ArgumentError as exc:
         raise UsageError(f"--c: {exc}") from exc
 
 
@@ -293,7 +294,9 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError("nf needs exactly one of --X, --height, --squarefree, --c-range")
     payload = None  # every mode but --c-range has one result: JSON is one object
     if args.X is not None:
-        payload = nfcount.count_by_disc(args.d, args.X, constant=args.bound_constant, q_max=args.q_max).as_dict()
+        payload = nfcount.count_by_disc(
+            args.d, args.X, constant=args.bound_constant, q_max=args.q_max, c_cap=cfg.sieve_cap
+        ).as_dict()
         rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
     elif args.height is not None:
         try:
@@ -304,7 +307,9 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
         payload = {"d": args.d, "hmax": shown, "count": nfcount.count_by_height(args.d, hmax)}
         rows, columns = [payload], ["d", "hmax", "count"]
     elif args.squarefree is not None:
-        report = nfcount.squarefree_disc_fraction(args.d, args.squarefree, trial_bound=args.trial_bound)
+        report = nfcount.squarefree_disc_fraction(
+            args.d, args.squarefree, trial_bound=args.trial_bound, c_cap=cfg.sieve_cap
+        )
         payload = report.as_dict()
         rows = [{**payload, "fraction": report.fraction}]
         columns = ["d", "limit", "squarefree", "unknown", "fraction", "reference"]
@@ -316,6 +321,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             c_lo, c_hi = int(lo), int(hi)
         except ValueError as exc:
             raise UsageError(f"--c-range expects integers: {args.c_range!r}") from exc
+        nfcount.check_c_cap(f"--c-range {args.c_range}", c_hi - c_lo + 1, cfg.sieve_cap)
         rows = []
         for c in range(c_lo, c_hi + 1):
             row = nfcount.trinomial_row(args.d, c, q_max=args.q_max, trial_bound=args.trial_bound)
@@ -359,7 +365,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exp-cap", dest="exp_cap", type=int, default=None,
                      help=f"max map degree d (default {DEFAULT_EXP_CAP})")
     sub.add_argument("--sieve-cap", dest="sieve_cap", type=int, default=None,
-                     help=f"max prime-sieve limit (default {DEFAULT_SIEVE_CAP})")
+                     help=f"max prime-sieve limit, and max c values nf enumerates (default {DEFAULT_SIEVE_CAP})")
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
@@ -444,7 +450,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _resolve_config(args)
         return args.func(args, cfg)
-    except ValueError as exc:  # UsageError, CapError and the library's own argument checks
+    except (UsageError, ArgumentError, CapError) as exc:  # any other error is a fault, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .ff import (
     DEFAULT_FIELD_CAP,
+    ArgumentError,
     CapError,
     FFElement,
     FieldCapError,
@@ -47,6 +48,7 @@ __all__ = [
     "orbit_census",
     "classify_residue",
     "integral_fixed_points",
+    "integer_root",
 ]
 
 # Degrees above this are refused: a scan costs up to O(q log d) and the gcd
@@ -72,7 +74,7 @@ class Family(enum.Enum):
     def degree(self, p: int, ell: int) -> int:
         """The map degree at (p, ell): p^ell, or (p-1)^ell for pminus1."""
         if self is Family.RAW:
-            raise ValueError("raw family has no degree rule; give d directly")
+            raise ArgumentError("raw family has no degree rule; give d directly")
         return (p if self is Family.PRIME_POWER else p - 1) ** ell
 
 
@@ -92,18 +94,18 @@ class MapSpec:
 
     def __post_init__(self) -> None:
         if self.d < 2:
-            raise ValueError(f"map degree {self.d} must be at least 2")
+            raise ArgumentError(f"map degree {self.d} must be at least 2")
         if self.family is Family.RAW:
             if self.p is not None or self.ell is not None:
-                raise ValueError("raw family takes no p or ell")
+                raise ArgumentError("raw family takes no p or ell")
             return
         if self.p is None or self.ell is None or self.ell < 1 or not is_prime(self.p):
-            raise ValueError(f"{self.family} family needs a prime p and ell >= 1")
+            raise ArgumentError(f"{self.family} family needs a prime p and ell >= 1")
         if self.family is Family.P_MINUS_ONE and self.p < 5:
-            raise ValueError("pminus1 family needs p >= 5")
+            raise ArgumentError("pminus1 family needs p >= 5")
         if self.d != self.family.degree(self.p, self.ell):
             base = "p" if self.family is Family.PRIME_POWER else "(p-1)"
-            raise ValueError(f"degree does not match {base}^ell")
+            raise ArgumentError(f"degree does not match {base}^ell")
 
     @classmethod
     def of(cls, family: Family, p: int | None, k: int, c: int | FFElement) -> "MapSpec":
@@ -128,7 +130,7 @@ class MapSpec:
     def coefficient(self, fs: FieldSpec) -> FFElement:
         if isinstance(self.c, FFElement):
             if self.c.field != fs:
-                raise ValueError("coefficient belongs to a different field")
+                raise ArgumentError("coefficient belongs to a different field")
             return self.c
         return fs.from_int(self.c)
 
@@ -199,7 +201,7 @@ def _check_caps(fs: FieldSpec, d: int, field_cap: int | None, exp_cap: int) -> N
 def eval_map(fs: FieldSpec, m: MapSpec, z: FFElement) -> FFElement:
     """One application of the map: z^d + c."""
     if z.field != fs:
-        raise ValueError("point belongs to a different field")
+        raise ArgumentError("point belongs to a different field")
     return z**m.d + m.coefficient(fs)
 
 
@@ -210,7 +212,7 @@ def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
     z -> z^d + c.  The caps are checked before the first element.
     """
     if d < 2:
-        raise ValueError(f"map degree {d} must be at least 2")
+        raise ArgumentError(f"map degree {d} must be at least 2")
     _check_caps(fs, d, field_cap, exp_cap)
     ops = field_ops(fs)
     powf, sub = ops.pow, ops.sub
@@ -452,34 +454,41 @@ def classify_residue(p: int, index: int) -> str:
     return "other"
 
 
-def _divisors(u: int) -> list[int]:
-    out = []
-    k = 1
-    while k * k <= u:
-        if u % k == 0:
-            out.append(k)
-            if k != u // k:
-                out.append(u // k)
-        k += 1
-    return out
+def integer_root(u: int, d: int) -> int:
+    """floor(u^(1/d)) for u >= 0 and d >= 1, decided in integers.
+
+    Integer Newton steps descend from any start at or above the root and
+    stop exactly at the floor; the start, 2^ceil(bits/d), is within a
+    factor 2 above it.  No float is involved.
+    """
+    if u < 0 or d < 1:
+        raise ArgumentError(f"integer root needs u >= 0 and d >= 1, got u = {u}, d = {d}")
+    if u.bit_length() <= d:  # u < 2^d, so the root is 0 or 1
+        return min(u, 1)
+    x = 1 << -(-u.bit_length() // d)
+    while True:
+        y = ((d - 1) * x + u // x ** (d - 1)) // d
+        if y >= x:
+            return x
+        x = y
 
 
 def integral_fixed_points(d: int, c: int) -> IntegerRootReport:
     """All integers z with z^d + c = z, exactly.
 
-    Any integer root of the monic z^d - z + c divides c, so for c != 0 it
-    suffices to test the divisors of |c| with both signs; for c = 0 the
-    roots are 0, 1 and, for odd d, -1.  The report also flags whether the
-    count stays within four, which is recorded rather than assumed.
+    For c = 0 the roots are 0, 1 and, for odd d, -1.  For c != 0 a root z
+    has w = |z| >= 1 and w^d - w <= |c| <= w^d + w.  Let r be the integer
+    d-th root of |c|.  As w^d + w < (w + 1)^d, a w <= r - 1 has
+    w^d + w < r^d <= |c|; as (w + 1)^d - (w + 1) >= w^d for w >= 1, a
+    w >= r + 2 has w^d - w >= (r + 1)^d > |c|.  So z is one of r, -r, r + 1,
+    -r - 1, each tested exactly.  The report also flags whether the count
+    stays within four, which is recorded rather than assumed.
     """
     if d < 2:
-        raise ValueError(f"map degree {d} must be at least 2")
+        raise ArgumentError(f"map degree {d} must be at least 2")
     if c == 0:
         roots = {0, 1, -1} if d % 2 else {0, 1}
     else:
-        roots = set()
-        for v in _divisors(abs(c)):
-            for z in (v, -v):
-                if z**d - z + c == 0:
-                    roots.add(z)
+        r = integer_root(abs(c), d)
+        roots = {z for z in (r, -r, r + 1, -r - 1) if z**d - z + c == 0}
     return IntegerRootReport(frozenset(roots), len(roots) <= 4)

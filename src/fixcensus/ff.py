@@ -24,6 +24,7 @@ from functools import lru_cache
 
 __all__ = [
     "DEFAULT_FIELD_CAP",
+    "ArgumentError",
     "CapError",
     "FieldCapError",
     "is_prime",
@@ -41,6 +42,10 @@ __all__ = [
 # Refuse, never truncate: exhaustive scans over more elements than this are
 # rejected with FieldCapError unless the caller raises the cap explicitly.
 DEFAULT_FIELD_CAP = 10**7
+
+
+class ArgumentError(ValueError):
+    """An argument outside the domain a library function accepts."""
 
 
 class CapError(ValueError):
@@ -182,11 +187,11 @@ class FpPoly:
 
     def __post_init__(self) -> None:
         if not is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
+            raise ArgumentError(f"characteristic {self.p} is not prime")
         if any(not (0 <= a < self.p) for a in self.coeffs):
-            raise ValueError("coefficients must be reduced residues mod p")
+            raise ArgumentError("coefficients must be reduced residues mod p")
         if self.coeffs and self.coeffs[-1] == 0:
-            raise ValueError("trailing zero coefficient; use FpPoly.of")
+            raise ArgumentError("trailing zero coefficient; use FpPoly.of")
 
     @classmethod
     def of(cls, p: int, coeffs: Iterable[int]) -> "FpPoly":
@@ -235,9 +240,9 @@ def find_irreducible(p: int, n: int) -> FpPoly:
     so the result is canonical for each (p, n).
     """
     if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+        raise ArgumentError(f"{p} is not prime")
     if n < 1:
-        raise ValueError(f"degree {n} must be at least 1")
+        raise ArgumentError(f"degree {n} must be at least 1")
     for high in itertools.product(range(p), repeat=n):
         coeffs = tuple(reversed(high)) + (1,)
         cand = FpPoly(p, coeffs)
@@ -262,13 +267,13 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError(f"extension degree {self.n} must be at least 1")
+            raise ArgumentError(f"extension degree {self.n} must be at least 1")
         if self.modulus.p != self.p:
-            raise ValueError("modulus characteristic differs from field characteristic")
+            raise ArgumentError("modulus characteristic differs from field characteristic")
         if self.modulus.degree != self.n:
-            raise ValueError("modulus degree differs from extension degree")
+            raise ArgumentError("modulus degree differs from extension degree")
         if not certify_irreducible(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not irreducible over F_{self.p}")
+            raise ArgumentError(f"modulus {self.modulus} is not irreducible over F_{self.p}")
 
     @classmethod
     def create(cls, p: int, n: int) -> "FieldSpec":
@@ -304,7 +309,7 @@ class FieldSpec:
     def element_at(self, index: int) -> "FFElement":
         """The index-th element in enumeration order (see elements)."""
         if not (0 <= index < self.order):
-            raise ValueError(f"index {index} out of range for field of order {self.order}")
+            raise ArgumentError(f"index {index} out of range for field of order {self.order}")
         digits = []
         for _ in range(self.n):
             index, r = divmod(index, self.p)
@@ -344,17 +349,17 @@ _TERM = re.compile(r"(\d*)(\*?t(?:\^(\d+))?)?")
 def _parse_poly_text(text: str) -> dict[int, int]:
     s = text.replace(" ", "")
     if not s:
-        raise ValueError("empty element string")
+        raise ArgumentError("empty element string")
     s = s.replace("-", "+-")
     parts = [part for part in s.split("+") if part]
     if not parts:
-        raise ValueError(f"cannot parse element {text!r}")
+        raise ArgumentError(f"cannot parse element {text!r}")
     powers: dict[int, int] = {}
     for part in parts:
         sign = -1 if part.startswith("-") else 1
         m = _TERM.fullmatch(part[1:] if sign < 0 else part)
         if m is None or not any(m.groups()):
-            raise ValueError(f"cannot parse term {part!r} of element {text!r}")
+            raise ArgumentError(f"cannot parse term {part!r} of element {text!r}")
         digits, t_term, power = m.groups()
         coef = int(digits) if digits else 1
         k = 0 if not t_term else int(power) if power else 1
@@ -371,14 +376,14 @@ class FFElement:
 
     def __post_init__(self) -> None:
         if len(self.coeffs) != self.field.n:
-            raise ValueError("coefficient vector length differs from field degree")
+            raise ArgumentError("coefficient vector length differs from field degree")
         p = self.field.p
         if any(not (0 <= a < p) for a in self.coeffs):
-            raise ValueError("coefficients must be reduced residues mod p")
+            raise ArgumentError("coefficients must be reduced residues mod p")
 
     def _check_same_field(self, other: "FFElement") -> None:
         if self.field != other.field:
-            raise ValueError("elements belong to different fields")
+            raise ArgumentError("elements belong to different fields")
 
     @property
     def is_zero(self) -> bool:
@@ -415,7 +420,7 @@ class FFElement:
     def __pow__(self, e: int) -> "FFElement":
         """Square and multiply; a**0 = 1 for every a, including a = 0."""
         if e < 0:
-            raise ValueError("negative exponents are not defined here")
+            raise ArgumentError("negative exponents are not defined here")
         result = self.field.one
         base = self
         while e:
@@ -469,7 +474,7 @@ class FieldOps:
 
     def encode(self, elem: FFElement) -> int:
         if elem.field != self.field:
-            raise ValueError("element belongs to a different field")
+            raise ArgumentError("element belongs to a different field")
         return elem.index
 
     def decode(self, i: int) -> FFElement:
@@ -479,7 +484,7 @@ class FieldOps:
 
     def pow(self, i: int, e: int) -> int:
         if e < 0:
-            raise ValueError("negative exponents are not defined here")
+            raise ArgumentError("negative exponents are not defined here")
         result = 1
         mul = self.mul
         while e:
@@ -511,7 +516,7 @@ class _PrimeOps(FieldOps):
 
     def pow(self, i: int, e: int) -> int:
         if e < 0:
-            raise ValueError("negative exponents are not defined here")
+            raise ArgumentError("negative exponents are not defined here")
         return pow(i, e, self.p)
 
 
@@ -572,7 +577,7 @@ class _LogOps(FieldOps):
 
     def pow(self, i: int, e: int) -> int:
         if e < 0:
-            raise ValueError("negative exponents are not defined here")
+            raise ArgumentError("negative exponents are not defined here")
         return self.exp[self.log[i] * e % self.order] if i else int(e == 0)
 
 

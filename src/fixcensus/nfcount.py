@@ -14,6 +14,7 @@ first-class answer.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -23,11 +24,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import stats
-from .dynamics import integral_fixed_points
-from .ff import CapError, FpPoly, certify_irreducible
+from .dynamics import integer_root, integral_fixed_points
+from .ff import ArgumentError, CapError, FpPoly, certify_irreducible
 
 __all__ = [
     "ZETA2_INV",
+    "RangeCapError",
+    "check_c_cap",
     "IrreducibilityStatus",
     "Trinomial",
     "FieldCountRow",
@@ -47,6 +50,16 @@ __all__ = [
 ZETA2_INV = 6 / math.pi**2
 
 
+class RangeCapError(CapError):
+    """The c values a count would enumerate exceed the cap."""
+
+
+def check_c_cap(what: str, size: int, cap: int) -> None:
+    """Refuse an enumeration of size values of c above cap, before any work."""
+    if size > cap:
+        raise RangeCapError(f"{what} takes {size} values of c, beyond the cap {cap}")
+
+
 class IrreducibilityStatus(enum.Enum):
     REDUCIBLE = "REDUCIBLE"
     IRREDUCIBLE = "IRREDUCIBLE"
@@ -58,16 +71,20 @@ class IrreducibilityStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class Trinomial:
-    """One member x^d - x + c with its exact discriminant and height."""
+    """One member x^d - x + c with its exact discriminant."""
 
     d: int
     c: int
     disc: int
-    height: float
 
     @classmethod
     def build(cls, d: int, c: int) -> "Trinomial":
-        return cls(d, c, closed_form_disc(d, c), abs(c) ** (1.0 / d))
+        return cls(d, c, closed_form_disc(d, c))
+
+    @property
+    def height(self) -> float:
+        """|c|^(1/d), for display only; counts by height use count_by_height."""
+        return abs(self.c) ** (1.0 / self.d)
 
 
 @dataclass(frozen=True)
@@ -169,7 +186,7 @@ def trinomial_disc(d: int, c: int) -> int:
     disc = (-1)^(d(d-1)/2) * Res(f, f'), evaluated over exact integers.
     """
     if d < 2:
-        raise ValueError(f"degree {d} must be at least 2")
+        raise ArgumentError(f"degree {d} must be at least 2")
     f = [1] + [0] * (d - 2) + [-1, c]
     fp = [d] + [0] * (d - 2) + [-1]
     res = _det_bareiss(_sylvester(f, fp))
@@ -185,12 +202,18 @@ def closed_form_disc(d: int, c: int) -> int:
     the enumerators below use this form for speed.
     """
     if d < 2:
-        raise ValueError(f"degree {d} must be at least 2")
+        raise ArgumentError(f"degree {d} must be at least 2")
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * (d**d * c ** (d - 1) - (d - 1) ** (d - 1))
 
 
 DEFAULT_Q_MAX = 50
+
+
+@functools.lru_cache(maxsize=4)
+def _primes(limit: int) -> tuple[int, ...]:
+    """The primes <= limit, copied out of the sieve once per limit."""
+    return tuple(stats.prime_sieve(limit))
 
 
 @functools.lru_cache(maxsize=1 << 16)
@@ -213,8 +236,8 @@ def certifying_prime(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> int | Non
     its monic factors stay factors mod every q.
     """
     if d < 2:
-        raise ValueError(f"degree {d} must be at least 2")
-    return next((q for q in stats.prime_sieve(q_max) if _irreducible_mod_q(d, c % q, q)), None)
+        raise ArgumentError(f"degree {d} must be at least 2")
+    return next((q for q in _primes(q_max) if _irreducible_mod_q(d, c % q, q)), None)
 
 
 def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> IrreducibilityStatus:
@@ -225,7 +248,7 @@ def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> Irre
     modulo some prime q <= q_max.  No heuristic ever upgrades UNKNOWN.
     """
     if d < 2:
-        raise ValueError(f"degree {d} must be at least 2")
+        raise ArgumentError(f"degree {d} must be at least 2")
     if c == 0 or integral_fixed_points(d, c).roots:
         return IrreducibilityStatus.REDUCIBLE
     if certifying_prime(d, c, q_max=q_max) is None:
@@ -233,23 +256,23 @@ def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> Irre
     return IrreducibilityStatus.IRREDUCIBLE
 
 
-def bounded_trinomials(d: int, X: int) -> list[Trinomial]:
+def bounded_trinomials(d: int, X: int, *, c_cap: int = stats.DEFAULT_SIEVE_CAP) -> list[Trinomial]:
     """All trinomials with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
 
-    The first |c| level with no hit ends the enumeration, exactly: for
-    a = |c| >= 1 both members of the level have |disc| >= d^d a^(d-1) -
+    For a = |c| >= 1 both members of a level have |disc| >= d^d a^(d-1) -
     (d-1)^(d-1), with equality at c = a, and that minimum strictly increases
-    in a; and |disc(0)| = (d-1)^(d-1) < d^d - (d-1)^(d-1) = |disc(1)|
-    because d^d > 2 (d-1)^(d-1).
+    in a; so no level beyond r, the largest a with d^d a^(d-1) < X +
+    (d-1)^(d-1), has a hit, and r is an integer root.  The 2r + 1
+    candidates |c| <= r are refused above c_cap before any is built.
     """
+    if d < 2:
+        raise ArgumentError(f"degree {d} must be at least 2")
     if X < 1:
-        raise ValueError(f"bound {X} must be at least 1")
-    out: list[Trinomial] = []
-    for a in itertools.count():
-        level = [t for t in (Trinomial.build(d, c) for c in ((a, -a) if a else (0,))) if abs(t.disc) < X]
-        if not level:
-            return out
-        out += level
+        raise ArgumentError(f"bound {X} must be at least 1")
+    reach = integer_root((X + (d - 1) ** (d - 1) - 1) // d**d, d - 1)
+    check_c_cap(f"|disc| < {X}", 2 * reach + 1, c_cap)
+    candidates = itertools.chain((0,), *((a, -a) for a in range(1, reach + 1)))
+    return [t for t in (Trinomial.build(d, c) for c in candidates) if abs(t.disc) < X]
 
 
 def _within_bound(count: int, constant: float, d: int, X: int) -> bool:
@@ -265,16 +288,18 @@ def count_by_disc(
     *,
     constant: float = 4.0,
     q_max: int = DEFAULT_Q_MAX,
+    c_cap: int = stats.DEFAULT_SIEVE_CAP,
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
     bound_ok records whether count <= constant * X^(d/(2d-2)), compared
-    exactly; the exponent is also reported exactly as a Fraction.
+    exactly; the exponent is also reported exactly as a Fraction.  An X
+    whose candidates exceed c_cap is refused before any is built.
     """
     count = 0
     unknown = 0
     admissible = []
-    for t in bounded_trinomials(d, X):
+    for t in bounded_trinomials(d, X, c_cap=c_cap):
         status = irreducibility_status(d, t.c, q_max=q_max)
         admissible.append((t.c, status.value))
         if status is IrreducibilityStatus.IRREDUCIBLE:
@@ -295,13 +320,13 @@ def count_by_height(d: int, hmax: int | float | Fraction) -> int:
     refused with CapError before the power is formed.
     """
     if d < 2:
-        raise ValueError(f"degree {d} must be at least 2")
+        raise ArgumentError(f"degree {d} must be at least 2")
     try:
         h = Fraction(hmax)
     except (ValueError, OverflowError) as exc:
-        raise ValueError(f"height bound {hmax} must be finite") from exc
+        raise ArgumentError(f"height bound {hmax} must be finite") from exc
     if h < 0:
-        raise ValueError(f"height bound {hmax} must be nonnegative")
+        raise ArgumentError(f"height bound {hmax} must be nonnegative")
     # h < 2^(a-b+1) for numerator/denominator bit lengths a, b, so the count
     # is below 2^bits and has at most floor(bits * log10(2)) + 1 digits
     bits = d * max(h.numerator.bit_length() - h.denominator.bit_length() + 1, 0) + 2
@@ -316,32 +341,28 @@ def count_by_height(d: int, hmax: int | float | Fraction) -> int:
 DEFAULT_TRIAL_BOUND = 10**5
 
 
-def _squarefree_by_trial(u: int, primes: list[int]) -> bool | None:
+def _squarefree_by_trial(u: int, trial_bound: int) -> bool | None:
     """True/False when decided by trial division, None when out of reach.
 
-    After dividing out every prime <= B once (twice means not squarefree),
-    a remainder above 1 with no factor <= B is prime when below B^2; beyond
-    that only a perfect square settles the question.
+    Trial division runs over the primes p <= min(B, u^(1/3)), B the trial
+    bound; a prime dividing twice means not squarefree.  Every prime factor
+    of the cofactor then exceeds m = max(min(B, u^(1/3)), 1), so a cofactor
+    below (m + 1)^3, which holds whenever u^(1/3) <= B, has at most two
+    prime factors: it is squarefree iff it is not a perfect square above 1.
+    A larger cofactor is decided only when it is a perfect square.
     """
+    primes = _primes(trial_bound)
+    root = integer_root(u, 3)
     rem = u
-    exhausted = True
-    for p in primes:
-        if p * p > rem:
-            exhausted = False
-            break
+    for p in itertools.islice(primes, bisect.bisect_right(primes, root)):
         if rem % p == 0:
             rem //= p
             if rem % p == 0:
                 return False
-    if rem == 1 or not exhausted:
-        return True
-    bound = primes[-1] if primes else 1
-    if rem <= bound * bound:
-        return True
-    r = math.isqrt(rem)
-    if r * r == rem:
-        return False
-    return None
+    square = math.isqrt(rem) ** 2 == rem
+    if not square and rem >= (max(min(trial_bound, root), 1) + 1) ** 3:
+        return None
+    return rem == 1 or not square
 
 
 def squarefree_disc_fraction(
@@ -349,23 +370,25 @@ def squarefree_disc_fraction(
     limit: int,
     *,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
+    c_cap: int = stats.DEFAULT_SIEVE_CAP,
 ) -> SquarefreeReport:
     """Fraction of c in [1, limit] whose |disc| is squarefree.
 
     A squarefree polynomial discriminant certifies that the ring generated
     by a root is already maximal, the standard sufficient condition for
     monogenicity.  Candidates that trial division up to trial_bound cannot
-    settle are counted as unknown, never as squarefree.  The reference
-    value 6/pi^2 is carried alongside purely for display; no convergence is
-    asserted or checked.
+    settle (never one with |disc| < trial_bound^3) are counted as unknown,
+    never as squarefree.  A limit above c_cap is refused before any work.  The
+    reference value 6/pi^2 is carried alongside purely for display; no
+    convergence is asserted or checked.
     """
     if limit < 1:
-        raise ValueError(f"limit {limit} must be at least 1")
-    primes = stats.prime_sieve(trial_bound)
+        raise ArgumentError(f"limit {limit} must be at least 1")
+    check_c_cap(f"c in [1, {limit}]", limit, c_cap)
     squarefree = 0
     unknown = 0
     for c in range(1, limit + 1):
-        verdict = _squarefree_by_trial(abs(closed_form_disc(d, c)), primes)
+        verdict = _squarefree_by_trial(abs(closed_form_disc(d, c)), trial_bound)
         if verdict is True:
             squarefree += 1
         elif verdict is None:
@@ -379,7 +402,7 @@ def trinomial_row(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, trial_bound: in
     """One per-trinomial record for table output."""
     t = Trinomial.build(d, c)
     status = irreducibility_status(d, c, q_max=q_max)
-    sf = _squarefree_by_trial(abs(t.disc), stats.prime_sieve(trial_bound))
+    sf = _squarefree_by_trial(abs(t.disc), trial_bound)
     return {
         "d": d,
         "c": c,

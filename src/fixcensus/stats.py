@@ -2,10 +2,13 @@
 
 For integer c, the fixed-point count of z -> z^d + c on F_p is controlled by
 divisibility: which small primes divide c, c - 1 or c + 1.  The tables here
-make that quantitative at desk scale, summing exact oracle counts over
-qualifying primes (averages) or counting qualifying primes directly
-(densities).  Everything is exact rational arithmetic via Fraction; floats
-appear only when a renderer formats a ratio.
+make that quantitative at desk scale, summing exact counts over qualifying
+primes (averages) or counting qualifying primes directly (densities).  No
+table enumerates primes where number theory gives the answer: the
+prime-power count has a closed form, prime_count gives pi(x) without a
+prime list, and the dividing primes are the prime factors of one integer.
+Everything is exact rational arithmetic via Fraction; floats appear only
+when a renderer formats a ratio.
 
 Prime floors: the prime-power family starts at p = 3 and the pminus1 family
 at p = 5, matching the smallest primes the counting claims cover.
@@ -13,7 +16,6 @@ at p = 5, matching the smallest primes the counting claims cover.
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family, MapSpec
-from .ff import DEFAULT_FIELD_CAP, CapError, standard_field
+from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, standard_field
 
 __all__ = [
     "DEFAULT_SIEVE_CAP",
@@ -34,6 +36,7 @@ __all__ = [
     "AverageRow",
     "DensityRow",
     "prime_sieve",
+    "prime_count",
     "average_report",
     "density_table",
 ]
@@ -114,9 +117,13 @@ class DensityRow:
 
 def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
     """All primes <= limit, ascending, as a fresh list the caller may keep."""
+    _check_sieve_cap(limit, sieve_cap)
+    return list(_sieve(limit))
+
+
+def _check_sieve_cap(limit: int, sieve_cap: int) -> None:
     if limit > sieve_cap:
         raise SieveCapError(f"sieve limit {limit} exceeds the cap {sieve_cap}")
-    return list(_sieve(limit))
 
 
 @functools.lru_cache(maxsize=8)
@@ -135,18 +142,70 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return (2, *itertools.compress(range(1, limit + 1, 2), mark))
 
 
+def prime_count(x: int) -> int:
+    """pi(x), the number of primes <= x, exactly and without a prime list.
+
+    Lucy's recursion keeps S(v), the count of integers in [2, v] that no
+    prime below the current p divides, for the O(sqrt x) values v = x // k,
+    and removes the multiples of each prime p <= sqrt x in turn:
+    S(v) -= S(v // p) - S(p - 1) for every v >= p^2.  O(x^(3/4)) steps.
+    """
+    if x < 2:
+        return 0
+    r = math.isqrt(x)
+    small = [v - 1 for v in range(r + 1)]  # small[v] = S(v) for v <= r
+    large = [0] + [x // k - 1 for k in range(1, r + 1)]  # large[k] = S(x // k)
+    for p in range(2, r + 1):
+        if small[p] == small[p - 1]:  # p was removed: not a prime
+            continue
+        below = small[p - 1]
+        p2 = p * p
+        for k in range(1, min(r, x // p2) + 1):
+            kp = k * p
+            large[k] -= (large[kp] if kp <= r else small[x // kp]) - below
+        for v in range(r, p2 - 1, -1):
+            small[v] -= small[v // p] - below
+    return large[1]
+
+
+def _primes_between(floor: int, bound: int) -> int:
+    """The number of primes in [floor, bound]."""
+    return prime_count(bound) - prime_count(floor - 1) if bound >= floor else 0
+
+
+def _prime_factors(u: int, floor: int) -> list[int]:
+    """The distinct primes p >= floor dividing u, ascending; none for u < 2."""
+    out = []
+    k = 2
+    while u >= 2 and k * k <= u:
+        if u % k == 0:
+            out.append(k)
+            while u % k == 0:
+                u //= k
+        k += 1 if k == 2 else 2
+    if u >= 2:
+        out.append(u)
+    return [p for p in out if p >= floor]
+
+
+def _prime_power_count(p: int, n: int, ell: int, c: int) -> int:
+    """Fixed points of z -> z^(p^ell) + c on F_{p^n}, c an integer, exactly.
+
+    z -> z^(p^ell) - z is F_p-linear with kernel F_{p^g}, g = gcd(n, ell),
+    and its image is the kernel of the trace to F_{p^g}, which maps the
+    integer c to (n/g) c.  So the count is p^g when p divides c (n/g) and
+    0 otherwise (Lidl & Niederreiter, Finite Fields, 2.3).
+    """
+    g = math.gcd(n, ell)
+    return p**g if c * (n // g) % p == 0 else 0
+
+
 # Averages start at the smallest prime each family's claims cover.
 _FLOOR = {Family.PRIME_POWER: 3, Family.P_MINUS_ONE: 5}
 
 # Each selector's divisibility target is c shifted by this much; averages
 # take the primes up to the target, densities the primes up to c.
 _SHIFT = {Selector.DIVIDES_C_MINUS_1: -1, Selector.DIVIDES_C_PLUS_1: 1}
-
-
-def _between(primes: list[int], floor: int, bound: int) -> tuple[int, int]:
-    """The index range of the primes in [floor, bound] within primes."""
-    hi = bisect.bisect_right(primes, bound)
-    return bisect.bisect_left(primes, floor, 0, hi), hi
 
 
 def average_report(
@@ -160,32 +219,47 @@ def average_report(
     exp_cap: int = DEFAULT_EXP_CAP,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> list[AverageRow]:
-    """Average oracle fixed-point count over qualifying primes, per bound.
+    """Average fixed-point count of z^d + c on F_{p^n} over qualifying primes.
 
-    For each c, every qualifying prime p contributes
-    fixed_point_count(F_{p^n}, z^d + c) with the integer c embedded mod p.
-    The sum and the prime count are kept separate so the ratio stays an
-    exact rational; an empty qualifying set yields denominator 0 and no
-    ratio rather than an error.
+    For each c, every qualifying prime p contributes the fixed-point count
+    with the integer c embedded mod p: _prime_power_count's closed form,
+    which builds no field, or for pminus1 fixed_point_count's scan.  The
+    sum and the prime count are kept separate so the ratio stays an exact
+    rational; an empty qualifying set yields denominator 0 and no ratio
+    rather than an error.  The qualifying primes are the prime factors of
+    the selector's target; for p!|c they are counted by prime_count, and
+    listed only where a count can be nonzero (prime-power) or is scanned
+    (pminus1).
     """
     if family not in _FLOOR:
-        raise ValueError("averages and densities are defined for the two named families")
+        raise ArgumentError("averages and densities are defined for the two named families")
+    if n < 1 or ell < 1:
+        raise ArgumentError(f"n = {n} and ell = {ell} must be at least 1")
     floor = _FLOOR[family]
     targets = [(c, c + _SHIFT.get(selector, 0)) for c in c_list]
-    primes = prime_sieve(max([0] + [t for _, t in targets]), sieve_cap=sieve_cap)
-    wanted = selector is not Selector.NOT_DIVIDES_C
+    _check_sieve_cap(max([0] + [t for _, t in targets]), sieve_cap)
+    g = math.gcd(n, ell)
+
+    def count(p: int, c: int) -> int:
+        if family is Family.PRIME_POWER:
+            return _prime_power_count(p, n, ell, c)
+        m = MapSpec.of(family, p, ell, c)
+        return dynamics.fixed_point_count(standard_field(p, n), m, field_cap=field_cap, exp_cap=exp_cap)
+
     rows = []
     for c, target in targets:
-        lo, hi = _between(primes, floor, target)
-        qual = [p for p in itertools.islice(primes, lo, hi) if (target % p == 0) is wanted]
-        numerator = sum(
-            dynamics.fixed_point_count(
-                standard_field(p, n), MapSpec.of(family, p, ell, c), field_cap=field_cap, exp_cap=exp_cap
-            )
-            for p in qual
-        )
-        ratio = Fraction(numerator, len(qual)) if qual else None
-        rows.append(AverageRow(c, selector, floor, numerator, len(qual), ratio))
+        if selector is not Selector.NOT_DIVIDES_C:
+            qual = _prime_factors(target, floor)
+            denominator = len(qual)
+        else:
+            denominator = _primes_between(floor, c) - len(_prime_factors(c, floor))
+            if family is Family.PRIME_POWER:  # p does not divide c, so the count needs p | n/g
+                qual = [p for p in _prime_factors(n // g, floor) if p <= c and c % p]
+            else:
+                qual = [p for p in prime_sieve(c, sieve_cap=sieve_cap) if p >= floor and c % p]
+        numerator = sum(count(p, c) for p in qual)
+        ratio = Fraction(numerator, denominator) if denominator else None
+        rows.append(AverageRow(c, selector, floor, numerator, denominator, ratio))
     return rows
 
 
@@ -208,17 +282,18 @@ def density_table(
 
     numerator counts primes p in [floor, c] satisfying the kind's
     divisibility condition; denominator counts all primes in [floor, c].
-    The counts depend on divisibility in the integers alone.
+    The counts depend on divisibility in the integers alone: the
+    denominator comes from prime_count, the dividing primes are the prime
+    factors of the shifted target.  The sieve cap still bounds c.
     """
     floor, selector = _KIND_RULES[kind]
     c_list = list(c_list)
-    primes = prime_sieve(max([0] + c_list), sieve_cap=sieve_cap)
+    _check_sieve_cap(max([0] + c_list), sieve_cap)
     rows = []
     for c in c_list:
-        lo, hi = _between(primes, floor, c)
+        denominator = _primes_between(floor, c)
         target = c + _SHIFT.get(selector, 0)
-        dividing = sum(1 for p in itertools.islice(primes, lo, hi) if target % p == 0)
-        denominator = hi - lo
+        dividing = sum(1 for p in _prime_factors(target, floor) if p <= c)
         numerator = denominator - dividing if selector is Selector.NOT_DIVIDES_C else dividing
         ratio = Fraction(numerator, denominator) if denominator else None
         rows.append(DensityRow(c, kind, numerator, denominator, ratio))

@@ -7,7 +7,7 @@ import shlex
 
 import pytest
 
-from fixcensus import cli, dynamics, ff
+from fixcensus import cli, dynamics, ff, nfcount
 from fixcensus.cli import main
 from fixcensus.dynamics import MapSpec
 
@@ -384,6 +384,26 @@ def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
+    def broken(d, X, **options):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(nfcount, "count_by_disc", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["nf", "--d", "3", "--X", "100"])
+    assert capsys.readouterr().err == ""
+
+
+def test_library_argument_errors_exit_2(capsys):
+    assert issubclass(ff.ArgumentError, ValueError)
+    with pytest.raises(ff.ArgumentError):
+        nfcount.closed_form_disc(1, 0)
+    assert run(capsys, ["nf", "--d", "1", "--X", "100"]) == (2, "", "error: degree 1 must be at least 2\n")
+    assert run(capsys, ["avg", "--family", "prime-power", "--selector", "p|c", "--c", "3", "--n", "0"]) == (
+        2, "", "error: n = 0 and ell = 1 must be at least 1\n"
+    )
+
+
 class TestConfig:
     def test_config_supplies_format(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -664,6 +684,30 @@ class TestNf:
         assert "exactly one" in err
         code, _, err = run(capsys, ["nf", "--d", "3", "--X", "10", "--height", "2"])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--X", str(10**40)], f"error: |disc| < {10**40} takes 38490017945975050967 values of c, beyond the cap 100000000\n"),
+            ([f"--c-range=0:{10**12}"], f"error: --c-range 0:{10**12} takes {10**12 + 1} values of c, beyond the cap 100000000\n"),
+            (["--squarefree", "101", "--sieve-cap", "100"], "error: c in [1, 101] takes 101 values of c, beyond the cap 100\n"),
+        ],
+    )
+    def test_c_ranges_beyond_the_sieve_cap_exit_2_before_any_work(self, capsys, monkeypatch, argv, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work began before the cap check")
+
+        monkeypatch.setattr(nfcount.Trinomial, "build", classmethod(no_work))
+        monkeypatch.setattr(nfcount, "trinomial_row", no_work)
+        monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
+        assert run(capsys, ["nf", "--d", "3", *argv]) == (2, "", message)
+
+    def test_c_ranges_at_the_sieve_cap_run(self, capsys):
+        assert run(capsys, ["nf", "--d", "3", "--squarefree", "10", "--sieve-cap", "10"])[0] == 0
+        assert run(capsys, ["nf", "--d", "3", "--c-range", "0:9", "--sieve-cap", "10"])[0] == 0
+        assert run(capsys, ["nf", "--d", "3", "--c-range", "0:10", "--sieve-cap", "10"])[0] == 2
+        assert run(capsys, ["nf", "--d", "3", "--X", "1000", "--sieve-cap", "13"])[0] == 0  # 27 c^2 - 4 < 1000: |c| <= 6
+        assert run(capsys, ["nf", "--d", "3", "--X", "1000", "--sieve-cap", "12"])[0] == 2
 
     def test_bad_c_range(self, capsys):
         code, _, err = run(capsys, ["nf", "--d", "3", "--c-range", "5"])

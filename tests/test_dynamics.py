@@ -4,6 +4,8 @@ The scan counter, the gcd counter, and the plain FFElement brute force used
 here are three separate code paths; the tests hold them to exact agreement.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -319,3 +321,60 @@ class TestIntegralFixedPoints:
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError):
             dynamics.integral_fixed_points(1, 0)
+
+
+def divisor_walk_roots(d, c):
+    """Integer roots of z^d - z + c by testing every divisor of c with both
+    signs: the rule integral_fixed_points used before the root bound."""
+    if c == 0:
+        return {0, 1, -1} if d % 2 else {0, 1}
+    u = abs(c)
+    divisors = {k for k in range(1, math.isqrt(u) + 1) if u % k == 0}
+    divisors |= {u // k for k in divisors}
+    return {z for v in divisors for z in (v, -v) if z**d - z + c == 0}
+
+
+class TestIntegerRoots:
+    def test_exhaustive_small_grid(self):
+        for d in range(2, 8):
+            for c in range(-1000, 1001):
+                assert dynamics.integral_fixed_points(d, c).roots == divisor_walk_roots(d, c), (d, c)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(2, 7), st.integers(-3 * 10**4, 3 * 10**4))
+    def test_matches_divisor_walk(self, d, c):
+        assert dynamics.integral_fixed_points(d, c).roots == divisor_walk_roots(d, c)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 7), st.integers(-40, 40))
+    def test_matches_divisor_walk_where_a_root_exists(self, d, z):
+        c = z - z**d  # z is a root by construction
+        if abs(c) <= 3 * 10**4:
+            roots = dynamics.integral_fixed_points(d, c).roots
+            assert z in roots
+            assert roots == divisor_walk_roots(d, c)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 2**3000),
+            st.builds(lambda k, d, e: max(k**d + e, 0), st.integers(0, 10**40), st.integers(1, 60), st.integers(-1, 1)),
+        ),
+        st.integers(1, 60),
+    )
+    def test_integer_root_is_the_floor(self, u, d):
+        r = dynamics.integer_root(u, d)
+        assert r**d <= u < (r + 1) ** d
+
+    def test_integer_root_at_perfect_powers_beyond_float_precision(self):
+        for d in (2, 3, 5, 7):
+            for k in (2**53 + 1, 10**30 + 7, 3**200):
+                assert dynamics.integer_root(k**d, d) == k
+                assert dynamics.integer_root(k**d - 1, d) == k - 1
+                assert dynamics.integer_root(k**d + 1, d) == k
+
+    def test_integer_root_domain(self):
+        with pytest.raises(ff.ArgumentError):
+            dynamics.integer_root(-1, 3)
+        with pytest.raises(ff.ArgumentError):
+            dynamics.integer_root(8, 0)

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcensus import ff, nfcount
+from fixcensus import ff, nfcount, stats
 from fixcensus.nfcount import IrreducibilityStatus, ZETA2_INV
 
 
@@ -239,7 +239,7 @@ class TestCountByDisc:
         with pytest.raises(OverflowError):
             X ** (3 / 4)
         stub = [nfcount.Trinomial.build(3, c) for c in (0, 1, 2)]
-        monkeypatch.setattr(nfcount, "bounded_trinomials", lambda d, bound: stub)
+        monkeypatch.setattr(nfcount, "bounded_trinomials", lambda d, bound, **caps: stub)
         row = nfcount.count_by_disc(3, X)
         assert (row.count, row.unknown) == (2, 0)
         assert row.bound_ok
@@ -324,10 +324,12 @@ class TestSquarefree:
         assert rep.fraction == Fraction(1, 2)  # 104 = 8 * 13 is not squarefree
 
     def test_unknown_never_counts_as_squarefree(self):
+        # with only the prime 2, |disc| = 23 < 3^3 is decided (it was
+        # unknown under the square-root rule); 239, 671, 1319, 2183 are not
         rep = nfcount.squarefree_disc_fraction(3, 10, trial_bound=2)
-        assert rep.squarefree == 0
-        assert rep.unknown == 5
-        assert rep.fraction == Fraction(0, 10)
+        assert rep.squarefree == 1
+        assert rep.unknown == 4
+        assert rep.fraction == Fraction(1, 10)
 
     def test_reference_constant(self):
         assert abs(ZETA2_INV - 0.607927) < 1e-6
@@ -364,5 +366,131 @@ class TestTrinomialRow:
         assert row["squarefree"] == "false"
 
     def test_row_unknown_squarefree(self):
-        row = nfcount.trinomial_row(3, 1, trial_bound=2)
+        row = nfcount.trinomial_row(3, 3, trial_bound=2)
         assert row["squarefree"] == "unknown"
+        # 23 < 3^3 has at most two prime factors above 2: decided
+        assert nfcount.trinomial_row(3, 1, trial_bound=2)["squarefree"] == "true"
+
+
+def sqrt_rule_squarefree(u, primes):
+    """The square-root rule _squarefree_by_trial used before the cube-root
+    rule: divide by primes while p^2 <= rem, settle rem <= B^2 as prime."""
+    rem = u
+    exhausted = True
+    for p in primes:
+        if p * p > rem:
+            exhausted = False
+            break
+        if rem % p == 0:
+            rem //= p
+            if rem % p == 0:
+                return False
+    if rem == 1 or not exhausted:
+        return True
+    bound = primes[-1] if primes else 1
+    if rem <= bound * bound:
+        return True
+    r = math.isqrt(rem)
+    if r * r == rem:
+        return False
+    return None
+
+
+def brute_squarefree(u):
+    return all(u % (k * k) for k in range(2, math.isqrt(u) + 1))
+
+
+TRIAL_BOUNDS = [0, 1, 2, 3, 10, 50, 1000, 10**5]
+
+
+class TestCubeRootRule:
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(1, 10**8),
+            # square cofactors and products of two large primes sit on the rule's edges
+            st.builds(lambda a, b: a * b * b, st.integers(1, 1000), st.integers(2, 3000)),
+            st.builds(lambda a, b: a * b, st.sampled_from([11, 13, 101, 997]), st.integers(1, 10**5)),
+        ),
+        st.sampled_from(TRIAL_BOUNDS),
+    )
+    def test_sound_and_decides_wherever_the_sqrt_rule_did(self, u, trial_bound):
+        verdict = nfcount._squarefree_by_trial(u, trial_bound)
+        if verdict is not None:
+            assert verdict == brute_squarefree(u)
+        old = sqrt_rule_squarefree(u, stats.prime_sieve(trial_bound))
+        if old is not None:
+            assert verdict == old
+
+    @pytest.mark.parametrize("trial_bound", [0, 1, 2, 10])
+    def test_settles_every_u_below_the_cube_bound(self, trial_bound):
+        # below (B + 1)^3, and below 2^3 even with no primes at all
+        for u in range(1, (max(trial_bound, 1) + 1) ** 3):
+            assert nfcount._squarefree_by_trial(u, trial_bound) == brute_squarefree(u), (u, trial_bound)
+
+    def test_unknown_beyond_the_cube_bound(self):
+        assert nfcount._squarefree_by_trial(11 * 13 * 17, 10) is None
+        assert nfcount._squarefree_by_trial(37 * 37, 10) is False  # a square settles at any size
+        assert nfcount._squarefree_by_trial(11 * 13, 10) is True
+        assert nfcount._squarefree_by_trial(9, 0) is False
+        assert nfcount._squarefree_by_trial(11, 0) is None
+
+    def test_quartic_discriminants_all_decided(self):
+        # |disc| of x^4 - x + c outgrows B^2 = 10^10 near c = 1700, not B^3
+        rep = nfcount.squarefree_disc_fraction(4, 3000)
+        assert rep.unknown == 0
+        assert rep.squarefree == sum(
+            1 for c in range(1, 3001) if nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(4, c)), 10**5)
+        )
+
+
+class TestCaps:
+    def test_disc_bound_refused_before_any_candidate(self, monkeypatch):
+        def no_build(cls, d, c):
+            raise AssertionError("a candidate was built")
+
+        monkeypatch.setattr(nfcount.Trinomial, "build", classmethod(no_build))
+        with pytest.raises(nfcount.RangeCapError, match=r"beyond the cap 100000000$"):
+            nfcount.count_by_disc(3, 10**40)
+        with pytest.raises(ff.CapError, match=r"takes 7 values of c, beyond the cap 6$"):
+            nfcount.bounded_trinomials(3, 300, c_cap=6)
+
+    def test_disc_bound_reach_is_exact(self):
+        # the candidates are the 2r + 1 values |c| <= r, so the cap is tight
+        for d in (2, 3, 4, 5):
+            for X in (1, 5, 24, 100, 10**4, 10**5):
+                cs = [t.c for t in nfcount.bounded_trinomials(d, X)]
+                reach = max(abs(c) for c in cs) if cs else 0
+                assert [t.c for t in nfcount.bounded_trinomials(d, X, c_cap=2 * reach + 1)] == cs
+                if reach:
+                    with pytest.raises(nfcount.RangeCapError):
+                        nfcount.bounded_trinomials(d, X, c_cap=2 * reach)
+
+    def test_squarefree_limit_refused_before_any_work(self, monkeypatch):
+        def no_work(u, trial_bound):
+            raise AssertionError("a discriminant was tested")
+
+        monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
+        with pytest.raises(nfcount.RangeCapError, match=r"^c in \[1, 11\] takes 11 values of c, beyond the cap 10$"):
+            nfcount.squarefree_disc_fraction(3, 11, c_cap=10)
+
+
+class TestHeightProperty:
+    def test_height_is_computed_on_read(self):
+        t = nfcount.Trinomial.build(3, -8)
+        assert t == nfcount.Trinomial(3, -8, nfcount.closed_form_disc(3, -8))
+        assert t.height == 2.0
+
+    def test_certifying_primes_come_from_one_memoized_tuple(self, monkeypatch):
+        calls = []
+        real = stats.prime_sieve
+
+        def counting(limit, **caps):
+            calls.append(limit)
+            return real(limit, **caps)
+
+        nfcount._primes.cache_clear()
+        monkeypatch.setattr(stats, "prime_sieve", counting)
+        nfcount.count_by_disc(3, 10**6)
+        assert calls == [nfcount.DEFAULT_Q_MAX]
+        nfcount._primes.cache_clear()

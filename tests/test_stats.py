@@ -7,6 +7,7 @@ primes, apply the divisibility rule, sum the oracle counts.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixcensus import dynamics, ff, stats
 from fixcensus.dynamics import Family, MapSpec
@@ -207,3 +208,146 @@ class TestDensityTable:
             "denominator": 9,
             "ratio": "2/9",
         }
+
+
+# ---------------------------------------------------------------------------
+# The exact rules against the enumerations they replaced.
+
+_FLOOR = {Family.PRIME_POWER: 3, Family.P_MINUS_ONE: 5}
+_SHIFT = {Selector.DIVIDES_C_MINUS_1: -1, Selector.DIVIDES_C_PLUS_1: 1}
+_KIND = {
+    DensityKind.NC3: (3, Selector.DIVIDES_C),
+    DensityKind.NC0: (3, Selector.NOT_DIVIDES_C),
+    DensityKind.MC2: (5, Selector.DIVIDES_C),
+    DensityKind.MC1: (5, Selector.DIVIDES_C_MINUS_1),
+    DensityKind.MC0: (5, Selector.DIVIDES_C_PLUS_1),
+}
+
+
+def sieve_average_rows(family, n, ell, selector, c_list):
+    """average_report as a walk over the sieve: every prime up to the
+    target is tested for the selector and its count summed."""
+    floor = _FLOOR[family]
+    wanted = selector is not Selector.NOT_DIVIDES_C
+    rows = []
+    for c in c_list:
+        target = c + _SHIFT.get(selector, 0)
+        qual = [p for p in stats.prime_sieve(target) if p >= floor and (target % p == 0) is wanted]
+        if family is Family.PRIME_POWER:
+            counts = [stats._prime_power_count(p, n, ell, c) for p in qual]
+        else:
+            counts = [
+                dynamics.fixed_point_count(ff.standard_field(p, n), MapSpec.p_minus_one(p, ell, c))
+                for p in qual
+            ]
+        ratio = Fraction(sum(counts), len(qual)) if qual else None
+        rows.append(stats.AverageRow(c, selector, floor, sum(counts), len(qual), ratio))
+    return rows
+
+
+def sieve_density_rows(kind, c_list):
+    """density_table as the walk over the sieve it used before prime_count."""
+    floor, selector = _KIND[kind]
+    rows = []
+    for c in c_list:
+        primes = [p for p in stats.prime_sieve(c) if p >= floor]
+        target = c + _SHIFT.get(selector, 0)
+        dividing = sum(1 for p in primes if target % p == 0)
+        numerator = len(primes) - dividing if selector is Selector.NOT_DIVIDES_C else dividing
+        ratio = Fraction(numerator, len(primes)) if primes else None
+        rows.append(stats.DensityRow(c, kind, numerator, len(primes), ratio))
+    return rows
+
+
+class TestClosedForms:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.integers(1, 4),
+        st.integers(1, 3),
+        st.one_of(st.integers(-30, 30), st.integers(-(10**6), 10**6)),
+    )
+    def test_prime_power_count_three_ways(self, p, n, ell, c):
+        # closed form, the full scan and the gcd engine share no code
+        fs = ff.standard_field(p, n)
+        m = MapSpec.prime_power(p, ell, c)
+        closed = stats._prime_power_count(p, n, ell, c)
+        assert closed == dynamics.fixed_point_count(fs, m) == dynamics.gcd_root_count(fs, m)
+
+    def test_prime_power_count_at_every_residue(self):
+        for p in (2, 3, 5, 7):
+            for n in (1, 2, 3, 4):
+                fs = ff.standard_field(p, n)
+                for ell in (1, 2, 3):
+                    profile = dynamics.count_profile(fs, p**ell)
+                    for c in range(p):
+                        assert stats._prime_power_count(p, n, ell, c) == profile[c], (p, n, ell, c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.sampled_from(list(Selector)),
+        st.lists(st.integers(-10, 400), max_size=5),
+    )
+    def test_prime_power_rows_match_sieve_walk(self, n, ell, selector, c_list):
+        got = stats.average_report(Family.PRIME_POWER, n, ell, selector, c_list)
+        assert got == sieve_average_rows(Family.PRIME_POWER, n, ell, selector, c_list)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 2),
+        st.integers(1, 2),
+        st.sampled_from(list(Selector)),
+        st.lists(st.integers(-10, 40), max_size=4),
+    )
+    def test_pminus1_rows_match_sieve_walk(self, n, ell, selector, c_list):
+        got = stats.average_report(Family.P_MINUS_ONE, n, ell, selector, c_list)
+        assert got == sieve_average_rows(Family.P_MINUS_ONE, n, ell, selector, c_list)
+
+    def test_prime_power_average_builds_no_field(self, monkeypatch):
+        def no_field(*args, **kwargs):
+            raise AssertionError("a field was built")
+
+        monkeypatch.setattr(stats, "standard_field", no_field)
+        monkeypatch.setattr(dynamics, "fixed_point_count", no_field)
+        # F_{3^30} is beyond the scan cap; the closed form needs no field
+        (row,) = stats.average_report(Family.PRIME_POWER, 30, 1, Selector.DIVIDES_C, [15])
+        assert (row.numerator, row.denominator) == (3 + 5, 2)
+        (row,) = stats.average_report(Family.PRIME_POWER, 15, 1, Selector.NOT_DIVIDES_C, [100])
+        assert (row.numerator, row.denominator) == (3, 23)  # 3 | n/g = 15, 5 | 100
+
+    @pytest.mark.parametrize("n, ell", [(0, 1), (1, 0)])
+    def test_bad_n_or_ell_rejected(self, n, ell):
+        with pytest.raises(ff.ArgumentError):
+            stats.average_report(Family.PRIME_POWER, n, ell, Selector.DIVIDES_C, [4])
+
+    def test_prime_count_known_values(self):
+        want = trial_division_primes(3000)
+        for x in range(-3, 3001):
+            assert stats.prime_count(x) == sum(1 for p in want if p <= x), x
+        assert stats.prime_count(10**6) == 78498
+        assert stats.prime_count(4 * 10**6) == 283146
+        assert stats.prime_count(10**8) == 5761455
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(st.integers(0, 10**5), st.builds(lambda k, e: k * k + e, st.integers(2, 316), st.integers(-1, 1))))
+    def test_prime_count_matches_sieve(self, x):
+        assert stats.prime_count(x) == len(stats.prime_sieve(x))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(list(DensityKind)), st.lists(st.integers(-10, 5000), max_size=6))
+    def test_density_rows_match_sieve_walk(self, kind, c_list):
+        assert stats.density_table(kind, c_list) == sieve_density_rows(kind, c_list)
+
+    @pytest.mark.parametrize("kind", list(DensityKind))
+    def test_density_rows_match_sieve_walk_at_large_c(self, kind):
+        c_list = [2 * 3 * 5 * 7 * 11 * 13 * 17, 10**5 + 3, 999_983, 10**6]
+        assert stats.density_table(kind, c_list) == sieve_density_rows(kind, c_list)
+
+    def test_density_sieve_cap_refuses_the_same_c(self):
+        with pytest.raises(stats.SieveCapError, match=r"^sieve limit 1001 exceeds the cap 1000$"):
+            stats.density_table(DensityKind.NC3, [5, 1001], sieve_cap=1000)
+        assert stats.density_table(DensityKind.NC3, [1000], sieve_cap=1000)[0].denominator == 167
+        with pytest.raises(stats.SieveCapError, match=r"^sieve limit 1001 exceeds the cap 1000$"):
+            stats.average_report(Family.PRIME_POWER, 1, 1, Selector.DIVIDES_C_PLUS_1, [1000], sieve_cap=1000)
