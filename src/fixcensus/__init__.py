@@ -13,7 +13,6 @@ from .dynamics import (
     CensusRecord,
     ExponentCapError,
     Family,
-    IntegerRootReport,
     MapSpec,
     OrbitCensus,
     classify_residue,
@@ -43,7 +42,6 @@ from .nfcount import (
     FieldCountRow,
     IrreducibilityStatus,
     SquarefreeReport,
-    Trinomial,
     closed_form_disc,
     count_by_disc,
     count_by_height,
@@ -72,7 +70,7 @@ __all__ = [
     "standard_field",
     # dynamics
     "DEFAULT_EXP_CAP", "ExponentCapError", "Family", "MapSpec", "CensusRecord",
-    "OrbitCensus", "IntegerRootReport", "eval_map", "fixed_point_count",
+    "OrbitCensus", "eval_map", "fixed_point_count",
     "fixed_points", "count_profile", "gcd_root_count", "orbit_census",
     "classify_residue", "integral_fixed_points", "integer_root",
     # claims
@@ -82,7 +80,7 @@ __all__ = [
     "Selector", "DensityKind", "AverageRow", "DensityRow", "prime_sieve", "prime_count",
     "average_report", "density_table",
     # nfcount
-    "IrreducibilityStatus", "Trinomial", "FieldCountRow", "SquarefreeReport",
+    "IrreducibilityStatus", "FieldCountRow", "SquarefreeReport",
     "trinomial_disc", "closed_form_disc", "irreducibility_status",
     "count_by_disc", "count_by_height", "squarefree_disc_fraction",
 ]

@@ -17,7 +17,6 @@ import io
 import json
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import claims, dynamics, nfcount, stats
@@ -104,7 +103,11 @@ def _write(cfg: RunConfig, default_format: str, columns: list[str], rows: list[d
     else:
         text = json.dumps(rows if payload is None else payload, indent=2) + "\n"
     if cfg.out:
-        with open(cfg.out, "w", encoding="utf-8", newline="") as fh:
+        try:
+            fh = open(cfg.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise UsageError(f"cannot write {cfg.out}: {exc}") from exc
+        with fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -113,6 +116,8 @@ def _write(cfg: RunConfig, default_format: str, columns: list[str], rows: list[d
 def _map(jobs: int, fn, tasks: list) -> list:
     """[fn(t) for t in tasks], on up to jobs worker processes; same order."""
     if jobs > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here, not at the top: ~20 ms per start
+
         with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -443,9 +448,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-5:5" for a flag
-        if argv[k - 1] == "--c-range" and re.match(r"-\d", argv[k]):
-            argv[k - 1 : k + 1] = [f"--c-range={argv[k]}"]
+    for k in range(len(argv) - 1, 0, -1):  # argparse takes "-5:5", "-1,2" or "-t" for a flag
+        if argv[k - 1] in ("--c", "--c-range") and re.match(r"-[^-]", argv[k]):
+            argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
     args = build_parser().parse_args(argv)
     try:
         cfg = _resolve_config(args)

@@ -39,7 +39,6 @@ __all__ = [
     "MapSpec",
     "CensusRecord",
     "OrbitCensus",
-    "IntegerRootReport",
     "eval_map",
     "fixed_point_count",
     "fixed_points",
@@ -179,14 +178,6 @@ class OrbitCensus:
             "fixed_points": self.fixed_point_count,
             "max_tail": self.max_tail_length,
         }
-
-
-@dataclass(frozen=True)
-class IntegerRootReport:
-    """Integer fixed points of z -> z^d + c and the small-count flag."""
-
-    roots: frozenset[int]
-    at_most_four: bool
 
 
 def _check_caps(fs: FieldSpec, d: int, field_cap: int | None, exp_cap: int) -> None:
@@ -355,7 +346,7 @@ def gcd_root_count(
     _check_caps(fs, m.d, None, exp_cap)
     ops = field_ops(fs)
     d = m.d
-    c_idx = ops.encode(m.coefficient(fs))
+    c_idx = m.coefficient(fs).index
     r = _powmod_x(fs.order, d, c_idx, ops)  # z^q mod f
     h = list(r)
     while len(h) < 2:
@@ -386,7 +377,7 @@ def orbit_census(
     ops = field_ops(fs)
     q = ops.q
     d = m.d
-    c_idx = ops.encode(m.coefficient(fs))
+    c_idx = m.coefficient(fs).index
     powf, add = ops.pow, ops.add
     succ = [add(powf(z, d), c_idx) for z in range(q)]
 
@@ -473,7 +464,7 @@ def integer_root(u: int, d: int) -> int:
         x = y
 
 
-def integral_fixed_points(d: int, c: int) -> IntegerRootReport:
+def integral_fixed_points(d: int, c: int) -> frozenset[int]:
     """All integers z with z^d + c = z, exactly.
 
     For c = 0 the roots are 0, 1 and, for odd d, -1.  For c != 0 a root z
@@ -481,14 +472,11 @@ def integral_fixed_points(d: int, c: int) -> IntegerRootReport:
     d-th root of |c|.  As w^d + w < (w + 1)^d, a w <= r - 1 has
     w^d + w < r^d <= |c|; as (w + 1)^d - (w + 1) >= w^d for w >= 1, a
     w >= r + 2 has w^d - w >= (r + 1)^d > |c|.  So z is one of r, -r, r + 1,
-    -r - 1, each tested exactly.  The report also flags whether the count
-    stays within four, which is recorded rather than assumed.
+    -r - 1, each tested exactly, so there are at most four roots.
     """
     if d < 2:
         raise ArgumentError(f"map degree {d} must be at least 2")
     if c == 0:
-        roots = {0, 1, -1} if d % 2 else {0, 1}
-    else:
-        r = integer_root(abs(c), d)
-        roots = {z for z in (r, -r, r + 1, -r - 1) if z**d - z + c == 0}
-    return IntegerRootReport(frozenset(roots), len(roots) <= 4)
+        return frozenset({0, 1, -1} if d % 2 else {0, 1})
+    r = integer_root(abs(c), d)
+    return frozenset(z for z in (r, -r, r + 1, -r - 1) if z**d - z + c == 0)

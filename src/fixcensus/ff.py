@@ -472,14 +472,6 @@ class FieldOps:
         self.q = fs.order
         self.weights = [self.p**k for k in range(self.n)]  # index = sum digit*weight
 
-    def encode(self, elem: FFElement) -> int:
-        if elem.field != self.field:
-            raise ArgumentError("element belongs to a different field")
-        return elem.index
-
-    def decode(self, i: int) -> FFElement:
-        return self.field.element_at(i)
-
     # add, sub, neg, mul are provided by subclasses.
 
     def pow(self, i: int, e: int) -> int:

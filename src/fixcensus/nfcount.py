@@ -20,6 +20,7 @@ import functools
 import itertools
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +33,6 @@ __all__ = [
     "RangeCapError",
     "check_c_cap",
     "IrreducibilityStatus",
-    "Trinomial",
     "FieldCountRow",
     "SquarefreeReport",
     "trinomial_disc",
@@ -70,39 +70,15 @@ class IrreducibilityStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Trinomial:
-    """One member x^d - x + c with its exact discriminant."""
-
-    d: int
-    c: int
-    disc: int
-
-    @classmethod
-    def build(cls, d: int, c: int) -> "Trinomial":
-        return cls(d, c, closed_form_disc(d, c))
-
-    @property
-    def height(self) -> float:
-        """|c|^(1/d), for display only; counts by height use count_by_height."""
-        return abs(self.c) ** (1.0 / self.d)
-
-
-@dataclass(frozen=True)
 class FieldCountRow:
-    """Counting result: irreducible trinomials with |disc| below a bound.
-
-    admissible stores (c, status) for every enumerated candidate so the
-    count can be reproduced without re-running the enumeration.
-    """
+    """Counting result: irreducible trinomials with |disc| below a bound."""
 
     d: int
     X: int
     count: int
     unknown: int
     exponent_ref: Fraction
-    constant: float
     bound_ok: bool
-    admissible: tuple[tuple[int, str], ...] = ()
 
     def as_dict(self) -> dict:
         return {
@@ -249,21 +225,21 @@ def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> Irre
     """
     if d < 2:
         raise ArgumentError(f"degree {d} must be at least 2")
-    if c == 0 or integral_fixed_points(d, c).roots:
+    if c == 0 or integral_fixed_points(d, c):
         return IrreducibilityStatus.REDUCIBLE
     if certifying_prime(d, c, q_max=q_max) is None:
         return IrreducibilityStatus.UNKNOWN
     return IrreducibilityStatus.IRREDUCIBLE
 
 
-def bounded_trinomials(d: int, X: int, *, c_cap: int = stats.DEFAULT_SIEVE_CAP) -> list[Trinomial]:
-    """All trinomials with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
+def bounded_trinomials(d: int, X: int, *, c_cap: int = stats.DEFAULT_SIEVE_CAP) -> list[int]:
+    """The c of every trinomial with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
 
     For a = |c| >= 1 both members of a level have |disc| >= d^d a^(d-1) -
     (d-1)^(d-1), with equality at c = a, and that minimum strictly increases
     in a; so no level beyond r, the largest a with d^d a^(d-1) < X +
     (d-1)^(d-1), has a hit, and r is an integer root.  The 2r + 1
-    candidates |c| <= r are refused above c_cap before any is built.
+    candidates |c| <= r are refused above c_cap before any is examined.
     """
     if d < 2:
         raise ArgumentError(f"degree {d} must be at least 2")
@@ -272,7 +248,7 @@ def bounded_trinomials(d: int, X: int, *, c_cap: int = stats.DEFAULT_SIEVE_CAP) 
     reach = integer_root((X + (d - 1) ** (d - 1) - 1) // d**d, d - 1)
     check_c_cap(f"|disc| < {X}", 2 * reach + 1, c_cap)
     candidates = itertools.chain((0,), *((a, -a) for a in range(1, reach + 1)))
-    return [t for t in (Trinomial.build(d, c) for c in candidates) if abs(t.disc) < X]
+    return [c for c in candidates if abs(closed_form_disc(d, c)) < X]
 
 
 def _within_bound(count: int, constant: float, d: int, X: int) -> bool:
@@ -294,21 +270,11 @@ def count_by_disc(
 
     bound_ok records whether count <= constant * X^(d/(2d-2)), compared
     exactly; the exponent is also reported exactly as a Fraction.  An X
-    whose candidates exceed c_cap is refused before any is built.
+    whose candidates exceed c_cap is refused before any is examined.
     """
-    count = 0
-    unknown = 0
-    admissible = []
-    for t in bounded_trinomials(d, X, c_cap=c_cap):
-        status = irreducibility_status(d, t.c, q_max=q_max)
-        admissible.append((t.c, status.value))
-        if status is IrreducibilityStatus.IRREDUCIBLE:
-            count += 1
-        elif status is IrreducibilityStatus.UNKNOWN:
-            unknown += 1
-    exponent = Fraction(d, 2 * d - 2)
-    bound_ok = _within_bound(count, constant, d, X)
-    return FieldCountRow(d, X, count, unknown, exponent, constant, bound_ok, tuple(admissible))
+    tally = Counter(irreducibility_status(d, c, q_max=q_max) for c in bounded_trinomials(d, X, c_cap=c_cap))
+    count, unknown = tally[IrreducibilityStatus.IRREDUCIBLE], tally[IrreducibilityStatus.UNKNOWN]
+    return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
 
 
 def count_by_height(d: int, hmax: int | float | Fraction) -> int:
@@ -399,15 +365,16 @@ def squarefree_disc_fraction(
 
 
 def trinomial_row(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict:
-    """One per-trinomial record for table output."""
-    t = Trinomial.build(d, c)
+    """One per-trinomial record for table output; the height |c|^(1/d) is a
+    float for display only, and counts by height use count_by_height."""
+    disc = closed_form_disc(d, c)
     status = irreducibility_status(d, c, q_max=q_max)
-    sf = _squarefree_by_trial(abs(t.disc), trial_bound)
+    sf = _squarefree_by_trial(abs(disc), trial_bound)
     return {
         "d": d,
         "c": c,
-        "disc": t.disc,
-        "height": t.height,
+        "disc": disc,
+        "height": abs(c) ** (1.0 / d),
         "irreducibility": status.value,
         "squarefree": "unknown" if sf is None else ("true" if sf else "false"),
     }

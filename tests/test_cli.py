@@ -2,8 +2,11 @@
 config resolution, and byte-identical determinism."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -374,6 +377,46 @@ class TestCensus:
         assert target.read_text().splitlines()[1] == "3,1,1,prime-power,0,0,3"
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["census", "--p", "3", "--n", "1", "--family", "prime-power", "--ell", "1", "--c", "0"], "--out"),
+        (["density", "--kind", "nc3", "--c", "30"], "--emit-plot-data"),
+    ],
+)
+def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
+    target = tmp_path / "missing" / "out.csv"
+    code, _, err = run(capsys, [*argv, flag, str(target)])
+    assert code == 2
+    assert err.startswith(f"error: cannot write {target}: ")
+    assert err.count("\n") == 1
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # the pool module is imported by _map only when --jobs asks for workers
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fixcensus.cli; print('concurrent.futures.process' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, value",
+    [
+        (["census", "--p", "5", "--n", "1", "--family", "pminus1", "--ell", "1"], "-1,2"),
+        (["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "1"], "-2*t+1,-t"),
+        (["avg", "--family", "prime-power", "--selector", "p|c"], "-3,15"),
+        (["orbits", "--p", "3", "--n", "2", "--d", "2"], "-t"),
+        (["orbits", "--p", "3", "--n", "2", "--d", "2"], "-2*t+1"),
+    ],
+)
+def test_negative_c_value_matches_the_equals_form(capsys, argv, value):
+    spaced = run(capsys, [*argv, "--c", value])
+    assert spaced[0] == 0 and spaced[1]
+    assert spaced == run(capsys, [*argv, f"--c={value}"])
+
+
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
     def broken(args, cfg):
         return {}["missing"]
@@ -697,7 +740,7 @@ class TestNf:
         def no_work(*args, **kwargs):
             raise AssertionError("work began before the cap check")
 
-        monkeypatch.setattr(nfcount.Trinomial, "build", classmethod(no_work))
+        monkeypatch.setattr(nfcount, "closed_form_disc", no_work)
         monkeypatch.setattr(nfcount, "trinomial_row", no_work)
         monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
         assert run(capsys, ["nf", "--d", "3", *argv]) == (2, "", message)

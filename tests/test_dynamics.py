@@ -299,24 +299,24 @@ class TestClassifyResidue:
 
 class TestIntegralFixedPoints:
     def test_examples(self):
-        assert dynamics.integral_fixed_points(3, 0).roots == {-1, 0, 1}
-        assert dynamics.integral_fixed_points(3, 6).roots == {-2}
-        assert dynamics.integral_fixed_points(4, 0).roots == {0, 1}
-        assert dynamics.integral_fixed_points(2, 1).roots == set()
+        assert dynamics.integral_fixed_points(3, 0) == {-1, 0, 1}
+        assert dynamics.integral_fixed_points(3, 6) == {-2}
+        assert dynamics.integral_fixed_points(4, 0) == {0, 1}
+        assert dynamics.integral_fixed_points(2, 1) == frozenset()
 
     def test_against_window_scan(self):
         # every integer root divides c, so a window beyond |c| is exhaustive
         for d in (2, 3, 4, 5):
             for c in range(-40, 41):
-                report = dynamics.integral_fixed_points(d, c)
+                roots = dynamics.integral_fixed_points(d, c)
                 window = {z for z in range(-41, 42) if z**d - z + c == 0}
-                assert report.roots == window, (d, c)
-                assert report.at_most_four == (len(report.roots) <= 4)
+                assert roots == window, (d, c)
+                assert len(roots) <= 4
 
     def test_small_count_flag_observed(self):
         for d in (2, 3, 4, 5, 6, 7):
             for c in range(-60, 61):
-                assert dynamics.integral_fixed_points(d, c).at_most_four
+                assert len(dynamics.integral_fixed_points(d, c)) <= 4
 
     def test_rejects_degree_below_two(self):
         with pytest.raises(ValueError):
@@ -338,19 +338,19 @@ class TestIntegerRoots:
     def test_exhaustive_small_grid(self):
         for d in range(2, 8):
             for c in range(-1000, 1001):
-                assert dynamics.integral_fixed_points(d, c).roots == divisor_walk_roots(d, c), (d, c)
+                assert dynamics.integral_fixed_points(d, c) == divisor_walk_roots(d, c), (d, c)
 
     @settings(max_examples=400, deadline=None)
     @given(st.integers(2, 7), st.integers(-3 * 10**4, 3 * 10**4))
     def test_matches_divisor_walk(self, d, c):
-        assert dynamics.integral_fixed_points(d, c).roots == divisor_walk_roots(d, c)
+        assert dynamics.integral_fixed_points(d, c) == divisor_walk_roots(d, c)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(2, 7), st.integers(-40, 40))
     def test_matches_divisor_walk_where_a_root_exists(self, d, z):
         c = z - z**d  # z is a root by construction
         if abs(c) <= 3 * 10**4:
-            roots = dynamics.integral_fixed_points(d, c).roots
+            roots = dynamics.integral_fixed_points(d, c)
             assert z in roots
             assert roots == divisor_walk_roots(d, c)
 

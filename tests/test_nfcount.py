@@ -94,7 +94,7 @@ class TestIrreducibility:
         for d in (2, 3, 4, 5):
             for c in range(-20, 21):
                 if nfcount.irreducibility_status(d, c) is IrreducibilityStatus.REDUCIBLE:
-                    roots = integral_fixed_points(d, c).roots
+                    roots = integral_fixed_points(d, c)
                     assert c == 0 or roots
                     for z in roots:
                         assert z**d - z + c == 0
@@ -154,15 +154,13 @@ class TestIrreducibility:
 
 class TestBoundedTrinomials:
     def test_enumeration_order_and_contents(self):
-        ts = nfcount.bounded_trinomials(3, 100)
-        assert [(t.c, t.disc) for t in ts] == [(0, 4), (1, -23), (-1, -23)]
-        for t in ts:
-            assert abs(t.disc) < 100
-            assert t.height == abs(t.c) ** (1.0 / 3)
+        cs = nfcount.bounded_trinomials(3, 100)
+        assert cs == [0, 1, -1]
+        assert [nfcount.closed_form_disc(3, c) for c in cs] == [4, -23, -23]
 
     def test_tight_bound(self):
         assert nfcount.bounded_trinomials(3, 1) == []
-        assert [t.c for t in nfcount.bounded_trinomials(3, 5)] == [0]
+        assert nfcount.bounded_trinomials(3, 5) == [0]
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
@@ -178,7 +176,7 @@ class TestBoundedTrinomials:
             for X in [1, 2, 5, 10, 100, 10**4, 10**6, 10**9, 10**15, *edges]:
                 if X > reach:
                     continue
-                got = [t.c for t in nfcount.bounded_trinomials(d, X)]
+                got = nfcount.bounded_trinomials(d, X)
                 want = [c for c in range(-300, 301) if abs(nfcount.closed_form_disc(d, c)) < X]
                 assert sorted(got) == want, (d, X)
                 assert [abs(c) for c in got] == sorted(abs(c) for c in got)
@@ -189,9 +187,9 @@ class TestCountByDisc:
         row = nfcount.count_by_disc(3, 100)
         assert row.count == 2
         assert row.unknown == 0
-        assert row.admissible == (
-            (0, "REDUCIBLE"), (1, "IRREDUCIBLE"), (-1, "IRREDUCIBLE"),
-        )
+        assert [nfcount.irreducibility_status(3, c).value for c in nfcount.bounded_trinomials(3, 100)] == [
+            "REDUCIBLE", "IRREDUCIBLE", "IRREDUCIBLE",
+        ]
         assert row.exponent_ref == Fraction(3, 4)
         assert row.bound_ok
 
@@ -204,14 +202,18 @@ class TestCountByDisc:
         row = nfcount.count_by_disc(4, 300)
         assert row.count == 2
         assert row.exponent_ref == Fraction(2, 3)
-        assert {c for c, _ in row.admissible} == {0, 1, -1}
+        assert nfcount.bounded_trinomials(4, 300) == [0, 1, -1]
 
-    def test_count_reproducible_from_admissible(self):
-        row = nfcount.count_by_disc(3, 1000)
-        assert row.count == sum(1 for _, s in row.admissible if s == "IRREDUCIBLE")
-        assert row.unknown == sum(1 for _, s in row.admissible if s == "UNKNOWN")
-        for c, status in row.admissible:
-            assert nfcount.irreducibility_status(3, c).value == status
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 6), st.integers(0, 200), st.integers(-1, 1), st.sampled_from([2, 3, 50]))
+    def test_count_reproducible_from_admissible(self, d, a, e, q_max):
+        # the admissible candidates are the c that bounded_trinomials yields;
+        # X sits at the |disc| of the level |c| = a, where the count steps
+        X = max(abs(nfcount.closed_form_disc(d, a)) + e, 1)
+        row = nfcount.count_by_disc(d, X, q_max=q_max)
+        statuses = [nfcount.irreducibility_status(d, c, q_max=q_max) for c in nfcount.bounded_trinomials(d, X)]
+        assert row.count == statuses.count(IrreducibilityStatus.IRREDUCIBLE)
+        assert row.unknown == statuses.count(IrreducibilityStatus.UNKNOWN)
 
     def test_bound_flag_responds_to_constant(self):
         assert nfcount.count_by_disc(3, 1000, constant=4.0).bound_ok
@@ -238,8 +240,7 @@ class TestCountByDisc:
         X = 10**400
         with pytest.raises(OverflowError):
             X ** (3 / 4)
-        stub = [nfcount.Trinomial.build(3, c) for c in (0, 1, 2)]
-        monkeypatch.setattr(nfcount, "bounded_trinomials", lambda d, bound, **caps: stub)
+        monkeypatch.setattr(nfcount, "bounded_trinomials", lambda d, bound, **caps: [0, 1, 2])
         row = nfcount.count_by_disc(3, X)
         assert (row.count, row.unknown) == (2, 0)
         assert row.bound_ok
@@ -446,10 +447,10 @@ class TestCubeRootRule:
 
 class TestCaps:
     def test_disc_bound_refused_before_any_candidate(self, monkeypatch):
-        def no_build(cls, d, c):
-            raise AssertionError("a candidate was built")
+        def no_disc(d, c):
+            raise AssertionError("a candidate was examined")
 
-        monkeypatch.setattr(nfcount.Trinomial, "build", classmethod(no_build))
+        monkeypatch.setattr(nfcount, "closed_form_disc", no_disc)
         with pytest.raises(nfcount.RangeCapError, match=r"beyond the cap 100000000$"):
             nfcount.count_by_disc(3, 10**40)
         with pytest.raises(ff.CapError, match=r"takes 7 values of c, beyond the cap 6$"):
@@ -459,9 +460,9 @@ class TestCaps:
         # the candidates are the 2r + 1 values |c| <= r, so the cap is tight
         for d in (2, 3, 4, 5):
             for X in (1, 5, 24, 100, 10**4, 10**5):
-                cs = [t.c for t in nfcount.bounded_trinomials(d, X)]
+                cs = nfcount.bounded_trinomials(d, X)
                 reach = max(abs(c) for c in cs) if cs else 0
-                assert [t.c for t in nfcount.bounded_trinomials(d, X, c_cap=2 * reach + 1)] == cs
+                assert nfcount.bounded_trinomials(d, X, c_cap=2 * reach + 1) == cs
                 if reach:
                     with pytest.raises(nfcount.RangeCapError):
                         nfcount.bounded_trinomials(d, X, c_cap=2 * reach)
@@ -477,9 +478,9 @@ class TestCaps:
 
 class TestHeightProperty:
     def test_height_is_computed_on_read(self):
-        t = nfcount.Trinomial.build(3, -8)
-        assert t == nfcount.Trinomial(3, -8, nfcount.closed_form_disc(3, -8))
-        assert t.height == 2.0
+        row = nfcount.trinomial_row(3, -8)
+        assert row["disc"] == nfcount.closed_form_disc(3, -8)
+        assert row["height"] == abs(-8) ** (1.0 / 3) == 2.0
 
     def test_certifying_primes_come_from_one_memoized_tuple(self, monkeypatch):
         calls = []
