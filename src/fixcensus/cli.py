@@ -5,12 +5,14 @@ errors, the library's ArgumentError and cap violations, 3 when --expect
 pins verdicts and the fresh run differs.  Any other exception is a fault
 and propagates.  Identical invocations produce byte-identical output;
 --jobs changes wall time only, because records are fully sorted before
-the one writer, _write, emits them.
+the one writer, _write, emits them.  A destination that cannot be opened
+is a usage error that leaves no output anywhere.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import io
@@ -92,25 +94,36 @@ def _cell(value):
     return "" if value is None else value
 
 
-def _write(cfg: RunConfig, default_format: str, columns: list[str], rows: list[dict], payload=None) -> None:
-    """The one writer: CSV of columns read from each row, or JSON of payload (else rows)."""
+def _output(
+    cfg: RunConfig, default_format: str, columns: list[str], rows: list[dict], payload=None
+) -> tuple[str | None, str]:
+    """(cfg.out, text): CSV of columns read from each row, or JSON of payload (else rows)."""
     if (cfg.format or default_format) == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
-        text = buf.getvalue()
-    else:
-        text = json.dumps(rows if payload is None else payload, indent=2) + "\n"
-    if cfg.out:
-        try:
-            fh = open(cfg.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise UsageError(f"cannot write {cfg.out}: {exc}") from exc
-        with fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return cfg.out, buf.getvalue()
+    return cfg.out, json.dumps(rows if payload is None else payload, indent=2) + "\n"
+
+
+def _open(path: str):
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc}") from exc
+
+
+def _write(*outputs: tuple[str | None, str]) -> None:
+    """The one writer: each (path, text) to its file, or to stdout for no path.
+
+    Every file is opened before any text is written, so one that cannot be
+    opened stops the command before the others receive anything.
+    """
+    with contextlib.ExitStack() as stack:
+        sinks = [stack.enter_context(_open(path)) if path else sys.stdout for path, _ in outputs]
+        for sink, (_, text) in zip(sinks, outputs):
+            sink.write(text)
 
 
 def _map(jobs: int, fn, tasks: list) -> list:
@@ -188,7 +201,7 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
     records = [rec for chunk in _map(cfg.jobs, _census_point, tasks) for rec in chunk]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
     columns = [f.name for f in dataclasses.fields(dynamics.CensusRecord)]
-    _write(cfg, "csv", columns, [dataclasses.asdict(r) for r in records])
+    _write(_output(cfg, "csv", columns, [dataclasses.asdict(r) for r in records]))
     return 0
 
 
@@ -212,7 +225,7 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
             point = {"claim": rep.claim.id, "p": pt.p, "n": pt.n, "ell": pt.ell, "status": pt.status.value}
             rows.extend([{**point, **w.as_dict()} for w in pt.witnesses] or [point])
     columns = ["claim", "p", "n", "ell", "status", "c", "predicted", "actual"]
-    _write(cfg, "json", columns, rows, [rep.as_dict() for rep in reports])
+    _write(_output(cfg, "json", columns, rows, [rep.as_dict() for rep in reports]))
 
     if args.expect:
         try:
@@ -283,11 +296,18 @@ def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], rows: list) -> None:
-    """avg/density rows (exact ratio in JSON), then the --emit-plot-data c,ratio CSV."""
+    """avg/density rows (exact ratio in JSON), and the --emit-plot-data c,ratio CSV.
+
+    The plot file is opened first, so a bad plot path leaves --out untouched.
+    """
     cells = [{**r.as_dict(), "ratio": r.ratio} for r in rows]
-    _write(cfg, "csv", columns, cells, [r.as_dict() for r in rows])
+    outputs = [_output(cfg, "csv", columns, cells, [r.as_dict() for r in rows])]
     if args.emit_plot_data:
-        _write(dataclasses.replace(cfg, out=args.emit_plot_data, format="csv"), "csv", ["c", "ratio"], cells)
+        if args.emit_plot_data == cfg.out:
+            raise UsageError("--emit-plot-data and --out name the same file")
+        plot_cfg = dataclasses.replace(cfg, out=args.emit_plot_data, format="csv")
+        outputs.insert(0, _output(plot_cfg, "csv", ["c", "ratio"], cells))
+    _write(*outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +352,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             row = nfcount.trinomial_row(args.d, c, q_max=args.q_max, trial_bound=args.trial_bound)
             rows.append({**row, "height": f"{row['height']:.6f}"})
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
-    _write(cfg, "json", columns, rows, payload)
+    _write(_output(cfg, "json", columns, rows, payload))
     return 0
 
 
@@ -354,7 +374,7 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
     census = dynamics.orbit_census(fs, m, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     result = {"field": fs.as_dict(), "d": m.d, "c": str(c), **census.as_dict()}
     columns = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]
-    _write(cfg, "json", columns, [{"p": fs.p, "n": fs.n, **result}], result)
+    _write(_output(cfg, "json", columns, [{"p": fs.p, "n": fs.n, **result}], result))
     return 0
 
 

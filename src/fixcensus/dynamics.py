@@ -7,8 +7,10 @@ coefficient c that makes z a fixed point, so its histogram answers every c
 at once; fixed_point_count and fixed_points read the same scan for a single
 c.  The gcd side, gcd_root_count, never enumerates the field at all and
 instead measures deg gcd(z^d - z + c, z^q - z) in the quotient ring.  The
-two sides share no code beyond basic field arithmetic, so their agreement
-on a grid is a real consistency check, and the test suite enforces it.
+two sides share no arithmetic engine either: the scan runs on the index
+tables of ff.field_ops, the gcd side on FFElement operators.  So their
+agreement on a grid is a real consistency check, and the test suite
+enforces it.
 
 Also here: the full functional-graph census (components, cycle structure,
 tail depths) and exact integer fixed points of z^d + c on the integers.
@@ -255,80 +257,74 @@ def count_profile(
 
 
 # ---------------------------------------------------------------------------
-# The independent counter: polynomial gcd in F_q[z] against z^q - z.  The
-# number of distinct roots of monic f in F_q equals deg gcd(f, z^q - z); we
-# compute z^q mod f by square and multiply, using the sparse reduction
-# z^d = z - c available for the trinomial f = z^d - z + c.
+# The independent counter: polynomial gcd in F_q[z] against z^q - z, computed
+# on FFElement arithmetic so that it shares no engine with the scan.  The
+# number of distinct roots of f in F_q equals deg gcd(f, z^q - z); we compute
+# z^q mod f by square and multiply, using the sparse reduction z^d = z - c
+# available for the trinomial f = z^d - z + c.  Polynomials are lists of
+# elements, lowest degree first.
 
-def _poly_trim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
+def _poly_trim(cs: list[FFElement]) -> list[FFElement]:
+    while cs and cs[-1].is_zero:
         cs.pop()
     return cs
 
 
-def _poly_mul(a: list[int], b: list[int], ops) -> list[int]:
+def _poly_mul(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
     if not a or not b:
         return []
-    out = [0] * (len(a) + len(b) - 1)
-    add, mul = ops.add, ops.mul
+    out = [a[0].field.zero] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if ai:
+        if not ai.is_zero:
             for j, bj in enumerate(b):
-                if bj:
-                    k = i + j
-                    out[k] = add(out[k], mul(ai, bj))
+                if not bj.is_zero:
+                    out[i + j] = out[i + j] + ai * bj
     return out
 
 
-def _reduce_by_trinomial(cs: list[int], d: int, c_idx: int, ops) -> list[int]:
+def _reduce_by_trinomial(cs: list[FFElement], d: int, c: FFElement) -> list[FFElement]:
     """In place: rewrite z^j (j >= d) via z^d = z - c until deg < d."""
-    add, sub, mul = ops.add, ops.sub, ops.mul
     while len(cs) > d:
         a = cs.pop()
-        if a:
+        if not a.is_zero:
             j = len(cs)  # degree of the popped term
-            cs[j - d + 1] = add(cs[j - d + 1], a)
-            cs[j - d] = sub(cs[j - d], mul(a, c_idx))
+            cs[j - d + 1] = cs[j - d + 1] + a
+            cs[j - d] = cs[j - d] - a * c
     return _poly_trim(cs)
 
 
-def _powmod_x(e: int, d: int, c_idx: int, ops) -> list[int]:
+def _powmod_x(e: int, d: int, c: FFElement) -> list[FFElement]:
     """z^e mod (z^d - z + c), most significant bit first."""
-    res = [1]
+    res = [c.field.one]
     for bit in bin(e)[2:]:
-        res = _reduce_by_trinomial(_poly_mul(res, res, ops), d, c_idx, ops)
+        res = _reduce_by_trinomial(_poly_mul(res, res), d, c)
         if bit == "1":
-            res.insert(0, 0)
-            res = _reduce_by_trinomial(res, d, c_idx, ops)
+            res.insert(0, c.field.zero)
+            res = _reduce_by_trinomial(res, d, c)
     return res
 
 
-def _poly_rem(a: list[int], b: list[int], ops) -> list[int]:
+def _poly_rem(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
     r = list(a)
     db = len(b) - 1
-    inv_lead = ops.inv(b[-1])
-    sub, mul = ops.sub, ops.mul
+    inv_lead = b[-1] ** (b[-1].field.order - 2)
     while len(r) - 1 >= db:
         lead = r[-1]
-        if lead:
-            coef = mul(lead, inv_lead)
+        if not lead.is_zero:
+            coef = lead * inv_lead
             shift = len(r) - 1 - db
             for k in range(db):
                 bk = b[k]
-                if bk:
-                    r[shift + k] = sub(r[shift + k], mul(coef, bk))
+                if not bk.is_zero:
+                    r[shift + k] = r[shift + k] - coef * bk
         r.pop()
     return _poly_trim(r)
 
 
-def _poly_gcd(a: list[int], b: list[int], ops) -> list[int]:
-    a = _poly_trim(list(a))
-    b = _poly_trim(list(b))
+def _poly_gcd(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
+    """A gcd of trimmed a and b, not normalised: only its degree is read."""
     while b:
-        a, b = b, _poly_rem(a, b, ops)
-    if a and a[-1] != 1:
-        il = ops.inv(a[-1])
-        a = [ops.mul(x, il) for x in a]
+        a, b = b, _poly_rem(a, b)
     return a
 
 
@@ -344,20 +340,16 @@ def gcd_root_count(
     field cap applies because the work is polynomial in d and log q.
     """
     _check_caps(fs, m.d, None, exp_cap)
-    ops = field_ops(fs)
     d = m.d
-    c_idx = m.coefficient(fs).index
-    r = _powmod_x(fs.order, d, c_idx, ops)  # z^q mod f
-    h = list(r)
-    while len(h) < 2:
-        h.append(0)
-    h[1] = ops.sub(h[1], 1)  # h = z^q - z mod f
+    c = m.coefficient(fs)
+    h = _powmod_x(fs.order, d, c)  # z^q mod f
+    h += [fs.zero] * (2 - len(h))
+    h[1] = h[1] - fs.one  # h = z^q - z mod f
     h = _poly_trim(h)
     if not h:
         return d
-    f_poly = [c_idx, ops.neg(1)] + [0] * (d - 2) + [1]
-    g = _poly_gcd(f_poly, h, ops)
-    return len(g) - 1
+    f_poly = [c, -fs.one] + [fs.zero] * (d - 2) + [fs.one]
+    return len(_poly_gcd(f_poly, h)) - 1
 
 
 def orbit_census(

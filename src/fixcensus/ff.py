@@ -446,17 +446,15 @@ def standard_field(p: int, n: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# Integer-indexed arithmetic engines.  Scan loops work on element indexes
-# instead of FFElement objects: mod-p ints for prime fields, log/Zech tables
-# (three arrays of about q ints) for extensions of order up to _LOG_LIMIT,
-# and per-call coordinate vectors beyond.  The limit is measured on a 2-vCPU
-# x86-64 host: the slowest builds below it, F_509^2 and F_3^11, take 0.7-0.9 s,
-# while F_2^18 (least primitive element t^3 + t) takes 1.8 s.
-_LOG_LIMIT = 2**18 - 1
+# Integer-indexed arithmetic engines for whole-field loops.  A scan works on
+# element indexes instead of FFElement objects: mod-p ints for prime fields,
+# and log/Zech tables (three arrays of about q ints) for every extension.
+# The tables grow with the field, so the caller's field cap is their only
+# bound.  Work that never enumerates the field computes on FFElement instead.
 
 
 class FieldOps:
-    """Arithmetic on element indexes of one field, built for tight loops.
+    """Index arithmetic for the scan loops: add, sub and pow on one field.
 
     Index 0 is always the zero element and index 1 the one element, so
     sparsity tests stay plain truthiness checks.  No engine keeps a q*q
@@ -466,31 +464,9 @@ class FieldOps:
     mul_table = None
 
     def __init__(self, fs: FieldSpec):
-        self.field = fs
         self.p = fs.p
         self.n = fs.n
         self.q = fs.order
-        self.weights = [self.p**k for k in range(self.n)]  # index = sum digit*weight
-
-    # add, sub, neg, mul are provided by subclasses.
-
-    def pow(self, i: int, e: int) -> int:
-        if e < 0:
-            raise ArgumentError("negative exponents are not defined here")
-        result = 1
-        mul = self.mul
-        while e:
-            if e & 1:
-                result = mul(result, i)
-            e >>= 1
-            if e:
-                i = mul(i, i)
-        return result
-
-    def inv(self, i: int) -> int:
-        if i == 0:
-            raise ZeroDivisionError("zero has no inverse")
-        return self.pow(i, self.q - 2)
 
 
 class _PrimeOps(FieldOps):
@@ -499,12 +475,6 @@ class _PrimeOps(FieldOps):
 
     def sub(self, i: int, j: int) -> int:
         return (i - j) % self.p
-
-    def neg(self, i: int) -> int:
-        return -i % self.p
-
-    def mul(self, i: int, j: int) -> int:
-        return i * j % self.p
 
     def pow(self, i: int, e: int) -> int:
         if e < 0:
@@ -523,6 +493,7 @@ class _LogOps(FieldOps):
     def __init__(self, fs: FieldSpec):
         super().__init__(fs)
         p, n, q, m = self.p, self.n, self.q, fs.modulus.coeffs
+        weights = [p**k for k in range(n)]  # index = sum digit*weight
         self.order = order = q - 1
         self.half = order // 2 if p > 2 else 0
         # g generates F_q^* iff g^(order/r) != 1 for every prime r | order
@@ -547,7 +518,7 @@ class _LogOps(FieldOps):
                         acc[j] = (acc[j] + top * r) % p
                 if c:
                     acc = [(a + c * b) % p for a, b in zip(acc, v)]
-            v, i = acc, sum(map(operator.mul, acc, self.weights))
+            v, i = acc, sum(map(operator.mul, acc, weights))
         self.zech = zech = array("l", [0]) * order
         for k, e in enumerate(exp):  # 1 + g^k differs from g^k in digit 0 only
             zech[k] = log[e + 1 if e % p != p - 1 else e + 1 - p]
@@ -564,43 +535,13 @@ class _LogOps(FieldOps):
     def neg(self, i: int) -> int:
         return self.exp[(self.log[i] + self.half) % self.order] if i else 0
 
-    def mul(self, i: int, j: int) -> int:
-        return self.exp[(self.log[i] + self.log[j]) % self.order] if i and j else 0
-
     def pow(self, i: int, e: int) -> int:
         if e < 0:
             raise ArgumentError("negative exponents are not defined here")
         return self.exp[self.log[i] * e % self.order] if i else int(e == 0)
 
 
-class _VectorOps(FieldOps):
-    def _digits(self, i: int) -> list[int]:
-        return [i // w % self.p for w in self.weights]
-
-    def _enc(self, vec: Iterable[int]) -> int:
-        return sum(map(operator.mul, vec, self.weights))
-
-    def add(self, i: int, j: int) -> int:
-        p = self.p
-        return self._enc([(a + b) % p for a, b in zip(self._digits(i), self._digits(j))])
-
-    def sub(self, i: int, j: int) -> int:
-        p = self.p
-        return self._enc([(a - b) % p for a, b in zip(self._digits(i), self._digits(j))])
-
-    def neg(self, i: int) -> int:
-        p = self.p
-        return self._enc([-a % p for a in self._digits(i)])
-
-    def mul(self, i: int, j: int) -> int:
-        p = self.p
-        return self._enc(_pmod(_pmul(self._digits(i), self._digits(j), p), self.field.modulus.coeffs, p))
-
-
 @lru_cache(maxsize=64)
 def field_ops(fs: FieldSpec) -> FieldOps:
-    if fs.n == 1:
-        return _PrimeOps(fs)
-    if fs.order <= _LOG_LIMIT:
-        return _LogOps(fs)
-    return _VectorOps(fs)
+    """The scan engine of fs: mod-p ints for n = 1, log tables otherwise."""
+    return _PrimeOps(fs) if fs.n == 1 else _LogOps(fs)

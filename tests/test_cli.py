@@ -647,6 +647,21 @@ class TestAvgDensity:
         assert code == 0
         assert plot.read_text() == "c,ratio\n30,0.222222\n"
 
+    def test_unwritable_plot_path_writes_nothing(self, capsys, tmp_path):
+        out = tmp_path / "table.csv"
+        plot = tmp_path / "missing" / "plot.csv"
+        for argv in (["--emit-plot-data", str(plot)], ["--emit-plot-data", str(plot), "--out", str(out)]):
+            code, stdout, err = run(capsys, ["density", "--kind", "nc3", "--c", "100", *argv])
+            assert (code, stdout) == (2, "")
+            assert err.startswith(f"error: cannot write {plot}: ")
+            assert not out.exists()
+
+    def test_plot_path_equal_to_out_is_refused(self, capsys, tmp_path):
+        out = str(tmp_path / "table.csv")
+        code, _, err = run(capsys, ["density", "--kind", "nc3", "--c", "30", "--out", out, "--emit-plot-data", out])
+        assert code == 2
+        assert err == "error: --emit-plot-data and --out name the same file\n"
+
     def test_sieve_cap_exit(self, capsys):
         code, _, err = run(
             capsys,

@@ -9,7 +9,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcensus import dynamics, ff
+from fixcensus import dynamics, ff, stats
 from fixcensus.cli import _census_point
 from fixcensus.dynamics import Family, MapSpec
 from fixcensus.ff import FieldCapError
@@ -171,6 +171,36 @@ class TestGcdOracle:
         assert dynamics.gcd_root_count(ff.standard_field(7, 1), MapSpec.raw(6, 3)) == 1
         assert dynamics.gcd_root_count(ff.standard_field(5, 2), MapSpec.raw(4, 0)) == 4
         assert dynamics.gcd_root_count(ff.standard_field(3, 2), MapSpec.raw(9, 0)) == 9
+
+    def test_reaches_no_scan_engine(self, monkeypatch):
+        cases = [(ff.standard_field(p, n), d, c) for p, n, d, c in
+                 [(3, 2, 9, 0), (5, 2, 4, 0), (7, 1, 6, 3), (2, 4, 3, 1), (11, 2, 5, 7)]]
+        expected = [len(brute_force_fixed_points(fs, d, fs.from_int(c))) for fs, d, c in cases]
+
+        def refuse(fs):
+            raise AssertionError("gcd_root_count reached a scan engine")
+
+        monkeypatch.setattr(ff, "field_ops", refuse)
+        monkeypatch.setattr(dynamics, "field_ops", refuse)
+        assert [dynamics.gcd_root_count(fs, MapSpec.raw(d, c)) for fs, d, c in cases] == expected
+
+    def test_no_field_cap_on_a_large_field(self):
+        # F_5^40 has about 9e27 elements; the closed form is 5^gcd(40, ell)
+        fs = ff.standard_field(5, 40)
+        for ell, c in [(1, 0), (1, 3)]:
+            expected = stats._prime_power_count(5, 40, ell, c)
+            assert dynamics.gcd_root_count(fs, MapSpec.prime_power(5, ell, c)) == expected == 5**ell
+
+    @given(
+        st.sampled_from([(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 11) if p**n <= 2000]),
+        st.integers(2, 40),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_matches_count_profile(self, field, d, data):
+        fs = ff.standard_field(*field)
+        c = fs.element_at(data.draw(st.integers(0, fs.order - 1)))
+        assert dynamics.count_profile(fs, d)[c.index] == dynamics.gcd_root_count(fs, MapSpec.raw(d, c))
 
     def test_dual_oracle_agreement_sample(self):
         for p, n in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)]:
