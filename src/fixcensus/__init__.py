@@ -13,11 +13,9 @@ from .dynamics import (
     CensusRecord,
     ExponentCapError,
     Family,
-    MapSpec,
     OrbitCensus,
     classify_residue,
     count_profile,
-    eval_map,
     fixed_point_count,
     fixed_points,
     gcd_root_count,
@@ -69,8 +67,8 @@ __all__ = [
     "find_irreducible", "certify_irreducible", "FieldSpec", "FFElement",
     "standard_field",
     # dynamics
-    "DEFAULT_EXP_CAP", "ExponentCapError", "Family", "MapSpec", "CensusRecord",
-    "OrbitCensus", "eval_map", "fixed_point_count",
+    "DEFAULT_EXP_CAP", "ExponentCapError", "Family", "CensusRecord",
+    "OrbitCensus", "fixed_point_count",
     "fixed_points", "count_profile", "gcd_root_count", "orbit_census",
     "classify_residue", "integral_fixed_points", "integer_root",
     # claims

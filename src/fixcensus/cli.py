@@ -22,7 +22,7 @@ import sys
 from fractions import Fraction
 
 from . import claims, dynamics, nfcount, stats
-from .dynamics import DEFAULT_EXP_CAP, Family, MapSpec
+from .dynamics import DEFAULT_EXP_CAP, Family
 from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, standard_field
 from .stats import DEFAULT_SIEVE_CAP, DensityKind, Selector
 
@@ -163,17 +163,18 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
     p, n, family_value, k, c_spec, field_cap, exp_cap = task
     fs = standard_field(p, n)
-    if c_spec == ("all",):
-        coefficients = list(fs.elements())
-    else:
-        coefficients = [_coefficient(fs, item) for item in c_spec]
-    if not coefficients:
+    family = Family(family_value)
+    d = family.degree(p, k)
+    coefficients = None if c_spec == ("all",) else [_coefficient(fs, item) for item in c_spec]
+    if coefficients == []:
         return []
-    m = MapSpec.of(Family(family_value), p, k, 0)  # validates (family, p, k); c is unused
-    profile = dynamics.count_profile(fs, m.d, field_cap=field_cap, exp_cap=exp_cap)
+    profile = dynamics.count_profile(fs, d, field_cap=field_cap, exp_cap=exp_cap)
+    if coefficients is None:  # every element, built only once the caps have passed
+        coefficients = map(fs.element_at, range(len(profile)))
+    ell = None if family is Family.RAW else k
     return [
         dynamics.CensusRecord(
-            p, n, m.ell, family_value, dynamics.classify_residue(p, c.index), str(c), profile[c.index]
+            p, n, ell, family_value, dynamics.classify_residue(p, c.index), str(c), profile[c.index]
         )
         for c in coefficients
     ]
@@ -183,10 +184,13 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
     p_list = _parse_int_list(args.p, "--p")
     n_list = _parse_int_list(args.n, "--n")
     family = Family(args.family)
-    flag, text = ("--d", args.d) if family is Family.RAW else ("--ell", args.ell)
+    flag, unread = ("d", "ell") if family is Family.RAW else ("ell", "d")
+    text = getattr(args, flag)
     if text is None:
-        raise UsageError(f"--family {family} needs {flag}")
-    k_list = _parse_int_list(text, flag)  # ell, or d for raw
+        raise UsageError(f"--family {family} needs --{flag}")
+    if getattr(args, unread) is not None:
+        raise UsageError(f"--family {family} takes no --{unread}")
+    k_list = _parse_int_list(text, f"--{flag}")  # ell, or d for raw
     if args.c.strip() == "all":
         c_spec = ("all",)
     else:
@@ -213,6 +217,7 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
     n_list = _parse_int_list(args.n, "--n")
     ell_list = _parse_int_list(args.ell, "--ell")
     grid = [(p, n, ell) for p in p_list for n in n_list for ell in ell_list]
+    pinned = _load_expect(args.expect) if args.expect else None
     reports = claims.check_all(
         grid,
         field_cap=cfg.field_cap,
@@ -227,13 +232,8 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
     columns = ["claim", "p", "n", "ell", "status", "c", "predicted", "actual"]
     _write(_output(cfg, "json", columns, rows, [rep.as_dict() for rep in reports]))
 
-    if args.expect:
-        try:
-            with open(args.expect, encoding="utf-8") as fh:
-                golden = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read --expect file {args.expect}: {exc}") from exc
-        mismatches = _compare_verdicts(golden, reports)
+    if pinned is not None:
+        mismatches = _compare_verdicts(pinned, reports)
         if mismatches:
             for line in mismatches:
                 print(line, file=sys.stderr)
@@ -241,23 +241,33 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _compare_verdicts(golden, reports: list[claims.ClaimReport]) -> list[str]:
-    """Mismatch descriptions between pinned verdicts and fresh reports."""
+def _load_expect(path: str) -> dict:
+    """The verdicts an --expect file pins, keyed (claim, p, n, ell); read
+    before any work, so a bad file stops the command before any output."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            golden = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise UsageError(f"cannot read --expect file {path}: {exc}") from exc
     if not isinstance(golden, list):
         raise UsageError("--expect file must hold a list of claim reports")
-    fresh = {
-        (rep.claim.id, pt.p, pt.n, pt.ell): pt.status.value
-        for rep in reports
-        for pt in rep.points
-    }
     try:  # the file is user data: a non-object entry or point is a usage error
-        pinned = {
+        return {
             (entry.get("claim"), pt.get("p"), pt.get("n"), pt.get("ell")): pt.get("status")
             for entry in golden
             for pt in entry.get("grid", [])
         }
     except (AttributeError, TypeError) as exc:
         raise UsageError(f"--expect entries must be objects with a grid of objects: {exc}") from exc
+
+
+def _compare_verdicts(pinned: dict, reports: list[claims.ClaimReport]) -> list[str]:
+    """Mismatch descriptions between pinned verdicts and fresh reports."""
+    fresh = {
+        (rep.claim.id, pt.p, pt.n, pt.ell): pt.status.value
+        for rep in reports
+        for pt in rep.points
+    }
     lines = []
     for key in sorted(set(fresh) | set(pinned), key=str):
         a, b = pinned.get(key), fresh.get(key)
@@ -363,6 +373,8 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
     fs = standard_field(args.p, args.n)
     c = _coefficient(fs, args.c)
     if args.d is not None:
+        if args.family is not None or args.ell is not None:
+            raise UsageError("orbits takes --d or --family with --ell, not both")
         family, k = Family.RAW, args.d
     elif args.family is None:
         raise UsageError("orbits needs --d or --family with --ell")
@@ -370,9 +382,9 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"--family {args.family} needs --ell")
     else:
         family, k = Family(args.family), args.ell
-    m = MapSpec.of(family, args.p, k, c)
-    census = dynamics.orbit_census(fs, m, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
-    result = {"field": fs.as_dict(), "d": m.d, "c": str(c), **census.as_dict()}
+    d = family.degree(args.p, k)
+    census = dynamics.orbit_census(fs, d, c, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+    result = {"field": fs.as_dict(), "d": d, "c": str(c), **census.as_dict()}
     columns = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]
     _write(_output(cfg, "json", columns, [{"p": fs.p, "n": fs.n, **result}], result))
     return 0

@@ -38,10 +38,8 @@ __all__ = [
     "DEFAULT_EXP_CAP",
     "ExponentCapError",
     "Family",
-    "MapSpec",
     "CensusRecord",
     "OrbitCensus",
-    "eval_map",
     "fixed_point_count",
     "fixed_points",
     "count_profile",
@@ -72,68 +70,16 @@ class Family(enum.Enum):
     def __str__(self) -> str:
         return self.value
 
-    def degree(self, p: int, ell: int) -> int:
-        """The map degree at (p, ell): p^ell, or (p-1)^ell for pminus1."""
+    def degree(self, p: int, k: int) -> int:
+        """The map degree of exponent k at the prime p: p^k for prime-power,
+        (p-1)^k for pminus1 (p >= 5), and k itself for raw (p unused)."""
         if self is Family.RAW:
-            raise ArgumentError("raw family has no degree rule; give d directly")
-        return (p if self is Family.PRIME_POWER else p - 1) ** ell
-
-
-@dataclass(frozen=True)
-class MapSpec:
-    """One map z -> z^d + c.
-
-    c may be a plain integer (embedded through the prime subfield when the
-    map is placed on a field) or a ready FFElement pinned to one field.
-    """
-
-    family: Family
-    d: int
-    c: int | FFElement
-    p: int | None = None
-    ell: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.d < 2:
-            raise ArgumentError(f"map degree {self.d} must be at least 2")
-        if self.family is Family.RAW:
-            if self.p is not None or self.ell is not None:
-                raise ArgumentError("raw family takes no p or ell")
-            return
-        if self.p is None or self.ell is None or self.ell < 1 or not is_prime(self.p):
-            raise ArgumentError(f"{self.family} family needs a prime p and ell >= 1")
-        if self.family is Family.P_MINUS_ONE and self.p < 5:
+            return k
+        if k < 1 or not is_prime(p):
+            raise ArgumentError(f"{self} family needs a prime p and ell >= 1")
+        if self is Family.P_MINUS_ONE and p < 5:
             raise ArgumentError("pminus1 family needs p >= 5")
-        if self.d != self.family.degree(self.p, self.ell):
-            base = "p" if self.family is Family.PRIME_POWER else "(p-1)"
-            raise ArgumentError(f"degree does not match {base}^ell")
-
-    @classmethod
-    def of(cls, family: Family, p: int | None, k: int, c: int | FFElement) -> "MapSpec":
-        """The map of family with exponent k: ell for the named families
-        (degree by Family.degree), the degree itself for raw (p unused)."""
-        if family is Family.RAW:
-            return cls(family, k, c)
-        return cls(family, family.degree(p, k), c, p, k)
-
-    @classmethod
-    def prime_power(cls, p: int, ell: int, c: int | FFElement) -> "MapSpec":
-        return cls.of(Family.PRIME_POWER, p, ell, c)
-
-    @classmethod
-    def p_minus_one(cls, p: int, ell: int, c: int | FFElement) -> "MapSpec":
-        return cls.of(Family.P_MINUS_ONE, p, ell, c)
-
-    @classmethod
-    def raw(cls, d: int, c: int | FFElement) -> "MapSpec":
-        return cls(Family.RAW, d, c)
-
-    def coefficient(self, fs: FieldSpec) -> FFElement:
-        if isinstance(self.c, FFElement):
-            if self.c.field != fs:
-                raise ArgumentError("coefficient belongs to a different field")
-            return self.c
-        return fs.from_int(self.c)
+        return (p if self is Family.PRIME_POWER else p - 1) ** k
 
 
 @dataclass(frozen=True)
@@ -183,6 +129,9 @@ class OrbitCensus:
 
 
 def _check_caps(fs: FieldSpec, d: int, field_cap: int | None, exp_cap: int) -> None:
+    """The checks every counter makes before any work: d >= 2, then the caps."""
+    if d < 2:
+        raise ArgumentError(f"map degree {d} must be at least 2")
     if field_cap is not None and fs.order > field_cap:
         raise FieldCapError(
             f"field order {fs.p}^{fs.n} = {fs.order} exceeds the cap {field_cap}"
@@ -191,11 +140,14 @@ def _check_caps(fs: FieldSpec, d: int, field_cap: int | None, exp_cap: int) -> N
         raise ExponentCapError(f"map degree {d} exceeds the exponent cap {exp_cap}")
 
 
-def eval_map(fs: FieldSpec, m: MapSpec, z: FFElement) -> FFElement:
-    """One application of the map: z^d + c."""
-    if z.field != fs:
-        raise ArgumentError("point belongs to a different field")
-    return z**m.d + m.coefficient(fs)
+def _coefficient_index(fs: FieldSpec, c: int | FFElement) -> int:
+    """The enumeration index of c in fs: an integer is embedded through the
+    prime subfield, an element must belong to fs."""
+    if not isinstance(c, FFElement):
+        return fs.from_int(c).index
+    if c.field != fs:
+        raise ArgumentError("coefficient belongs to a different field")
+    return c.index
 
 
 def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
@@ -204,8 +156,6 @@ def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
     z - z^d is the one coefficient c that makes z a fixed point of
     z -> z^d + c.  The caps are checked before the first element.
     """
-    if d < 2:
-        raise ArgumentError(f"map degree {d} must be at least 2")
     _check_caps(fs, d, field_cap, exp_cap)
     ops = field_ops(fs)
     powf, sub = ops.pow, ops.sub
@@ -214,27 +164,32 @@ def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
 
 def fixed_point_count(
     fs: FieldSpec,
-    m: MapSpec,
+    d: int,
+    c: int | FFElement,
     *,
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> int:
-    """Exact count of z with z^d + c = z, by scanning every element."""
-    scan = _scan(fs, m.d, field_cap, exp_cap)
-    return operator.countOf(scan, m.coefficient(fs).index)
+    """Exact count of z with z^d + c = z, by scanning every element.
+
+    c is an integer (embedded through the prime subfield) or an element of fs.
+    """
+    scan = _scan(fs, d, field_cap, exp_cap)
+    return operator.countOf(scan, _coefficient_index(fs, c))
 
 
 def fixed_points(
     fs: FieldSpec,
-    m: MapSpec,
+    d: int,
+    c: int | FFElement,
     *,
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> list[FFElement]:
-    """The fixed points themselves, in enumeration order."""
-    scan = _scan(fs, m.d, field_cap, exp_cap)
-    target = m.coefficient(fs).index
-    return [fs.element_at(z) for z, c in enumerate(scan) if c == target]
+    """The fixed points of z^d + c themselves, in enumeration order."""
+    scan = _scan(fs, d, field_cap, exp_cap)
+    target = _coefficient_index(fs, c)
+    return [fs.element_at(z) for z, t in enumerate(scan) if t == target]
 
 
 def count_profile(
@@ -330,7 +285,8 @@ def _poly_gcd(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
 
 def gcd_root_count(
     fs: FieldSpec,
-    m: MapSpec,
+    d: int,
+    c: int | FFElement,
     *,
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> int:
@@ -339,9 +295,8 @@ def gcd_root_count(
     Counts distinct roots of f = z^d - z + c as deg gcd(f, z^q - z); no
     field cap applies because the work is polynomial in d and log q.
     """
-    _check_caps(fs, m.d, None, exp_cap)
-    d = m.d
-    c = m.coefficient(fs)
+    _check_caps(fs, d, None, exp_cap)
+    c = fs.element_at(_coefficient_index(fs, c))
     h = _powmod_x(fs.order, d, c)  # z^q mod f
     h += [fs.zero] * (2 - len(h))
     h[1] = h[1] - fs.one  # h = z^q - z mod f
@@ -354,7 +309,8 @@ def gcd_root_count(
 
 def orbit_census(
     fs: FieldSpec,
-    m: MapSpec,
+    d: int,
+    c: int | FFElement,
     *,
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
@@ -365,11 +321,10 @@ def orbit_census(
     or already-finished territory, then unwinds the pending path backwards
     so every element learns its component and tail depth.  Linear in q.
     """
-    _check_caps(fs, m.d, field_cap, exp_cap)
+    _check_caps(fs, d, field_cap, exp_cap)
+    c_idx = _coefficient_index(fs, c)
     ops = field_ops(fs)
     q = ops.q
-    d = m.d
-    c_idx = m.coefficient(fs).index
     powf, add = ops.pow, ops.add
     succ = [add(powf(z, d), c_idx) for z in range(q)]
 

@@ -14,7 +14,6 @@ parallel workers.
 from __future__ import annotations
 
 import itertools
-import math
 import operator
 import re
 from array import array
@@ -83,6 +82,21 @@ def is_prime(u: int) -> bool:
         else:
             return False
     return True
+
+
+def _prime_factors(u: int, floor: int = 2) -> list[int]:
+    """The distinct primes p >= floor dividing u, ascending; none for u < 2."""
+    out = []
+    k = 2
+    while u >= 2 and k * k <= u:
+        if u % k == 0:
+            out.append(k)
+            while u % k == 0:
+                u //= k
+        k += 1 if k == 2 else 2
+    if u >= 2:
+        out.append(u)
+    return [p for p in out if p >= floor]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +511,7 @@ class _LogOps(FieldOps):
         self.order = order = q - 1
         self.half = order // 2 if p > 2 else 0
         # g generates F_q^* iff g^(order/r) != 1 for every prime r | order
-        divisors = [r for r in range(2, math.isqrt(order) + 1) if order % r == 0]
-        primes = {r for r in [order, *divisors, *(order // r for r in divisors)] if is_prime(r)}
+        primes = _prime_factors(order)
         g = next(g for g in (_trim(fs.element_at(i).coeffs) for i in range(2, q))
                  if all(_ppowmod(g, order // r, m, p) != (1,) for r in primes))
         lead, *lower = reversed(g)

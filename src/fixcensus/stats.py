@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import dynamics
-from .dynamics import DEFAULT_EXP_CAP, Family, MapSpec
-from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, standard_field
+from .dynamics import DEFAULT_EXP_CAP, Family
+from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, _prime_factors, standard_field
 
 __all__ = [
     "DEFAULT_SIEVE_CAP",
@@ -173,21 +173,6 @@ def _primes_between(floor: int, bound: int) -> int:
     return prime_count(bound) - prime_count(floor - 1) if bound >= floor else 0
 
 
-def _prime_factors(u: int, floor: int) -> list[int]:
-    """The distinct primes p >= floor dividing u, ascending; none for u < 2."""
-    out = []
-    k = 2
-    while u >= 2 and k * k <= u:
-        if u % k == 0:
-            out.append(k)
-            while u % k == 0:
-                u //= k
-        k += 1 if k == 2 else 2
-    if u >= 2:
-        out.append(u)
-    return [p for p in out if p >= floor]
-
-
 def _prime_power_count(p: int, n: int, ell: int, c: int) -> int:
     """Fixed points of z -> z^(p^ell) + c on F_{p^n}, c an integer, exactly.
 
@@ -243,8 +228,8 @@ def average_report(
     def count(p: int, c: int) -> int:
         if family is Family.PRIME_POWER:
             return _prime_power_count(p, n, ell, c)
-        m = MapSpec.of(family, p, ell, c)
-        return dynamics.fixed_point_count(standard_field(p, n), m, field_cap=field_cap, exp_cap=exp_cap)
+        d = family.degree(p, ell)
+        return dynamics.fixed_point_count(standard_field(p, n), d, c, field_cap=field_cap, exp_cap=exp_cap)
 
     rows = []
     for c, target in targets:

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 from fixcensus import claims, dynamics, ff, nfcount, stats
 from fixcensus.claims import Verdict
-from fixcensus.dynamics import Family, MapSpec
+from fixcensus.dynamics import Family
 from fixcensus.stats import DensityKind, Selector
 
 
@@ -20,30 +20,27 @@ def _verdict(num, label, problems):
 
 
 def _grid_points():
-    """(field, map) pairs for the dual-oracle and orbit criteria."""
+    """(field, degree) pairs for the dual-oracle and orbit criteria."""
     for p in (3, 5, 7, 11):
         for n in (1, 2):
             if p**n > 15000:
                 continue
             fs = ff.standard_field(p, n)
             for ell in (1, 2):
-                specs = [MapSpec.prime_power(p, ell, 0)]
+                yield fs, Family.PRIME_POWER.degree(p, ell)
                 if p >= 5:
-                    specs.append(MapSpec.p_minus_one(p, ell, 0))
-                for base in specs:
-                    yield fs, base
+                    yield fs, Family.P_MINUS_ONE.degree(p, ell)
 
 
 def test_01_dual_oracle_equivalence():
     problems = []
-    for fs, base in _grid_points():
+    for fs, d in _grid_points():
         for idx in range(fs.order):
             c = fs.element_at(idx)
-            m = MapSpec(base.family, base.d, c, base.p, base.ell)
-            scan = dynamics.fixed_point_count(fs, m)
-            via_gcd = dynamics.gcd_root_count(fs, m)
+            scan = dynamics.fixed_point_count(fs, d, c)
+            via_gcd = dynamics.gcd_root_count(fs, d, c)
             if scan != via_gcd:
-                problems.append((fs.p, fs.n, base.d, str(c), scan, via_gcd))
+                problems.append((fs.p, fs.n, d, str(c), scan, via_gcd))
     _verdict(1, "scan and gcd fixed-point counters agree on the full grid", problems)
 
 
@@ -51,14 +48,14 @@ def test_02_confirmed_counting_points():
     problems = []
     for n in (1, 2, 3):
         fs = ff.standard_field(3, n)
-        got = dynamics.fixed_point_count(fs, MapSpec.prime_power(3, 1, 0))
+        got = dynamics.fixed_point_count(fs, 3, 0)
         if got != 3:
             problems.append(("degree-3 zero class", 3, n, got))
     for p in (5, 7, 11, 13):
         fs = ff.standard_field(p, 1)
         for ell in (1, 2):
             for c, want in [(0, 2), (1, 1), (p - 1, 0)]:
-                got = dynamics.fixed_point_count(fs, MapSpec.p_minus_one(p, ell, c))
+                got = dynamics.fixed_point_count(fs, Family.P_MINUS_ONE.degree(p, ell), c)
                 if got != want:
                     problems.append(("unit-degree classes", p, ell, c, want, got))
     _verdict(2, "confirmed count values are exact", problems)
@@ -140,17 +137,16 @@ def test_07_desk_counts_and_growth_bound():
 
 def test_08_orbit_census_consistency():
     problems = []
-    for fs, base in _grid_points():
+    for fs, d in _grid_points():
         for idx in range(fs.order):
             c = fs.element_at(idx)
-            m = MapSpec(base.family, base.d, c, base.p, base.ell)
-            census = dynamics.orbit_census(fs, m)
+            census = dynamics.orbit_census(fs, d, c)
             ones = sum(1 for k in census.cycle_lengths if k == 1)
-            direct = dynamics.fixed_point_count(fs, m)
+            direct = dynamics.fixed_point_count(fs, d, c)
             if ones != direct:
-                problems.append((fs.p, fs.n, base.d, str(c), "fixed", ones, direct))
+                problems.append((fs.p, fs.n, d, str(c), "fixed", ones, direct))
             if sum(census.component_sizes) != fs.order:
-                problems.append((fs.p, fs.n, base.d, str(c), "partition"))
+                problems.append((fs.p, fs.n, d, str(c), "partition"))
     _verdict(8, "functional graphs partition the field and agree on fixed points", problems)
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from fixcensus import claims, dynamics, ff
 from fixcensus.claims import Verdict
-from fixcensus.dynamics import Family, MapSpec
+from fixcensus.dynamics import Family
 
 
 def witness_triples(result):
@@ -156,7 +156,7 @@ class TestCheckPoint:
             fs = ff.standard_field(pt[0], pt[1])
             d = spec.family.degree(pt[0], pt[2])
             for w in res.witnesses:
-                assert dynamics.fixed_point_count(fs, MapSpec.raw(d, w.c)) == w.actual
+                assert dynamics.fixed_point_count(fs, d, w.c) == w.actual
                 assert spec.expected(dynamics.classify_residue(fs.p, w.c.index)) == w.predicted
                 assert w.predicted != w.actual
 
@@ -182,7 +182,7 @@ class TestCheckPoint:
         # the 3-points-at-zero prediction itself is solid for d = 3
         for n in (1, 2, 3):
             fs = ff.standard_field(3, n)
-            assert dynamics.fixed_point_count(fs, MapSpec.prime_power(3, 1, 0)) == 3
+            assert dynamics.fixed_point_count(fs, 3, 0) == 3
         for spec_id, n in [("C-2.1", 2), ("C-2.1", 3), ("C-2.2", 2)]:
             res = claims.check_point(claims.claim_by_id(spec_id), 3, n, 1)
             assert all(str(w.c) != "0" for w in res.witnesses)

@@ -12,7 +12,6 @@ import pytest
 
 from fixcensus import cli, dynamics, ff, nfcount
 from fixcensus.cli import main
-from fixcensus.dynamics import MapSpec
 
 
 def run(capsys, argv):
@@ -249,7 +248,7 @@ class TestCensus:
         for line in out.splitlines()[1:]:
             parts = line.split(",")
             c = fs.parse(parts[5])
-            assert int(parts[6]) == dynamics.fixed_point_count(fs, MapSpec.raw(4, c))
+            assert int(parts[6]) == dynamics.fixed_point_count(fs, 4, c)
 
     def test_pminus1_residue_classes(self, capsys):
         code, out, _ = run(
@@ -282,6 +281,9 @@ class TestCensus:
         )
         assert code == 0
         assert out == "p,n,ell,family,c_class,c_repr,fixed_count\n"
+        # the family point is checked even when no coefficient is asked for
+        assert run(capsys, ["census", "--p", "3", "--n", "1", "--family", "pminus1",
+                            "--ell", "1", "--c", ""]) == (2, "", "error: pminus1 family needs p >= 5\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run(
@@ -355,6 +357,19 @@ class TestCensus:
         )
         assert code == 2
         assert "error:" in err
+
+    def test_field_cap_refusal_builds_no_element(self, capsys, monkeypatch):
+        def no_element(fs, index):
+            raise AssertionError("an element was built before the cap check")
+
+        monkeypatch.setattr(ff.FieldSpec, "element_at", no_element)
+        code, out, err = run(
+            capsys,
+            ["census", "--p", "3", "--n", "7", "--family", "prime-power", "--ell", "1",
+             "--c", "all", "--field-cap", "1000"],
+        )
+        assert (code, out) == (2, "")
+        assert "exceeds the cap 1000" in err
 
     def test_exp_cap_exit(self, capsys):
         code, _, err = run(
@@ -435,6 +450,31 @@ def test_internal_value_error_is_not_a_usage_error(capsys, monkeypatch):
     with pytest.raises(ValueError, match="internal fault"):
         main(["nf", "--d", "3", "--X", "100"])
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            ["orbits", "--p", "3", "--n", "2", "--d", "2", "--family", "prime-power", "--ell", "1",
+             "--c", "0"], "orbits takes --d or --family with --ell, not both", id="orbits-d-family",
+        ),
+        pytest.param(
+            ["orbits", "--p", "3", "--n", "2", "--d", "2", "--ell", "1", "--c", "0"],
+            "orbits takes --d or --family with --ell, not both", id="orbits-d-ell",
+        ),
+        pytest.param(
+            ["census", "--p", "3", "--n", "1", "--family", "prime-power", "--ell", "1", "--d", "2",
+             "--c", "0"], "--family prime-power takes no --d", id="census-prime-power-d",
+        ),
+        pytest.param(
+            ["census", "--p", "3", "--n", "1", "--family", "raw", "--d", "2", "--ell", "1",
+             "--c", "0"], "--family raw takes no --ell", id="census-raw-ell",
+        ),
+    ],
+)
+def test_degree_flag_the_family_does_not_read_exits_2(capsys, argv, message):
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
 def test_library_argument_errors_exit_2(capsys):
@@ -569,8 +609,9 @@ class TestClaims:
                         pt["status"] = "FAILS"
         tampered = tmp_path / "tampered.json"
         tampered.write_text(json.dumps(reports))
-        code, _, err = run(capsys, argv + ["--expect", str(tampered)])
+        code, out, err = run(capsys, argv + ["--expect", str(tampered)])
         assert code == 3
+        assert out == golden.read_text()  # drift still writes the fresh report
         assert "regression:" in err
         assert "C-3.4" in err
 
@@ -593,11 +634,29 @@ class TestClaims:
     def test_expect_entries_must_be_objects(self, capsys, tmp_path, golden):
         path = tmp_path / "golden.json"
         path.write_text(golden)
-        code, _, err = run(
+        code, out, err = run(
             capsys, ["claims", "--p", "3", "--n", "1", "--ell", "1", "--expect", str(path)]
         )
-        assert code == 2
+        assert (code, out) == (2, "")
         assert err.startswith("error: --expect entries must be objects")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            pytest.param(None, "error: cannot read --expect file", id="missing"),
+            pytest.param("[{", "error: cannot read --expect file", id="malformed"),
+            pytest.param('{"claim": "C-2.1"}', "error: --expect file must hold a list", id="not-a-list"),
+        ],
+    )
+    def test_bad_expect_file_exits_2_before_the_report(self, capsys, tmp_path, text, message):
+        path = tmp_path / "golden.json"
+        if text is not None:
+            path.write_text(text)
+        code, out, err = run(
+            capsys, ["claims", "--p", "3", "--n", "1", "--ell", "1", "--expect", str(path)]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith(message)
 
     def test_non_prime_grid_exits_2(self, capsys):
         code, _, err = run(capsys, ["claims", "--p", "4", "--n", "1", "--ell", "1"])

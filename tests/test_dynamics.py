@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from fixcensus import dynamics, ff, stats
 from fixcensus.cli import _census_point
-from fixcensus.dynamics import Family, MapSpec
+from fixcensus.dynamics import Family
 from fixcensus.ff import FieldCapError
 
 
@@ -63,46 +63,48 @@ def brute_force_orbit(fs, d, c):
     return sorted(cycle_lengths), len(cycle_lengths), max_tail
 
 
-class TestMapSpec:
+class TestFamilyDegree:
     def test_families(self):
-        m = MapSpec.prime_power(3, 2, 1)
-        assert m.d == 9 and m.family is Family.PRIME_POWER
-        m = MapSpec.p_minus_one(7, 2, 0)
-        assert m.d == 36
-        m = MapSpec.raw(5, 2)
-        assert m.p is None and m.ell is None
+        assert Family.PRIME_POWER.degree(3, 2) == 9
+        assert Family.P_MINUS_ONE.degree(7, 2) == 36
+        assert Family.RAW.degree(4, 5) == 5  # raw returns k; p is unused
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            MapSpec.prime_power(4, 1, 0)  # not prime
-        with pytest.raises(ValueError):
-            MapSpec.p_minus_one(3, 1, 0)  # needs p >= 5
-        with pytest.raises(ValueError):
-            MapSpec.raw(1, 0)  # degree too small
-        with pytest.raises(ValueError):
-            MapSpec(Family.PRIME_POWER, 8, 0, 3, 2)  # 8 != 3^2
+        for family, p, ell, message in [
+            (Family.PRIME_POWER, 4, 1, "prime-power family needs a prime p and ell >= 1"),
+            (Family.PRIME_POWER, 3, 0, "prime-power family needs a prime p and ell >= 1"),
+            (Family.P_MINUS_ONE, 9, 1, "pminus1 family needs a prime p and ell >= 1"),
+            (Family.P_MINUS_ONE, 3, 1, "pminus1 family needs p >= 5"),
+        ]:
+            with pytest.raises(ff.ArgumentError, match=message):
+                family.degree(p, ell)
 
+
+# The four field counters, each as (fs, d, c) -> a comparable result.
+COUNTERS = [
+    dynamics.fixed_point_count,
+    dynamics.fixed_points,
+    dynamics.gcd_root_count,
+    dynamics.orbit_census,
+]
+
+
+class TestCounterArguments:
     def test_coefficient_resolution(self):
+        # an integer is the prime-subfield element it names; a foreign element is refused
+        fs = ff.standard_field(5, 2)
+        for counter in COUNTERS:
+            for c in (0, 1, 7, -1):
+                assert counter(fs, 4, c) == counter(fs, 4, fs.from_int(c))
+            with pytest.raises(ff.ArgumentError, match="coefficient belongs to a different field"):
+                counter(fs, 4, ff.standard_field(5, 1).one)
+
+    def test_degree_below_two_refused(self):
         fs = ff.standard_field(5, 1)
-        assert MapSpec.raw(2, 7).coefficient(fs) == fs.from_int(2)
-        c = fs.from_int(3)
-        assert MapSpec.raw(2, c).coefficient(fs) == c
-        other = ff.standard_field(3, 1).one
-        with pytest.raises(ValueError):
-            MapSpec.raw(2, other).coefficient(fs)
-
-
-class TestEvalMap:
-    def test_matches_definition(self):
-        fs = ff.standard_field(7, 1)
-        m = MapSpec.raw(6, 3)
-        for z in fs.elements():
-            assert dynamics.eval_map(fs, m, z) == z**6 + fs.from_int(3)
-
-    def test_rejects_foreign_point(self):
-        fs = ff.standard_field(7, 1)
-        with pytest.raises(ValueError):
-            dynamics.eval_map(fs, MapSpec.raw(2, 0), ff.standard_field(5, 1).one)
+        for counter in COUNTERS:
+            for d in (1, 0, -3):
+                with pytest.raises(ff.ArgumentError, match=f"map degree {d} must be at least 2"):
+                    counter(fs, d, 0)
 
 
 class TestFixedPointCount:
@@ -112,9 +114,8 @@ class TestFixedPointCount:
             fs = ff.standard_field(p, 1)
             for ell in (1, 2, 3):
                 for c in range(-6, 7):
-                    m = MapSpec.prime_power(p, ell, c)
                     want = p if c % p == 0 else 0
-                    assert dynamics.fixed_point_count(fs, m) == want
+                    assert dynamics.fixed_point_count(fs, p**ell, c) == want
 
     def test_pminus1_ground_truth_n1(self):
         # Counts 2, 1, 0 at c = 0, 1, -1 mod p; 1 elsewhere comes from the
@@ -122,9 +123,8 @@ class TestFixedPointCount:
         for p in (5, 7, 11, 13):
             fs = ff.standard_field(p, 1)
             for c in range(p):
-                m = MapSpec.p_minus_one(p, 1, c)
-                got = dynamics.fixed_point_count(fs, m)
-                assert got == len(brute_force_fixed_points(fs, m.d, fs.from_int(c)))
+                got = dynamics.fixed_point_count(fs, p - 1, c)
+                assert got == len(brute_force_fixed_points(fs, p - 1, fs.from_int(c)))
                 if c == 0:
                     assert got == 2
                 elif c == 1:
@@ -138,39 +138,37 @@ class TestFixedPointCount:
             for d in (2, 3, 4, p, p * p):
                 for idx in range(0, fs.order, 3):
                     c = fs.element_at(idx)
-                    m = MapSpec.raw(d, c)
-                    assert dynamics.fixed_point_count(fs, m) == len(
+                    assert dynamics.fixed_point_count(fs, d, c) == len(
                         brute_force_fixed_points(fs, d, c)
                     )
 
     def test_fixed_points_listing(self):
         fs = ff.standard_field(5, 1)
-        assert [str(z) for z in dynamics.fixed_points(fs, MapSpec.raw(4, 1))] == ["2"]
-        assert dynamics.fixed_points(fs, MapSpec.raw(4, 4)) == []
-        pts = dynamics.fixed_points(fs, MapSpec.raw(4, 0))
+        assert [str(z) for z in dynamics.fixed_points(fs, 4, 1)] == ["2"]
+        assert dynamics.fixed_points(fs, 4, 4) == []
+        pts = dynamics.fixed_points(fs, 4, 0)
         assert [str(z) for z in pts] == ["0", "1"]
 
     def test_field_cap_refusal(self):
         fs = ff.standard_field(11, 2)
-        m = MapSpec.raw(3, 1)
         with pytest.raises(FieldCapError):
-            dynamics.fixed_point_count(fs, m, field_cap=100)
+            dynamics.fixed_point_count(fs, 3, 1, field_cap=100)
         with pytest.raises(dynamics.ExponentCapError):
-            dynamics.fixed_point_count(fs, MapSpec.raw(10**7, 1))
+            dynamics.fixed_point_count(fs, 10**7, 1)
 
     def test_gcd_counter_ignores_field_cap(self):
         # the gcd path is polynomial in d and log q, so only the exponent cap binds
         fs = ff.standard_field(11, 2)
-        assert dynamics.gcd_root_count(fs, MapSpec.raw(3, 1)) == len(
+        assert dynamics.gcd_root_count(fs, 3, 1) == len(
             brute_force_fixed_points(fs, 3, fs.from_int(1))
         )
 
 
 class TestGcdOracle:
     def test_examples(self):
-        assert dynamics.gcd_root_count(ff.standard_field(7, 1), MapSpec.raw(6, 3)) == 1
-        assert dynamics.gcd_root_count(ff.standard_field(5, 2), MapSpec.raw(4, 0)) == 4
-        assert dynamics.gcd_root_count(ff.standard_field(3, 2), MapSpec.raw(9, 0)) == 9
+        assert dynamics.gcd_root_count(ff.standard_field(7, 1), 6, 3) == 1
+        assert dynamics.gcd_root_count(ff.standard_field(5, 2), 4, 0) == 4
+        assert dynamics.gcd_root_count(ff.standard_field(3, 2), 9, 0) == 9
 
     def test_reaches_no_scan_engine(self, monkeypatch):
         cases = [(ff.standard_field(p, n), d, c) for p, n, d, c in
@@ -182,14 +180,14 @@ class TestGcdOracle:
 
         monkeypatch.setattr(ff, "field_ops", refuse)
         monkeypatch.setattr(dynamics, "field_ops", refuse)
-        assert [dynamics.gcd_root_count(fs, MapSpec.raw(d, c)) for fs, d, c in cases] == expected
+        assert [dynamics.gcd_root_count(fs, d, c) for fs, d, c in cases] == expected
 
     def test_no_field_cap_on_a_large_field(self):
         # F_5^40 has about 9e27 elements; the closed form is 5^gcd(40, ell)
         fs = ff.standard_field(5, 40)
         for ell, c in [(1, 0), (1, 3)]:
             expected = stats._prime_power_count(5, 40, ell, c)
-            assert dynamics.gcd_root_count(fs, MapSpec.prime_power(5, ell, c)) == expected == 5**ell
+            assert dynamics.gcd_root_count(fs, 5**ell, c) == expected == 5**ell
 
     @given(
         st.sampled_from([(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 11) if p**n <= 2000]),
@@ -200,7 +198,7 @@ class TestGcdOracle:
     def test_matches_count_profile(self, field, d, data):
         fs = ff.standard_field(*field)
         c = fs.element_at(data.draw(st.integers(0, fs.order - 1)))
-        assert dynamics.count_profile(fs, d)[c.index] == dynamics.gcd_root_count(fs, MapSpec.raw(d, c))
+        assert dynamics.count_profile(fs, d)[c.index] == dynamics.gcd_root_count(fs, d, c)
 
     def test_dual_oracle_agreement_sample(self):
         for p, n in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)]:
@@ -208,8 +206,7 @@ class TestGcdOracle:
             for d in (2, 3, 5, 6, 12):
                 for idx in range(fs.order):
                     c = fs.element_at(idx)
-                    m = MapSpec.raw(d, c)
-                    assert dynamics.fixed_point_count(fs, m) == dynamics.gcd_root_count(fs, m), (
+                    assert dynamics.fixed_point_count(fs, d, c) == dynamics.gcd_root_count(fs, d, c), (
                         p, n, d, str(c),
                     )
 
@@ -223,8 +220,7 @@ class TestCountProfile:
                 assert len(profile) == fs.order
                 assert sum(profile) == fs.order  # each z fixes exactly one c
                 for idx in range(fs.order):
-                    m = MapSpec.raw(d, fs.element_at(idx))
-                    assert profile[idx] == dynamics.fixed_point_count(fs, m)
+                    assert profile[idx] == dynamics.fixed_point_count(fs, d, fs.element_at(idx))
 
     @given(
         st.sampled_from([(2, 1), (3, 1), (7, 1), (13, 1), (2, 3), (3, 2), (5, 2), (2, 4)]),
@@ -235,9 +231,8 @@ class TestCountProfile:
     def test_scan_views_match_brute_force(self, field, d, data):
         fs = ff.standard_field(*field)
         c = fs.element_at(data.draw(st.integers(0, fs.order - 1)))
-        m = MapSpec.raw(d, c)
-        points = dynamics.fixed_points(fs, m)
-        count = dynamics.fixed_point_count(fs, m)
+        points = dynamics.fixed_points(fs, d, c)
+        count = dynamics.fixed_point_count(fs, d, c)
         assert count == dynamics.count_profile(fs, d)[c.index] == len(points)
         assert points == brute_force_fixed_points(fs, d, c)
 
@@ -245,7 +240,7 @@ class TestCountProfile:
 class TestOrbitCensus:
     def test_example_c0(self):
         fs = ff.standard_field(5, 1)
-        oc = dynamics.orbit_census(fs, MapSpec.raw(4, 0))
+        oc = dynamics.orbit_census(fs, 4, 0)
         assert oc.component_count == 2
         assert oc.cycle_lengths == (1, 1)
         assert oc.fixed_point_count == 2
@@ -254,7 +249,7 @@ class TestOrbitCensus:
 
     def test_example_c2(self):
         fs = ff.standard_field(5, 1)
-        oc = dynamics.orbit_census(fs, MapSpec.raw(4, 2))
+        oc = dynamics.orbit_census(fs, 4, 2)
         assert oc.component_count == 1
         assert oc.cycle_lengths == (1,)
         assert oc.max_tail_length == 2  # 0 -> 2 -> 3 -> 3
@@ -265,7 +260,7 @@ class TestOrbitCensus:
             for d in (2, 3, 4):
                 for idx in range(0, fs.order, 2):
                     c = fs.element_at(idx)
-                    oc = dynamics.orbit_census(fs, MapSpec.raw(d, c))
+                    oc = dynamics.orbit_census(fs, d, c)
                     lengths, components, max_tail = brute_force_orbit(fs, d, c)
                     assert list(oc.cycle_lengths) == lengths
                     assert oc.component_count == components
@@ -277,15 +272,14 @@ class TestOrbitCensus:
             for d in (2, 3, 6):
                 for idx in range(fs.order):
                     c = fs.element_at(idx)
-                    m = MapSpec.raw(d, c)
-                    oc = dynamics.orbit_census(fs, m)
+                    oc = dynamics.orbit_census(fs, d, c)
                     assert sum(oc.component_sizes) == fs.order
-                    assert oc.fixed_point_count == dynamics.fixed_point_count(fs, m)
+                    assert oc.fixed_point_count == dynamics.fixed_point_count(fs, d, c)
                     assert sum(oc.cycle_lengths) <= fs.order
 
     def test_as_dict_schema(self):
         fs = ff.standard_field(5, 1)
-        payload = dynamics.orbit_census(fs, MapSpec.raw(4, 2)).as_dict()
+        payload = dynamics.orbit_census(fs, 4, 2).as_dict()
         assert payload == {
             "components": 1,
             "cycle_lengths": [1],

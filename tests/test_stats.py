@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixcensus import dynamics, ff, stats
-from fixcensus.dynamics import Family, MapSpec
+from fixcensus.dynamics import Family
 from fixcensus.stats import DensityKind, Selector
 
 
@@ -123,9 +123,7 @@ class TestAverageReport:
             total = 0
             for p in qual:
                 fs = ff.standard_field(p, 1)
-                m = (MapSpec.prime_power(p, 1, c) if family is Family.PRIME_POWER
-                     else MapSpec.p_minus_one(p, 1, c))
-                total += dynamics.gcd_root_count(fs, m)
+                total += dynamics.gcd_root_count(fs, family.degree(p, 1), c)
             assert row.numerator == total
             assert row.denominator == len(qual)
 
@@ -237,7 +235,7 @@ def sieve_average_rows(family, n, ell, selector, c_list):
             counts = [stats._prime_power_count(p, n, ell, c) for p in qual]
         else:
             counts = [
-                dynamics.fixed_point_count(ff.standard_field(p, n), MapSpec.p_minus_one(p, ell, c))
+                dynamics.fixed_point_count(ff.standard_field(p, n), family.degree(p, ell), c)
                 for p in qual
             ]
         ratio = Fraction(sum(counts), len(qual)) if qual else None
@@ -270,9 +268,9 @@ class TestClosedForms:
     def test_prime_power_count_three_ways(self, p, n, ell, c):
         # closed form, the full scan and the gcd engine share no code
         fs = ff.standard_field(p, n)
-        m = MapSpec.prime_power(p, ell, c)
+        d = Family.PRIME_POWER.degree(p, ell)
         closed = stats._prime_power_count(p, n, ell, c)
-        assert closed == dynamics.fixed_point_count(fs, m) == dynamics.gcd_root_count(fs, m)
+        assert closed == dynamics.fixed_point_count(fs, d, c) == dynamics.gcd_root_count(fs, d, c)
 
     def test_prime_power_count_at_every_residue(self):
         for p in (2, 3, 5, 7):
