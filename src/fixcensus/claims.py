@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import dynamics, ff
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP, ArgumentError
+from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError
 
 __all__ = [
     "Verdict",
@@ -273,11 +273,11 @@ def claim_by_id(claim_id: str) -> ClaimSpec:
 
 
 @functools.lru_cache(maxsize=1)
-def _profile(fs: ff.FieldSpec, d: int) -> tuple[int, ...]:
-    """count_profile(fs, d), kept for the next claim of the same family at
-    the same grid point; a tuple, since every caller shares it.  check_point
-    has already applied the caps, so the scan runs with caps it meets."""
-    return tuple(dynamics.count_profile(fs, d, field_cap=fs.order, exp_cap=d))
+def _profile(fs: ff.FieldSpec, d: int, field_cap: int, exp_cap: int) -> tuple[int, ...]:
+    """count_profile(fs, d) under the caller's caps, kept for the next claim
+    of the same family at the same grid point; a tuple, since every caller
+    shares it."""
+    return tuple(dynamics.count_profile(fs, d, field_cap=field_cap, exp_cap=exp_cap))
 
 
 def check_point(
@@ -292,40 +292,29 @@ def check_point(
     """Evaluate one claim at one grid point by scanning all residues.
 
     Residues are labelled by enumeration index; an element is built only
-    for a witness."""
+    for a witness.  A point past a cap is SKIPPED, with the refusal of
+    dynamics.capped_degree as its note."""
     if not ff.is_prime(p):
         raise ArgumentError(f"grid point has non-prime p = {p}")
     if n < 1 or ell < 1:
         raise ArgumentError(f"grid point ({p}, {n}, {ell}) needs n >= 1 and ell >= 1")
     if not claim.applies(p, n, ell):
         return PointResult(p, n, ell, Verdict.NOT_APPLICABLE, note="outside the stated hypotheses")
-    d = claim.family.degree(p, ell)
-    if d > exp_cap:
-        return PointResult(
-            p, n, ell, Verdict.SKIPPED, note=f"degree {d} exceeds the exponent cap {exp_cap}"
-        )
-    if p**n > field_cap:
-        return PointResult(
-            p, n, ell, Verdict.SKIPPED, note=f"field order {p}^{n} exceeds the field cap {field_cap}"
-        )
+    try:
+        d = dynamics.capped_degree(p, n, claim.family, ell, field_cap=field_cap, exp_cap=exp_cap)
+    except CapError as exc:
+        return PointResult(p, n, ell, Verdict.SKIPPED, note=str(exc))
     fs = ff.standard_field(p, n)
     witnesses = []
     unjudged: Counter[int] = Counter()
-    for idx, actual in enumerate(_profile(fs, d)):
+    for idx, actual in enumerate(_profile(fs, d, field_cap, exp_cap)):
         predicted = claim.expected(dynamics.classify_residue(p, idx))
         if predicted is None:
             unjudged[actual] += 1
         elif actual != predicted:
             witnesses.append(Witness(fs.element_at(idx), predicted, actual))
     status = Verdict.FAILS if witnesses else Verdict.HOLDS
-    return PointResult(
-        p,
-        n,
-        ell,
-        status,
-        witnesses=tuple(witnesses),
-        unspecified_counts=tuple(sorted(unjudged.items())),
-    )
+    return PointResult(p, n, ell, status, tuple(witnesses), tuple(sorted(unjudged.items())))
 
 
 def check(

@@ -162,9 +162,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 
 def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
     p, n, family_value, k, c_spec, field_cap, exp_cap = task
-    fs = standard_field(p, n)
     family = Family(family_value)
-    d = family.degree(p, k)
+    d = dynamics.capped_degree(p, n, family, k, field_cap=field_cap, exp_cap=exp_cap)
+    fs = standard_field(p, n)
     coefficients = None if c_spec == ("all",) else [_coefficient(fs, item) for item in c_spec]
     if coefficients == []:
         return []
@@ -370,8 +370,6 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
 # orbits
 
 def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
-    fs = standard_field(args.p, args.n)
-    c = _coefficient(fs, args.c)
     if args.d is not None:
         if args.family is not None or args.ell is not None:
             raise UsageError("orbits takes --d or --family with --ell, not both")
@@ -382,7 +380,9 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"--family {args.family} needs --ell")
     else:
         family, k = Family(args.family), args.ell
-    d = family.degree(args.p, k)
+    d = dynamics.capped_degree(args.p, args.n, family, k, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+    fs = standard_field(args.p, args.n)
+    c = _coefficient(fs, args.c)
     census = dynamics.orbit_census(fs, d, c, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     result = {"field": fs.as_dict(), "d": d, "c": str(c), **census.as_dict()}
     columns = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]

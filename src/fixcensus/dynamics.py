@@ -30,6 +30,7 @@ from .ff import (
     FFElement,
     FieldCapError,
     FieldSpec,
+    check_field,
     field_ops,
     is_prime,
 )
@@ -38,6 +39,7 @@ __all__ = [
     "DEFAULT_EXP_CAP",
     "ExponentCapError",
     "Family",
+    "capped_degree",
     "CensusRecord",
     "OrbitCensus",
     "fixed_point_count",
@@ -128,16 +130,30 @@ class OrbitCensus:
         }
 
 
-def _check_caps(fs: FieldSpec, d: int, field_cap: int | None, exp_cap: int) -> None:
-    """The checks every counter makes before any work: d >= 2, then the caps."""
-    if d < 2:
-        raise ArgumentError(f"map degree {d} must be at least 2")
-    if field_cap is not None and fs.order > field_cap:
-        raise FieldCapError(
-            f"field order {fs.p}^{fs.n} = {fs.order} exceeds the cap {field_cap}"
-        )
-    if d > exp_cap:
-        raise ExponentCapError(f"map degree {d} exceeds the exponent cap {exp_cap}")
+def capped_degree(
+    p: int, n: int, family: Family, k: int, *,
+    field_cap: int | None = DEFAULT_FIELD_CAP, exp_cap: int = DEFAULT_EXP_CAP,
+) -> int:
+    """family.degree(p, k), once it and the order p^n pass the caps: the one cap rule.
+
+    The counters call it with Family.RAW and their degree, the commands
+    before any field is built.  Checked in order: the family's arguments,
+    the field's, d >= 2, the field cap (None: none), the exponent cap.  As a
+    base is at least 2, an exponent above a cap's bit length exceeds it, so
+    no power is formed far past its cap; such a degree is written base^k.
+    """
+    # family.degree(p, 1) runs the family's checks and gives the base (k < 1 fails them)
+    base = None if family is Family.RAW else family.degree(p, min(k, 1))
+    check_field(p, n)
+    if base is None and k < 2:
+        raise ArgumentError(f"map degree {k} must be at least 2")
+    if field_cap is not None and (n > field_cap.bit_length() or p**n > field_cap):
+        raise FieldCapError(f"field order {p}^{n} exceeds the cap {field_cap}")
+    d = k if base is None else base**k if k <= exp_cap.bit_length() else None
+    if d is None or d > exp_cap:
+        shown = f"{base}^{k}" if d is None else d
+        raise ExponentCapError(f"map degree {shown} exceeds the exponent cap {exp_cap}")
+    return d
 
 
 def _coefficient_index(fs: FieldSpec, c: int | FFElement) -> int:
@@ -156,7 +172,7 @@ def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
     z - z^d is the one coefficient c that makes z a fixed point of
     z -> z^d + c.  The caps are checked before the first element.
     """
-    _check_caps(fs, d, field_cap, exp_cap)
+    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
     ops = field_ops(fs)
     powf, sub = ops.pow, ops.sub
     return (sub(z, powf(z, d)) for z in range(ops.q))
@@ -295,7 +311,7 @@ def gcd_root_count(
     Counts distinct roots of f = z^d - z + c as deg gcd(f, z^q - z); no
     field cap applies because the work is polynomial in d and log q.
     """
-    _check_caps(fs, d, None, exp_cap)
+    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=None, exp_cap=exp_cap)
     c = fs.element_at(_coefficient_index(fs, c))
     h = _powmod_x(fs.order, d, c)  # z^q mod f
     h += [fs.zero] * (2 - len(h))
@@ -321,7 +337,7 @@ def orbit_census(
     or already-finished territory, then unwinds the pending path backwards
     so every element learns its component and tail depth.  Linear in q.
     """
-    _check_caps(fs, d, field_cap, exp_cap)
+    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
     c_idx = _coefficient_index(fs, c)
     ops = field_ops(fs)
     q = ops.q

@@ -30,6 +30,7 @@ __all__ = [
     "render_poly",
     "FpPoly",
     "certify_irreducible",
+    "check_field",
     "find_irreducible",
     "FieldSpec",
     "FFElement",
@@ -246,6 +247,14 @@ def certify_irreducible(poly: FpPoly) -> bool:
     return True
 
 
+def check_field(p: int, n: int) -> None:
+    """The checks on (p, n) that come before F_{p^n} is built or capped."""
+    if not is_prime(p):
+        raise ArgumentError(f"{p} is not prime")
+    if n < 1:
+        raise ArgumentError(f"degree {n} must be at least 1")
+
+
 def find_irreducible(p: int, n: int) -> FpPoly:
     """Lexicographically least monic irreducible of degree n over F_p.
 
@@ -253,10 +262,7 @@ def find_irreducible(p: int, n: int) -> FpPoly:
     (a_(n-1), ..., a_0) and the first one passing the gcd certificate wins,
     so the result is canonical for each (p, n).
     """
-    if not is_prime(p):
-        raise ArgumentError(f"{p} is not prime")
-    if n < 1:
-        raise ArgumentError(f"degree {n} must be at least 1")
+    check_field(p, n)
     for high in itertools.product(range(p), repeat=n):
         coeffs = tuple(reversed(high)) + (1,)
         cand = FpPoly(p, coeffs)
@@ -340,12 +346,12 @@ class FieldSpec:
             yield self.element_at(i)
 
     def parse(self, text: str) -> "FFElement":
-        """Inverse of str(element); also accepts "-" signs and loose input."""
-        powers = _parse_poly_text(text)
-        size = max(powers) + 1 if powers else 1
-        cs = [0] * size
-        for k, a in powers.items():
-            cs[k] = a % self.p
+        """Inverse of str(element); also accepts "-" signs and loose input.
+        Each t^k is reduced by the modulus in O(log k) steps."""
+        cs = [0] * self.n
+        for k, a in _parse_poly_text(text).items():
+            for i, b in enumerate(_ppowmod((0, 1), k, self.modulus.coeffs, self.p)):
+                cs[i] += a * b
         return self.element(cs)
 
     def as_dict(self) -> dict:
@@ -375,8 +381,11 @@ def _parse_poly_text(text: str) -> dict[int, int]:
         if m is None or not any(m.groups()):
             raise ArgumentError(f"cannot parse term {part!r} of element {text!r}")
         digits, t_term, power = m.groups()
-        coef = int(digits) if digits else 1
-        k = 0 if not t_term else int(power) if power else 1
+        try:
+            coef = int(digits) if digits else 1
+            k = 0 if not t_term else int(power) if power else 1
+        except ValueError as exc:  # more digits than int() reads
+            raise ArgumentError("element string has an integer past the int() digit limit") from exc
         powers[k] = powers.get(k, 0) + sign * coef
     return powers
 
@@ -554,7 +563,8 @@ class _LogOps(FieldOps):
         return self.exp[self.log[i] * e % self.order] if i else int(e == 0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=1)
 def field_ops(fs: FieldSpec) -> FieldOps:
-    """The scan engine of fs: mod-p ints for n = 1, log tables otherwise."""
+    """The scan engine of fs: mod-p ints for n = 1, log tables otherwise.
+    Only the last is kept: every command is done with a field before the next."""
     return _PrimeOps(fs) if fs.n == 1 else _LogOps(fs)

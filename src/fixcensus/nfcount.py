@@ -21,7 +21,7 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import stats
@@ -81,14 +81,7 @@ class FieldCountRow:
     bound_ok: bool
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "X": self.X,
-            "count": self.count,
-            "unknown": self.unknown,
-            "exponent_ref": str(self.exponent_ref),
-            "bound_ok": self.bound_ok,
-        }
+        return {**asdict(self), "exponent_ref": str(self.exponent_ref)}
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import dynamics
@@ -85,14 +85,8 @@ class AverageRow:
     ratio: Fraction | None
 
     def as_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "selector": self.selector.value,
-            "prime_floor": self.prime_floor,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "ratio": str(self.ratio) if self.ratio is not None else None,
-        }
+        ratio = str(self.ratio) if self.ratio is not None else None
+        return {**asdict(self), "selector": self.selector.value, "ratio": ratio}
 
 
 @dataclass(frozen=True)
@@ -106,13 +100,8 @@ class DensityRow:
     ratio: Fraction | None
 
     def as_dict(self) -> dict:
-        return {
-            "c": self.c,
-            "kind": self.kind.value,
-            "numerator": self.numerator,
-            "denominator": self.denominator,
-            "ratio": str(self.ratio) if self.ratio is not None else None,
-        }
+        ratio = str(self.ratio) if self.ratio is not None else None
+        return {**asdict(self), "kind": self.kind.value, "ratio": ratio}
 
 
 def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
@@ -228,7 +217,7 @@ def average_report(
     def count(p: int, c: int) -> int:
         if family is Family.PRIME_POWER:
             return _prime_power_count(p, n, ell, c)
-        d = family.degree(p, ell)
+        d = dynamics.capped_degree(p, n, family, ell, field_cap=field_cap, exp_cap=exp_cap)
         return dynamics.fixed_point_count(standard_field(p, n), d, c, field_cap=field_cap, exp_cap=exp_cap)
 
     rows = []

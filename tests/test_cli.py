@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from fixcensus import cli, dynamics, ff, nfcount
+from fixcensus import cli, dynamics, ff, nfcount, stats
 from fixcensus.cli import main
 
 
@@ -484,6 +484,51 @@ def test_library_argument_errors_exit_2(capsys):
     assert run(capsys, ["nf", "--d", "1", "--X", "100"]) == (2, "", "error: degree 1 must be at least 2\n")
     assert run(capsys, ["avg", "--family", "prime-power", "--selector", "p|c", "--c", "3", "--n", "0"]) == (
         2, "", "error: n = 0 and ell = 1 must be at least 1\n"
+    )
+
+
+_REFUSED = [
+    (["census", "--p", "3", "--n", "400", "--family", "prime-power", "--ell", "1", "--c", "0"],
+     "field order 3^400 exceeds the cap 10000000"),
+    (["orbits", "--p", "3", "--n", "400", "--d", "3", "--c", "0"],
+     "field order 3^400 exceeds the cap 10000000"),
+    (["avg", "--family", "pminus1", "--n", "300", "--selector", "p|c", "--c", "35"],
+     "field order 5^300 exceeds the cap 10000000"),
+    (["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "10000", "--c", "0"],
+     "map degree 3^10000 exceeds the exponent cap 1000000"),
+    (["orbits", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "10000", "--c", "0"],
+     "map degree 3^10000 exceeds the exponent cap 1000000"),
+    (["avg", "--family", "pminus1", "--ell", "10000", "--selector", "p|c", "--c", "35"],
+     "map degree 4^10000 exceeds the exponent cap 1000000"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _REFUSED)
+def test_caps_refuse_before_any_field_is_built(capsys, monkeypatch, argv, message):
+    def no_field(*args):
+        raise AssertionError("a field was built before the caps were checked")
+
+    for module, name in [(ff, "find_irreducible"), (cli, "standard_field"), (stats, "standard_field")]:
+        monkeypatch.setattr(module, name, no_field)
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+def test_claims_skip_a_degree_past_the_exponent_cap(capsys):
+    code, out, _ = run(capsys, ["claims", "--p", "3", "--n", "2", "--ell", "10000"])
+    skipped = [pt["note"] for rep in json.loads(out) for pt in rep["grid"] if pt["status"] == "SKIPPED"]
+    assert (code, skipped) == (0, ["map degree 3^10000 exceeds the exponent cap 1000000"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "1"],
+    ["orbits", "--p", "3", "--n", "2", "--d", "3"],
+], ids=["census", "orbits"])
+def test_coefficient_past_the_digit_limit_is_a_usage_error(capsys, argv):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        pytest.skip("this interpreter has no int() digit limit")
+    assert run(capsys, [*argv, "--c", "1" + "0" * limit]) == (
+        2, "", "error: --c: element string has an integer past the int() digit limit\n"
     )
 
 

@@ -5,11 +5,13 @@ here are three separate code paths; the tests hold them to exact agreement.
 """
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcensus import dynamics, ff, stats
+from fixcensus import claims, dynamics, ff, stats
+from fixcensus.claims import Verdict
 from fixcensus.cli import _census_point
 from fixcensus.dynamics import Family
 from fixcensus.ff import FieldCapError
@@ -78,6 +80,62 @@ class TestFamilyDegree:
         ]:
             with pytest.raises(ff.ArgumentError, match=message):
                 family.degree(p, ell)
+
+
+class TestCapRule:
+    """dynamics.capped_degree against brute force, and check_point on top of it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([2, 3, 5, 7, 11, 13]),
+        st.integers(1, 6),
+        st.sampled_from(list(Family)),
+        st.integers(1, 8),
+        st.data(),
+    )
+    def test_refuses_exactly_past_a_cap(self, p, n, family, k, data):
+        if family is Family.P_MINUS_ONE and p < 5 or family is Family.RAW and k < 2:
+            with pytest.raises(ff.ArgumentError):
+                dynamics.capped_degree(p, n, family, k)
+            return
+        q, d = p**n, family.degree(p, k)
+        # small caps, and caps just below, at and just above q and d; a field
+        # is scanned only within its cap, so no scan passes 3001 elements
+        field_caps = st.integers(1, 3000) | st.sampled_from([q - 1, q, q + 1] if q <= 3000 else [1])
+        field_cap = data.draw(field_caps)
+        exp_cap = data.draw(st.integers(1, 3000) | st.sampled_from([d - 1, d, d + 1]))
+        refusal = FieldCapError if q > field_cap else dynamics.ExponentCapError if d > exp_cap else None
+        caps = {"field_cap": field_cap, "exp_cap": exp_cap}
+        spec = None
+        if family is not Family.RAW:
+            spec = claims.ClaimSpec("T", family, "any point", False, (("0", 0),))
+        if refusal is None:
+            assert dynamics.capped_degree(p, n, family, k, **caps) == d
+            if spec is not None:
+                assert claims.check_point(spec, p, n, k, **caps).status is not Verdict.SKIPPED
+            return
+
+        def no_field(*args):
+            raise AssertionError("a field was built before the caps were checked")
+
+        with mock.patch.object(ff, "find_irreducible", no_field), \
+                mock.patch.object(ff, "standard_field", no_field):
+            with pytest.raises(ff.CapError) as refused:
+                dynamics.capped_degree(p, n, family, k, **caps)
+            assert type(refused.value) is refusal
+            if spec is not None:
+                res = claims.check_point(spec, p, n, k, **caps)
+                assert (res.status, res.note) == (Verdict.SKIPPED, str(refused.value))
+
+    def test_huge_exponents_are_refused_unformed(self):
+        for family, p, base in [(Family.PRIME_POWER, 3, 3), (Family.P_MINUS_ONE, 5, 4)]:
+            with pytest.raises(
+                dynamics.ExponentCapError,
+                match=rf"^map degree {base}\^{10**9} exceeds the exponent cap 1000000$",
+            ):
+                dynamics.capped_degree(p, 2, family, 10**9)
+        with pytest.raises(FieldCapError, match=r"^field order 3\^1000000000 exceeds the cap 10000000$"):
+            dynamics.capped_degree(3, 10**9, Family.RAW, 2)
 
 
 # The four field counters, each as (fs, d, c) -> a comparable result.

@@ -1,6 +1,9 @@
 """Field construction, canonical moduli, and arithmetic laws."""
 
+import gc
 import re
+import sys
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,6 +158,22 @@ class TestFieldSpec:
         with pytest.raises(ValueError):
             fs.parse("")
 
+    def test_parse_reduces_large_exponents(self):
+        fs = ff.standard_field(5, 2)
+        t = fs.element([0, 1])
+        assert fs.parse("t^3000000") == t**3000000
+        # t has order dividing 24, so only the exponent mod 24 matters
+        assert fs.parse(f"2t^{10**4000}+1") == fs.parse(f"2t^{10**4000 % 24}+1")
+
+    @pytest.mark.parametrize("template", ["{}", "t^{}", "{}*t+1"])
+    def test_parse_refuses_integers_past_the_digit_limit(self, template):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter has no int() digit limit")
+        text = template.format("1" + "0" * limit)
+        with pytest.raises(ff.ArgumentError, match="past the int\\(\\) digit limit"):
+            ff.standard_field(3, 2).parse(text)
+
     @pytest.mark.parametrize("text, term", [("x+1", "'x'"), ("t^", "'t^'"), ("2*", "'2*'"), ("1-tt", "'-tt'")])
     def test_parse_errors_name_the_term(self, text, term):
         message = f"cannot parse term {term} of element {text!r}"
@@ -260,6 +279,14 @@ class TestFieldOps:
                 b = fs.element_at(j)
                 assert ops.add(i, j) == (a + b).index
                 assert ops.sub(i, j) == (a - b).index
+
+    def test_only_the_last_engine_is_kept(self):
+        ops = field_ops(ff.standard_field(3, 2))
+        released = weakref.ref(ops)
+        del ops
+        assert field_ops(ff.standard_field(5, 2)) is field_ops(ff.standard_field(5, 2))
+        gc.collect()
+        assert released() is None
 
     @given(field_and_indexes(2, FIELDS + LOG_FIELDS), st.integers(0, 10**6))
     @settings(max_examples=200, deadline=None)
