@@ -19,7 +19,7 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import dynamics, ff
 from .dynamics import DEFAULT_EXP_CAP, Family
@@ -50,8 +50,7 @@ class Verdict(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """One concrete counterexample: a coefficient and both counts."""
 
     c: ff.FFElement
@@ -62,8 +61,7 @@ class Witness:
         return {"c": str(self.c), "predicted": self.predicted, "actual": self.actual}
 
 
-@dataclass(frozen=True)
-class PointResult:
+class PointResult(NamedTuple):
     """Outcome of one claim at one grid point (p, n, ell)."""
 
     p: int
@@ -90,8 +88,7 @@ class PointResult:
         return out
 
 
-@dataclass(frozen=True)
-class ClaimSpec:
+class ClaimSpec(NamedTuple):
     """One counting claim: applicability slice plus per-class predictions.
 
     predictions maps residue classes to exact counts.  For the prime-power
@@ -123,8 +120,7 @@ class ClaimSpec:
         return None
 
 
-@dataclass(frozen=True)
-class ClaimReport:
+class ClaimReport(NamedTuple):
     claim: ClaimSpec
     points: tuple[PointResult, ...]
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import dataclasses
 import io
 import json
 import re
 import sys
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import claims, dynamics, nfcount, stats
 from .dynamics import DEFAULT_EXP_CAP, Family
@@ -33,8 +33,7 @@ class UsageError(ValueError):
     pass
 
 
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     field_cap: int = DEFAULT_FIELD_CAP
     exp_cap: int = DEFAULT_EXP_CAP
     sieve_cap: int = DEFAULT_SIEVE_CAP
@@ -52,7 +51,7 @@ def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, an int past the digit limit
         raise UsageError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
@@ -204,8 +203,8 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
     ]
     records = [rec for chunk in _map(cfg.jobs, _census_point, tasks) for rec in chunk]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
-    columns = [f.name for f in dataclasses.fields(dynamics.CensusRecord)]
-    _write(_output(cfg, "csv", columns, [dataclasses.asdict(r) for r in records]))
+    columns = list(dynamics.CensusRecord._fields)
+    _write(_output(cfg, "csv", columns, [r._asdict() for r in records]))
     return 0
 
 
@@ -247,7 +246,7 @@ def _load_expect(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             golden = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # as in _load_config
         raise UsageError(f"cannot read --expect file {path}: {exc}") from exc
     if not isinstance(golden, list):
         raise UsageError("--expect file must hold a list of claim reports")
@@ -315,7 +314,7 @@ def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], 
     if args.emit_plot_data:
         if args.emit_plot_data == cfg.out:
             raise UsageError("--emit-plot-data and --out name the same file")
-        plot_cfg = dataclasses.replace(cfg, out=args.emit_plot_data, format="csv")
+        plot_cfg = cfg._replace(out=args.emit_plot_data, format="csv")
         outputs.insert(0, _output(plot_cfg, "csv", ["c", "ratio"], cells))
     _write(*outputs)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import enum
 import operator
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .ff import (
     DEFAULT_FIELD_CAP,
@@ -30,6 +30,7 @@ from .ff import (
     FFElement,
     FieldCapError,
     FieldSpec,
+    _Value,
     check_field,
     field_ops,
     is_prime,
@@ -84,8 +85,7 @@ class Family(enum.Enum):
         return (p if self is Family.PRIME_POWER else p - 1) ** k
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One census row: a field, a map, and its exact fixed-point count."""
 
     p: int
@@ -97,8 +97,7 @@ class CensusRecord:
     fixed_count: int
 
 
-@dataclass(frozen=True)
-class OrbitCensus:
+class OrbitCensus(_Value):
     """Functional-graph shape of one map on one field.
 
     Every component of a functional graph contains exactly one cycle;
@@ -106,20 +105,31 @@ class OrbitCensus:
     means the element already lies on a cycle.
     """
 
+    __slots__ = (
+        "component_count", "cycle_lengths", "fixed_point_count", "max_tail_length",
+        "element_total", "component_sizes",
+    )
     component_count: int
     cycle_lengths: tuple[int, ...]
     fixed_point_count: int
     max_tail_length: int
     element_total: int
-    component_sizes: tuple[int, ...] = field(default=())
+    component_sizes: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.component_count != len(self.cycle_lengths):
+    def __init__(
+        self, component_count: int, cycle_lengths: tuple[int, ...], fixed_point_count: int,
+        max_tail_length: int, element_total: int, component_sizes: tuple[int, ...] = (),
+    ) -> None:
+        if component_count != len(cycle_lengths):
             raise ValueError("one cycle per component is violated")
-        if self.fixed_point_count != self.cycle_lengths.count(1):
+        if fixed_point_count != cycle_lengths.count(1):
             raise ValueError("fixed points must equal the 1-cycles")
-        if self.component_sizes and sum(self.component_sizes) != self.element_total:
+        if component_sizes and sum(component_sizes) != element_total:
             raise ValueError("component sizes must cover the whole field")
+        self._init(
+            component_count, cycle_lengths, fixed_point_count, max_tail_length,
+            element_total, component_sizes,
+        )
 
     def as_dict(self) -> dict:
         return {

@@ -18,7 +18,6 @@ import operator
 import re
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
@@ -178,6 +177,46 @@ def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[i
     return result
 
 
+class _Value:
+    """Base of the immutable value classes: the fields are the __slots__
+    (two or more), set once by _init after the subclass checks its
+    arguments.  Values compare and hash by their fields, and only within
+    one class; assignment is refused; pickling and copying restore the
+    fields without running __init__, so no check runs twice."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._values = property(operator.attrgetter(*cls.__slots__))  # the field tuple
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values == other._values
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({shown})"
+
+    def __getstate__(self) -> tuple:
+        return self._values
+
+    def __setstate__(self, state: tuple) -> None:
+        self._init(*state)
+
+
 def render_poly(coeffs: Sequence[int]) -> str:
     """Render a coefficient vector (lowest degree first) like "2*t^3+t+1"."""
     terms = []
@@ -193,20 +232,21 @@ def render_poly(coeffs: Sequence[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-@dataclass(frozen=True)
-class FpPoly:
+class FpPoly(_Value):
     """Polynomial over F_p; coeffs lowest degree first, no trailing zeros."""
 
+    __slots__ = ("p", "coeffs")
     p: int
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if not is_prime(self.p):
-            raise ArgumentError(f"characteristic {self.p} is not prime")
-        if any(not (0 <= a < self.p) for a in self.coeffs):
+    def __init__(self, p: int, coeffs: tuple[int, ...]) -> None:
+        if not is_prime(p):
+            raise ArgumentError(f"characteristic {p} is not prime")
+        if any(not (0 <= a < p) for a in coeffs):
             raise ArgumentError("coefficients must be reduced residues mod p")
-        if self.coeffs and self.coeffs[-1] == 0:
+        if coeffs and coeffs[-1] == 0:
             raise ArgumentError("trailing zero coefficient; use FpPoly.of")
+        self._init(p, coeffs)
 
     @classmethod
     def of(cls, p: int, coeffs: Iterable[int]) -> "FpPoly":
@@ -271,8 +311,7 @@ def find_irreducible(p: int, n: int) -> FpPoly:
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(_Value):
     """A concrete model of F_{p^n}: characteristic, degree and modulus pi.
 
     Elements are coefficient vectors over the basis 1, t, ..., t^(n-1).
@@ -281,19 +320,21 @@ class FieldSpec:
     which pick the canonical lex-least modulus.
     """
 
+    __slots__ = ("p", "n", "modulus")
     p: int
     n: int
     modulus: FpPoly
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ArgumentError(f"extension degree {self.n} must be at least 1")
-        if self.modulus.p != self.p:
+    def __init__(self, p: int, n: int, modulus: FpPoly) -> None:
+        if n < 1:
+            raise ArgumentError(f"extension degree {n} must be at least 1")
+        if modulus.p != p:
             raise ArgumentError("modulus characteristic differs from field characteristic")
-        if self.modulus.degree != self.n:
+        if modulus.degree != n:
             raise ArgumentError("modulus degree differs from extension degree")
-        if not certify_irreducible(self.modulus):
-            raise ArgumentError(f"modulus {self.modulus} is not irreducible over F_{self.p}")
+        if not certify_irreducible(modulus):
+            raise ArgumentError(f"modulus {modulus} is not irreducible over F_{p}")
+        self._init(p, n, modulus)
 
     @classmethod
     def create(cls, p: int, n: int) -> "FieldSpec":
@@ -390,19 +431,20 @@ def _parse_poly_text(text: str) -> dict[int, int]:
     return powers
 
 
-@dataclass(frozen=True)
-class FFElement:
+class FFElement(_Value):
     """An element of a FieldSpec; immutable coefficient vector of length n."""
 
+    __slots__ = ("field", "coeffs")
     field: FieldSpec
     coeffs: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if len(self.coeffs) != self.field.n:
+    def __init__(self, field: FieldSpec, coeffs: tuple[int, ...]) -> None:
+        if len(coeffs) != field.n:
             raise ArgumentError("coefficient vector length differs from field degree")
-        p = self.field.p
-        if any(not (0 <= a < p) for a in self.coeffs):
+        p = field.p
+        if any(not (0 <= a < p) for a in coeffs):
             raise ArgumentError("coefficients must be reduced residues mod p")
+        self._init(field, coeffs)
 
     def _check_same_field(self, other: "FFElement") -> None:
         if self.field != other.field:

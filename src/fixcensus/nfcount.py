@@ -21,8 +21,8 @@ import itertools
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import stats
 from .dynamics import integer_root, integral_fixed_points
@@ -69,8 +69,7 @@ class IrreducibilityStatus(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class FieldCountRow:
+class FieldCountRow(NamedTuple):
     """Counting result: irreducible trinomials with |disc| below a bound."""
 
     d: int
@@ -81,11 +80,10 @@ class FieldCountRow:
     bound_ok: bool
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "exponent_ref": str(self.exponent_ref)}
+        return {**self._asdict(), "exponent_ref": str(self.exponent_ref)}
 
 
-@dataclass(frozen=True)
-class SquarefreeReport:
+class SquarefreeReport(NamedTuple):
     """Empirical squarefree-discriminant fraction next to 6/pi^2."""
 
     d: int

@@ -21,8 +21,8 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
@@ -73,8 +73,7 @@ class DensityKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class AverageRow:
+class AverageRow(NamedTuple):
     """Average oracle count over the qualifying primes at one bound c."""
 
     c: int
@@ -86,11 +85,10 @@ class AverageRow:
 
     def as_dict(self) -> dict:
         ratio = str(self.ratio) if self.ratio is not None else None
-        return {**asdict(self), "selector": self.selector.value, "ratio": ratio}
+        return {**self._asdict(), "selector": self.selector.value, "ratio": ratio}
 
 
-@dataclass(frozen=True)
-class DensityRow:
+class DensityRow(NamedTuple):
     """Share of primes in [floor, c] meeting one divisibility condition."""
 
     c: int
@@ -101,7 +99,7 @@ class DensityRow:
 
     def as_dict(self) -> dict:
         ratio = str(self.ratio) if self.ratio is not None else None
-        return {**asdict(self), "kind": self.kind.value, "ratio": ratio}
+        return {**self._asdict(), "kind": self.kind.value, "ratio": ratio}
 
 
 def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:

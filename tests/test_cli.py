@@ -230,6 +230,7 @@ class TestCensus:
         assert code == 0 and err == ""
         lines = out.splitlines()
         assert lines[0] == "p,n,ell,family,c_class,c_repr,fixed_count"
+        assert dynamics.CensusRecord._fields == tuple(lines[0].split(","))
         assert len(lines) == 10
         reprs = [line.split(",")[5] for line in lines[1:]]
         assert reprs == sorted(reprs)  # string-sorted coefficient column
@@ -416,6 +417,15 @@ def test_import_leaves_the_process_pool_unloaded():
     assert result.stdout == "False\n"
 
 
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    # -S: no site .pth file adds modules, so the import is measured alone
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fixcensus.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [
@@ -530,6 +540,27 @@ def test_coefficient_past_the_digit_limit_is_a_usage_error(capsys, argv):
     assert run(capsys, [*argv, "--c", "1" + "0" * limit]) == (
         2, "", "error: --c: element string has an integer past the int() digit limit\n"
     )
+
+
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.parametrize("flag, argv, message", [
+    ("--config", ["census", "--p", "3", "--n", "1", "--family", "prime-power", "--ell", "1", "--c", "0"],
+     "error: cannot read config "),
+    ("--expect", ["claims", "--p", "3", "--n", "1", "--ell", "1"], "error: cannot read --expect file "),
+], ids=["config", "expect"])
+@pytest.mark.parametrize("data", [
+    pytest.param(b'{"out": "\xff"}', id="not-utf8"),
+    pytest.param(b'{"field_cap": 1' + b"0" * _DIGIT_LIMIT + b"}", id="int-past-the-digit-limit",
+                 marks=pytest.mark.skipif(not _DIGIT_LIMIT, reason="this interpreter has no int() digit limit")),
+])
+def test_undecodable_file_is_a_usage_error(capsys, tmp_path, flag, argv, message, data):
+    path = tmp_path / "file.json"
+    path.write_bytes(data)
+    code, out, err = run(capsys, [*argv, flag, str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(message)
 
 
 class TestConfig:

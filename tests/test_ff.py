@@ -1,9 +1,12 @@
 """Field construction, canonical moduli, and arithmetic laws."""
 
+import copy
 import gc
+import pickle
 import re
 import sys
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -363,3 +366,87 @@ class TestRendering:
             FpPoly(3, (1, 0))  # untrimmed
         with pytest.raises(ValueError):
             FpPoly(3, (5,))  # unreduced
+
+
+def _f9():
+    return FieldSpec(3, 2, FpPoly(3, (1, 0, 1)))
+
+
+# (build an instance, build an unequal one of the same class, the invalid
+# argument lists, and the error they raise) for each immutable value class.
+VALUE_CLASSES = [
+    pytest.param(
+        lambda: FpPoly(3, (1, 0, 1)),
+        lambda: FpPoly(3, (2, 1, 1)),
+        [(4, (1,)), (3, (5,)), (3, (1, 0))],
+        ff.ArgumentError,
+        id="FpPoly",
+    ),
+    pytest.param(
+        _f9,
+        lambda: FieldSpec(3, 2, FpPoly(3, (2, 1, 1))),
+        [(3, 2, FpPoly(3, (0, 0, 1))), (5, 2, FpPoly(3, (1, 0, 1))), (3, 3, FpPoly(3, (1, 0, 1)))],
+        ff.ArgumentError,
+        id="FieldSpec",
+    ),
+    pytest.param(
+        lambda: FFElement(_f9(), (1, 2)),
+        lambda: FFElement(_f9(), (2, 1)),
+        [(_f9(), (1,)), (_f9(), (3, 0))],
+        ff.ArgumentError,
+        id="FFElement",
+    ),
+    pytest.param(
+        lambda: dynamics.OrbitCensus(1, (1,), 1, 0, 3, (3,)),
+        lambda: dynamics.OrbitCensus(2, (1, 1), 2, 1, 5),
+        [(2, (1,), 1, 0, 3), (1, (2,), 1, 0, 3), (1, (1,), 1, 0, 3, (2,))],
+        ValueError,
+        id="OrbitCensus",
+    ),
+]
+
+
+@pytest.mark.parametrize("make, make_other, invalid, error", VALUE_CLASSES)
+class TestValueClasses:
+    def test_equality_and_hash_stay_within_the_class(self, make, make_other, invalid, error):
+        a, b = make(), make()
+        assert a == b and hash(a) == hash(b) and not a != b
+        assert a != make_other()
+        fields = tuple(getattr(a, name) for name in type(a).__slots__)
+        assert a != fields and fields != a
+
+    def test_assignment_is_refused(self, make, make_other, invalid, error):
+        value = make()
+        name = type(value).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value == make()
+
+    def test_pickle_and_deepcopy_give_an_equal_value(self, make, make_other, invalid, error):
+        value = make()
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value
+
+    def test_invalid_arguments_raise(self, make, make_other, invalid, error):
+        for args in invalid:
+            with pytest.raises(error):
+                type(make())(*args)
+
+    def test_integer_times_value_is_a_type_error(self, make, make_other, invalid, error):
+        with pytest.raises(TypeError):
+            3 * make()
+
+    def test_repr_lists_the_fields(self, make, make_other, invalid, error):
+        value = make()
+        shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in type(value).__slots__)
+        assert repr(value) == f"{type(value).__name__}({shown})"
+
+
+def test_unpickling_a_field_runs_no_certificate(monkeypatch):
+    data = pickle.dumps(ff.standard_field(3, 4).element([1, 2]))
+    monkeypatch.setattr(ff, "certify_irreducible", mock.Mock(side_effect=AssertionError))
+    assert pickle.loads(data) == ff.standard_field(3, 4).element([1, 2])
