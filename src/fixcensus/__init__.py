@@ -7,7 +7,7 @@ and density statistics for integer coefficients, and counts trinomials
 x^d - x + c by discriminant and height.
 """
 
-from .claims import ClaimReport, ClaimSpec, Verdict, Witness, check, check_all, registry
+from .claims import ClaimReport, ClaimSpec, Verdict, Witness, check_all, registry
 from .dynamics import (
     DEFAULT_EXP_CAP,
     CensusRecord,
@@ -72,8 +72,7 @@ __all__ = [
     "fixed_points", "count_profile", "gcd_root_count", "orbit_census",
     "classify_residue", "integral_fixed_points", "integer_root",
     # claims
-    "Verdict", "Witness", "ClaimSpec", "ClaimReport", "registry", "check",
-    "check_all",
+    "Verdict", "Witness", "ClaimSpec", "ClaimReport", "registry", "check_all",
     # stats
     "Selector", "DensityKind", "AverageRow", "DensityRow", "prime_sieve", "prime_count",
     "average_report", "density_table",

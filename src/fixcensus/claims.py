@@ -33,9 +33,7 @@ __all__ = [
     "ClaimReport",
     "registry",
     "claim_by_id",
-    "check",
     "check_point",
-    "check_at",
     "check_all",
 ]
 
@@ -123,18 +121,6 @@ class ClaimSpec(NamedTuple):
 class ClaimReport(NamedTuple):
     claim: ClaimSpec
     points: tuple[PointResult, ...]
-
-    @property
-    def overall(self) -> Verdict:
-        """FAILS if any point fails, else HOLDS if any point held."""
-        statuses = {pt.status for pt in self.points}
-        if Verdict.FAILS in statuses:
-            return Verdict.FAILS
-        if Verdict.HOLDS in statuses:
-            return Verdict.HOLDS
-        if Verdict.SKIPPED in statuses:
-            return Verdict.SKIPPED
-        return Verdict.NOT_APPLICABLE
 
     def as_dict(self) -> dict:
         return {
@@ -311,22 +297,6 @@ def check_point(
             witnesses.append(Witness(fs.element_at(idx), predicted, actual))
     status = Verdict.FAILS if witnesses else Verdict.HOLDS
     return PointResult(p, n, ell, status, tuple(witnesses), tuple(sorted(unjudged.items())))
-
-
-def check(
-    claim: str | ClaimSpec,
-    grid: Iterable[tuple[int, int, int]],
-    *,
-    field_cap: int = DEFAULT_FIELD_CAP,
-    exp_cap: int = DEFAULT_EXP_CAP,
-) -> ClaimReport:
-    """Evaluate one claim over a grid of (p, n, ell) points."""
-    spec = claim_by_id(claim) if isinstance(claim, str) else claim
-    points = tuple(
-        check_point(spec, p, n, ell, field_cap=field_cap, exp_cap=exp_cap)
-        for p, n, ell in grid
-    )
-    return ClaimReport(spec, points)
 
 
 def check_at(

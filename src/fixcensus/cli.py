@@ -47,12 +47,17 @@ _CONFIG_TYPES = {
 }
 
 
-def _load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
+    """The JSON value in a user's file; one that cannot be read is a usage error."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON, bad UTF-8, an int past the digit limit
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
+        raise UsageError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _load_config(path: str) -> dict:
+    data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
     unknown = set(data) - set(_CONFIG_TYPES)
@@ -243,11 +248,7 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _load_expect(path: str) -> dict:
     """The verdicts an --expect file pins, keyed (claim, p, n, ell); read
     before any work, so a bad file stops the command before any output."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            golden = json.load(fh)
-    except (OSError, ValueError) as exc:  # as in _load_config
-        raise UsageError(f"cannot read --expect file {path}: {exc}") from exc
+    golden = _read_json(path, "--expect file")
     if not isinstance(golden, list):
         raise UsageError("--expect file must hold a list of claim reports")
     try:  # the file is user data: a non-object entry or point is a usage error
@@ -329,7 +330,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
     payload = None  # every mode but --c-range has one result: JSON is one object
     if args.X is not None:
         payload = nfcount.count_by_disc(
-            args.d, args.X, constant=args.bound_constant, q_max=args.q_max, c_cap=cfg.sieve_cap
+            args.d, args.X, constant=args.bound_constant, q_max=args.q_max, sieve_cap=cfg.sieve_cap
         ).as_dict()
         rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
     elif args.height is not None:
@@ -342,7 +343,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
         rows, columns = [payload], ["d", "hmax", "count"]
     elif args.squarefree is not None:
         report = nfcount.squarefree_disc_fraction(
-            args.d, args.squarefree, trial_bound=args.trial_bound, c_cap=cfg.sieve_cap
+            args.d, args.squarefree, trial_bound=args.trial_bound, sieve_cap=cfg.sieve_cap
         )
         payload = report.as_dict()
         rows = [{**payload, "fraction": report.fraction}]
@@ -355,10 +356,12 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             c_lo, c_hi = int(lo), int(hi)
         except ValueError as exc:
             raise UsageError(f"--c-range expects integers: {args.c_range!r}") from exc
-        nfcount.check_c_cap(f"--c-range {args.c_range}", c_hi - c_lo + 1, cfg.sieve_cap)
+        stats.check_sieve_cap(c_hi - c_lo + 1, cfg.sieve_cap, f"--c-range {args.c_range}: c count")
         rows = []
         for c in range(c_lo, c_hi + 1):
-            row = nfcount.trinomial_row(args.d, c, q_max=args.q_max, trial_bound=args.trial_bound)
+            row = nfcount.trinomial_row(
+                args.d, c, q_max=args.q_max, trial_bound=args.trial_bound, sieve_cap=cfg.sieve_cap
+            )
             rows.append({**row, "height": f"{row['height']:.6f}"})
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
     _write(_output(cfg, "json", columns, rows, payload))
@@ -401,7 +404,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--exp-cap", dest="exp_cap", type=int, default=None,
                      help=f"max map degree d (default {DEFAULT_EXP_CAP})")
     sub.add_argument("--sieve-cap", dest="sieve_cap", type=int, default=None,
-                     help=f"max prime-sieve limit, and max c values nf enumerates (default {DEFAULT_SIEVE_CAP})")
+                     help=f"max prime-sieve limit (nf's --q-max and --trial-bound too) and max count of c"
+                          f" nf enumerates (default {DEFAULT_SIEVE_CAP})")
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 

@@ -100,36 +100,34 @@ class CensusRecord(NamedTuple):
 class OrbitCensus(_Value):
     """Functional-graph shape of one map on one field.
 
-    Every component of a functional graph contains exactly one cycle;
-    component_count therefore equals len(cycle_lengths).  tail length 0
-    means the element already lies on a cycle.
+    Every component of a functional graph contains exactly one cycle, so
+    the components and the fixed points (the 1-cycles) are read off
+    cycle_lengths.  tail length 0 means the element already lies on a cycle.
     """
 
-    __slots__ = (
-        "component_count", "cycle_lengths", "fixed_point_count", "max_tail_length",
-        "element_total", "component_sizes",
-    )
-    component_count: int
+    __slots__ = ("cycle_lengths", "max_tail_length", "element_total", "component_sizes")
     cycle_lengths: tuple[int, ...]
-    fixed_point_count: int
     max_tail_length: int
     element_total: int
     component_sizes: tuple[int, ...]
 
     def __init__(
-        self, component_count: int, cycle_lengths: tuple[int, ...], fixed_point_count: int,
-        max_tail_length: int, element_total: int, component_sizes: tuple[int, ...] = (),
+        self, cycle_lengths: tuple[int, ...], max_tail_length: int, element_total: int,
+        component_sizes: tuple[int, ...],
     ) -> None:
-        if component_count != len(cycle_lengths):
+        if len(component_sizes) != len(cycle_lengths):
             raise ValueError("one cycle per component is violated")
-        if fixed_point_count != cycle_lengths.count(1):
-            raise ValueError("fixed points must equal the 1-cycles")
-        if component_sizes and sum(component_sizes) != element_total:
+        if sum(component_sizes) != element_total:
             raise ValueError("component sizes must cover the whole field")
-        self._init(
-            component_count, cycle_lengths, fixed_point_count, max_tail_length,
-            element_total, component_sizes,
-        )
+        self._init(cycle_lengths, max_tail_length, element_total, component_sizes)
+
+    @property
+    def component_count(self) -> int:
+        return len(self.cycle_lengths)
+
+    @property
+    def fixed_point_count(self) -> int:
+        return self.cycle_lengths.count(1)
 
     def as_dict(self) -> dict:
         return {
@@ -392,9 +390,7 @@ def orbit_census(
         comp_sizes[cid] += len(rest)
 
     return OrbitCensus(
-        component_count=len(cycle_lengths),
         cycle_lengths=tuple(sorted(cycle_lengths)),
-        fixed_point_count=cycle_lengths.count(1),
         max_tail_length=max(tail) if q else 0,
         element_total=q,
         component_sizes=tuple(sorted(comp_sizes)),

@@ -154,13 +154,10 @@ def _pmod(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
 
 
 def _pgcd(a: Sequence[int], b: Sequence[int], p: int) -> tuple[int, ...]:
-    """Monic gcd."""
+    """A gcd, up to a unit factor (not made monic)."""
     a, b = _trim(a), _trim(b)
     while b:
         a, b = b, _pmod(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], -1, p)
-        a = tuple(x * inv % p for x in a)
     return a
 
 
@@ -483,18 +480,12 @@ class FFElement(_Value):
         return FFElement(fs, rem + (0,) * (fs.n - len(rem)))
 
     def __pow__(self, e: int) -> "FFElement":
-        """Square and multiply; a**0 = 1 for every a, including a = 0."""
+        """Square and multiply (_ppowmod); a**0 = 1 for every a, including a = 0."""
         if e < 0:
             raise ArgumentError("negative exponents are not defined here")
-        result = self.field.one
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        fs = self.field
+        rem = _ppowmod(self.coeffs, e, fs.modulus.coeffs, fs.p)
+        return FFElement(fs, rem + (0,) * (fs.n - len(rem)))
 
     def frobenius(self) -> "FFElement":
         """The p-power map a -> a^p, the canonical field automorphism."""

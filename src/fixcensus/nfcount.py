@@ -27,11 +27,10 @@ from typing import NamedTuple
 from . import stats
 from .dynamics import integer_root, integral_fixed_points
 from .ff import ArgumentError, CapError, FpPoly, certify_irreducible
+from .stats import DEFAULT_SIEVE_CAP
 
 __all__ = [
     "ZETA2_INV",
-    "RangeCapError",
-    "check_c_cap",
     "IrreducibilityStatus",
     "FieldCountRow",
     "SquarefreeReport",
@@ -48,16 +47,6 @@ __all__ = [
 # 6 / pi^2, the squarefree density of all integers, shown as a reference
 # value next to empirical squarefree-discriminant fractions.
 ZETA2_INV = 6 / math.pi**2
-
-
-class RangeCapError(CapError):
-    """The c values a count would enumerate exceed the cap."""
-
-
-def check_c_cap(what: str, size: int, cap: int) -> None:
-    """Refuse an enumeration of size values of c above cap, before any work."""
-    if size > cap:
-        raise RangeCapError(f"{what} takes {size} values of c, beyond the cap {cap}")
 
 
 class IrreducibilityStatus(enum.Enum):
@@ -177,12 +166,6 @@ def closed_form_disc(d: int, c: int) -> int:
 DEFAULT_Q_MAX = 50
 
 
-@functools.lru_cache(maxsize=4)
-def _primes(limit: int) -> tuple[int, ...]:
-    """The primes <= limit, copied out of the sieve once per limit."""
-    return tuple(stats.prime_sieve(limit))
-
-
 @functools.lru_cache(maxsize=1 << 16)
 def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
     """certify_irreducible on x^d - x + c over F_q, memoized; certifying_prime
@@ -194,50 +177,56 @@ def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
     return certify_irreducible(FpPoly.of(q, [c, -1] + [0] * (d - 2) + [1]))
 
 
-def certifying_prime(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> int | None:
+def certifying_prime(
+    d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> int | None:
     """The smallest prime q <= q_max with f irreducible mod q, if any.
 
     f mod q depends only on c mod q, so the certificate is looked up by
     (d, c mod q, q): a run computes at most the sum of the primes up to
     q_max of them per degree.  A reducible f has no certifying prime, since
-    its monic factors stay factors mod every q.
+    its monic factors stay factors mod every q.  The primes are the shared
+    tuple of stats.prime_sieve, so q_max above sieve_cap is refused.
     """
     if d < 2:
         raise ArgumentError(f"degree {d} must be at least 2")
-    return next((q for q in _primes(q_max) if _irreducible_mod_q(d, c % q, q)), None)
+    primes = stats.prime_sieve(q_max, sieve_cap=sieve_cap)
+    return next((q for q in primes if _irreducible_mod_q(d, c % q, q)), None)
 
 
-def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX) -> IrreducibilityStatus:
+def irreducibility_status(
+    d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, sieve_cap: int = DEFAULT_SIEVE_CAP
+) -> IrreducibilityStatus:
     """Certified irreducibility of x^d - x + c over Q; UNKNOWN when unsure.
 
-    REDUCIBLE comes with an integer root (monic integer polynomials have
-    integer rational roots) or c = 0; IRREDUCIBLE comes from irreducibility
-    modulo some prime q <= q_max.  No heuristic ever upgrades UNKNOWN.
+    IRREDUCIBLE comes from irreducibility modulo some prime q <= q_max,
+    which a reducible f never has, so it is sought first (and q_max meets
+    the cap before c is looked at); REDUCIBLE comes with an integer root
+    (monic integer polynomials have integer rational roots) or c = 0.  No
+    heuristic ever upgrades UNKNOWN.
     """
-    if d < 2:
-        raise ArgumentError(f"degree {d} must be at least 2")
+    if certifying_prime(d, c, q_max=q_max, sieve_cap=sieve_cap) is not None:
+        return IrreducibilityStatus.IRREDUCIBLE
     if c == 0 or integral_fixed_points(d, c):
         return IrreducibilityStatus.REDUCIBLE
-    if certifying_prime(d, c, q_max=q_max) is None:
-        return IrreducibilityStatus.UNKNOWN
-    return IrreducibilityStatus.IRREDUCIBLE
+    return IrreducibilityStatus.UNKNOWN
 
 
-def bounded_trinomials(d: int, X: int, *, c_cap: int = stats.DEFAULT_SIEVE_CAP) -> list[int]:
+def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
     """The c of every trinomial with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
 
     For a = |c| >= 1 both members of a level have |disc| >= d^d a^(d-1) -
     (d-1)^(d-1), with equality at c = a, and that minimum strictly increases
     in a; so no level beyond r, the largest a with d^d a^(d-1) < X +
     (d-1)^(d-1), has a hit, and r is an integer root.  The 2r + 1
-    candidates |c| <= r are refused above c_cap before any is examined.
+    candidates |c| <= r are refused above sieve_cap before any is examined.
     """
     if d < 2:
         raise ArgumentError(f"degree {d} must be at least 2")
     if X < 1:
         raise ArgumentError(f"bound {X} must be at least 1")
     reach = integer_root((X + (d - 1) ** (d - 1) - 1) // d**d, d - 1)
-    check_c_cap(f"|disc| < {X}", 2 * reach + 1, c_cap)
+    stats.check_sieve_cap(2 * reach + 1, sieve_cap, f"|disc| < {X}: c count")
     candidates = itertools.chain((0,), *((a, -a) for a in range(1, reach + 1)))
     return [c for c in candidates if abs(closed_form_disc(d, c)) < X]
 
@@ -255,15 +244,18 @@ def count_by_disc(
     *,
     constant: float = 4.0,
     q_max: int = DEFAULT_Q_MAX,
-    c_cap: int = stats.DEFAULT_SIEVE_CAP,
+    sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
     bound_ok records whether count <= constant * X^(d/(2d-2)), compared
-    exactly; the exponent is also reported exactly as a Fraction.  An X
-    whose candidates exceed c_cap is refused before any is examined.
+    exactly; the exponent is also reported exactly as a Fraction.  A q_max
+    or a candidate count above sieve_cap is refused before any candidate
+    is examined.
     """
-    tally = Counter(irreducibility_status(d, c, q_max=q_max) for c in bounded_trinomials(d, X, c_cap=c_cap))
+    stats.check_sieve_cap(q_max, sieve_cap)
+    candidates = bounded_trinomials(d, X, sieve_cap=sieve_cap)
+    tally = Counter(irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap) for c in candidates)
     count, unknown = tally[IrreducibilityStatus.IRREDUCIBLE], tally[IrreducibilityStatus.UNKNOWN]
     return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
 
@@ -298,17 +290,17 @@ def count_by_height(d: int, hmax: int | float | Fraction) -> int:
 DEFAULT_TRIAL_BOUND = 10**5
 
 
-def _squarefree_by_trial(u: int, trial_bound: int) -> bool | None:
+def _squarefree_by_trial(u: int, trial_bound: int, primes: tuple[int, ...]) -> bool | None:
     """True/False when decided by trial division, None when out of reach.
 
     Trial division runs over the primes p <= min(B, u^(1/3)), B the trial
-    bound; a prime dividing twice means not squarefree.  Every prime factor
-    of the cofactor then exceeds m = max(min(B, u^(1/3)), 1), so a cofactor
-    below (m + 1)^3, which holds whenever u^(1/3) <= B, has at most two
-    prime factors: it is squarefree iff it is not a perfect square above 1.
-    A larger cofactor is decided only when it is a perfect square.
+    bound and primes the primes <= B; a prime dividing twice means not
+    squarefree.  Every prime factor of the cofactor then exceeds
+    m = max(min(B, u^(1/3)), 1), so a cofactor below (m + 1)^3, which holds
+    whenever u^(1/3) <= B, has at most two prime factors: it is squarefree
+    iff it is not a perfect square above 1.  A larger cofactor is decided
+    only when it is a perfect square.
     """
-    primes = _primes(trial_bound)
     root = integer_root(u, 3)
     rem = u
     for p in itertools.islice(primes, bisect.bisect_right(primes, root)):
@@ -327,7 +319,7 @@ def squarefree_disc_fraction(
     limit: int,
     *,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
-    c_cap: int = stats.DEFAULT_SIEVE_CAP,
+    sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> SquarefreeReport:
     """Fraction of c in [1, limit] whose |disc| is squarefree.
 
@@ -335,17 +327,18 @@ def squarefree_disc_fraction(
     by a root is already maximal, the standard sufficient condition for
     monogenicity.  Candidates that trial division up to trial_bound cannot
     settle (never one with |disc| < trial_bound^3) are counted as unknown,
-    never as squarefree.  A limit above c_cap is refused before any work.  The
-    reference value 6/pi^2 is carried alongside purely for display; no
-    convergence is asserted or checked.
+    never as squarefree.  A limit or a trial bound above sieve_cap is
+    refused before any work.  The reference value 6/pi^2 is carried
+    alongside purely for display; no convergence is asserted or checked.
     """
     if limit < 1:
         raise ArgumentError(f"limit {limit} must be at least 1")
-    check_c_cap(f"c in [1, {limit}]", limit, c_cap)
+    stats.check_sieve_cap(limit, sieve_cap, f"c in [1, {limit}]: c count")
+    primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
     squarefree = 0
     unknown = 0
     for c in range(1, limit + 1):
-        verdict = _squarefree_by_trial(abs(closed_form_disc(d, c)), trial_bound)
+        verdict = _squarefree_by_trial(abs(closed_form_disc(d, c)), trial_bound, primes)
         if verdict is True:
             squarefree += 1
         elif verdict is None:
@@ -355,12 +348,22 @@ def squarefree_disc_fraction(
     )
 
 
-def trinomial_row(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, trial_bound: int = DEFAULT_TRIAL_BOUND) -> dict:
+def trinomial_row(
+    d: int,
+    c: int,
+    *,
+    q_max: int = DEFAULT_Q_MAX,
+    trial_bound: int = DEFAULT_TRIAL_BOUND,
+    sieve_cap: int = DEFAULT_SIEVE_CAP,
+) -> dict:
     """One per-trinomial record for table output; the height |c|^(1/d) is a
-    float for display only, and counts by height use count_by_height."""
+    float for display only, and counts by height use count_by_height.  Both
+    prime lists meet sieve_cap before c is looked at."""
+    stats.check_sieve_cap(q_max, sieve_cap)
+    primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
     disc = closed_form_disc(d, c)
-    status = irreducibility_status(d, c, q_max=q_max)
-    sf = _squarefree_by_trial(abs(disc), trial_bound)
+    status = irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap)
+    sf = _squarefree_by_trial(abs(disc), trial_bound, primes)
     return {
         "d": d,
         "c": c,

@@ -31,6 +31,7 @@ from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, _prime_factors, stan
 __all__ = [
     "DEFAULT_SIEVE_CAP",
     "SieveCapError",
+    "check_sieve_cap",
     "Selector",
     "DensityKind",
     "AverageRow",
@@ -45,7 +46,18 @@ DEFAULT_SIEVE_CAP = 10**8
 
 
 class SieveCapError(CapError):
-    """The sieve limit exceeds the configured cap."""
+    """An integer-side size exceeds the sieve cap."""
+
+
+def check_sieve_cap(size: int, sieve_cap: int, what: str = "sieve limit") -> None:
+    """The integer-side cap rule, the one place a size meets sieve_cap.
+
+    The sizes are sieve limits (prime_sieve, the avg targets, the density
+    bounds, nf's certificate and trial-division primes) and counts of c
+    (what names them); each is refused above the cap before any work.
+    """
+    if size > sieve_cap:
+        raise SieveCapError(f"{what} {size} exceeds the cap {sieve_cap}")
 
 
 class Selector(enum.Enum):
@@ -102,22 +114,19 @@ class DensityRow(NamedTuple):
         return {**self._asdict(), "kind": self.kind.value, "ratio": ratio}
 
 
-def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
-    """All primes <= limit, ascending, as a fresh list the caller may keep."""
-    _check_sieve_cap(limit, sieve_cap)
-    return list(_sieve(limit))
+def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> tuple[int, ...]:
+    """All primes <= limit, ascending, once limit passes the cap.
 
-
-def _check_sieve_cap(limit: int, sieve_cap: int) -> None:
-    if limit > sieve_cap:
-        raise SieveCapError(f"sieve limit {limit} exceeds the cap {sieve_cap}")
+    The tuple is memoized by limit and shared by every caller, so equal
+    limits in one run sieve once and a lookup copies nothing.
+    """
+    check_sieve_cap(limit, sieve_cap)
+    return _sieve(limit)
 
 
 @functools.lru_cache(maxsize=8)
 def _sieve(limit: int) -> tuple[int, ...]:
-    # Eratosthenes on the odd numbers (mark[k] stands for 2k + 1), memoized
-    # by limit so that equal limits in one run sieve once; a tuple, so no
-    # caller can alter the shared result.
+    # Eratosthenes on the odd numbers (mark[k] stands for 2k + 1)
     if limit < 2:
         return ()
     size = (limit + 1) // 2
@@ -209,7 +218,7 @@ def average_report(
         raise ArgumentError(f"n = {n} and ell = {ell} must be at least 1")
     floor = _FLOOR[family]
     targets = [(c, c + _SHIFT.get(selector, 0)) for c in c_list]
-    _check_sieve_cap(max([0] + [t for _, t in targets]), sieve_cap)
+    check_sieve_cap(max([0] + [t for _, t in targets]), sieve_cap)
     g = math.gcd(n, ell)
 
     def count(p: int, c: int) -> int:
@@ -260,7 +269,7 @@ def density_table(
     """
     floor, selector = _KIND_RULES[kind]
     c_list = list(c_list)
-    _check_sieve_cap(max([0] + c_list), sieve_cap)
+    check_sieve_cap(max([0] + c_list), sieve_cap)
     rows = []
     for c in c_list:
         denominator = _primes_between(floor, c)

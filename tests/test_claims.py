@@ -187,36 +187,39 @@ class TestCheckPoint:
             assert all(str(w.c) != "0" for w in res.witnesses)
 
 
+def statuses(report):
+    return [pt.status for pt in report.points]
+
+
 class TestCheckAndCheckAll:
     def test_report_overall(self):
         grid = [(3, 2, 1), (3, 3, 1)]
-        report = claims.check("C-2.1", grid)
-        assert report.overall is Verdict.FAILS
-        assert len(report.points) == 2
+        report = claims.check_all(grid)[0]
+        assert report.claim.id == "C-2.1"
+        assert statuses(report) == [Verdict.FAILS, Verdict.FAILS]
 
     def test_single_applicable_claim(self):
         reports = claims.check_all([(3, 1, 1)])
         assert [r.claim.id for r in reports] == [c.id for c in claims.registry()]
         by_id = {r.claim.id: r for r in reports}
-        assert by_id["C-2.4"].overall is Verdict.HOLDS
+        assert statuses(by_id["C-2.4"]) == [Verdict.HOLDS]
         for cid in ("C-2.1", "C-2.2", "C-2.3", "C-3.1", "C-3.2", "C-3.3", "C-3.4"):
-            assert by_id[cid].overall is Verdict.NOT_APPLICABLE
+            assert statuses(by_id[cid]) == [Verdict.NOT_APPLICABLE]
 
     def test_p5_prime_field(self):
         by_id = {r.claim.id: r for r in claims.check_all([(5, 1, 1)])}
-        assert by_id["C-3.4"].overall is Verdict.HOLDS
-        assert by_id["C-2.4"].overall is Verdict.FAILS
+        assert statuses(by_id["C-3.4"]) == [Verdict.HOLDS]
+        assert statuses(by_id["C-2.4"]) == [Verdict.FAILS]
 
     def test_empty_grid(self):
         reports = claims.check_all([])
         assert len(reports) == 8
         for r in reports:
             assert r.points == ()
-            assert r.overall is Verdict.NOT_APPLICABLE
 
     def test_as_dict_shape(self):
-        report = claims.check("C-3.4", [(7, 1, 1), (3, 1, 1)])
-        payload = report.as_dict()
+        by_id = {r.claim.id: r for r in claims.check_all([(7, 1, 1), (3, 1, 1)])}
+        payload = by_id["C-3.4"].as_dict()
         assert payload["claim"] == "C-3.4"
         assert payload["conditional"] is False
         assert payload["family"] == "pminus1"
@@ -252,7 +255,9 @@ class TestScanSharing:
         reports = claims.check_all(self.GRID)
         assert len(scans) == len(set(scans)) == 42
         # point-first walking keeps registry order and grid order
-        assert reports == [claims.check(spec, self.GRID) for spec in claims.registry()]
+        assert [r.claim for r in reports] == list(claims.registry())
+        for spec, report in zip(claims.registry(), reports):
+            assert report.points == tuple(claims.check_point(spec, *point) for point in self.GRID)
 
     def test_caps_checked_on_every_point(self):
         spec = claims.claim_by_id("C-2.3")

@@ -523,6 +523,65 @@ def test_caps_refuse_before_any_field_is_built(capsys, monkeypatch, argv, messag
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+# Every integer-side size, each run once just above --sieve-cap and once at
+# it: (the argv above the cap, its refusal, the argv at the cap).
+_INTEGER_SIZES = [
+    (["avg", "--family", "prime-power", "--selector", "p|c+1", "--c", "100", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["avg", "--family", "prime-power", "--selector", "p|c+1", "--c", "99", "--sieve-cap", "100"]),
+    (["avg", "--family", "pminus1", "--selector", "p!|c", "--c", "101", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["avg", "--family", "pminus1", "--selector", "p!|c", "--c", "100", "--sieve-cap", "100"]),
+    (["density", "--kind", "mc1", "--c", "5,101", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["density", "--kind", "mc1", "--c", "5,100", "--sieve-cap", "100"]),
+    (["nf", "--d", "3", "--X", "1000", "--q-max", "12", "--sieve-cap", "12"],
+     "|disc| < 1000: c count 13 exceeds the cap 12",
+     ["nf", "--d", "3", "--X", "1000", "--q-max", "13", "--sieve-cap", "13"]),
+    (["nf", "--d", "3", "--squarefree", "101", "--trial-bound", "100", "--sieve-cap", "100"],
+     "c in [1, 101]: c count 101 exceeds the cap 100",
+     ["nf", "--d", "3", "--squarefree", "100", "--trial-bound", "100", "--sieve-cap", "100"]),
+    (["nf", "--d", "3", "--c-range", "-50:50", "--sieve-cap", "100"],
+     "--c-range -50:50: c count 101 exceeds the cap 100",
+     ["nf", "--d", "3", "--c-range", "-50:49", "--trial-bound", "100", "--sieve-cap", "100"]),
+    (["nf", "--d", "3", "--X", "1000", "--q-max", "101", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["nf", "--d", "3", "--X", "1000", "--q-max", "100", "--sieve-cap", "100"]),
+    (["nf", "--d", "3", "--c-range", "0:2", "--q-max", "101", "--trial-bound", "10", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["nf", "--d", "3", "--c-range", "0:2", "--q-max", "100", "--trial-bound", "10", "--sieve-cap", "100"]),
+    (["nf", "--d", "3", "--squarefree", "5", "--trial-bound", "101", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["nf", "--d", "3", "--squarefree", "5", "--trial-bound", "100", "--sieve-cap", "100"]),
+    (["nf", "--d", "3", "--c-range", "0:2", "--trial-bound", "101", "--sieve-cap", "100"],
+     "sieve limit 101 exceeds the cap 100",
+     ["nf", "--d", "3", "--c-range", "0:2", "--trial-bound", "100", "--sieve-cap", "100"]),
+    # nf's prime lists meet the cap too: neither of these may sieve to 10^6
+    (["nf", "--d", "3", "--squarefree", "5", "--trial-bound", "1000000", "--sieve-cap", "10"],
+     "sieve limit 1000000 exceeds the cap 10",
+     ["nf", "--d", "3", "--squarefree", "5", "--trial-bound", "10", "--sieve-cap", "10"]),
+    (["nf", "--d", "3", "--X", "1000", "--q-max", "1000000", "--sieve-cap", "20"],
+     "sieve limit 1000000 exceeds the cap 20",
+     ["nf", "--d", "3", "--X", "1000", "--q-max", "20", "--sieve-cap", "20"]),
+]
+
+
+@pytest.mark.parametrize("above, message, at", _INTEGER_SIZES)
+def test_integer_side_sizes_meet_one_cap(capsys, monkeypatch, above, message, at):
+    assert run(capsys, at)[0] == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the cap check")
+
+    for module, name in [
+        (stats, "_sieve"), (stats, "prime_count"), (stats, "_prime_factors"), (stats, "standard_field"),
+        (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
+        (nfcount, "_squarefree_by_trial"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
+    assert run(capsys, above) == (2, "", f"error: {message}\n")
+
+
 def test_claims_skip_a_degree_past_the_exponent_cap(capsys):
     code, out, _ = run(capsys, ["claims", "--p", "3", "--n", "2", "--ell", "10000"])
     skipped = [pt["note"] for rep in json.loads(out) for pt in rep["grid"] if pt["status"] == "SKIPPED"]
@@ -881,9 +940,9 @@ class TestNf:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--X", str(10**40)], f"error: |disc| < {10**40} takes 38490017945975050967 values of c, beyond the cap 100000000\n"),
-            ([f"--c-range=0:{10**12}"], f"error: --c-range 0:{10**12} takes {10**12 + 1} values of c, beyond the cap 100000000\n"),
-            (["--squarefree", "101", "--sieve-cap", "100"], "error: c in [1, 101] takes 101 values of c, beyond the cap 100\n"),
+            (["--X", str(10**40)], f"error: |disc| < {10**40}: c count 38490017945975050967 exceeds the cap 100000000\n"),
+            ([f"--c-range=0:{10**12}"], f"error: --c-range 0:{10**12}: c count {10**12 + 1} exceeds the cap 100000000\n"),
+            (["--squarefree", "101", "--sieve-cap", "100"], "error: c in [1, 101]: c count 101 exceeds the cap 100\n"),
         ],
     )
     def test_c_ranges_beyond_the_sieve_cap_exit_2_before_any_work(self, capsys, monkeypatch, argv, message):
@@ -896,11 +955,14 @@ class TestNf:
         assert run(capsys, ["nf", "--d", "3", *argv]) == (2, "", message)
 
     def test_c_ranges_at_the_sieve_cap_run(self, capsys):
-        assert run(capsys, ["nf", "--d", "3", "--squarefree", "10", "--sieve-cap", "10"])[0] == 0
-        assert run(capsys, ["nf", "--d", "3", "--c-range", "0:9", "--sieve-cap", "10"])[0] == 0
-        assert run(capsys, ["nf", "--d", "3", "--c-range", "0:10", "--sieve-cap", "10"])[0] == 2
-        assert run(capsys, ["nf", "--d", "3", "--X", "1000", "--sieve-cap", "13"])[0] == 0  # 27 c^2 - 4 < 1000: |c| <= 6
-        assert run(capsys, ["nf", "--d", "3", "--X", "1000", "--sieve-cap", "12"])[0] == 2
+        # the prime lists meet the same cap, so they are kept at or below it
+        small = ["--q-max", "10", "--trial-bound", "10", "--sieve-cap", "10"]
+        assert run(capsys, ["nf", "--d", "3", "--squarefree", "10", *small])[0] == 0
+        assert run(capsys, ["nf", "--d", "3", "--c-range", "0:9", *small])[0] == 0
+        assert run(capsys, ["nf", "--d", "3", "--c-range", "0:10", *small])[0] == 2
+        # 27 c^2 - 4 < 1000: |c| <= 6
+        assert run(capsys, ["nf", "--d", "3", "--X", "1000", "--q-max", "13", "--sieve-cap", "13"])[0] == 0
+        assert run(capsys, ["nf", "--d", "3", "--X", "1000", "--q-max", "12", "--sieve-cap", "12"])[0] == 2
 
     def test_bad_c_range(self, capsys):
         code, _, err = run(capsys, ["nf", "--d", "3", "--c-range", "5"])

@@ -250,6 +250,16 @@ class TestFieldAxioms:
         assert a**fs.order == a  # q-power map is the identity
         assert a.frobenius() == a**fs.p
 
+    @given(field_and_indexes(1, FIELDS + [ff.standard_field(3, 7)]), st.integers(0, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_power_is_repeated_multiplication(self, data, e):
+        fs, (i,) = data
+        a = fs.element_at(i)
+        product = fs.one
+        for _ in range(e):
+            product = product * a
+        assert a**e == product
+
     def test_frobenius_fixes_exactly_the_prime_subfield(self):
         for fs in FIELDS:
             fixed = [e for e in fs.elements() if e.frobenius() == e]
@@ -397,9 +407,9 @@ VALUE_CLASSES = [
         id="FFElement",
     ),
     pytest.param(
-        lambda: dynamics.OrbitCensus(1, (1,), 1, 0, 3, (3,)),
-        lambda: dynamics.OrbitCensus(2, (1, 1), 2, 1, 5),
-        [(2, (1,), 1, 0, 3), (1, (2,), 1, 0, 3), (1, (1,), 1, 0, 3, (2,))],
+        lambda: dynamics.OrbitCensus((1,), 0, 3, (3,)),
+        lambda: dynamics.OrbitCensus((1, 1), 1, 5, (2, 3)),
+        [((1,), 0, 3, (2,)), ((1,), 0, 3, (1, 2)), ((1, 2), 0, 3, (3,))],
         ValueError,
         id="OrbitCensus",
     ),

@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcensus import ff, nfcount, stats
+from fixcensus import cli, ff, nfcount, stats
 from fixcensus.nfcount import IrreducibilityStatus, ZETA2_INV
 
 
@@ -397,6 +397,10 @@ def sqrt_rule_squarefree(u, primes):
     return None
 
 
+def by_trial(u, trial_bound):
+    return nfcount._squarefree_by_trial(u, trial_bound, stats.prime_sieve(trial_bound))
+
+
 def brute_squarefree(u):
     return all(u % (k * k) for k in range(2, math.isqrt(u) + 1))
 
@@ -416,7 +420,7 @@ class TestCubeRootRule:
         st.sampled_from(TRIAL_BOUNDS),
     )
     def test_sound_and_decides_wherever_the_sqrt_rule_did(self, u, trial_bound):
-        verdict = nfcount._squarefree_by_trial(u, trial_bound)
+        verdict = by_trial(u, trial_bound)
         if verdict is not None:
             assert verdict == brute_squarefree(u)
         old = sqrt_rule_squarefree(u, stats.prime_sieve(trial_bound))
@@ -427,21 +431,21 @@ class TestCubeRootRule:
     def test_settles_every_u_below_the_cube_bound(self, trial_bound):
         # below (B + 1)^3, and below 2^3 even with no primes at all
         for u in range(1, (max(trial_bound, 1) + 1) ** 3):
-            assert nfcount._squarefree_by_trial(u, trial_bound) == brute_squarefree(u), (u, trial_bound)
+            assert by_trial(u, trial_bound) == brute_squarefree(u), (u, trial_bound)
 
     def test_unknown_beyond_the_cube_bound(self):
-        assert nfcount._squarefree_by_trial(11 * 13 * 17, 10) is None
-        assert nfcount._squarefree_by_trial(37 * 37, 10) is False  # a square settles at any size
-        assert nfcount._squarefree_by_trial(11 * 13, 10) is True
-        assert nfcount._squarefree_by_trial(9, 0) is False
-        assert nfcount._squarefree_by_trial(11, 0) is None
+        assert by_trial(11 * 13 * 17, 10) is None
+        assert by_trial(37 * 37, 10) is False  # a square settles at any size
+        assert by_trial(11 * 13, 10) is True
+        assert by_trial(9, 0) is False
+        assert by_trial(11, 0) is None
 
     def test_quartic_discriminants_all_decided(self):
         # |disc| of x^4 - x + c outgrows B^2 = 10^10 near c = 1700, not B^3
         rep = nfcount.squarefree_disc_fraction(4, 3000)
         assert rep.unknown == 0
         assert rep.squarefree == sum(
-            1 for c in range(1, 3001) if nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(4, c)), 10**5)
+            1 for c in range(1, 3001) if by_trial(abs(nfcount.closed_form_disc(4, c)), 10**5)
         )
 
 
@@ -451,10 +455,10 @@ class TestCaps:
             raise AssertionError("a candidate was examined")
 
         monkeypatch.setattr(nfcount, "closed_form_disc", no_disc)
-        with pytest.raises(nfcount.RangeCapError, match=r"beyond the cap 100000000$"):
+        with pytest.raises(stats.SieveCapError, match=r"exceeds the cap 100000000$"):
             nfcount.count_by_disc(3, 10**40)
-        with pytest.raises(ff.CapError, match=r"takes 7 values of c, beyond the cap 6$"):
-            nfcount.bounded_trinomials(3, 300, c_cap=6)
+        with pytest.raises(ff.CapError, match=r"^\|disc\| < 300: c count 7 exceeds the cap 6$"):
+            nfcount.bounded_trinomials(3, 300, sieve_cap=6)
 
     def test_disc_bound_reach_is_exact(self):
         # the candidates are the 2r + 1 values |c| <= r, so the cap is tight
@@ -462,18 +466,18 @@ class TestCaps:
             for X in (1, 5, 24, 100, 10**4, 10**5):
                 cs = nfcount.bounded_trinomials(d, X)
                 reach = max(abs(c) for c in cs) if cs else 0
-                assert nfcount.bounded_trinomials(d, X, c_cap=2 * reach + 1) == cs
+                assert nfcount.bounded_trinomials(d, X, sieve_cap=2 * reach + 1) == cs
                 if reach:
-                    with pytest.raises(nfcount.RangeCapError):
-                        nfcount.bounded_trinomials(d, X, c_cap=2 * reach)
+                    with pytest.raises(stats.SieveCapError):
+                        nfcount.bounded_trinomials(d, X, sieve_cap=2 * reach)
 
     def test_squarefree_limit_refused_before_any_work(self, monkeypatch):
-        def no_work(u, trial_bound):
+        def no_work(*args):
             raise AssertionError("a discriminant was tested")
 
         monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
-        with pytest.raises(nfcount.RangeCapError, match=r"^c in \[1, 11\] takes 11 values of c, beyond the cap 10$"):
-            nfcount.squarefree_disc_fraction(3, 11, c_cap=10)
+        with pytest.raises(stats.SieveCapError, match=r"^c in \[1, 11\]: c count 11 exceeds the cap 10$"):
+            nfcount.squarefree_disc_fraction(3, 11, sieve_cap=10)
 
 
 class TestHeightProperty:
@@ -483,15 +487,67 @@ class TestHeightProperty:
         assert row["height"] == abs(-8) ** (1.0 / 3) == 2.0
 
     def test_certifying_primes_come_from_one_memoized_tuple(self, monkeypatch):
-        calls = []
+        lists = []
         real = stats.prime_sieve
 
-        def counting(limit, **caps):
-            calls.append(limit)
-            return real(limit, **caps)
+        def recording(limit, **caps):
+            lists.append(real(limit, **caps))
+            return lists[-1]
 
-        nfcount._primes.cache_clear()
-        monkeypatch.setattr(stats, "prime_sieve", counting)
+        stats._sieve.cache_clear()
+        monkeypatch.setattr(stats, "prime_sieve", recording)
         nfcount.count_by_disc(3, 10**6)
-        assert calls == [nfcount.DEFAULT_Q_MAX]
-        nfcount._primes.cache_clear()
+        assert stats._sieve.cache_info().misses == 1  # sieved once per run
+        assert len(lists) > 1 and all(primes is lists[0] for primes in lists)  # and never copied
+        assert lists[0][-1] == 47
+
+
+class Stop(Exception):
+    pass
+
+
+# Every nf entry point that reads a prime list, called with one of its lists
+# at `limit` and the cap at 10^9.
+PRIME_LIST_READERS = {
+    "count_by_disc": lambda limit, cap: nfcount.count_by_disc(3, 1000, q_max=limit, sieve_cap=cap),
+    "squarefree_disc_fraction": lambda limit, cap: nfcount.squarefree_disc_fraction(
+        3, 5, trial_bound=limit, sieve_cap=cap
+    ),
+    "trinomial_row q_max": lambda limit, cap: nfcount.trinomial_row(3, 2, q_max=limit, sieve_cap=cap),
+    "trinomial_row trial_bound": lambda limit, cap: nfcount.trinomial_row(
+        3, 2, trial_bound=limit, sieve_cap=cap
+    ),
+    "c-range rows": lambda limit, cap: cli.main(
+        ["nf", "--d", "3", "--c-range", "0:2", "--trial-bound", str(limit), "--sieve-cap", str(cap)]
+    ),
+}
+
+
+class TestPrimeListCaps:
+    """nf's prime lists meet the caller's sieve_cap, never the 10^8 default."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch, capsys):
+        seen = []
+        real = stats.check_sieve_cap
+
+        def recording(size, sieve_cap, what="sieve limit"):
+            seen.append((what, size, sieve_cap))
+            if size > stats.DEFAULT_SIEVE_CAP:
+                raise Stop  # past the default cap: what it was checked against is all that matters
+            real(size, sieve_cap, what)
+
+        monkeypatch.setattr(stats, "check_sieve_cap", recording)
+        return seen
+
+    @pytest.mark.parametrize("reader", list(PRIME_LIST_READERS))
+    def test_every_check_uses_the_callers_cap(self, checks, reader):
+        PRIME_LIST_READERS[reader](2000, 10**9)
+        assert ("sieve limit", 2000, 10**9) in checks
+        assert {cap for _, _, cap in checks} == {10**9}
+
+    @pytest.mark.parametrize("reader", list(PRIME_LIST_READERS))
+    def test_a_list_above_the_default_cap_is_checked_against_a_raised_cap(self, checks, reader):
+        with pytest.raises(Stop):
+            PRIME_LIST_READERS[reader](2 * 10**8, 10**9)
+        assert checks[-1] == ("sieve limit", 2 * 10**8, 10**9)

@@ -28,10 +28,10 @@ SHUFFLED_C = [105, 17, 0, 105, 2, 60, -3, 1, 17, 3]
 
 class TestPrimeSieve:
     def test_small_values(self):
-        assert stats.prime_sieve(10) == [2, 3, 5, 7]
-        assert stats.prime_sieve(2) == [2]
-        assert stats.prime_sieve(1) == []
-        assert stats.prime_sieve(0) == []
+        assert stats.prime_sieve(10) == (2, 3, 5, 7)
+        assert stats.prime_sieve(2) == (2,)
+        assert stats.prime_sieve(1) == ()
+        assert stats.prime_sieve(0) == ()
         assert len(stats.prime_sieve(30)) == 10
 
     def test_cap(self):
@@ -42,12 +42,9 @@ class TestPrimeSieve:
     def test_matches_trial_division(self):
         want = trial_division_primes(2000)
         for limit in range(2001):
-            got = stats.prime_sieve(limit)
-            assert got == [p for p in want if p <= limit], limit
-            got.append(-1)  # the caller owns its list; the memo must not see this
-            got[:1] = [4]
-            assert stats.prime_sieve(limit) == [p for p in want if p <= limit], limit
-        assert stats.prime_sieve(2000) is not stats.prime_sieve(2000)
+            assert stats.prime_sieve(limit) == tuple(p for p in want if p <= limit), limit
+        # one shared, immutable tuple per limit: a lookup copies nothing
+        assert stats.prime_sieve(2000) is stats.prime_sieve(2000)
 
 
 class TestAverageReport:
