@@ -30,7 +30,6 @@ from .ff import (
     FFElement,
     FieldCapError,
     FieldSpec,
-    FpPoly,
     certify_irreducible,
     find_irreducible,
     is_prime,
@@ -63,7 +62,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # ff
-    "DEFAULT_FIELD_CAP", "ArgumentError", "CapError", "FieldCapError", "is_prime", "FpPoly",
+    "DEFAULT_FIELD_CAP", "ArgumentError", "CapError", "FieldCapError", "is_prime",
     "find_irreducible", "certify_irreducible", "FieldSpec", "FFElement",
     "standard_field",
     # dynamics

@@ -143,10 +143,6 @@ def _map(jobs: int, fn, tasks: list) -> list:
 def _coefficient(fs, text: str):
     """A --c coefficient: an integer, or an element string like 2*t+1."""
     try:
-        return fs.from_int(int(text))
-    except ValueError:
-        pass
-    try:
         return fs.parse(text)
     except ArgumentError as exc:
         raise UsageError(f"--c: {exc}") from exc
@@ -328,9 +324,10 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
     if sum(chosen) != 1:
         raise UsageError("nf needs exactly one of --X, --height, --squarefree, --c-range")
     payload = None  # every mode but --c-range has one result: JSON is one object
+    caps = {"exp_cap": cfg.exp_cap, "sieve_cap": cfg.sieve_cap}  # --d meets --exp-cap in every mode
     if args.X is not None:
         payload = nfcount.count_by_disc(
-            args.d, args.X, constant=args.bound_constant, q_max=args.q_max, sieve_cap=cfg.sieve_cap
+            args.d, args.X, constant=args.bound_constant, q_max=args.q_max, **caps
         ).as_dict()
         rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
     elif args.height is not None:
@@ -339,11 +336,12 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             shown = float(hmax)
         except (ValueError, OverflowError) as exc:  # inf, nan, junk, beyond float range
             raise UsageError(f"--height expects a finite number in float range: {args.height!r}") from exc
-        payload = {"d": args.d, "hmax": shown, "count": nfcount.count_by_height(args.d, hmax)}
+        count = nfcount.count_by_height(args.d, hmax, exp_cap=cfg.exp_cap)
+        payload = {"d": args.d, "hmax": shown, "count": count}
         rows, columns = [payload], ["d", "hmax", "count"]
     elif args.squarefree is not None:
         report = nfcount.squarefree_disc_fraction(
-            args.d, args.squarefree, trial_bound=args.trial_bound, sieve_cap=cfg.sieve_cap
+            args.d, args.squarefree, trial_bound=args.trial_bound, **caps
         )
         payload = report.as_dict()
         rows = [{**payload, "fraction": report.fraction}]
@@ -360,7 +358,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
         rows = []
         for c in range(c_lo, c_hi + 1):
             row = nfcount.trinomial_row(
-                args.d, c, q_max=args.q_max, trial_bound=args.trial_bound, sieve_cap=cfg.sieve_cap
+                args.d, c, q_max=args.q_max, trial_bound=args.trial_bound, **caps
             )
             rows.append({**row, "height": f"{row['height']:.6f}"})
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]

@@ -40,6 +40,7 @@ __all__ = [
     "DEFAULT_EXP_CAP",
     "ExponentCapError",
     "Family",
+    "check_degree",
     "capped_degree",
     "CensusRecord",
     "OrbitCensus",
@@ -138,6 +139,22 @@ class OrbitCensus(_Value):
         }
 
 
+def check_degree(k: int, exp_cap: int | None = None, base: int | None = None) -> int:
+    """The map degree base^k (k for no base; a base needs exp_cap), once it
+    passes the one degree rule: at least 2, and at most exp_cap when one is
+    given.  As a base is at least 2, an exponent above the cap's bit length
+    exceeds the cap, so no power is formed far past it; such a degree is
+    written base^k.
+    """
+    d = k if base is None else base**k if k <= exp_cap.bit_length() else None
+    if d is not None and d < 2:
+        raise ArgumentError(f"map degree {d} must be at least 2")
+    if exp_cap is not None and (d is None or d > exp_cap):
+        shown = f"{base}^{k}" if d is None else d
+        raise ExponentCapError(f"map degree {shown} exceeds the exponent cap {exp_cap}")
+    return d
+
+
 def capped_degree(
     p: int, n: int, family: Family, k: int, *,
     field_cap: int | None = DEFAULT_FIELD_CAP, exp_cap: int = DEFAULT_EXP_CAP,
@@ -146,22 +163,17 @@ def capped_degree(
 
     The counters call it with Family.RAW and their degree, the commands
     before any field is built.  Checked in order: the family's arguments,
-    the field's, d >= 2, the field cap (None: none), the exponent cap.  As a
-    base is at least 2, an exponent above a cap's bit length exceeds it, so
-    no power is formed far past its cap; such a degree is written base^k.
+    the field's, a raw d >= 2, the field cap (None: none), then
+    check_degree with the exponent cap.
     """
     # family.degree(p, 1) runs the family's checks and gives the base (k < 1 fails them)
     base = None if family is Family.RAW else family.degree(p, min(k, 1))
     check_field(p, n)
-    if base is None and k < 2:
-        raise ArgumentError(f"map degree {k} must be at least 2")
+    if base is None:
+        check_degree(k)
     if field_cap is not None and (n > field_cap.bit_length() or p**n > field_cap):
         raise FieldCapError(f"field order {p}^{n} exceeds the cap {field_cap}")
-    d = k if base is None else base**k if k <= exp_cap.bit_length() else None
-    if d is None or d > exp_cap:
-        shown = f"{base}^{k}" if d is None else d
-        raise ExponentCapError(f"map degree {shown} exceeds the exponent cap {exp_cap}")
-    return d
+    return check_degree(k, exp_cap, base)
 
 
 def _coefficient_index(fs: FieldSpec, c: int | FFElement) -> int:
@@ -443,8 +455,7 @@ def integral_fixed_points(d: int, c: int) -> frozenset[int]:
     w >= r + 2 has w^d - w >= (r + 1)^d > |c|.  So z is one of r, -r, r + 1,
     -r - 1, each tested exactly, so there are at most four roots.
     """
-    if d < 2:
-        raise ArgumentError(f"map degree {d} must be at least 2")
+    check_degree(d)
     if c == 0:
         return frozenset({0, 1, -1} if d % 2 else {0, 1})
     r = integer_root(abs(c), d)

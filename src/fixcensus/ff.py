@@ -27,7 +27,6 @@ __all__ = [
     "FieldCapError",
     "is_prime",
     "render_poly",
-    "FpPoly",
     "certify_irreducible",
     "check_field",
     "find_irreducible",
@@ -101,9 +100,10 @@ def _prime_factors(u: int, floor: int = 2) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # Dense polynomial arithmetic over F_p on plain tuples, lowest degree first,
-# trimmed (no trailing zeros; the zero polynomial is the empty tuple).  These
-# helpers are the workhorse layer under FpPoly, FFElement and the
-# irreducibility certificates.
+# trimmed (no trailing zeros; the zero polynomial is the empty tuple).  Such
+# a tuple is the one polynomial type: a field's modulus is one, and these
+# helpers are the arithmetic under FFElement and the irreducibility
+# certificates.
 
 def _trim(cs: Sequence[int]) -> tuple[int, ...]:
     i = len(cs)
@@ -229,57 +229,26 @@ def render_poly(coeffs: Sequence[int]) -> str:
     return "+".join(terms) if terms else "0"
 
 
-class FpPoly(_Value):
-    """Polynomial over F_p; coeffs lowest degree first, no trailing zeros."""
+def certify_irreducible(p: int, coeffs: Sequence[int]) -> bool:
+    """Full irreducibility certificate for a monic polynomial over F_p.
 
-    __slots__ = ("p", "coeffs")
-    p: int
-    coeffs: tuple[int, ...]
-
-    def __init__(self, p: int, coeffs: tuple[int, ...]) -> None:
-        if not is_prime(p):
-            raise ArgumentError(f"characteristic {p} is not prime")
-        if any(not (0 <= a < p) for a in coeffs):
-            raise ArgumentError("coefficients must be reduced residues mod p")
-        if coeffs and coeffs[-1] == 0:
-            raise ArgumentError("trailing zero coefficient; use FpPoly.of")
-        self._init(p, coeffs)
-
-    @classmethod
-    def of(cls, p: int, coeffs: Iterable[int]) -> "FpPoly":
-        """Build from arbitrary integers, reducing mod p and trimming."""
-        return cls(p, _trim([int(a) % p for a in coeffs]))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
-    def is_monic(self) -> bool:
-        return bool(self.coeffs) and self.coeffs[-1] == 1
-
-    def __str__(self) -> str:
-        return render_poly(self.coeffs)
-
-
-def certify_irreducible(poly: FpPoly) -> bool:
-    """Full irreducibility certificate for a monic polynomial.
-
-    A monic m of degree n >= 1 is irreducible over F_p exactly when
-    gcd(t^(p^k) - t, m) = 1 for every 1 <= k <= n // 2: any nontrivial
-    factorisation contains a factor of degree at most n // 2, and
-    t^(p^k) - t is the product of all monic irreducibles of degree
-    dividing k.  Degree 1 passes vacuously.
+    coeffs are reduced residues, lowest degree first; an input that is not
+    monic of degree at least 1 is not certified.  A monic m of degree
+    n >= 1 is irreducible over F_p exactly when gcd(t^(p^k) - t, m) = 1
+    for every 1 <= k <= n // 2: any nontrivial factorisation contains a
+    factor of degree at most n // 2, and t^(p^k) - t is the product of all
+    monic irreducibles of degree dividing k.  Degree 1 passes vacuously.
     """
-    if not poly.is_monic:
+    if not is_prime(p):
+        raise ArgumentError(f"characteristic {p} is not prime")
+    if any(not (0 <= a < p) for a in coeffs):
+        raise ArgumentError("coefficients must be reduced residues mod p")
+    if len(coeffs) < 2 or coeffs[-1] != 1:
         return False
-    n, p = poly.degree, poly.p
-    m = poly.coeffs
     t = (0, 1)
-    for k in range(1, n // 2 + 1):
-        tpk = _ppowmod(t, p**k, m, p)
-        g = _pgcd(m, _psub(tpk, t, p), p)
-        if len(g) - 1 != 0:
+    for k in range(1, (len(coeffs) - 1) // 2 + 1):
+        tpk = _ppowmod(t, p**k, coeffs, p)
+        if len(_pgcd(coeffs, _psub(tpk, t, p), p)) != 1:
             return False
     return True
 
@@ -292,7 +261,7 @@ def check_field(p: int, n: int) -> None:
         raise ArgumentError(f"degree {n} must be at least 1")
 
 
-def find_irreducible(p: int, n: int) -> FpPoly:
+def find_irreducible(p: int, n: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree n over F_p.
 
     Candidates t^n + a_(n-1) t^(n-1) + ... + a_0 are ordered by the tuple
@@ -301,9 +270,8 @@ def find_irreducible(p: int, n: int) -> FpPoly:
     """
     check_field(p, n)
     for high in itertools.product(range(p), repeat=n):
-        coeffs = tuple(reversed(high)) + (1,)
-        cand = FpPoly(p, coeffs)
-        if certify_irreducible(cand):
+        cand = tuple(reversed(high)) + (1,)
+        if certify_irreducible(p, cand):
             return cand
     raise RuntimeError("unreachable: irreducibles of every degree exist")
 
@@ -311,31 +279,25 @@ def find_irreducible(p: int, n: int) -> FpPoly:
 class FieldSpec(_Value):
     """A concrete model of F_{p^n}: characteristic, degree and modulus pi.
 
-    Elements are coefficient vectors over the basis 1, t, ..., t^(n-1).
+    The modulus is a coefficient tuple, lowest degree first, and elements
+    are coefficient vectors over the basis 1, t, ..., t^(n-1).
     Construction re-runs the irreducibility certificate, so an invalid
-    modulus can never circulate.  Prefer FieldSpec.create or standard_field,
-    which pick the canonical lex-least modulus.
+    modulus can never circulate.  Prefer standard_field, which picks the
+    canonical lex-least modulus.
     """
 
     __slots__ = ("p", "n", "modulus")
     p: int
     n: int
-    modulus: FpPoly
+    modulus: tuple[int, ...]
 
-    def __init__(self, p: int, n: int, modulus: FpPoly) -> None:
-        if n < 1:
-            raise ArgumentError(f"extension degree {n} must be at least 1")
-        if modulus.p != p:
-            raise ArgumentError("modulus characteristic differs from field characteristic")
-        if modulus.degree != n:
+    def __init__(self, p: int, n: int, modulus: tuple[int, ...]) -> None:
+        check_field(p, n)
+        if len(modulus) != n + 1:
             raise ArgumentError("modulus degree differs from extension degree")
-        if not certify_irreducible(modulus):
-            raise ArgumentError(f"modulus {modulus} is not irreducible over F_{p}")
+        if not certify_irreducible(p, modulus):
+            raise ArgumentError(f"modulus {render_poly(modulus)} is not irreducible over F_{p}")
         self._init(p, n, modulus)
-
-    @classmethod
-    def create(cls, p: int, n: int) -> "FieldSpec":
-        return cls(p, n, find_irreducible(p, n))
 
     @property
     def order(self) -> int:
@@ -361,7 +323,7 @@ class FieldSpec(_Value):
         """
         cs = [int(a) % self.p for a in coeffs]
         if len(cs) > self.n:
-            cs = list(_pmod(tuple(cs), self.modulus.coeffs, self.p))
+            cs = list(_pmod(tuple(cs), self.modulus, self.p))
         return FFElement(self, tuple(cs) + (0,) * (self.n - len(cs)))
 
     def element_at(self, index: int) -> "FFElement":
@@ -388,13 +350,13 @@ class FieldSpec(_Value):
         Each t^k is reduced by the modulus in O(log k) steps."""
         cs = [0] * self.n
         for k, a in _parse_poly_text(text).items():
-            for i, b in enumerate(_ppowmod((0, 1), k, self.modulus.coeffs, self.p)):
+            for i, b in enumerate(_ppowmod((0, 1), k, self.modulus, self.p)):
                 cs[i] += a * b
         return self.element(cs)
 
     def as_dict(self) -> dict:
         """Serialisable form: {p, n, modulus coefficient list}."""
-        return {"p": self.p, "n": self.n, "modulus": list(self.modulus.coeffs)}
+        return {"p": self.p, "n": self.n, "modulus": list(self.modulus)}
 
     def __str__(self) -> str:
         return f"F_{self.p}^{self.n}"
@@ -476,7 +438,7 @@ class FFElement(_Value):
     def __mul__(self, other: "FFElement") -> "FFElement":
         self._check_same_field(other)
         fs = self.field
-        rem = _pmod(_pmul(self.coeffs, other.coeffs, fs.p), fs.modulus.coeffs, fs.p)
+        rem = _pmod(_pmul(self.coeffs, other.coeffs, fs.p), fs.modulus, fs.p)
         return FFElement(fs, rem + (0,) * (fs.n - len(rem)))
 
     def __pow__(self, e: int) -> "FFElement":
@@ -484,7 +446,7 @@ class FFElement(_Value):
         if e < 0:
             raise ArgumentError("negative exponents are not defined here")
         fs = self.field
-        rem = _ppowmod(self.coeffs, e, fs.modulus.coeffs, fs.p)
+        rem = _ppowmod(self.coeffs, e, fs.modulus, fs.p)
         return FFElement(fs, rem + (0,) * (fs.n - len(rem)))
 
     def frobenius(self) -> "FFElement":
@@ -498,7 +460,7 @@ class FFElement(_Value):
 @lru_cache(maxsize=None)
 def standard_field(p: int, n: int) -> FieldSpec:
     """Cached canonical field with the lex-least modulus."""
-    return FieldSpec.create(p, n)
+    return FieldSpec(p, n, find_irreducible(p, n))
 
 
 # ---------------------------------------------------------------------------
@@ -548,7 +510,7 @@ class _LogOps(FieldOps):
 
     def __init__(self, fs: FieldSpec):
         super().__init__(fs)
-        p, n, q, m = self.p, self.n, self.q, fs.modulus.coeffs
+        p, n, q, m = self.p, self.n, self.q, fs.modulus
         weights = [p**k for k in range(n)]  # index = sum digit*weight
         self.order = order = q - 1
         self.half = order // 2 if p > 2 else 0

@@ -25,8 +25,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import stats
-from .dynamics import integer_root, integral_fixed_points
-from .ff import ArgumentError, CapError, FpPoly, certify_irreducible
+from .dynamics import DEFAULT_EXP_CAP, check_degree, integer_root, integral_fixed_points
+from .ff import ArgumentError, CapError, certify_irreducible
 from .stats import DEFAULT_SIEVE_CAP
 
 __all__ = [
@@ -141,8 +141,7 @@ def trinomial_disc(d: int, c: int) -> int:
 
     disc = (-1)^(d(d-1)/2) * Res(f, f'), evaluated over exact integers.
     """
-    if d < 2:
-        raise ArgumentError(f"degree {d} must be at least 2")
+    check_degree(d)
     f = [1] + [0] * (d - 2) + [-1, c]
     fp = [d] + [0] * (d - 2) + [-1]
     res = _det_bareiss(_sylvester(f, fp))
@@ -157,8 +156,7 @@ def closed_form_disc(d: int, c: int) -> int:
     trinomial_disc over d <= 10, |c| <= 30 is enforced by the test suite;
     the enumerators below use this form for speed.
     """
-    if d < 2:
-        raise ArgumentError(f"degree {d} must be at least 2")
+    check_degree(d)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * (d**d * c ** (d - 1) - (d - 1) ** (d - 1))
 
@@ -174,7 +172,7 @@ def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
     f stays monic of degree d under reduction, so a pass certifies
     irreducibility over Q as well.
     """
-    return certify_irreducible(FpPoly.of(q, [c, -1] + [0] * (d - 2) + [1]))
+    return certify_irreducible(q, (c % q, q - 1) + (0,) * (d - 2) + (1,))
 
 
 def certifying_prime(
@@ -188,8 +186,7 @@ def certifying_prime(
     its monic factors stay factors mod every q.  The primes are the shared
     tuple of stats.prime_sieve, so q_max above sieve_cap is refused.
     """
-    if d < 2:
-        raise ArgumentError(f"degree {d} must be at least 2")
+    check_degree(d)
     primes = stats.prime_sieve(q_max, sieve_cap=sieve_cap)
     return next((q for q in primes if _irreducible_mod_q(d, c % q, q)), None)
 
@@ -221,8 +218,7 @@ def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
     (d-1)^(d-1), has a hit, and r is an integer root.  The 2r + 1
     candidates |c| <= r are refused above sieve_cap before any is examined.
     """
-    if d < 2:
-        raise ArgumentError(f"degree {d} must be at least 2")
+    check_degree(d)
     if X < 1:
         raise ArgumentError(f"bound {X} must be at least 1")
     reach = integer_root((X + (d - 1) ** (d - 1) - 1) // d**d, d - 1)
@@ -244,15 +240,17 @@ def count_by_disc(
     *,
     constant: float = 4.0,
     q_max: int = DEFAULT_Q_MAX,
+    exp_cap: int = DEFAULT_EXP_CAP,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
     bound_ok records whether count <= constant * X^(d/(2d-2)), compared
-    exactly; the exponent is also reported exactly as a Fraction.  A q_max
-    or a candidate count above sieve_cap is refused before any candidate
-    is examined.
+    exactly; the exponent is also reported exactly as a Fraction.  A d
+    above exp_cap, and a q_max or a candidate count above sieve_cap, is
+    refused before any candidate is examined.
     """
+    check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
     candidates = bounded_trinomials(d, X, sieve_cap=sieve_cap)
     tally = Counter(irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap) for c in candidates)
@@ -260,16 +258,16 @@ def count_by_disc(
     return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
 
 
-def count_by_height(d: int, hmax: int | float | Fraction) -> int:
+def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFAULT_EXP_CAP) -> int:
     """#{c integer : |c|^(1/d) <= hmax}, by the closed form 2*floor(hmax^d)+1.
 
     floor(hmax^d) is exact: a float counts as the binary value it holds, so
     pass a Fraction (as the CLI does) to mean a decimal height exactly.
-    A count that may outgrow the interpreter's int-to-str digit limit is
-    refused with CapError before the power is formed.
+    A d above exp_cap, and a count that may outgrow the interpreter's
+    int-to-str digit limit, are refused with CapError before the power is
+    formed.
     """
-    if d < 2:
-        raise ArgumentError(f"degree {d} must be at least 2")
+    check_degree(d, exp_cap)
     try:
         h = Fraction(hmax)
     except (ValueError, OverflowError) as exc:
@@ -319,6 +317,7 @@ def squarefree_disc_fraction(
     limit: int,
     *,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
+    exp_cap: int = DEFAULT_EXP_CAP,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> SquarefreeReport:
     """Fraction of c in [1, limit] whose |disc| is squarefree.
@@ -327,10 +326,12 @@ def squarefree_disc_fraction(
     by a root is already maximal, the standard sufficient condition for
     monogenicity.  Candidates that trial division up to trial_bound cannot
     settle (never one with |disc| < trial_bound^3) are counted as unknown,
-    never as squarefree.  A limit or a trial bound above sieve_cap is
-    refused before any work.  The reference value 6/pi^2 is carried
-    alongside purely for display; no convergence is asserted or checked.
+    never as squarefree.  A d above exp_cap, and a limit or a trial bound
+    above sieve_cap, are refused before any work.  The reference value
+    6/pi^2 is carried alongside purely for display; no convergence is
+    asserted or checked.
     """
+    check_degree(d, exp_cap)
     if limit < 1:
         raise ArgumentError(f"limit {limit} must be at least 1")
     stats.check_sieve_cap(limit, sieve_cap, f"c in [1, {limit}]: c count")
@@ -354,11 +355,13 @@ def trinomial_row(
     *,
     q_max: int = DEFAULT_Q_MAX,
     trial_bound: int = DEFAULT_TRIAL_BOUND,
+    exp_cap: int = DEFAULT_EXP_CAP,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
 ) -> dict:
     """One per-trinomial record for table output; the height |c|^(1/d) is a
-    float for display only, and counts by height use count_by_height.  Both
-    prime lists meet sieve_cap before c is looked at."""
+    float for display only, and counts by height use count_by_height.  d
+    meets exp_cap and both prime lists meet sieve_cap before c is looked at."""
+    check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
     primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
     disc = closed_form_disc(d, c)

@@ -491,7 +491,7 @@ def test_library_argument_errors_exit_2(capsys):
     assert issubclass(ff.ArgumentError, ValueError)
     with pytest.raises(ff.ArgumentError):
         nfcount.closed_form_disc(1, 0)
-    assert run(capsys, ["nf", "--d", "1", "--X", "100"]) == (2, "", "error: degree 1 must be at least 2\n")
+    assert run(capsys, ["nf", "--d", "1", "--X", "100"]) == (2, "", "error: map degree 1 must be at least 2\n")
     assert run(capsys, ["avg", "--family", "prime-power", "--selector", "p|c", "--c", "3", "--n", "0"]) == (
         2, "", "error: n = 0 and ell = 1 must be at least 1\n"
     )
@@ -580,6 +580,43 @@ def test_integer_side_sizes_meet_one_cap(capsys, monkeypatch, above, message, at
     ]:
         monkeypatch.setattr(module, name, no_work)
     assert run(capsys, above) == (2, "", f"error: {message}\n")
+
+
+# Every command whose map degree meets --exp-cap, run once with the degree just
+# above the cap and once at it: (argv without the cap, the degree).
+_DEGREES = [
+    pytest.param(["nf", "--d", "5", "--X", "100000"], 5, id="nf-X"),
+    pytest.param(["nf", "--d", "5", "--height", "2"], 5, id="nf-height"),
+    pytest.param(["nf", "--d", "5", "--squarefree", "10"], 5, id="nf-squarefree"),
+    pytest.param(["nf", "--d", "5", "--c-range", "1:3"], 5, id="nf-c-range"),
+    pytest.param(["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "2", "--c", "0"], 9,
+                 id="census"),
+    pytest.param(["orbits", "--p", "3", "--n", "2", "--d", "5", "--c", "1"], 5, id="orbits"),
+    pytest.param(["avg", "--family", "pminus1", "--ell", "2", "--selector", "p|c", "--c", "5"], 16, id="avg"),
+]
+
+
+@pytest.mark.parametrize("argv, d", _DEGREES)
+def test_map_degrees_meet_one_exponent_cap(capsys, monkeypatch, argv, d):
+    assert run(capsys, [*argv, "--exp-cap", str(d)])[0] == 0
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the degree check")
+
+    for module, name in [
+        (cli, "standard_field"), (stats, "standard_field"), (dynamics, "count_profile"), (stats, "prime_sieve"),
+        (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
+        (nfcount, "_squarefree_by_trial"),
+    ]:
+        monkeypatch.setattr(module, name, no_work)
+    assert run(capsys, [*argv, "--exp-cap", str(d - 1)]) == (
+        2, "", f"error: map degree {d} exceeds the exponent cap {d - 1}\n"
+    )
+
+
+def test_coefficient_with_digit_groups_is_a_usage_error(capsys):
+    argv = ["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "1", "--c", "1_0"]
+    assert run(capsys, argv) == (2, "", "error: --c: cannot parse term '1_0' of element '1_0'\n")
 
 
 def test_claims_skip_a_degree_past_the_exponent_cap(capsys):

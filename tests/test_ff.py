@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fixcensus import dynamics, ff, stats
-from fixcensus.ff import FFElement, FieldSpec, FpPoly, field_ops
+from fixcensus.ff import FFElement, FieldSpec, field_ops
 
 # Small fields reused across property tests; mixed characteristics and
 # degrees, all with canonical moduli.
@@ -65,26 +65,26 @@ class TestIsPrime:
         assert ff.is_prime(u) == trial_division_is_prime(u)
 
 
-def brute_force_irreducible(poly: FpPoly) -> bool:
+def brute_force_irreducible(p: int, coeffs: tuple[int, ...]) -> bool:
     """Trial division by every lower-degree monic polynomial."""
     import itertools
 
-    p, n = poly.p, poly.degree
+    n = len(coeffs) - 1
     if n <= 1:
         return n == 1
     for k in range(1, n // 2 + 1):
         for low in itertools.product(range(p), repeat=k):
             divisor = tuple(low) + (1,)
-            if not ff._pmod(poly.coeffs, divisor, p):
+            if not ff._pmod(coeffs, divisor, p):
                 return False
     return True
 
 
 class TestFindIrreducible:
     def test_canonical_moduli(self):
-        assert str(ff.find_irreducible(3, 1)) == "t"
-        assert ff.find_irreducible(3, 2).coeffs == (1, 0, 1)
-        assert ff.find_irreducible(5, 2).coeffs == (2, 0, 1)
+        assert ff.find_irreducible(3, 1) == (0, 1)
+        assert ff.find_irreducible(3, 2) == (1, 0, 1)
+        assert ff.find_irreducible(5, 2) == (2, 0, 1)
 
     def test_deterministic(self):
         assert ff.find_irreducible(7, 3) == ff.find_irreducible(7, 3)
@@ -94,22 +94,37 @@ class TestFindIrreducible:
         import itertools
 
         found = ff.find_irreducible(p, n)
-        assert found.is_monic and found.degree == n
-        assert brute_force_irreducible(found)
+        assert len(found) == n + 1 and found[-1] == 1
+        assert brute_force_irreducible(p, found)
         # nothing lexicographically earlier passes brute force
         for high in itertools.product(range(p), repeat=n):
-            cand = FpPoly(p, tuple(reversed(high)) + (1,))
+            cand = tuple(reversed(high)) + (1,)
             if cand == found:
                 break
-            assert not brute_force_irreducible(cand), str(cand)
+            assert not brute_force_irreducible(p, cand), ff.render_poly(cand)
 
     def test_certificate_agrees_with_brute_force(self):
         import itertools
 
         for p, n in [(3, 2), (3, 3), (5, 2)]:
             for high in itertools.product(range(p), repeat=n):
-                cand = FpPoly(p, tuple(reversed(high)) + (1,))
-                assert ff.certify_irreducible(cand) == brute_force_irreducible(cand)
+                cand = tuple(reversed(high)) + (1,)
+                assert ff.certify_irreducible(p, cand) == brute_force_irreducible(p, cand)
+
+    @given(st.sampled_from([2, 3, 5, 7]), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_certificate_agrees_with_trial_division(self, p, data):
+        n = data.draw(st.integers(0, 6))
+        monic = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))) + (1,)
+        assert ff.certify_irreducible(p, monic) == brute_force_irreducible(p, monic)
+
+    def test_certificate_refusals(self):
+        with pytest.raises(ff.ArgumentError, match="^characteristic 4 is not prime$"):
+            ff.certify_irreducible(4, (1, 1))
+        with pytest.raises(ff.ArgumentError, match="^coefficients must be reduced residues mod p$"):
+            ff.certify_irreducible(3, (5, 1))
+        for not_monic in [(), (0,), (1, 2), (1, 1, 0)]:
+            assert ff.certify_irreducible(3, not_monic) is False
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -119,13 +134,25 @@ class TestFindIrreducible:
 
 
 class TestFieldSpec:
+    # each refusal of the constructor: (p, n, modulus, its ArgumentError message)
+    REFUSED = [
+        (4, 2, (1, 0, 1), "4 is not prime"),
+        (3, 0, (1,), "degree 0 must be at least 1"),
+        (3, 2, (1, 0, 4), "coefficients must be reduced residues mod p"),
+        (3, 3, (1, 0, 1), "modulus degree differs from extension degree"),
+        (3, 2, (0, 0, 1), "modulus t^2 is not irreducible over F_3"),
+        (5, 2, (1, 0, 1), "modulus t^2+1 is not irreducible over F_5"),
+    ]
+
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FieldSpec(3, 2, FpPoly.of(3, [0, 0, 1]))  # t^2 is reducible
-        with pytest.raises(ValueError):
-            FieldSpec(5, 2, ff.find_irreducible(3, 2))  # wrong characteristic
-        with pytest.raises(ValueError):
-            FieldSpec(3, 3, ff.find_irreducible(3, 2))  # wrong degree
+        for p, n, modulus, message in self.REFUSED:
+            with pytest.raises(ff.ArgumentError, match=f"^{re.escape(message)}$"):
+                FieldSpec(p, n, modulus)
+
+    def test_modulus_is_the_coefficient_tuple(self):
+        fs = ff.standard_field(3, 2)
+        assert fs.modulus == (1, 0, 1) and FieldSpec(3, 2, (1, 0, 1)) == fs
+        assert fs.as_dict() == {"p": 3, "n": 2, "modulus": [1, 0, 1]}
 
     def test_order_and_constants(self):
         fs = ff.standard_field(3, 2)
@@ -369,33 +396,18 @@ class TestRendering:
         assert ff.render_poly((0, 0, 3)) == "3*t^2"
         assert ff.render_poly((1, 0, 1)) == "t^2+1"
 
-    def test_fppoly_of_normalises(self):
-        poly = FpPoly.of(3, [4, -1, 3])
-        assert poly.coeffs == (1, 2)
-        with pytest.raises(ValueError):
-            FpPoly(3, (1, 0))  # untrimmed
-        with pytest.raises(ValueError):
-            FpPoly(3, (5,))  # unreduced
-
 
 def _f9():
-    return FieldSpec(3, 2, FpPoly(3, (1, 0, 1)))
+    return FieldSpec(3, 2, (1, 0, 1))
 
 
 # (build an instance, build an unequal one of the same class, the invalid
 # argument lists, and the error they raise) for each immutable value class.
 VALUE_CLASSES = [
     pytest.param(
-        lambda: FpPoly(3, (1, 0, 1)),
-        lambda: FpPoly(3, (2, 1, 1)),
-        [(4, (1,)), (3, (5,)), (3, (1, 0))],
-        ff.ArgumentError,
-        id="FpPoly",
-    ),
-    pytest.param(
         _f9,
-        lambda: FieldSpec(3, 2, FpPoly(3, (2, 1, 1))),
-        [(3, 2, FpPoly(3, (0, 0, 1))), (5, 2, FpPoly(3, (1, 0, 1))), (3, 3, FpPoly(3, (1, 0, 1)))],
+        lambda: FieldSpec(3, 2, (2, 1, 1)),
+        [(3, 2, (0, 0, 1)), (5, 2, (1, 0, 1)), (3, 3, (1, 0, 1))],
         ff.ArgumentError,
         id="FieldSpec",
     ),
