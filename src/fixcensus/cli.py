@@ -4,9 +4,11 @@ Exit codes: 0 success (claim FAILS verdicts are data, not errors), 2 usage
 errors, the library's ArgumentError and cap violations, 3 when --expect
 pins verdicts and the fresh run differs.  Any other exception is a fault
 and propagates.  Identical invocations produce byte-identical output;
---jobs changes wall time only, because records are fully sorted before
-the one writer, _write, emits them.  A destination that cannot be opened
-is a usage error that leaves no output anywhere.
+--jobs changes wall time only: _map runs whole fields in forked processes,
+one field per process, and hands the results back in task order, and the
+records are fully sorted before the one writer, _write, emits them.  A
+destination that cannot be opened is a usage error that leaves no output
+anywhere.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import contextlib
 import csv
 import io
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -130,14 +133,88 @@ def _write(*outputs: tuple[str | None, str]) -> None:
             sink.write(text)
 
 
-def _map(jobs: int, fn, tasks: list) -> list:
-    """[fn(t) for t in tasks], on up to jobs worker processes; same order."""
-    if jobs > 1 and len(tasks) > 1:
-        from concurrent.futures import ProcessPoolExecutor  # here, not at the top: ~20 ms per start
+def _map(jobs: int, fn, tasks: list, field_cap: int) -> list:
+    """[fn(t) for t in tasks], the fields shared out over up to jobs processes.
 
-        with ProcessPoolExecutor(max_workers=min(jobs, len(tasks))) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    Every task starts with its field (p, n).  Whole fields go to
+    min(jobs, #fields) shards, largest first, each to the least-loaded
+    shard, so no field's tables are built twice.  A field weighs its order
+    p^n, formed only up to field_cap: one past the cap is refused unscanned
+    and weighs 1.  This process runs shard 0 and forks one child for each
+    other shard.  The results come back in task order; a failure raises the
+    exception of the lowest failing task index, as the serial loop does.
+    Every child is reaped before this returns or raises.  Where os.fork is
+    missing, the tasks run serially.
+    """
+    fields = list(dict.fromkeys(t[:2] for t in tasks))
+    if jobs == 1 or len(fields) < 2 or not hasattr(os, "fork"):
+        return [fn(t) for t in tasks]
+    weight = {
+        (p, n): p**n if 1 <= n <= field_cap.bit_length() and p**n <= field_cap else 1
+        for p, n in fields
+    }
+    loads = [0] * min(jobs, len(fields))
+    shard_of = {}
+    for field in sorted(fields, key=lambda f: (-weight[f], f)):
+        shard_of[field] = loads.index(min(loads))
+        loads[shard_of[field]] += weight[field]
+    shards = [[i for i, t in enumerate(tasks) if shard_of[t[:2]] == s] for s in range(len(loads))]
+
+    import pickle  # here, not at the top: only a forked run sends results
+    import signal
+
+    sys.stdout.flush()
+    sys.stderr.flush()
+    running = []  # (pid, read end of its pipe) for each child not yet reaped
+    try:
+        for indexes in shards[1:]:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child: its outcome to the pipe, then out without cleanup
+                status = 1
+                try:
+                    os.close(read_fd)
+                    with open(write_fd, "wb") as pipe:
+                        pickle.dump(_run_shard(fn, tasks, indexes), pipe)
+                    status = 0
+                finally:
+                    os._exit(status)
+            os.close(write_fd)
+            running.append((pid, open(read_fd, "rb")))
+        outcomes = [_run_shard(fn, tasks, shards[0])]
+        while running:
+            pid, pipe = running[0]
+            with pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            running.pop(0)
+            if code != 0:
+                raise RuntimeError(f"--jobs worker process {pid} died with exit status {code}")
+            outcomes.append(pickle.loads(data))  # bytes written by this program's own child
+    finally:
+        for pid, pipe in running:  # only after an interrupt or a fault: stop and reap the rest
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    failures = [failure for _, failure in outcomes if failure is not None]
+    if failures:
+        raise min(failures)[1]  # (index, exception): the indexes differ, so no exception is compared
+    results = [None] * len(tasks)
+    for indexes, (values, _) in zip(shards, outcomes):
+        for i, value in zip(indexes, values):
+            results[i] = value
+    return results
+
+
+def _run_shard(fn, tasks: list, indexes: list[int]) -> tuple[list | None, tuple | None]:
+    """(fn of each task in indexes, None), or (None, (index, exception)) for the first that raises."""
+    values = []
+    for i in indexes:
+        try:
+            values.append(fn(tasks[i]))
+        except Exception as exc:  # _map re-raises the lowest failing index over all shards
+            return None, (i, exc)
+    return values, None
 
 
 def _coefficient(fs, text: str):
@@ -202,7 +279,7 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
         for n in n_list
         for k in k_list
     ]
-    records = [rec for chunk in _map(cfg.jobs, _census_point, tasks) for rec in chunk]
+    records = [rec for chunk in _map(cfg.jobs, _census_point, tasks, cfg.field_cap) for rec in chunk]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
     columns = list(dynamics.CensusRecord._fields)
     _write(_output(cfg, "csv", columns, [r._asdict() for r in records]))
@@ -222,7 +299,7 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
         grid,
         field_cap=cfg.field_cap,
         exp_cap=cfg.exp_cap,
-        mapper=lambda fn, points: _map(cfg.jobs, fn, points),
+        mapper=lambda fn, points: _map(cfg.jobs, fn, points, cfg.field_cap),
     )
     rows = []  # CSV: one row per witness, or one bare row per point
     for rep in reports:
@@ -323,8 +400,9 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
     chosen = [v is not None for v in (args.X, args.height, args.squarefree, args.c_range)]
     if sum(chosen) != 1:
         raise UsageError("nf needs exactly one of --X, --height, --squarefree, --c-range")
+    dynamics.check_degree(args.d, cfg.exp_cap)  # every mode, an empty --c-range too
     payload = None  # every mode but --c-range has one result: JSON is one object
-    caps = {"exp_cap": cfg.exp_cap, "sieve_cap": cfg.sieve_cap}  # --d meets --exp-cap in every mode
+    caps = {"exp_cap": cfg.exp_cap, "sieve_cap": cfg.sieve_cap}
     if args.X is not None:
         payload = nfcount.count_by_disc(
             args.d, args.X, constant=args.bound_constant, q_max=args.q_max, **caps

@@ -245,9 +245,9 @@ def certify_irreducible(p: int, coeffs: Sequence[int]) -> bool:
         raise ArgumentError("coefficients must be reduced residues mod p")
     if len(coeffs) < 2 or coeffs[-1] != 1:
         return False
-    t = (0, 1)
-    for k in range(1, (len(coeffs) - 1) // 2 + 1):
-        tpk = _ppowmod(t, p**k, coeffs, p)
+    t = tpk = (0, 1)
+    for _ in range((len(coeffs) - 1) // 2):
+        tpk = _ppowmod(tpk, p, coeffs, p)  # t^(p^k) = (t^(p^(k-1)))^p: one Frobenius step
         if len(_pgcd(coeffs, _psub(tpk, t, p), p)) != 1:
             return False
     return True

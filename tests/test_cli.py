@@ -304,8 +304,8 @@ class TestCensus:
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second
-        _, parallel, _ = run(capsys, argv + ["--jobs", "2"])
-        assert parallel == first
+        for jobs in ("2", "3"):
+            assert run(capsys, argv + ["--jobs", jobs]) == (0, first, "")
 
     def test_jobs_invariant_over_ells_and_raw_degrees(self, capsys):
         for argv in (
@@ -408,13 +408,106 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
     assert err.count("\n") == 1
 
 
-def test_import_leaves_the_process_pool_unloaded():
-    # the pool module is imported by _map only when --jobs asks for workers
+def test_forked_jobs_load_no_pool_module():
+    # -S: no site .pth file adds modules, so only the command's imports count
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, fixcensus.cli; print('concurrent.futures.process' in sys.modules)"
-    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    code = (
+        "import os, sys; from fixcensus.cli import main; "
+        "main(['claims', '--p', '3,5', '--n', '1,2', '--ell', '1', '--jobs', '2', '--out', os.devnull]); "
+        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (result.stdout, result.stderr) == ("[]\n", "")
+
+
+def test_import_leaves_pickle_unloaded():
+    # pickle is imported by _map only when it forks
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fixcensus.cli; print('pickle' in sys.modules)"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "False\n"
+
+
+class TestMap:
+    # Six fields of orders 9, 3, 49, 7, 25, 5, not in order of size: --jobs 2
+    # puts F_7^2 alone in shard 0 (tasks 4 and 5), --jobs 3 F_5^2 alone in shard 1.
+    TASKS = [(p, n, ell) for p in (3, 7, 5) for n in (2, 1) for ell in (1, 2)]
+
+    @staticmethod
+    def value(task):
+        p, n, ell = task
+        return [p**n, ell]
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_equals_the_serial_loop(self, jobs):
+        assert cli._map(jobs, self.value, self.TASKS, 10**7) == [self.value(t) for t in self.TASKS]
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("jobs", [2, 3, 7])
+    def test_one_process_per_field(self, jobs):
+        pids = cli._map(jobs, lambda t: os.getpid(), self.TASKS, 10**7)
+        by_field = {}
+        for task, pid in zip(self.TASKS, pids):
+            by_field.setdefault(task[:2], set()).add(pid)
+        assert all(len(field_pids) == 1 for field_pids in by_field.values())
+        assert len(set(pids)) == min(jobs, len(by_field))
+        assert pids[4] == os.getpid()  # the largest field runs in this process
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize("failing", [(1, 5), (5, 8), (3, 9)])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    def test_raises_the_lowest_failing_index(self, jobs, failing):
+        def fn(task):
+            index = self.TASKS.index(task)
+            if index in failing:
+                raise ValueError(f"task {index}")
+            return task
+
+        with pytest.raises(ValueError, match=f"^task {min(failing)}$"):
+            cli._map(jobs, fn, self.TASKS, 10**7)
+        self.assert_no_child_left()
+
+    def test_a_child_that_dies_is_a_runtime_error(self):
+        parent = os.getpid()
+
+        def fn(task):
+            if os.getpid() != parent:
+                os._exit(7)
+            return task
+
+        with pytest.raises(RuntimeError, match="died with exit status 7$"):
+            cli._map(2, fn, self.TASKS, 10**7)
+        self.assert_no_child_left()
+
+    def test_an_interrupt_stops_and_reaps_the_children(self):
+        import time
+
+        parent = os.getpid()
+
+        def fn(task):
+            if os.getpid() != parent:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            cli._map(2, fn, self.TASKS, 10**7)
+        assert time.monotonic() - start < 30
+        self.assert_no_child_left()
+
+    def test_a_field_past_the_cap_weighs_one(self):
+        # weighed by p^n, F_3^1000 would take a shard of its own
+        tasks = [(3, 1000, 1), (5, 2, 1), (7, 2, 1), (11, 1, 1)]
+        pids = cli._map(2, lambda t: os.getpid(), tasks, 10**7)
+        assert pids[2] == os.getpid() and pids[0] == pids[1] == pids[3] != os.getpid()
+        self.assert_no_child_left()
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
@@ -491,7 +584,8 @@ def test_library_argument_errors_exit_2(capsys):
     assert issubclass(ff.ArgumentError, ValueError)
     with pytest.raises(ff.ArgumentError):
         nfcount.closed_form_disc(1, 0)
-    assert run(capsys, ["nf", "--d", "1", "--X", "100"]) == (2, "", "error: map degree 1 must be at least 2\n")
+    for mode in (["--X", "100"], ["--c-range", "5:1"]):
+        assert run(capsys, ["nf", "--d", "1", *mode]) == (2, "", "error: map degree 1 must be at least 2\n")
     assert run(capsys, ["avg", "--family", "prime-power", "--selector", "p|c", "--c", "3", "--n", "0"]) == (
         2, "", "error: n = 0 and ell = 1 must be at least 1\n"
     )
@@ -589,6 +683,7 @@ _DEGREES = [
     pytest.param(["nf", "--d", "5", "--height", "2"], 5, id="nf-height"),
     pytest.param(["nf", "--d", "5", "--squarefree", "10"], 5, id="nf-squarefree"),
     pytest.param(["nf", "--d", "5", "--c-range", "1:3"], 5, id="nf-c-range"),
+    pytest.param(["nf", "--d", "5", "--c-range", "5:1"], 5, id="nf-empty-c-range"),
     pytest.param(["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "2", "--c", "0"], 9,
                  id="census"),
     pytest.param(["orbits", "--p", "3", "--n", "2", "--d", "5", "--c", "1"], 5, id="orbits"),
@@ -800,6 +895,14 @@ class TestClaims:
         code, serial, _ = run(capsys, argv)
         assert code == 0
         assert "SKIPPED" in serial and "NOT-APPLICABLE" in serial
+        for jobs in ("2", "3"):
+            assert run(capsys, argv + ["--jobs", jobs]) == (0, serial, "")
+
+    def test_jobs_invariant_past_the_field_cap(self, capsys):
+        # a field past the cap weighs 1 when the work is shared out: p^n is never formed
+        argv = ["claims", "--p", "3,5", "--n", "1,100000000", "--ell", "1"]
+        code, serial, _ = run(capsys, argv)
+        assert code == 0 and "SKIPPED" in serial
         assert run(capsys, argv + ["--jobs", "2"]) == (0, serial, "")
 
     @pytest.mark.parametrize("golden", ["[1]", '[{"claim": "C-2.1", "grid": [1]}]'])

@@ -118,6 +118,22 @@ class TestFindIrreducible:
         monic = tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n))) + (1,)
         assert ff.certify_irreducible(p, monic) == brute_force_irreducible(p, monic)
 
+    @pytest.mark.parametrize("p,n", [(2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10)])
+    def test_certificate_at_degrees_8_to_10(self, p, n):
+        # k runs to 4 or 5 here, past the property's degree 6; a product of
+        # irreducibles of degrees n // 2 and n - n // 2 fails only at the last k
+        import random
+
+        rng = random.Random(f"{p}/{n}")
+        cases = [
+            ff.find_irreducible(p, n),
+            ff._pmul(ff.find_irreducible(p, n // 2), ff.find_irreducible(p, n - n // 2), p),
+            *(tuple(rng.randrange(p) for _ in range(n)) + (1,) for _ in range(30)),
+        ]
+        verdicts = [ff.certify_irreducible(p, m) for m in cases]
+        assert verdicts == [brute_force_irreducible(p, m) for m in cases]
+        assert verdicts[:2] == [True, False]
+
     def test_certificate_refusals(self):
         with pytest.raises(ff.ArgumentError, match="^characteristic 4 is not prime$"):
             ff.certify_irreducible(4, (1, 1))
