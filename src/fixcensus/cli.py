@@ -142,7 +142,8 @@ def _map(jobs: int, fn, tasks: list, field_cap: int) -> list:
     p^n, formed only up to field_cap: one past the cap is refused unscanned
     and weighs 1.  This process runs shard 0 and forks one child for each
     other shard.  The results come back in task order; a failure raises the
-    exception of the lowest failing task index, as the serial loop does.
+    exception of the lowest failing task index, as the serial loop does,
+    and one raised in a child has the child's traceback as its cause.
     Every child is reaped before this returns or raises.  Where os.fork is
     missing, the tasks run serially.
     """
@@ -174,8 +175,15 @@ def _map(jobs: int, fn, tasks: list, field_cap: int) -> list:
                 status = 1
                 try:
                     os.close(read_fd)
+                    values, failure = _run_shard(fn, tasks, indexes)
+                    if failure is not None:  # pickle drops the traceback, so its text goes along
+                        import traceback
+
+                        index, exc = failure
+                        text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+                        failure = index, exc, text
                     with open(write_fd, "wb") as pipe:
-                        pickle.dump(_run_shard(fn, tasks, indexes), pipe)
+                        pickle.dump((values, failure), pipe)
                     status = 0
                 finally:
                     os._exit(status)
@@ -198,12 +206,23 @@ def _map(jobs: int, fn, tasks: list, field_cap: int) -> list:
             os.waitpid(pid, 0)
     failures = [failure for _, failure in outcomes if failure is not None]
     if failures:
-        raise min(failures)[1]  # (index, exception): the indexes differ, so no exception is compared
+        # (index, exception[, a child's traceback]): the indexes differ, so no exception is compared
+        _, exc, *remote = min(failures)
+        if remote:
+            raise exc from _RemoteTraceback(remote[0])
+        raise exc
     results = [None] * len(tasks)
     for indexes, (values, _) in zip(shards, outcomes):
         for i, value in zip(indexes, values):
             results[i] = value
     return results
+
+
+class _RemoteTraceback(Exception):
+    """The traceback a forked --jobs child formatted, shown as the cause of its exception."""
+
+    def __str__(self) -> str:
+        return f'\n"""\n{self.args[0]}"""'
 
 
 def _run_shard(fn, tasks: list, indexes: list[int]) -> tuple[list | None, tuple | None]:

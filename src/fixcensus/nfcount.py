@@ -10,6 +10,12 @@ Discriminants here are polynomial discriminants, a proxy (up to square
 cofactor) for the discriminant of the number field a given trinomial cuts
 out; irreducibility over Q is certified, never guessed, with UNKNOWN as a
 first-class answer.
+
+The counts over many c work by residue class.  count_by_disc filters its
+candidates prime by prime, and squarefree_disc_fraction sieves windows of c
+by the roots of the discriminant mod p before trial division takes over.
+irreducibility_status and _squarefree_by_trial stay the rules for one c,
+and the batch passes give every c the answer those rules give it.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -154,7 +161,7 @@ def closed_form_disc(d: int, c: int) -> int:
 
     disc = (-1)^(d(d-1)/2) * (d^d c^(d-1) - (d-1)^(d-1)).  Equality with
     trinomial_disc over d <= 10, |c| <= 30 is enforced by the test suite;
-    the enumerators below use this form for speed.
+    the enumerators below work with its two terms.
     """
     check_degree(d)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
@@ -212,26 +219,46 @@ def irreducibility_status(
 def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
     """The c of every trinomial with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
 
-    For a = |c| >= 1 both members of a level have |disc| >= d^d a^(d-1) -
-    (d-1)^(d-1), with equality at c = a, and that minimum strictly increases
-    in a; so no level beyond r, the largest a with d^d a^(d-1) < X +
-    (d-1)^(d-1), has a hit, and r is an integer root.  The 2r + 1
-    candidates |c| <= r are refused above sieve_cap before any is examined.
+    Write A = d^d and K = (d-1)^(d-1).  For a >= 1, |disc(a)| = A a^(d-1) - K,
+    and |disc(-a)| is the same for odd d and A a^(d-1) + K for even d; both
+    strictly increase in a.  |disc(0)| = K, and every |disc(c)| >= K, since
+    A >= 2K makes A a^(d-1) - K >= K.  So the hits are c = 0 when K < X;
+    c = a for a <= r, the largest a with A a^(d-1) <= X + K - 1; and c = -a
+    for a <= r, or for even d for a up to the largest a with
+    A a^(d-1) <= X - K - 1.  That is two integer roots, and no discriminant
+    is formed.  As K >= 2^((d-1)(bit_length(d-1) - 1)), once that exponent
+    reaches X.bit_length() there is no hit, and neither power is formed.
+    The 2r + 1 values |c| <= r are refused above sieve_cap before the list
+    is built.
     """
     check_degree(d)
     if X < 1:
         raise ArgumentError(f"bound {X} must be at least 1")
-    reach = integer_root((X + (d - 1) ** (d - 1) - 1) // d**d, d - 1)
+    k = d - 1
+    reach = below = 0
+    hits = k * (k.bit_length() - 1) < X.bit_length() and k**k < X
+    if hits:
+        A, K = d**d, k**k
+        reach = integer_root((X + K - 1) // A, k)
+        below = reach if d % 2 else integer_root(max(X - K - 1, 0) // A, k)
     stats.check_sieve_cap(2 * reach + 1, sieve_cap, f"|disc| < {X}: c count")
-    candidates = itertools.chain((0,), *((a, -a) for a in range(1, reach + 1)))
-    return [c for c in candidates if abs(closed_form_disc(d, c)) < X]
+    if not hits:
+        return []
+    candidates = [0] * (2 * below + 1)
+    candidates[1::2] = range(1, below + 1)
+    candidates[2::2] = range(-1, -below - 1, -1)
+    candidates += range(below + 1, reach + 1)
+    return candidates
 
 
 def _within_bound(count: int, constant: float, d: int, X: int) -> bool:
-    """count <= constant * X^(d/(2d-2)) for X >= 1, decided in integers."""
+    """count <= constant * X^(d/(2d-2)) for X >= 1, decided in integers.
+
+    A zero count forms no power of X, which at a large d would be huge.
+    """
     if not math.isfinite(constant) or constant <= 0:  # X^(d/(2d-2)) is positive
         return constant > 0 or (constant == 0 and count == 0)
-    return (count / Fraction(constant)) ** (2 * d - 2) <= X**d
+    return count == 0 or (count / Fraction(constant)) ** (2 * d - 2) <= X**d
 
 
 def count_by_disc(
@@ -245,16 +272,26 @@ def count_by_disc(
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
-    bound_ok records whether count <= constant * X^(d/(2d-2)), compared
-    exactly; the exponent is also reported exactly as a Fraction.  A d
-    above exp_cap, and a q_max or a candidate count above sieve_cap, is
-    refused before any candidate is examined.
+    The candidates are filtered prime by prime: for each q <= q_max in
+    ascending order, the c still pending lose those that q certifies.  That
+    asks exactly the (d, c mod q, q) certificates that irreducibility_status
+    asks of each c, and no other.  A c left over is REDUCIBLE when c = 0 or
+    it has an integer root, and UNKNOWN otherwise.  bound_ok records
+    whether count <= constant * X^(d/(2d-2)), compared exactly; the
+    exponent is also reported exactly as a Fraction.  A d above exp_cap,
+    and a q_max or a candidate count above sieve_cap, is refused before any
+    candidate is examined.
     """
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
     candidates = bounded_trinomials(d, X, sieve_cap=sieve_cap)
-    tally = Counter(irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap) for c in candidates)
-    count, unknown = tally[IrreducibilityStatus.IRREDUCIBLE], tally[IrreducibilityStatus.UNKNOWN]
+    pending = candidates
+    for q in stats.prime_sieve(q_max, sieve_cap=sieve_cap):
+        if not pending:
+            break
+        pending = [c for c in pending if not _irreducible_mod_q(d, c % q, q)]
+    count = len(candidates) - len(pending)
+    unknown = sum(1 for c in pending if c != 0 and not integral_fixed_points(d, c))
     return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
 
 
@@ -288,28 +325,93 @@ def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFA
 DEFAULT_TRIAL_BOUND = 10**5
 
 
-def _squarefree_by_trial(u: int, trial_bound: int, primes: tuple[int, ...]) -> bool | None:
+def _squarefree_by_trial(
+    u: int, trial_bound: int, primes: tuple[int, ...], start: int = 0, rem: int | None = None
+) -> bool | None:
     """True/False when decided by trial division, None when out of reach.
 
     Trial division runs over the primes p <= min(B, u^(1/3)), B the trial
     bound and primes the primes <= B; a prime dividing twice means not
     squarefree.  Every prime factor of the cofactor then exceeds
-    m = max(min(B, u^(1/3)), 1), so a cofactor below (m + 1)^3, which holds
-    whenever u^(1/3) <= B, has at most two prime factors: it is squarefree
-    iff it is not a perfect square above 1.  A larger cofactor is decided
-    only when it is a perfect square.
+    m = max(min(B, u^(1/3)), 1), so a cofactor below (m + 1)^3 has at most
+    two prime factors: it is squarefree iff it is not a perfect square
+    above 1.  As the cofactor is at most u < (u^(1/3) + 1)^3, that bound can
+    only fail when u^(1/3) >= B, where m = max(B, 1): so every u < B^3 is
+    decided, and a cofactor of at least (max(B, 1) + 1)^3 only when it is a
+    perfect square.  A caller that has divided out primes[:start], none of
+    them twice, passes that cofactor as rem; the cube root, needed only to
+    end the division, is not taken once no prime is left.
     """
-    root = integer_root(u, 3)
-    rem = u
-    for p in itertools.islice(primes, bisect.bisect_right(primes, root)):
-        if rem % p == 0:
-            rem //= p
+    if rem is None:
+        rem = u
+    if start < len(primes):
+        for p in itertools.islice(primes, start, bisect.bisect_right(primes, integer_root(u, 3))):
             if rem % p == 0:
-                return False
+                rem //= p
+                if rem % p == 0:
+                    return False
     square = math.isqrt(rem) ** 2 == rem
-    if not square and rem >= (max(min(trial_bound, root), 1) + 1) ** 3:
+    if not square and rem >= (max(trial_bound, 1) + 1) ** 3:
         return None
     return rem == 1 or not square
+
+
+# The c that _squarefree_verdicts holds at once: its memory, not a setting.
+_SQUAREFREE_WINDOW = 1 << 14
+
+
+def _squarefree_verdicts(d: int, limit: int, trial_bound: int, primes: tuple[int, ...]):
+    """The _squarefree_by_trial verdict on |disc| of each c = 1, ..., limit, in order.
+
+    u(c) = A c^(d-1) - K, A = d^d and K = (d-1)^(d-1), increases on c >= 1,
+    so the c that trial division tests against p, those with u(c) >= p^3,
+    are those from one start on, found by an integer root.  Whether p
+    divides u(c) depends only on c mod p.  The c are taken in windows of
+    _SQUAREFREE_WINDOW.  In each, the primes are sieved in ascending order
+    while their roots mod p are known: each root is walked as a
+    progression, where p^2 | u ends that c and otherwise p leaves the
+    cofactor.  A prime's roots are learned once, from u at p consecutive c,
+    when that costs no more than testing the c it would still be tested on
+    in the window; at the first prime not learned, every c still undecided
+    goes to _squarefree_by_trial from that prime on, with its cofactor, so
+    one rule gives every verdict.
+    """
+    A, K, e = d**d, (d - 1) ** (d - 1), d - 1
+    roots: list[list[int]] = []  # roots[j]: the c mod primes[j] with primes[j] | u(c)
+    starts: list[int] = []  # starts[j]: the least c with u(c) >= primes[j]^3
+    for lo in range(1, limit + 1, _SQUAREFREE_WINDOW):
+        u = [A * c**e - K for c in range(lo, min(lo + _SQUAREFREE_WINDOW, limit + 1))]
+        rem: list[int | None] = u.copy()  # the cofactor, None once a square divides u
+        live, tested = len(u), 0  # live: the c from offset tested on that no square has ended
+        for j, p in enumerate(primes):
+            if j == len(starts):
+                starts.append(integer_root(-(-(p**3 + K) // A) - 1, e) + 1)
+            start = min(max(starts[j] - lo, 0), len(u))  # primes[j:] are tested on the c from here on
+            live -= start - tested - rem[tested:start].count(None)
+            tested = start
+            if tested == len(u) or j == len(roots) and live < p:  # nothing to test, or p not worth learning
+                break
+            if j == len(roots):
+                roots.append([  # the c mod p with p | u(c), read off p consecutive c
+                    c % p for c in itertools.compress(range(lo, lo + p), map(operator.not_, map(p.__rmod__, u)))
+                ])
+            for r in roots[j]:
+                for i in range(tested + (r - lo - tested) % p, len(u), p):
+                    v = rem[i]
+                    if v is not None:
+                        v //= p
+                        if v % p:
+                            rem[i] = v
+                        else:
+                            rem[i] = None
+                            live -= 1
+        else:
+            j, tested = len(primes), len(u)
+        for i, v in enumerate(rem):
+            yield v is not None and _squarefree_by_trial(
+                u[i], trial_bound, primes, j if i >= tested else len(primes), v
+            )
+        del u, rem  # before the next window is built
 
 
 def squarefree_disc_fraction(
@@ -324,26 +426,21 @@ def squarefree_disc_fraction(
 
     A squarefree polynomial discriminant certifies that the ring generated
     by a root is already maximal, the standard sufficient condition for
-    monogenicity.  Candidates that trial division up to trial_bound cannot
-    settle (never one with |disc| < trial_bound^3) are counted as unknown,
-    never as squarefree.  A d above exp_cap, and a limit or a trial bound
-    above sieve_cap, are refused before any work.  The reference value
-    6/pi^2 is carried alongside purely for display; no convergence is
-    asserted or checked.
+    monogenicity.  Each c gets the verdict of _squarefree_by_trial, by way
+    of the windowed sieve _squarefree_verdicts.  Candidates that trial
+    division up to trial_bound cannot settle (never one with
+    |disc| < trial_bound^3) are counted as unknown, never as squarefree.
+    A d above exp_cap, and a limit or a trial bound above sieve_cap, are
+    refused before any work.  The reference value 6/pi^2 is carried
+    alongside purely for display; no convergence is asserted or checked.
     """
     check_degree(d, exp_cap)
     if limit < 1:
         raise ArgumentError(f"limit {limit} must be at least 1")
     stats.check_sieve_cap(limit, sieve_cap, f"c in [1, {limit}]: c count")
     primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
-    squarefree = 0
-    unknown = 0
-    for c in range(1, limit + 1):
-        verdict = _squarefree_by_trial(abs(closed_form_disc(d, c)), trial_bound, primes)
-        if verdict is True:
-            squarefree += 1
-        elif verdict is None:
-            unknown += 1
+    tally = Counter(_squarefree_verdicts(d, limit, trial_bound, primes))
+    squarefree, unknown = tally[True], tally[None]
     return SquarefreeReport(
         d, limit, squarefree, unknown, Fraction(squarefree, limit), ZETA2_INV
     )

@@ -422,12 +422,12 @@ def test_forked_jobs_load_no_pool_module():
 
 
 def test_import_leaves_pickle_unloaded():
-    # pickle is imported by _map only when it forks
+    # pickle and traceback are imported by _map only when it forks
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, fixcensus.cli; print('pickle' in sys.modules)"
+    code = "import sys, fixcensus.cli; print(sorted({'pickle', 'traceback'} & set(sys.modules)))"
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
 
 
 class TestMap:
@@ -472,6 +472,32 @@ class TestMap:
 
         with pytest.raises(ValueError, match=f"^task {min(failing)}$"):
             cli._map(jobs, fn, self.TASKS, 10**7)
+        self.assert_no_child_left()
+
+    def test_a_child_exception_keeps_its_traceback(self):
+        import traceback
+
+        def fn(task):
+            if task[0] == 3:  # F_3 is the smaller field, so a child runs it
+                raise KeyError("no entry", task)
+            return task
+
+        with pytest.raises(KeyError) as info:
+            cli._map(2, fn, [(5, 2, 1), (3, 1, 1)], 10**7)
+        assert info.value.args == ("no entry", (3, 1, 1))
+        shown = "".join(traceback.format_exception(info.type, info.value, info.tb))
+        assert ", in fn\n" in shown and "_RemoteTraceback" in shown
+        self.assert_no_child_left()
+
+    def test_an_exception_in_this_process_keeps_its_own_traceback(self):
+        def fn(task):
+            if task[0] == 5:  # F_5^2 is the larger field, run in this process
+                raise KeyError("no entry", task)
+            return task
+
+        with pytest.raises(KeyError) as info:
+            cli._map(2, fn, [(5, 2, 1), (3, 1, 1)], 10**7)
+        assert info.value.__cause__ is None and info.traceback[-1].name == "fn"
         self.assert_no_child_left()
 
     def test_a_child_that_dies_is_a_runtime_error(self):
@@ -670,7 +696,7 @@ def test_integer_side_sizes_meet_one_cap(capsys, monkeypatch, above, message, at
     for module, name in [
         (stats, "_sieve"), (stats, "prime_count"), (stats, "_prime_factors"), (stats, "standard_field"),
         (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
-        (nfcount, "_squarefree_by_trial"),
+        (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"),
     ]:
         monkeypatch.setattr(module, name, no_work)
     assert run(capsys, above) == (2, "", f"error: {message}\n")
@@ -701,7 +727,7 @@ def test_map_degrees_meet_one_exponent_cap(capsys, monkeypatch, argv, d):
     for module, name in [
         (cli, "standard_field"), (stats, "standard_field"), (dynamics, "count_profile"), (stats, "prime_sieve"),
         (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
-        (nfcount, "_squarefree_by_trial"),
+        (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"),
     ]:
         monkeypatch.setattr(module, name, no_work)
     assert run(capsys, [*argv, "--exp-cap", str(d - 1)]) == (
@@ -1092,6 +1118,7 @@ class TestNf:
         monkeypatch.setattr(nfcount, "closed_form_disc", no_work)
         monkeypatch.setattr(nfcount, "trinomial_row", no_work)
         monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
+        monkeypatch.setattr(nfcount, "_squarefree_verdicts", no_work)
         assert run(capsys, ["nf", "--d", "3", *argv]) == (2, "", message)
 
     def test_c_ranges_at_the_sieve_cap_run(self, capsys):

@@ -10,12 +10,16 @@ checked against exhaustive trial division over F_q.
 import itertools
 import math
 import sys
+import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from fixcensus import cli, ff, nfcount, stats
+from fixcensus import cli, dynamics, ff, nfcount, stats
 from fixcensus.nfcount import IrreducibilityStatus, ZETA2_INV
 
 
@@ -181,8 +185,57 @@ class TestBoundedTrinomials:
                 assert sorted(got) == want, (d, X)
                 assert [abs(c) for c in got] == sorted(abs(c) for c in got)
 
+    @pytest.mark.parametrize("d", range(2, 11))
+    def test_equals_the_disc_filter_at_every_level_boundary(self, d):
+        # the filter the integer roots replace: every |c| up to the positive
+        # reach, kept where the closed form is below X
+        def filtered(X):
+            reach = dynamics.integer_root((X + (d - 1) ** (d - 1) - 1) // d**d, d - 1)
+            candidates = itertools.chain((0,), *((a, -a) for a in range(1, reach + 1)))
+            return [c for c in candidates if abs(nfcount.closed_form_disc(d, c)) < X]
+
+        for c in range(-12, 13):
+            level = abs(nfcount.closed_form_disc(d, c))
+            for X in (level - 1, level, level + 1, level + 2):
+                if X >= 1:
+                    assert nfcount.bounded_trinomials(d, X) == filtered(X), (d, X)
+
+    def test_no_power_formed_when_the_constant_term_passes_X(self, monkeypatch):
+        # (d-1)^(d-1) >= 2^((d-1)(bit_length(d-1) - 1)) > X decides it from bit lengths
+        def no_root(*args):
+            raise AssertionError("an integer root was taken")
+
+        monkeypatch.setattr(nfcount, "integer_root", no_root)
+        assert nfcount.bounded_trinomials(10**6, 10) == []
+        assert nfcount.bounded_trinomials(300, 10**700) == []
+        with pytest.raises(stats.SieveCapError, match=r"^\|disc\| < 10: c count 1 exceeds the cap 0$"):
+            nfcount.bounded_trinomials(10**6, 10, sieve_cap=0)
+
 
 class TestCountByDisc:
+    def test_huge_degree_small_bound_counts_nothing_at_once(self):
+        # forming (d-1)^(d-1) alone takes seconds at d = 10^6; the count takes microseconds
+        nfcount._irreducible_mod_q.cache_clear()
+        start = time.perf_counter()
+        row = nfcount.count_by_disc(10**6, 10)
+        assert time.perf_counter() - start < 1
+        assert (row.count, row.unknown, row.exponent_ref, row.bound_ok) == (0, 0, Fraction(500000, 999999), True)
+        assert nfcount._irreducible_mod_q.cache_info().misses == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 8), st.integers(-300, 300), st.integers(-1, 1), st.sampled_from([2, 3, 7, 50]))
+    def test_equals_the_per_candidate_statuses(self, d, c, e, q_max):
+        # X at the |disc| of either sign of a level, where the count steps
+        X = max(abs(nfcount.closed_form_disc(d, c)) + e, 1)
+        nfcount._irreducible_mod_q.cache_clear()
+        row = nfcount.count_by_disc(d, X, q_max=q_max)
+        batch = nfcount._irreducible_mod_q.cache_info().misses
+        nfcount._irreducible_mod_q.cache_clear()
+        tally = Counter(nfcount.irreducibility_status(d, c, q_max=q_max) for c in nfcount.bounded_trinomials(d, X))
+        assert row.count == tally[IrreducibilityStatus.IRREDUCIBLE]
+        assert row.unknown == tally[IrreducibilityStatus.UNKNOWN]
+        assert batch == nfcount._irreducible_mod_q.cache_info().misses  # the same certificates, no more
+
     def test_cubic_at_100(self):
         row = nfcount.count_by_disc(3, 100)
         assert row.count == 2
@@ -347,6 +400,51 @@ class TestSquarefree:
         with pytest.raises(ValueError):
             nfcount.squarefree_disc_fraction(3, 0)
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(2, 6),
+        st.integers(1, 300),
+        st.sampled_from([0, 1, 2, 3, 10, 50, 1000]),
+        st.sampled_from([1, 2, 5, 64, 1 << 14]),
+    )
+    @example(3, 300, 2, 64)  # UNKNOWN verdicts, past one window
+    @example(4, 300, 1000, 5)  # primes handed to trial division, in many windows
+    @example(6, 200, 50, 1 << 14)  # the trial tail at one window
+    def test_equals_the_per_c_trial_tally(self, d, limit, trial_bound, window):
+        primes = stats.prime_sieve(trial_bound)
+        verdicts = Counter(
+            nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), trial_bound, primes)
+            for c in range(1, limit + 1)
+        )
+        with mock.patch.object(nfcount, "_SQUAREFREE_WINDOW", window):
+            rep = nfcount.squarefree_disc_fraction(d, limit, trial_bound=trial_bound)
+        assert (rep.squarefree, rep.unknown) == (verdicts[True], verdicts[None])
+
+    def test_equals_the_per_c_trial_tally_past_one_full_window(self):
+        limit = nfcount._SQUAREFREE_WINDOW + 300
+        primes = stats.prime_sieve(nfcount.DEFAULT_TRIAL_BOUND)
+        verdicts = [
+            nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(3, c)), nfcount.DEFAULT_TRIAL_BOUND, primes)
+            for c in range(1, limit + 1)
+        ]
+        assert list(nfcount._squarefree_verdicts(3, limit, nfcount.DEFAULT_TRIAL_BOUND, primes)) == verdicts
+
+    def test_memory_is_bounded_by_the_window(self, monkeypatch):
+        # a sieve over the whole range would hold every c at once
+        monkeypatch.setattr(nfcount, "_SQUAREFREE_WINDOW", 1024)
+        stats.prime_sieve(nfcount.DEFAULT_TRIAL_BOUND)  # the shared prime tuple is sieved before either run
+
+        def peak(limit):
+            tracemalloc.start()
+            try:
+                nfcount.squarefree_disc_fraction(3, limit)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, several = peak(1024), peak(8 * 1024)
+        assert several < 1.25 * one, (one, several)
+
 
 class TestTrinomialRow:
     def test_row_contents(self):
@@ -476,6 +574,7 @@ class TestCaps:
             raise AssertionError("a discriminant was tested")
 
         monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
+        monkeypatch.setattr(nfcount, "_squarefree_verdicts", no_work)
         with pytest.raises(stats.SieveCapError, match=r"^c in \[1, 11\]: c count 11 exceeds the cap 10$"):
             nfcount.squarefree_disc_fraction(3, 11, sieve_cap=10)
 
@@ -497,9 +596,8 @@ class TestHeightProperty:
         stats._sieve.cache_clear()
         monkeypatch.setattr(stats, "prime_sieve", recording)
         nfcount.count_by_disc(3, 10**6)
-        assert stats._sieve.cache_info().misses == 1  # sieved once per run
-        assert len(lists) > 1 and all(primes is lists[0] for primes in lists)  # and never copied
-        assert lists[0][-1] == 47
+        assert stats._sieve.cache_info().misses == 1  # one sieve
+        assert len(lists) == 1 and lists[0][-1] == 47  # and one lookup, not one per candidate
 
 
 class Stop(Exception):
