@@ -19,6 +19,7 @@ import functools
 import math
 from collections import Counter
 from collections.abc import Callable, Iterable
+from itertools import compress, islice
 from typing import NamedTuple
 
 from . import dynamics, ff
@@ -287,14 +288,20 @@ def check_point(
     except CapError as exc:
         return PointResult(p, n, ell, Verdict.SKIPPED, note=str(exc))
     fs = ff.standard_field(p, n)
-    witnesses = []
-    unjudged: Counter[int] = Counter()
-    for idx, actual in enumerate(_profile(fs, d, field_cap, exp_cap)):
-        predicted = claim.expected(dynamics.classify_residue(p, idx))
+    profile = _profile(fs, d, field_cap, exp_cap)
+    other = claim.expected("other")
+    # the labels 0, 1 and -1 sit at indexes 0, 1 and p - 1, and the runs
+    # between and after them are "other": each run is judged in bulk
+    runs = {(i, i + 1): claim.expected(dynamics.classify_residue(p, i)) for i in (0, 1, p - 1)}
+    runs |= {(2, p - 1): other, (p, len(profile)): other}
+    witnesses, unjudged = [], Counter()
+    for (lo, hi), predicted in sorted(runs.items()):
+        counts = islice(profile, lo, hi)
         if predicted is None:
-            unjudged[actual] += 1
-        elif actual != predicted:
-            witnesses.append(Witness(fs.element_at(idx), predicted, actual))
+            unjudged.update(counts)
+        else:
+            misses = compress(range(lo, hi), map(predicted.__ne__, counts))
+            witnesses += [Witness(fs.element_at(i), predicted, profile[i]) for i in misses]
     status = Verdict.FAILS if witnesses else Verdict.HOLDS
     return PointResult(p, n, ell, status, tuple(witnesses), tuple(sorted(unjudged.items())))
 

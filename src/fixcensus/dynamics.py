@@ -193,9 +193,7 @@ def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
     z -> z^d + c.  The caps are checked before the first element.
     """
     capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
-    ops = field_ops(fs)
-    powf, sub = ops.pow, ops.sub
-    return (sub(z, powf(z, d)) for z in range(ops.q))
+    return field_ops(fs).images(d, fs.p - 1, 1, 1)  # p - 1 is the index of -1
 
 
 def fixed_point_count(
@@ -354,51 +352,44 @@ def orbit_census(
     """Full functional-graph decomposition of the map on the field.
 
     Walks each unvisited element forward until it hits either a fresh cycle
-    or already-finished territory, then unwinds the pending path backwards
-    so every element learns its component and tail depth.  Linear in q.
+    or already-finished territory, then gives every element of the pending
+    path its component and tail depth.  Linear in q.
     """
     capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
-    c_idx = _coefficient_index(fs, c)
-    ops = field_ops(fs)
-    q = ops.q
-    powf, add = ops.pow, ops.add
-    succ = [add(powf(z, d), c_idx) for z in range(q)]
+    q = fs.order
+    succ = list(field_ops(fs).images(d, 1, _coefficient_index(fs, c), 0))
 
-    NEW, ACTIVE, DONE = 0, 1, 2
-    state = bytearray(q)
+    ACTIVE = -2  # comp is -1 for an unvisited element, ACTIVE on the current path
+    comp = [-1] * q
     tail = [0] * q
-    comp = [0] * q
     cycle_lengths: list[int] = []
     comp_sizes: list[int] = []
 
     for s in range(q):
-        if state[s]:
+        if comp[s] != -1:
             continue
         path: list[int] = []
         v = s
-        while state[v] == NEW:
-            state[v] = ACTIVE
+        while comp[v] == -1:
+            comp[v] = ACTIVE
             path.append(v)
             v = succ[v]
-        if state[v] == ACTIVE:
-            # closed a brand-new cycle along the current path
+        if comp[v] == ACTIVE:
+            # closed a brand-new cycle along the current path; its tails are 0
             k = path.index(v)
-            cid = len(cycle_lengths)
+            cid, base = len(cycle_lengths), 0
             cycle_lengths.append(len(path) - k)
             comp_sizes.append(len(path) - k)
             for u in path[k:]:
-                state[u] = DONE
                 comp[u] = cid
-                tail[u] = 0
             rest = path[:k]
         else:
-            cid = comp[v]
-            rest = path
-        for i in range(len(rest) - 1, -1, -1):
-            u = rest[i]
-            state[u] = DONE
+            cid, base, rest = comp[v], tail[v], path
+        # rest is a chain into v, so its i-th element lies len(rest) - i steps above v
+        top = base + len(rest)
+        for i, u in enumerate(rest):
             comp[u] = cid
-            tail[u] = tail[succ[u]] + 1
+            tail[u] = top - i
         comp_sizes[cid] += len(rest)
 
     return OrbitCensus(

@@ -471,8 +471,15 @@ def standard_field(p: int, n: int) -> FieldSpec:
 # bound.  Work that never enumerates the field computes on FFElement instead.
 
 
+def _table_typecode(q: int) -> str:
+    """The array typecode of F_q's log tables, whose entries lie in [-1, q):
+    a C int while q < 2^31, a 64-bit int past that (--field-cap allows it)."""
+    return "i" if q < 2**31 else "q"
+
+
 class FieldOps:
-    """Index arithmetic for the scan loops: add, sub and pow on one field.
+    """Index arithmetic for the scan loops on one field: images, the one
+    whole-field pass, and pow for a single element.
 
     Index 0 is always the zero element and index 1 the one element, so
     sparsity tests stay plain truthiness checks.  No engine keeps a q*q
@@ -488,11 +495,10 @@ class FieldOps:
 
 
 class _PrimeOps(FieldOps):
-    def add(self, i: int, j: int) -> int:
-        return (i + j) % self.p
-
-    def sub(self, i: int, j: int) -> int:
-        return (i - j) % self.p
+    def images(self, d: int, a: int, c: int, e: int) -> Iterator[int]:
+        """a*z^d + c*z^e for every z in index order, as indexes."""
+        p = self.p
+        return ((a * pow(z, d, p) + c * z**e) % p for z in range(p))
 
     def pow(self, i: int, e: int) -> int:
         if e < 0:
@@ -505,52 +511,69 @@ class _LogOps(FieldOps):
 
     With g the smallest-index primitive element, exp[k] is the index of g^k,
     log[i] is the k with g^k = element i (log[0] = -1), and zech[k] is
-    log(1 + g^k), so g^a + g^b = g^(a + zech[b - a]); -1 is g^half.
+    log(1 + g^k), -1 where 1 + g^k = 0; so g^a + g^b = g^(a + zech[b - a]).
+
+    The build walks g^k on a code of each element: its coordinates as digits
+    base 2p - 1, read mod p.  As g*x is F_p-linear in x, it is the sum of g
+    times each half of x's digits, read off one table per half; two reduced
+    codes add without a carry, and each table also gives its half's share
+    of x's index.
     """
 
     def __init__(self, fs: FieldSpec):
         super().__init__(fs)
         p, n, q, m = self.p, self.n, self.q, fs.modulus
-        weights = [p**k for k in range(n)]  # index = sum digit*weight
         self.order = order = q - 1
-        self.half = order // 2 if p > 2 else 0
         # g generates F_q^* iff g^(order/r) != 1 for every prime r | order
         primes = _prime_factors(order)
         g = next(g for g in (_trim(fs.element_at(i).coeffs) for i in range(2, q))
                  if all(_ppowmod(g, order // r, m, p) != (1,) for r in primes))
-        lead, *lower = reversed(g)
-        reduction = [(k, -c % p) for k, c in enumerate(m[:n]) if c]  # t^n = sum r*t^k
-        self.exp = exp = array("l", [0]) * order
-        self.log = log = array("l", [-1]) * q
-        v, i = [1] + [0] * (n - 1), 1  # coefficients and index of g^k
+        base, cut = 2 * p - 1, n // 2
+        columns = [(_pmod((0,) * j + g, m, p) + (0,) * n)[:n] for j in range(n)]  # g*t^j
+
+        def half(digits: range) -> tuple[list[int], list[int]]:
+            """By the code of x's digits in the range (x zero elsewhere):
+            the code of g*x and the index of x."""
+            products, indexes, reduced = [(0,) * n], [0], [0]
+            for j in digits:
+                products = [tuple((u + a * v) % p for u, v in zip(w, columns[j]))
+                            for a in range(p) for w in products]
+                indexes = [i + a * p**j for a in range(p) for i in indexes]
+                reduced = [r + f % p * p ** (j - digits.start) for f in range(base) for r in reduced]
+            codes = [sum(u * base**k for k, u in enumerate(w)) for w in products]
+            return [codes[r] for r in reduced], [indexes[r] for r in reduced]
+
+        (low_code, low_index), (high_code, high_index) = half(range(cut)), half(range(cut, n))
+        split, typecode = base**cut, _table_typecode(q)
+        self.exp = exp = array(typecode, [0]) * order
+        self.log = log = array(typecode, [-1]) * q
+        x = 1  # the code of g^k
         for k in range(order):
-            if log[i] >= 0:
-                raise RuntimeError(f"{render_poly(g)} is not primitive in {fs}")
-            exp[k], log[i] = i, k
-            acc = v if lead == 1 else [lead * a % p for a in v]  # g*v, Horner in t
-            for c in lower:
-                top, acc = acc[-1], [0] + acc[:-1]
-                if top:
-                    for j, r in reduction:
-                        acc[j] = (acc[j] + top * r) % p
-                if c:
-                    acc = [(a + c * b) % p for a, b in zip(acc, v)]
-            v, i = acc, sum(map(operator.mul, acc, weights))
-        self.zech = zech = array("l", [0]) * order
-        for k, e in enumerate(exp):  # 1 + g^k differs from g^k in digit 0 only
-            zech[k] = log[e + 1 if e % p != p - 1 else e + 1 - p]
+            low, high = x % split, x // split
+            exp[k] = i = low_index[low] + high_index[high]
+            log[i] = k
+            x = low_code[low] + high_code[high]
+        # 1 + x differs from x in digit 0 only, so log(1 + element i) is log
+        # with each run of p indexes turned by one place
+        plus_one = array(typecode, log)
+        for r in range(p):
+            plus_one[r::p] = log[(r + 1) % p::p]
+        self.zech = array(typecode, map(plus_one.__getitem__, exp))
 
-    def add(self, i: int, j: int) -> int:
-        if not (i and j):
-            return i or j
-        a, z = self.log[i], self.zech[(self.log[j] - self.log[i]) % self.order]
-        return self.exp[(a + z) % self.order] if z >= 0 else 0
-
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg(j))
-
-    def neg(self, i: int) -> int:
-        return self.exp[(self.log[i] + self.half) % self.order] if i else 0
+    def images(self, d: int, a: int, c: int, e: int) -> Iterator[int]:
+        """a*z^d + c*z^e for every z in index order, as indexes; a != 0, d >= 1.
+        For z = g^k and c = g^lc != 0 this is c*z^e*(1 + (a/c)*z^(d-e)), that
+        is g^(lc + ke + zech[(la - lc + k(d - e)) mod (q - 1)]), 0 where the
+        zech entry is -1; for c = 0 it is g^(la + kd).  z = 0 maps to c*0^e."""
+        exp, log, zech, order = self.exp, self.log, self.zech, self.order
+        la, lc, ks = log[a], log[c], itertools.islice(log, 1, None)
+        if lc < 0:
+            rest = (exp[(la + k * d) % order] for k in ks)
+        else:
+            shift, step = la - lc, d - e
+            rest = (exp[(lc + k * e + z) % order] if (z := zech[(shift + k * step) % order]) >= 0 else 0
+                    for k in ks)
+        return itertools.chain((0 if e else c,), rest)
 
     def pow(self, i: int, e: int) -> int:
         if e < 0:

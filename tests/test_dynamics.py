@@ -5,6 +5,8 @@ here are three separate code paths; the tests hold them to exact agreement.
 """
 
 import math
+import sys
+import tracemalloc
 from unittest import mock
 
 import pytest
@@ -293,6 +295,26 @@ class TestCountProfile:
         count = dynamics.fixed_point_count(fs, d, c)
         assert count == dynamics.count_profile(fs, d)[c.index] == len(points)
         assert points == brute_force_fixed_points(fs, d, c)
+
+
+    def test_scans_keep_no_list_of_images(self):
+        # one log-space pass: count_profile holds its histogram and little
+        # else, fixed_point_count not even that
+        fs = ff.standard_field(3, 9)
+        ff.field_ops(fs)  # the tables are built before the trace
+
+        def peak(scan):
+            tracemalloc.start()
+            try:
+                return scan(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        profile, profile_peak = peak(lambda: dynamics.count_profile(fs, 3))
+        count, count_peak = peak(lambda: dynamics.fixed_point_count(fs, 3, 0))
+        assert count == profile[0] == 3
+        assert profile_peak <= 1.25 * sys.getsizeof(profile), (profile_peak, sys.getsizeof(profile))
+        assert count_peak <= 0.05 * sys.getsizeof(profile), count_peak
 
 
 class TestOrbitCensus:

@@ -1,7 +1,10 @@
 """Field construction, canonical moduli, and arithmetic laws."""
 
+import array
 import copy
+import functools
 import gc
+import itertools
 import pickle
 import re
 import sys
@@ -328,13 +331,29 @@ class TestFieldOps:
         for i in sample:
             a = fs.element_at(i)
             assert a.index == i
-            assert ops.sub(0, i) == (-a).index
             assert ops.pow(i, 5) == (a**5).index
             assert ops.pow(i, q - 2) == (a ** (q - 2)).index
+        for d in (5, q - 2):
+            powers = {i: fs.element_at(i) ** d for i in sample}
+            coefficients = list(ops.images(d, fs.p - 1, 1, 1))  # z - z^d
+            for i in sample:
+                assert coefficients[i] == (fs.element_at(i) - powers[i]).index
             for j in sample:
-                b = fs.element_at(j)
-                assert ops.add(i, j) == (a + b).index
-                assert ops.sub(i, j) == (a - b).index
+                c = fs.element_at(j)
+                successors = list(ops.images(d, 1, j, 0))  # z^d + c
+                for i in sample:
+                    assert successors[i] == (powers[i] + c).index
+
+    @given(field_and_indexes(3, FIELDS + LOG_FIELDS), st.integers(0, 10**6), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_engine_matches_elements_at_random(self, data, e, f):
+        fs, (i, j, k) = data
+        ops = field_ops(fs)
+        z, b, c = fs.element_at(i), fs.element_at(k or 1), fs.element_at(j)
+        d = e + 1
+        assert ops.pow(i, e) == (z**e).index
+        image = next(itertools.islice(ops.images(d, k or 1, j, f), i, None))
+        assert image == (b * z**d + c * z**f).index
 
     def test_only_the_last_engine_is_kept(self):
         ops = field_ops(ff.standard_field(3, 2))
@@ -343,16 +362,6 @@ class TestFieldOps:
         assert field_ops(ff.standard_field(5, 2)) is field_ops(ff.standard_field(5, 2))
         gc.collect()
         assert released() is None
-
-    @given(field_and_indexes(2, FIELDS + LOG_FIELDS), st.integers(0, 10**6))
-    @settings(max_examples=200, deadline=None)
-    def test_engine_matches_elements_at_random(self, data, e):
-        fs, (i, j) = data
-        ops = field_ops(fs)
-        a, b = fs.element_at(i), fs.element_at(j)
-        assert ops.add(i, j) == (a + b).index
-        assert ops.sub(i, j) == (a - b).index
-        assert ops.pow(i, e) == (a**e).index
 
     @pytest.mark.parametrize("p,n", [(2, 4), (2, 6), (3, 2), (5, 2), (7, 2)])
     def test_log_engine_uses_least_primitive_element(self, p, n):
@@ -402,6 +411,67 @@ class TestFieldOps:
             ops.pow(2 % p, -1)
         with pytest.raises(ValueError):
             ops.pow(0, -3)
+
+
+# Fields whose least primitive element is not t, with that element: the
+# walk multiplies by a general g, not only by t.
+NON_T_FIELDS = {(3, 7): "t+2", (7, 3): "3*t+1", (2, 18): "t^3+t"}
+
+
+@functools.lru_cache(maxsize=None)
+def log_tables(p, n):
+    """The tables of F_p^n, built once for the whole module (field_ops keeps one)."""
+    return ff._LogOps(ff.standard_field(p, n))
+
+
+def ops_element(ops, k, p, n):
+    """g^k as an element, read off the exp table."""
+    return ff.standard_field(p, n).element_at(ops.exp[k])
+
+
+class TestLogTables:
+    """The table invariants, checked against FFElement arithmetic."""
+
+    @pytest.mark.parametrize("p,n", sorted(NON_T_FIELDS), ids=str)
+    def test_generator_is_not_t(self, p, n):
+        ops = log_tables(p, n)
+        assert str(ops_element(ops, 1, p, n)) == NON_T_FIELDS[p, n]
+        assert ops.log[0] == -1 and ops.exp[0] == 1 and ops.log[1] == 0
+
+    @given(st.sampled_from(sorted(NON_T_FIELDS) + [(2, 8), (3, 2), (5, 3), (11, 3)]), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_invariants(self, field, data):
+        p, n = field
+        fs, ops = ff.standard_field(p, n), log_tables(p, n)
+        q = fs.order
+        i = data.draw(st.integers(1, q - 1), label="i")
+        k = data.draw(st.integers(0, q - 2), label="k")
+        assert ops.exp[ops.log[i]] == i and ops.log[ops.exp[k]] == k
+        g_k = ops_element(ops, 1, p, n) ** k
+        assert ops_element(ops, k, p, n) == g_k
+        one_plus = g_k + fs.one  # the zech rule: 1 + g^k = g^zech[k], or 0 with zech[k] = -1
+        assert ops.zech[k] == (-1 if one_plus.is_zero else ops.log[one_plus.index])
+
+    def test_tables_are_permutations(self):
+        ops = log_tables(3, 7)
+        assert sorted(ops.exp) == list(range(1, 3**7))
+        assert sorted(ops.log) == list(range(-1, 3**7 - 1))
+        assert ops.zech.count(-1) == 1 and ops.zech[(3**7 - 1) // 2] == -1
+
+    def test_typecode_rule(self, monkeypatch):
+        # entries lie in [-1, q), and a C int holds them for every q below 2^31
+        assert ff._table_typecode(2**31 - 1) == "i" and ff._table_typecode(2**31) == "q"
+        assert array.array("i", [-1, 2**31 - 2]).tolist() == [-1, 2**31 - 2]
+        with pytest.raises(OverflowError):
+            array.array("i", [2**31])
+        assert log_tables(3, 7).exp.typecode == "i"
+        fs = ff.standard_field(5, 3)
+        monkeypatch.setattr(ff, "_table_typecode", lambda q: "q")
+        wide = ff._LogOps(fs)
+        assert wide.exp.typecode == wide.log.typecode == wide.zech.typecode == "q"
+        narrow = log_tables(5, 3)
+        assert (wide.exp, wide.log, wide.zech) == tuple(
+            array.array("q", t) for t in (narrow.exp, narrow.log, narrow.zech))
 
 
 class TestRendering:
