@@ -9,6 +9,10 @@ one field per process, and hands the results back in task order, and the
 records are fully sorted before the one writer, _write, emits them.  A
 destination that cannot be opened is a usage error that leaves no output
 anywhere.
+
+A command imports only what it runs, in the functions that use it, and
+looks library functions up on their modules at call time, where
+bench/tracer.py wraps them; only the command named gets parser arguments.
 """
 
 from __future__ import annotations
@@ -17,17 +21,14 @@ import argparse
 import contextlib
 import csv
 import io
-import json
 import os
 import re
 import sys
-from fractions import Fraction
 from typing import NamedTuple
 
-from . import claims, dynamics, nfcount, stats
+from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, standard_field
-from .stats import DEFAULT_SIEVE_CAP, DensityKind, Selector
+from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, standard_field
 
 __all__ = ["RunConfig", "main"]
 
@@ -52,6 +53,8 @@ _CONFIG_TYPES = {
 
 def _read_json(path: str, what: str):
     """The JSON value in a user's file; one that cannot be read is a usage error."""
+    import json
+
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
@@ -94,7 +97,8 @@ def _cell(value):
     (the records' as_dict), so values that only look like fractions are
     formatted strings before they reach either format.
     """
-    if isinstance(value, Fraction):
+    fractions = sys.modules.get("fractions")  # no Fraction exists before it is loaded
+    if fractions and isinstance(value, fractions.Fraction):
         return f"{value.numerator / value.denominator:.6f}"
     if isinstance(value, list):
         return ";".join(map(str, value))
@@ -111,6 +115,8 @@ def _output(
         writer.writerow(columns)
         writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
         return cfg.out, buf.getvalue()
+    import json
+
     return cfg.out, json.dumps(rows if payload is None else payload, indent=2) + "\n"
 
 
@@ -265,14 +271,14 @@ def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
     if coefficients == []:
         return []
     profile = dynamics.count_profile(fs, d, field_cap=field_cap, exp_cap=exp_cap)
-    if coefficients is None:  # every element, built only once the caps have passed
-        coefficients = map(fs.element_at, range(len(profile)))
+    if coefficients is None:  # every element, rendered only once the caps have passed
+        rows = enumerate(fs.element_strings())
+    else:
+        rows = ((c.index, str(c)) for c in coefficients)
     ell = None if family is Family.RAW else k
     return [
-        dynamics.CensusRecord(
-            p, n, ell, family_value, dynamics.classify_residue(p, c.index), str(c), profile[c.index]
-        )
-        for c in coefficients
+        dynamics.CensusRecord(p, n, ell, family_value, dynamics.classify_residue(p, i), text, profile[i])
+        for i, text in rows
     ]
 
 
@@ -309,6 +315,8 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
 # claims
 
 def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from . import claims
+
     p_list = _parse_int_list(args.p, "--p")
     n_list = _parse_int_list(args.n, "--n")
     ell_list = _parse_int_list(args.ell, "--ell")
@@ -353,7 +361,7 @@ def _load_expect(path: str) -> dict:
         raise UsageError(f"--expect entries must be objects with a grid of objects: {exc}") from exc
 
 
-def _compare_verdicts(pinned: dict, reports: list[claims.ClaimReport]) -> list[str]:
+def _compare_verdicts(pinned: dict, reports: list) -> list[str]:
     """Mismatch descriptions between pinned verdicts and fresh reports."""
     fresh = {
         (rep.claim.id, pt.p, pt.n, pt.ell): pt.status.value
@@ -372,8 +380,10 @@ def _compare_verdicts(pinned: dict, reports: list[claims.ClaimReport]) -> list[s
 # avg / density
 
 def cmd_avg(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from . import stats
+
     family = Family(args.family)
-    selector = Selector(args.selector)
+    selector = stats.Selector(args.selector)
     c_list = _parse_int_list(args.c, "--c")
     rows = stats.average_report(
         family,
@@ -390,7 +400,9 @@ def cmd_avg(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
-    kind = DensityKind(args.kind)
+    from . import stats
+
+    kind = stats.DensityKind(args.kind)
     c_list = _parse_int_list(args.c, "--c")
     rows = stats.density_table(kind, c_list=c_list, sieve_cap=cfg.sieve_cap)
     _write_ratios(args, cfg, ["c", "kind", "numerator", "denominator", "ratio"], rows)
@@ -416,6 +428,10 @@ def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], 
 # nf
 
 def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
+    from fractions import Fraction
+
+    from . import nfcount, stats
+
     chosen = [v is not None for v in (args.X, args.height, args.squarefree, args.c_range)]
     if sum(chosen) != 1:
         raise UsageError("nf needs exactly one of --X, --height, --squarefree, --c-range")
@@ -504,75 +520,89 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _census_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", required=True, help="comma list of primes")
+    sub.add_argument("--n", required=True, help="comma list of extension degrees")
+    sub.add_argument("--ell", default=None, help="comma list of exponents ell")
+    sub.add_argument("--d", default=None, help="comma list of raw degrees (family raw)")
+    sub.add_argument("--family", choices=["prime-power", "pminus1", "raw"], required=True)
+    sub.add_argument("--c", default="all", help='"all", or comma list of integers/element strings')
+
+
+def _claims_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", required=True)
+    sub.add_argument("--n", required=True)
+    sub.add_argument("--ell", required=True)
+    sub.add_argument("--expect", default=None, help="golden report JSON; exit 3 on verdict drift")
+
+
+def _avg_args(sub: argparse.ArgumentParser) -> None:
+    from .stats import Selector
+
+    sub.add_argument("--family", choices=["prime-power", "pminus1"], required=True)
+    sub.add_argument("--n", type=int, default=1)
+    sub.add_argument("--ell", type=int, default=1)
+    sub.add_argument("--selector", choices=[s.value for s in Selector], required=True)
+    sub.add_argument("--c", required=True, help="comma list of bounds")
+    sub.add_argument("--emit-plot-data", dest="emit_plot_data", default=None,
+                     help="also write c,ratio pairs to this path")
+
+
+def _density_args(sub: argparse.ArgumentParser) -> None:
+    from .stats import DensityKind
+
+    sub.add_argument("--kind", choices=[k.value for k in DensityKind], required=True)
+    sub.add_argument("--c", required=True, help="comma list of bounds")
+    sub.add_argument("--emit-plot-data", dest="emit_plot_data", default=None,
+                     help="also write c,ratio pairs to this path")
+
+
+def _nf_args(sub: argparse.ArgumentParser) -> None:
+    from .nfcount import DEFAULT_Q_MAX, DEFAULT_TRIAL_BOUND
+
+    sub.add_argument("--d", type=int, required=True)
+    sub.add_argument("--X", type=int, default=None, help="count |disc| < X")
+    sub.add_argument("--height", default=None, help="count height <= Hmax")
+    sub.add_argument("--squarefree", type=int, default=None,
+                     help="squarefree |disc| fraction over c in [1, C]")
+    sub.add_argument("--c-range", dest="c_range", default=None, help="LO:HI per-trinomial table")
+    sub.add_argument("--bound-constant", dest="bound_constant", type=float, default=4.0)
+    sub.add_argument("--q-max", dest="q_max", type=int, default=DEFAULT_Q_MAX)
+    sub.add_argument("--trial-bound", dest="trial_bound", type=int, default=DEFAULT_TRIAL_BOUND)
+
+
+def _orbits_args(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--p", type=int, required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--family", choices=["prime-power", "pminus1"], default=None)
+    sub.add_argument("--ell", type=int, default=None)
+    sub.add_argument("--d", type=int, default=None, help="raw degree")
+    sub.add_argument("--c", required=True, help="integer or element string")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fixcensus parser.  Every command is registered, so --help is whole, but
+    only command (every one for None) gets its arguments and their imports."""
     parser = argparse.ArgumentParser(
         prog="fixcensus",
         description="Exact fixed-point censuses of z -> z^d + c over finite fields",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p_census = subs.add_parser("census", help="fixed-point counts over a parameter grid")
-    p_census.add_argument("--p", required=True, help="comma list of primes")
-    p_census.add_argument("--n", required=True, help="comma list of extension degrees")
-    p_census.add_argument("--ell", default=None, help="comma list of exponents ell")
-    p_census.add_argument("--d", default=None, help="comma list of raw degrees (family raw)")
-    p_census.add_argument("--family", choices=["prime-power", "pminus1", "raw"], required=True)
-    p_census.add_argument("--c", default="all", help='"all", or comma list of integers/element strings')
-    _add_common(p_census)
-    p_census.set_defaults(func=cmd_census)
-
-    p_claims = subs.add_parser("claims", help="check every registered claim over a grid")
-    p_claims.add_argument("--p", required=True)
-    p_claims.add_argument("--n", required=True)
-    p_claims.add_argument("--ell", required=True)
-    p_claims.add_argument("--expect", default=None, help="golden report JSON; exit 3 on verdict drift")
-    _add_common(p_claims)
-    p_claims.set_defaults(func=cmd_claims)
-
-    p_avg = subs.add_parser("avg", help="average oracle counts over qualifying primes")
-    p_avg.add_argument("--family", choices=["prime-power", "pminus1"], required=True)
-    p_avg.add_argument("--n", type=int, default=1)
-    p_avg.add_argument("--ell", type=int, default=1)
-    p_avg.add_argument("--selector", choices=[s.value for s in Selector], required=True)
-    p_avg.add_argument("--c", required=True, help="comma list of bounds")
-    p_avg.add_argument("--emit-plot-data", dest="emit_plot_data", default=None,
-                       help="also write c,ratio pairs to this path")
-    _add_common(p_avg)
-    p_avg.set_defaults(func=cmd_avg)
-
-    p_density = subs.add_parser("density", help="prime densities of the count classes")
-    p_density.add_argument("--kind", choices=[k.value for k in DensityKind], required=True)
-    p_density.add_argument("--c", required=True, help="comma list of bounds")
-    p_density.add_argument("--emit-plot-data", dest="emit_plot_data", default=None,
-                           help="also write c,ratio pairs to this path")
-    _add_common(p_density)
-    p_density.set_defaults(func=cmd_density)
-
-    p_nf = subs.add_parser("nf", help="trinomial discriminant and height counting")
-    p_nf.add_argument("--d", type=int, required=True)
-    p_nf.add_argument("--X", type=int, default=None, help="count |disc| < X")
-    p_nf.add_argument("--height", default=None, help="count height <= Hmax")
-    p_nf.add_argument("--squarefree", type=int, default=None,
-                      help="squarefree |disc| fraction over c in [1, C]")
-    p_nf.add_argument("--c-range", dest="c_range", default=None,
-                      help="LO:HI per-trinomial table")
-    p_nf.add_argument("--bound-constant", dest="bound_constant", type=float, default=4.0)
-    p_nf.add_argument("--q-max", dest="q_max", type=int, default=nfcount.DEFAULT_Q_MAX)
-    p_nf.add_argument("--trial-bound", dest="trial_bound", type=int,
-                      default=nfcount.DEFAULT_TRIAL_BOUND)
-    _add_common(p_nf)
-    p_nf.set_defaults(func=cmd_nf)
-
-    p_orbits = subs.add_parser("orbits", help="functional-graph census of one map")
-    p_orbits.add_argument("--p", type=int, required=True)
-    p_orbits.add_argument("--n", type=int, required=True)
-    p_orbits.add_argument("--family", choices=["prime-power", "pminus1"], default=None)
-    p_orbits.add_argument("--ell", type=int, default=None)
-    p_orbits.add_argument("--d", type=int, default=None, help="raw degree")
-    p_orbits.add_argument("--c", required=True, help="integer or element string")
-    _add_common(p_orbits)
-    p_orbits.set_defaults(func=cmd_orbits)
-
+    # (name, help, adder of its own arguments, command), in --help order; the
+    # commands are read at build time, so a function patched onto cli is run
+    for name, help_text, add_args, func in [
+        ("census", "fixed-point counts over a parameter grid", _census_args, cmd_census),
+        ("claims", "check every registered claim over a grid", _claims_args, cmd_claims),
+        ("avg", "average oracle counts over qualifying primes", _avg_args, cmd_avg),
+        ("density", "prime densities of the count classes", _density_args, cmd_density),
+        ("nf", "trinomial discriminant and height counting", _nf_args, cmd_nf),
+        ("orbits", "functional-graph census of one map", _orbits_args, cmd_orbits),
+    ]:
+        sub = subs.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_args(sub)
+            _add_common(sub)
+            sub.set_defaults(func=func)
     return parser
 
 
@@ -581,7 +611,9 @@ def main(argv: list[str] | None = None) -> int:
     for k in range(len(argv) - 1, 0, -1):  # argparse takes "-5:5", "-1,2" or "-t" for a flag
         if argv[k - 1] in ("--c", "--c-range") and re.match(r"-[^-]", argv[k]):
             argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
-    args = build_parser().parse_args(argv)
+    # the top level has no option with a value: its first non-option is the command
+    command = next((arg for arg in argv if not arg.startswith("-")), "")
+    args = build_parser(command).parse_args(argv)
     try:
         cfg = _resolve_config(args)
         return args.func(args, cfg)

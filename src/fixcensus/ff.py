@@ -22,6 +22,7 @@ from functools import lru_cache
 
 __all__ = [
     "DEFAULT_FIELD_CAP",
+    "DEFAULT_SIEVE_CAP",
     "ArgumentError",
     "CapError",
     "FieldCapError",
@@ -40,6 +41,7 @@ __all__ = [
 # Refuse, never truncate: exhaustive scans over more elements than this are
 # rejected with FieldCapError unless the caller raises the cap explicitly.
 DEFAULT_FIELD_CAP = 10**7
+DEFAULT_SIEVE_CAP = 10**8  # the integer side's cap: see stats.check_sieve_cap
 
 
 class ArgumentError(ValueError):
@@ -344,6 +346,12 @@ class FieldSpec(_Value):
         """
         for i in range(self.order):
             yield self.element_at(i)
+
+    def element_strings(self) -> Iterator[str]:
+        """str(self.element_at(i)) for each index i in order, joined from
+        per-digit terms (highest degree first) without building elements."""
+        terms = [["", *(render_poly((0,) * k + (a,)) for a in range(1, self.p))] for k in range(self.n)]
+        return ("+".join(filter(None, parts)) or "0" for parts in itertools.product(*reversed(terms)))
 
     def parse(self, text: str) -> "FFElement":
         """Inverse of str(element); also accepts "-" signs and loose input.

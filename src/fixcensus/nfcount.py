@@ -33,8 +33,7 @@ from typing import NamedTuple
 
 from . import stats
 from .dynamics import DEFAULT_EXP_CAP, check_degree, integer_root, integral_fixed_points
-from .ff import ArgumentError, CapError, certify_irreducible
-from .stats import DEFAULT_SIEVE_CAP
+from .ff import DEFAULT_SIEVE_CAP, ArgumentError, CapError, certify_irreducible
 
 __all__ = [
     "ZETA2_INV",

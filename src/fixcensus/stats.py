@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, _prime_factors, standard_field
+from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, _prime_factors, standard_field
 
 __all__ = [
     "DEFAULT_SIEVE_CAP",
@@ -41,8 +41,6 @@ __all__ = [
     "average_report",
     "density_table",
 ]
-
-DEFAULT_SIEVE_CAP = 10**8
 
 
 class SieveCapError(CapError):

@@ -545,6 +545,81 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     assert result.stdout == "[]\n"
 
 
+# Modules a command has no use for; each command imports only what it runs.
+_UNUSED_BY_SCANS = ["fixcensus.claims", "fixcensus.stats", "fixcensus.nfcount", "fractions", "decimal", "json"]
+
+
+@pytest.mark.parametrize(
+    "argv, unused",
+    [
+        (["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "1"], _UNUSED_BY_SCANS),
+        (["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "1"], _UNUSED_BY_SCANS[:-1]),
+        (["claims", "--p", "3", "--n", "1", "--ell", "1"], ["fixcensus.stats", "fixcensus.nfcount", "fractions"]),
+        (["avg", "--family", "prime-power", "--selector", "p|c", "--c", "30"],
+         ["fixcensus.claims", "fixcensus.nfcount", "json"]),
+        (["density", "--kind", "nc3", "--c", "30"], ["fixcensus.claims", "fixcensus.nfcount", "json"]),
+    ],
+    ids=["census", "orbits", "claims", "avg", "density"],
+)
+def test_command_loads_only_its_modules(argv, unused):
+    # -S: no site .pth file adds modules, so only the command's imports count
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = (
+        f"import os, sys; from fixcensus.cli import main; code = main({argv!r} + ['--out', os.devnull]); "
+        f"print(code, sorted(set({unused!r}) & set(sys.modules)))"
+    )
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert (result.stdout, result.stderr) == ("0 []\n", "")
+
+
+def test_package_import_loads_no_submodule():
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, fixcensus; print(sorted(m for m in sys.modules if m.startswith('fixcensus.')))"
+    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"
+
+
+def _exit_status_and_output(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--help"],
+        *([name, "--help"] for name in ("census", "claims", "avg", "density", "nf", "orbits")),
+        ["census", "--p", "3", "--n", "1", "--ell", "1"],
+        ["claims", "--p", "3", "--n", "1"],
+        ["avg", "--family", "prime-power", "--selector", "p", "--c", "30"],
+        ["density", "--kind", "nc9", "--c", "30"],
+        ["nf", "--X", "10"],
+        ["orbits", "--p", "3", "--n", "2", "--family", "raw", "--ell", "1", "--c", "1"],
+    ],
+    ids=" ".join,
+)
+def test_command_parser_matches_the_full_parser(capsys, argv):
+    # main builds only the named command's arguments; help text and usage
+    # errors must be the bytes of the parser that carries every command's
+    full = _exit_status_and_output(capsys, cli.build_parser().parse_args, argv)
+    assert _exit_status_and_output(capsys, main, argv) == full
+    assert full[0] == (0 if argv[-1] == "--help" else 2)
+    assert full[1 if full[0] == 0 else 2].startswith("usage: fixcensus")
+
+
+@pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 3), (7, 2), (11, 1)])
+def test_census_of_every_c_names_each_element(p, n):
+    # the --c all rows are rendered from index digits, not from elements
+    fs = ff.standard_field(p, n)
+    task = (p, n, "raw", 2, ("all",), ff.DEFAULT_FIELD_CAP, dynamics.DEFAULT_EXP_CAP)
+    rows = [(r.c_repr, r.c_class) for r in cli._census_point(task)]
+    assert rows == [(str(fs.element_at(i)), dynamics.classify_residue(p, i)) for i in range(fs.order)]
+
+
 @pytest.mark.parametrize(
     "argv, value",
     [
