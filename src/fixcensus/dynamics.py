@@ -1,16 +1,17 @@
 """Power maps z -> z^d + c on finite fields.
 
 Fixed points of the map are the roots of z^d - z + c, and this module counts
-them two independent ways on purpose.  The scan side is count_profile: one
-pass over the field computes z - z^d for every z, which is the one
-coefficient c that makes z a fixed point, so its histogram answers every c
-at once; fixed_point_count and fixed_points read the same scan for a single
-c.  The gcd side, gcd_root_count, never enumerates the field at all and
-instead measures deg gcd(z^d - z + c, z^q - z) in the quotient ring.  The
-two sides share no arithmetic engine either: the scan runs on the index
-tables of ff.field_ops, the gcd side on FFElement operators.  So their
-agreement on a grid is a real consistency check, and the test suite
-enforces it.
+them three independent ways on purpose.  The scan: one pass over the field
+computes z - z^d for every z, the one coefficient c that makes z a fixed
+point, so its histogram (count_profile) answers every c at once;
+fixed_point_count and fixed_points read the same scan for a single c.  The
+gcd side, gcd_root_count, measures deg gcd(z^d - z + c, z^q - z) in the
+quotient ring without enumerating the field.  The linear side serves
+d = p^ell, where z -> z^d + c is Frob^ell + c, an F_p-affine map:
+count_profile and orbit_census use it for those d, by elimination on the
+n x n matrix of Frob^ell - 1.  The scan runs on the index tables of
+ff.field_ops, the other two on FFElement operators, so their agreement on
+a grid is a real consistency check, and the test suite enforces it.
 
 Also here: the full functional-graph census (components, cycle structure,
 tail depths) and exact integer fixed points of z^d + c on the integers.
@@ -19,6 +20,7 @@ tail depths) and exact integer fixed points of z^d + c on the integers.
 from __future__ import annotations
 
 import enum
+import math
 import operator
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -186,13 +188,9 @@ def _coefficient_index(fs: FieldSpec, c: int | FFElement) -> int:
     return c.index
 
 
-def _scan(fs: FieldSpec, d: int, field_cap: int, exp_cap: int) -> Iterator[int]:
-    """z - z^d for every z in index order, as element indexes.
-
-    z - z^d is the one coefficient c that makes z a fixed point of
-    z -> z^d + c.  The caps are checked before the first element.
-    """
-    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
+def _scan(fs: FieldSpec, d: int) -> Iterator[int]:
+    """z - z^d for every z in index order, as element indexes: the one
+    coefficient c that makes z a fixed point of z -> z^d + c."""
     return field_ops(fs).images(d, fs.p - 1, 1, 1)  # p - 1 is the index of -1
 
 
@@ -208,8 +206,8 @@ def fixed_point_count(
 
     c is an integer (embedded through the prime subfield) or an element of fs.
     """
-    scan = _scan(fs, d, field_cap, exp_cap)
-    return operator.countOf(scan, _coefficient_index(fs, c))
+    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
+    return operator.countOf(_scan(fs, d), _coefficient_index(fs, c))
 
 
 def fixed_points(
@@ -221,9 +219,9 @@ def fixed_points(
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> list[FFElement]:
     """The fixed points of z^d + c themselves, in enumeration order."""
-    scan = _scan(fs, d, field_cap, exp_cap)
+    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
     target = _coefficient_index(fs, c)
-    return [fs.element_at(z) for z, t in enumerate(scan) if t == target]
+    return [fs.element_at(z) for z, t in enumerate(_scan(fs, d)) if t == target]
 
 
 def count_profile(
@@ -236,13 +234,101 @@ def count_profile(
     """Fixed-point counts for every coefficient at once.
 
     profile[i] is the fixed-point count of z -> z^d + c where c is the
-    element with enumeration index i: the histogram of one scan.
+    element with enumeration index i: the histogram of one scan, or for
+    d = p^ell the linear rule of _affine_profile.
     """
-    scan = _scan(fs, d, field_cap, exp_cap)
+    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
+    if (ell := _frobenius_exponent(fs.p, d)) is not None:
+        return _affine_profile(fs, ell)
     profile = [0] * fs.order
-    for c in scan:
+    for c in _scan(fs, d):
         profile[c] += 1
     return profile
+
+
+# ---------------------------------------------------------------------------
+# The linear counter for d = p^ell.  Frob: z -> z^p is F_p-linear, so
+# A(z) = Frob^ell(z) + c is an affine bijection, and A^k(z) = Frob^(ell k)(z)
+# + s_k with s_k = sum_{i<k} Frob^(ell i)(c).  A^k fixes the p^gcd(n, ell k)
+# points of ker(Frob^(ell k) - 1) when s_k lies in its image, the kernel of the
+# trace to F_{p^gcd(n, ell k)}, and none otherwise (Lidl & Niederreiter, 2.3).
+
+def _frobenius_exponent(p: int, d: int) -> int | None:
+    """The ell with d = p^ell, or None when d is not a power of p."""
+    return next((ell for ell in range(1, d.bit_length() + 1) if p**ell == d), None)
+
+
+def _image_test(fs: FieldSpec, e: int) -> list[list[int]]:
+    """A basis of the functionals w on F_p^n that vanish on the image of
+    Frob^e - 1, so that v lies in it exactly when every w.v = 0; there are
+    gcd(n, e).  Gauss-Jordan on the columns of Frob^e - 1 as rows: each free
+    column f gives w = e_f - sum of row[f] e_pivot over the reduced rows."""
+    p, n = fs.p, fs.n
+    x, column = fs.element((0, 1)), fs.one
+    for _ in range(e % n):
+        x = x.frobenius()  # x = t^(p^e), and column j of Frob^e is x^j
+    rows: dict[int, list[int]] = {}  # pivot -> reduced row
+    for j in range(n):
+        v = [(a - (i == j)) % p for i, a in enumerate(column.coeffs)]
+        column = column * x
+        for pivot, row in rows.items():
+            v = [(a - v[pivot] * b) % p for a, b in zip(v, row)] if v[pivot] else v
+        pivot = next((i for i, a in enumerate(v) if a), None)
+        if pivot is not None:
+            v = [a * pow(v[pivot], -1, p) % p for a in v]
+            rows = {k: [(a - row[pivot] * b) % p for a, b in zip(row, v)] for k, row in rows.items()}
+            rows[pivot] = v
+    return [[-rows[i][f] % p if i in rows else int(i == f) for i in range(n)] for f in range(n) if f not in rows]
+
+
+def _affine_profile(fs: FieldSpec, ell: int) -> list[int]:
+    """count_profile for d = p^ell: p^g at each c in the image of Frob^ell - 1,
+    0 elsewhere.  The image test's rows are evaluated on the low and the high
+    half of the index digits apart, and c = low + high is a hit where the two
+    agree; only the profile has more than about sqrt(q) entries."""
+    p, n = fs.p, fs.n
+    rows = _image_test(fs, ell)
+    hit = p ** len(rows)
+
+    def codes(digits: range, sign: int) -> list[int]:
+        # sign * (w.x for each row w), packed base p, for each x with digits in the range only
+        packed = [0] * p ** len(digits)
+        for k, w in enumerate(rows):
+            values = [0]
+            for j in digits:
+                values = [(u + sign * a * w[j]) % p for a in range(p) for u in values]
+            packed = [code + u * p**k for code, u in zip(packed, values)]
+        return packed
+
+    low, high = codes(range(n // 2), 1), codes(range(n // 2, n), -1)
+    where: dict[int, list[int]] = {}  # a low code -> its low indexes
+    for i, code in enumerate(low):
+        where.setdefault(code, []).append(i)
+    profile = [0] * fs.order
+    for base, code in zip(range(0, fs.order, len(low)), high):
+        for i in where.get(code, ()):
+            profile[base + i] = hit
+    return profile
+
+
+def _affine_orbits(fs: FieldSpec, ell: int, c: int) -> OrbitCensus:
+    """orbit_census for d = p^ell and the coefficient of index c.  Frob^ell
+    has order m = n / gcd(n, ell), so A^m is the translation by s_m = Tr(c)
+    and every cycle length divides p m.  For each divisor k, |Fix(A^k)| less
+    the points of each smaller period dividing k have period exactly k."""
+    p, m = fs.p, fs.n // math.gcd(fs.n, ell)
+    x, partial = fs.element_at(c), [fs.zero]
+    for _ in range(m):  # partial[k] = s_k
+        partial.append(partial[-1] + x)
+        x = x ** p**ell
+    exact, lengths = {}, ()  # by cycle length: the points, the cycle list
+    for k in sorted({a * b for a in (1, p) for b in range(1, m + 1) if m % b == 0}):
+        s = (fs.from_int(k // m) * partial[m] + partial[k % m]).coeffs
+        rows = _image_test(fs, ell * k)
+        fixed = 0 if any(sum(map(operator.mul, w, s)) % p for w in rows) else p ** len(rows)
+        exact[k] = fixed - sum(count for j, count in exact.items() if k % j == 0)
+        lengths += (k,) * (exact[k] // k)
+    return OrbitCensus(lengths, 0, fs.order, lengths)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +439,12 @@ def orbit_census(
 
     Walks each unvisited element forward until it hits either a fresh cycle
     or already-finished territory, then gives every element of the pending
-    path its component and tail depth.  Linear in q.
+    path its component and tail depth: linear in q.  A d = p^ell is counted
+    by _affine_orbits instead, without a walk.
     """
     capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
+    if (ell := _frobenius_exponent(fs.p, d)) is not None:
+        return _affine_orbits(fs, ell, _coefficient_index(fs, c))
     q = fs.order
     succ = list(field_ops(fs).images(d, 1, _coefficient_index(fs, c), 0))
 

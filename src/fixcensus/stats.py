@@ -170,10 +170,11 @@ def _primes_between(floor: int, bound: int) -> int:
 def _prime_power_count(p: int, n: int, ell: int, c: int) -> int:
     """Fixed points of z -> z^(p^ell) + c on F_{p^n}, c an integer, exactly.
 
-    z -> z^(p^ell) - z is F_p-linear with kernel F_{p^g}, g = gcd(n, ell),
-    and its image is the kernel of the trace to F_{p^g}, which maps the
-    integer c to (n/g) c.  So the count is p^g when p divides c (n/g) and
-    0 otherwise (Lidl & Niederreiter, Finite Fields, 2.3).
+    The integer-c case of the rule of dynamics' linear engine: the count is
+    p^g, g = gcd(n, ell), when c lies in the image of Frob^ell - 1, which is
+    the kernel of Tr_{n->g}, and 0 otherwise (Lidl & Niederreiter, Finite
+    Fields, 2.3).  The trace of an integer c is (n/g) c, so no field is
+    built: the count is p^g when p divides c (n/g).
     """
     g = math.gcd(n, ell)
     return p**g if c * (n // g) % p == 0 else 0

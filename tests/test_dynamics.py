@@ -316,6 +316,25 @@ class TestCountProfile:
         assert profile_peak <= 1.25 * sys.getsizeof(profile), (profile_peak, sys.getsizeof(profile))
         assert count_peak <= 0.05 * sys.getsizeof(profile), count_peak
 
+    def test_log_scans_keep_no_list_of_images(self):
+        # d = 3 above runs the linear engine on F_3^9; d = 2 still scans the logs
+        fs = ff.standard_field(3, 9)
+        ff.field_ops(fs)
+
+        def peak(scan):
+            tracemalloc.start()
+            try:
+                return scan(), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        profile, profile_peak = peak(lambda: dynamics.count_profile(fs, 2))
+        count, count_peak = peak(lambda: dynamics.fixed_point_count(fs, 2, 0))
+        assert count == profile[0] == 2  # z^2 = z: z = 0 and z = 1
+        assert sum(profile) == fs.order
+        assert profile_peak <= 1.25 * sys.getsizeof(profile), (profile_peak, sys.getsizeof(profile))
+        assert count_peak <= 0.05 * sys.getsizeof(profile), count_peak
+
 
 class TestOrbitCensus:
     def test_example_c0(self):
@@ -366,6 +385,100 @@ class TestOrbitCensus:
             "fixed_points": 1,
             "max_tail": 2,
         }
+
+
+def subfield_trace(fs, g, c):
+    """Tr from F_{p^n} to F_{p^g} of the element c, summed on FFElement."""
+    return sum((c ** (fs.p ** (g * i)) for i in range(fs.n // g)), fs.zero)
+
+
+class TestLinearEngine:
+    """d = p^ell: z -> z^d + c is Frob^ell + c, an affine bijection, and
+    count_profile and orbit_census read it off F_p-linear algebra."""
+
+    @given(
+        st.sampled_from([(p, n) for p in (2, 3, 5, 7) for n in range(1, 13) if p**n <= 5000]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_profile_matches_scan_and_gcd(self, field, data):
+        fs = ff.standard_field(*field)
+        p, n = field
+        ell = data.draw(st.integers(1, 2 * n), label="ell")  # ell = n and 2n: the identity
+        d = p**ell  # a raw degree: the engine is chosen by d alone
+        profile = dynamics.count_profile(fs, d, exp_cap=d)
+        assert len(profile) == fs.order and sum(profile) == fs.order
+        assert set(profile) <= {0, p ** math.gcd(n, ell)}
+        for i in data.draw(st.lists(st.integers(0, fs.order - 1), min_size=1, max_size=4), label="c"):
+            c = fs.element_at(i)
+            assert profile[i] == dynamics.fixed_point_count(fs, d, c, exp_cap=d), (p, n, ell, i)
+            if d <= 32:  # the gcd costs O(d^2 log q) products
+                assert profile[i] == dynamics.gcd_root_count(fs, d, c, exp_cap=d), (p, n, ell, i)
+
+    @pytest.mark.parametrize("p, n, ell", [
+        (2, 12, 3), (3, 4, 2), (3, 5, 1), (3, 6, 3), (3, 6, 4), (5, 6, 3), (7, 4, 2), (11, 3, 1), (11, 4, 2),
+    ])
+    def test_profile_is_the_scan_histogram(self, p, n, ell):
+        # fields whose image tests are not coordinate functionals, every c at once
+        fs = ff.standard_field(p, n)
+        histogram = [0] * fs.order
+        for c in dynamics._scan(fs, p**ell):
+            histogram[c] += 1
+        assert dynamics.count_profile(fs, p**ell) == histogram
+
+    @pytest.mark.parametrize("p, n, ell", [
+        (2, 1, 1), (2, 3, 1), (2, 4, 2), (2, 4, 4), (2, 3, 5), (2, 6, 4),
+        (3, 1, 2), (3, 2, 1), (3, 2, 2), (3, 3, 1), (3, 3, 4), (5, 2, 1), (5, 2, 3), (7, 1, 1), (7, 2, 1),
+    ])
+    def test_orbits_match_brute_force(self, p, n, ell):
+        fs = ff.standard_field(p, n)
+        d, g = p**ell, math.gcd(n, ell)
+        t = fs.element([0, 1])
+        on_trace = t ** d - t  # in the image of Frob^ell - 1: Tr(c) = 0
+        off_trace = next(c for c in fs.elements() if subfield_trace(fs, g, c) != fs.zero)
+        assert subfield_trace(fs, g, on_trace) == fs.zero
+        for c in (fs.zero, on_trace, off_trace):
+            oc = dynamics.orbit_census(fs, d, c, exp_cap=d)
+            lengths, components, max_tail = brute_force_orbit(fs, d, c)
+            assert list(oc.cycle_lengths) == lengths, (p, n, ell, str(c))
+            assert oc.component_count == components
+            assert oc.max_tail_length == max_tail == 0
+            assert oc.component_sizes == oc.cycle_lengths
+            assert oc.fixed_point_count == dynamics.count_profile(fs, d, exp_cap=d)[c.index]
+
+    def test_reaches_no_scan_engine(self, monkeypatch):
+        # raw d = 9 on F_3^n, ell > n, ell = n and prime fields take the linear engine
+        cases = [(ff.standard_field(p, n), d, i) for p, n, d, i in
+                 [(3, 2, 9, 4), (3, 3, 3, 5), (2, 3, 32, 3), (2, 4, 16, 7), (5, 1, 25, 2), (7, 2, 7, 9)]]
+        expected = [
+            (len(brute_force_fixed_points(fs, d, fs.element_at(i))),
+             brute_force_orbit(fs, d, fs.element_at(i))[0])
+            for fs, d, i in cases
+        ]
+
+        def refuse(fs):
+            raise AssertionError("the linear engine reached a scan engine")
+
+        monkeypatch.setattr(ff, "field_ops", refuse)
+        monkeypatch.setattr(dynamics, "field_ops", refuse)
+        got = [
+            (dynamics.count_profile(fs, d)[i], list(dynamics.orbit_census(fs, d, fs.element_at(i)).cycle_lengths))
+            for fs, d, i in cases
+        ]
+        assert got == expected
+        with pytest.raises(AssertionError, match="scan engine"):
+            dynamics.count_profile(cases[0][0], 2)  # d = 2 on F_3^2 still scans
+
+    def test_caps_come_first(self):
+        fs = ff.standard_field(2, 4)
+        with pytest.raises(FieldCapError):
+            dynamics.count_profile(fs, 2, field_cap=15)
+        with pytest.raises(FieldCapError):
+            dynamics.orbit_census(fs, 2, 1, field_cap=15)
+        with pytest.raises(dynamics.ExponentCapError):
+            dynamics.count_profile(fs, 32, exp_cap=31)
+        with pytest.raises(dynamics.ExponentCapError):
+            dynamics.orbit_census(fs, 32, 1, exp_cap=31)
 
 
 class TestClassifyResidue:

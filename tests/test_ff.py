@@ -394,6 +394,18 @@ class TestFieldOps:
                 assert profile[fs.from_int(c).index] == expected
                 assert dynamics.gcd_root_count(fs, 2**ell, c) == expected
 
+    def test_log_scan_on_a_large_field(self):
+        # d = 2 and 4 above take the linear engine; d = 3 on F_2^18 still scans the logs
+        fs = ff.standard_field(2, 18)
+        profile = dynamics.count_profile(fs, 3)
+        assert type(field_ops(fs)) is ff._LogOps
+        assert sum(profile) == fs.order
+        # z^3 - z = z (z + 1)^2, and z^3 + z + 1 is irreducible of degree 3 | 18
+        assert profile[0] == dynamics.gcd_root_count(fs, 3, 0) == 2
+        assert profile[1] == dynamics.gcd_root_count(fs, 3, 1) == 3
+        for i in (2, 5, 1000, fs.order - 1):
+            assert profile[i] == dynamics.gcd_root_count(fs, 3, fs.element_at(i)), i
+
     def test_zero_and_one_indexes(self):
         for fs in FIELDS:
             assert fs.zero.index == 0

@@ -270,11 +270,12 @@ class TestClosedForms:
         assert closed == dynamics.fixed_point_count(fs, d, c) == dynamics.gcd_root_count(fs, d, c)
 
     def test_prime_power_count_at_every_residue(self):
+        # count_profile runs the linear engine here, ell = n and ell > n included
         for p in (2, 3, 5, 7):
             for n in (1, 2, 3, 4):
                 fs = ff.standard_field(p, n)
-                for ell in (1, 2, 3):
-                    profile = dynamics.count_profile(fs, p**ell)
+                for ell in range(1, 2 * n + 2):
+                    profile = dynamics.count_profile(fs, p**ell, exp_cap=p**ell)
                     for c in range(p):
                         assert stats._prime_power_count(p, n, ell, c) == profile[c], (p, n, ell, c)
 
