@@ -1,8 +1,8 @@
 """fixcensus: exact fixed-point censuses of z -> z^d + c over finite fields.
 
-The package counts fixed points of power maps on F_{p^n} two independent
-ways, checks a registry of encoded counting claims against the brute-force
-oracle (mismatches become witnesses, not errors), tabulates exact average
+The package counts fixed points of power maps on F_{p^n} three independent
+ways, checks a registry of encoded counting claims against those counts
+(mismatches become witnesses, not errors), tabulates exact average
 and density statistics for integer coefficients, and counts trinomials
 x^d - x + c by discriminant and height.
 
@@ -19,12 +19,12 @@ _HOME = {
         "ff": "DEFAULT_FIELD_CAP ArgumentError CapError FieldCapError is_prime find_irreducible"
               " certify_irreducible FieldSpec FFElement standard_field",
         "dynamics": "DEFAULT_EXP_CAP ExponentCapError Family CensusRecord OrbitCensus fixed_point_count"
-                    " fixed_points count_profile gcd_root_count orbit_census classify_residue"
+                    " count_profile gcd_root_count orbit_census classify_residue"
                     " integral_fixed_points integer_root",
         "claims": "Verdict Witness ClaimSpec ClaimReport registry check_all",
         "stats": "Selector DensityKind AverageRow DensityRow prime_sieve prime_count average_report"
                  " density_table",
-        "nfcount": "IrreducibilityStatus FieldCountRow SquarefreeReport trinomial_disc closed_form_disc"
+        "nfcount": "IrreducibilityStatus FieldCountRow SquarefreeReport closed_form_disc"
                    " irreducibility_status count_by_disc count_by_height squarefree_disc_fraction",
     }.items()
     for name in names.split()

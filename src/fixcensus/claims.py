@@ -3,10 +3,11 @@
 Each claim predicts the exact fixed-point count of z -> z^d + c on
 F_{p^n} from the residue class of c alone, for one family of degrees and
 one slice of (p, n, ell).  The checker takes a claim at face value and
-scans every residue of the field against the prediction: a mismatch is
-data, reported as a witness, never repaired.  Claims whose statements rest
-on an auxiliary hypothesis are flagged conditional, and their failures are
-expected output, not bugs.
+judges every residue of the field against the prediction, read from one
+count_profile per family and grid point (the linear engine for d = p^ell,
+a scan otherwise): a mismatch is data, reported as a witness, never
+repaired.  Claims whose statements rest on an auxiliary hypothesis are
+flagged conditional, and their failures are expected output, not bugs.
 
 Residues outside a claim's stated classes are never judged; their observed
 counts are reported separately as informational material.
@@ -33,7 +34,6 @@ __all__ = [
     "ClaimSpec",
     "ClaimReport",
     "registry",
-    "claim_by_id",
     "check_point",
     "check_all",
 ]
@@ -248,13 +248,6 @@ def registry() -> list[ClaimSpec]:
     return list(_REGISTRY)
 
 
-def claim_by_id(claim_id: str) -> ClaimSpec:
-    for spec in _REGISTRY:
-        if spec.id == claim_id:
-            return spec
-    raise KeyError(f"unknown claim id {claim_id!r}")
-
-
 @functools.lru_cache(maxsize=1)
 def _profile(fs: ff.FieldSpec, d: int, field_cap: int, exp_cap: int) -> tuple[int, ...]:
     """count_profile(fs, d) under the caller's caps, kept for the next claim
@@ -272,7 +265,7 @@ def check_point(
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
 ) -> PointResult:
-    """Evaluate one claim at one grid point by scanning all residues.
+    """Evaluate one claim at one grid point, judging every residue.
 
     Residues are labelled by enumeration index; an element is built only
     for a witness.  A point past a cap is SKIPPED, with the refusal of
@@ -329,8 +322,9 @@ def check_all(
     """Every registered claim over the same grid, in registry order.
 
     The grid is walked point first through mapper(check_at, points), which
-    may be a process pool's map as long as it keeps the task order; each
-    report lists its points in grid order.
+    may spread the points over processes (the CLI passes its forked --jobs
+    map) as long as it returns results in task order; each report lists its
+    points in grid order.
     """
     rows = list(mapper(functools.partial(check_at, field_cap=field_cap, exp_cap=exp_cap), list(grid)))
     return [

@@ -447,7 +447,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
         try:
             hmax = Fraction(args.height)
             shown = float(hmax)
-        except (ValueError, OverflowError) as exc:  # inf, nan, junk, beyond float range
+        except (ValueError, OverflowError, ZeroDivisionError) as exc:  # inf, nan, junk, 1/0, beyond float range
             raise UsageError(f"--height expects a finite number in float range: {args.height!r}") from exc
         count = nfcount.count_by_height(args.d, hmax, exp_cap=cfg.exp_cap)
         payload = {"d": args.d, "hmax": shown, "count": count}

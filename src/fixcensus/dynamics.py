@@ -3,10 +3,10 @@
 Fixed points of the map are the roots of z^d - z + c, and this module counts
 them three independent ways on purpose.  The scan: one pass over the field
 computes z - z^d for every z, the one coefficient c that makes z a fixed
-point, so its histogram (count_profile) answers every c at once;
-fixed_point_count and fixed_points read the same scan for a single c.  The
-gcd side, gcd_root_count, measures deg gcd(z^d - z + c, z^q - z) in the
-quotient ring without enumerating the field.  The linear side serves
+point, so its histogram (count_profile) answers every c at once, and
+fixed_point_count counts one c on the same scan.  The gcd side,
+gcd_root_count, measures deg gcd(z^d - z + c, z^q - z) in the quotient
+ring without enumerating the field.  The linear side serves
 d = p^ell, where z -> z^d + c is Frob^ell + c, an F_p-affine map:
 count_profile and orbit_census use it for those d, by elimination on the
 n x n matrix of Frob^ell - 1.  The scan runs on the index tables of
@@ -47,7 +47,6 @@ __all__ = [
     "CensusRecord",
     "OrbitCensus",
     "fixed_point_count",
-    "fixed_points",
     "count_profile",
     "gcd_root_count",
     "orbit_census",
@@ -208,20 +207,6 @@ def fixed_point_count(
     """
     capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
     return operator.countOf(_scan(fs, d), _coefficient_index(fs, c))
-
-
-def fixed_points(
-    fs: FieldSpec,
-    d: int,
-    c: int | FFElement,
-    *,
-    field_cap: int = DEFAULT_FIELD_CAP,
-    exp_cap: int = DEFAULT_EXP_CAP,
-) -> list[FFElement]:
-    """The fixed points of z^d + c themselves, in enumeration order."""
-    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
-    target = _coefficient_index(fs, c)
-    return [fs.element_at(z) for z, t in enumerate(_scan(fs, d)) if t == target]
 
 
 def count_profile(

@@ -329,7 +329,10 @@ class FieldSpec(_Value):
         return FFElement(self, tuple(cs) + (0,) * (self.n - len(cs)))
 
     def element_at(self, index: int) -> "FFElement":
-        """The index-th element in enumeration order (see elements)."""
+        """The index-th element in enumeration order: index read base p with
+        coordinate 0 fastest, so the order is 0, 1, ..., p-1, t, 1+t, ...
+        This is the fixed enumeration contract used by censuses and claim
+        witnesses."""
         if not (0 <= index < self.order):
             raise ArgumentError(f"index {index} out of range for field of order {self.order}")
         digits = []
@@ -337,15 +340,6 @@ class FieldSpec(_Value):
             index, r = divmod(index, self.p)
             digits.append(r)
         return FFElement(self, tuple(digits))
-
-    def elements(self) -> Iterator["FFElement"]:
-        """All p^n elements, counting base p with coordinate 0 fastest.
-
-        The order is 0, 1, ..., p-1, t, 1+t, ... and is the fixed
-        enumeration contract used by censuses and claim witnesses.
-        """
-        for i in range(self.order):
-            yield self.element_at(i)
 
     def element_strings(self) -> Iterator[str]:
         """str(self.element_at(i)) for each index i in order, joined from
@@ -486,8 +480,8 @@ def _table_typecode(q: int) -> str:
 
 
 class FieldOps:
-    """Index arithmetic for the scan loops on one field: images, the one
-    whole-field pass, and pow for a single element.
+    """Index arithmetic for the scan loops on one field: images is the one
+    whole-field pass.
 
     Index 0 is always the zero element and index 1 the one element, so
     sparsity tests stay plain truthiness checks.  No engine keeps a q*q
@@ -507,11 +501,6 @@ class _PrimeOps(FieldOps):
         """a*z^d + c*z^e for every z in index order, as indexes."""
         p = self.p
         return ((a * pow(z, d, p) + c * z**e) % p for z in range(p))
-
-    def pow(self, i: int, e: int) -> int:
-        if e < 0:
-            raise ArgumentError("negative exponents are not defined here")
-        return pow(i, e, self.p)
 
 
 class _LogOps(FieldOps):
@@ -582,11 +571,6 @@ class _LogOps(FieldOps):
             rest = (exp[(lc + k * e + z) % order] if (z := zech[(shift + k * step) % order]) >= 0 else 0
                     for k in ks)
         return itertools.chain((0 if e else c,), rest)
-
-    def pow(self, i: int, e: int) -> int:
-        if e < 0:
-            raise ArgumentError("negative exponents are not defined here")
-        return self.exp[self.log[i] * e % self.order] if i else int(e == 0)
 
 
 @lru_cache(maxsize=1)

@@ -1,10 +1,10 @@
 """Exact discriminants and desk-scale counts for trinomials x^d - x + c.
 
-The discriminant is computed two independent ways: trinomial_disc builds
-the full Sylvester matrix of (f, f') and evaluates it with the fraction-free
-Bareiss elimination, while closed_form_disc uses the two-term formula the
-resultant collapses to for this family.  The test suite proves them equal on
-a verification grid before anything downstream relies on the fast form.
+The discriminant is closed_form_disc, the two-term formula the resultant
+Res(f, f') collapses to for this family.  On a verification grid the test
+suite holds it to an independent oracle that ships only with the tests
+(tests/oracles.py): the determinant of the full Sylvester matrix of
+(f, f'), by fraction-free Bareiss elimination.
 
 Discriminants here are polynomial discriminants, a proxy (up to square
 cofactor) for the discriminant of the number field a given trinomial cuts
@@ -40,7 +40,6 @@ __all__ = [
     "IrreducibilityStatus",
     "FieldCountRow",
     "SquarefreeReport",
-    "trinomial_disc",
     "closed_form_disc",
     "irreducibility_status",
     "trinomial_row",
@@ -101,66 +100,12 @@ class SquarefreeReport(NamedTuple):
         }
 
 
-def _det_bareiss(m: list[list[int]]) -> int:
-    """Exact determinant by fraction-free elimination; mutates its copy."""
-    size = len(m)
-    if size == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(size - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, size):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[k][k]
-        for i in range(k + 1, size):
-            row_i = m[i]
-            row_k = m[k]
-            lead = row_i[k]
-            for j in range(k + 1, size):
-                row_i[j] = (row_i[j] * pivot - lead * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return sign * m[size - 1][size - 1]
-
-
-def _sylvester(f: list[int], g: list[int]) -> list[list[int]]:
-    """Sylvester matrix of f and g, coefficients highest degree first."""
-    df = len(f) - 1
-    dg = len(g) - 1
-    size = df + dg
-    rows = []
-    for i in range(dg):
-        rows.append([0] * i + f + [0] * (size - df - 1 - i))
-    for i in range(df):
-        rows.append([0] * i + g + [0] * (size - dg - 1 - i))
-    return rows
-
-
-def trinomial_disc(d: int, c: int) -> int:
-    """Discriminant of x^d - x + c via the Sylvester resultant of (f, f').
-
-    disc = (-1)^(d(d-1)/2) * Res(f, f'), evaluated over exact integers.
-    """
-    check_degree(d)
-    f = [1] + [0] * (d - 2) + [-1, c]
-    fp = [d] + [0] * (d - 2) + [-1]
-    res = _det_bareiss(_sylvester(f, fp))
-    sign = -1 if (d * (d - 1) // 2) % 2 else 1
-    return sign * res
-
-
 def closed_form_disc(d: int, c: int) -> int:
-    """The same discriminant by the two-term formula for this family.
+    """Discriminant of x^d - x + c by the two-term formula for this family.
 
     disc = (-1)^(d(d-1)/2) * (d^d c^(d-1) - (d-1)^(d-1)).  Equality with
-    trinomial_disc over d <= 10, |c| <= 30 is enforced by the test suite;
-    the enumerators below work with its two terms.
+    the Sylvester resultant over d <= 10, |c| <= 30 is enforced by the test
+    suite; the enumerators below work with its two terms.
     """
     check_degree(d)
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
@@ -306,7 +251,7 @@ def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFA
     check_degree(d, exp_cap)
     try:
         h = Fraction(hmax)
-    except (ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError) as exc:
         raise ArgumentError(f"height bound {hmax} must be finite") from exc
     if h < 0:
         raise ArgumentError(f"height bound {hmax} must be nonnegative")

@@ -11,6 +11,7 @@ from fixcensus import claims, dynamics, ff, nfcount, stats
 from fixcensus.claims import Verdict
 from fixcensus.dynamics import Family
 from fixcensus.stats import DensityKind, Selector
+from oracles import trinomial_disc
 
 
 def _verdict(num, label, problems):
@@ -68,9 +69,10 @@ def test_03_pinned_counterexamples():
         ("C-2.3", (3, 2, 2), ("0", 3, 9)),
         ("C-3.1", (5, 2, 1), ("0", 2, 4)),
     ]
+    by_id = {spec.id: spec for spec in claims.registry()}
     problems = []
     for claim_id, (p, n, ell), first in expected:
-        res = claims.check_point(claims.claim_by_id(claim_id), p, n, ell)
+        res = claims.check_point(by_id[claim_id], p, n, ell)
         if res.status is not Verdict.FAILS:
             problems.append((claim_id, p, n, ell, "status", res.status.value))
             continue
@@ -110,14 +112,14 @@ def test_06_discriminant_oracles():
     problems = []
     for d in range(2, 11):
         for c in range(-30, 31):
-            a = nfcount.trinomial_disc(d, c)
+            a = trinomial_disc(d, c)
             b = nfcount.closed_form_disc(d, c)
             if a != b:
                 problems.append((d, c, a, b))
-    if nfcount.trinomial_disc(3, 1) != -23:
-        problems.append(("spot", 3, 1, nfcount.trinomial_disc(3, 1)))
-    if nfcount.trinomial_disc(4, 1) != 229:
-        problems.append(("spot", 4, 1, nfcount.trinomial_disc(4, 1)))
+    if trinomial_disc(3, 1) != -23:
+        problems.append(("spot", 3, 1, trinomial_disc(3, 1)))
+    if trinomial_disc(4, 1) != 229:
+        problems.append(("spot", 4, 1, trinomial_disc(4, 1)))
     _verdict(6, "resultant and closed-form discriminants agree", problems)
 
 

@@ -12,6 +12,8 @@ from fixcensus import claims, dynamics, ff
 from fixcensus.claims import Verdict
 from fixcensus.dynamics import Family
 
+BY_ID = {spec.id: spec for spec in claims.registry()}
+
 
 def witness_triples(result):
     return [(str(w.c), w.predicted, w.actual) for w in result.witnesses]
@@ -47,11 +49,11 @@ class TestRegistry:
     def test_class_for(self):
         # "nonzero" covers every label but "0"; labels outside the
         # pminus1 classes are unjudged
-        n_claim = claims.claim_by_id("C-2.2")
+        n_claim = BY_ID["C-2.2"]
         assert n_claim.expected("0") == 3
         assert n_claim.expected("1") == 0
         assert n_claim.expected("other") == 0
-        m_claim = claims.claim_by_id("C-3.2")
+        m_claim = BY_ID["C-3.2"]
         assert m_claim.expected("-1") == 0
         assert m_claim.expected("other") is None
 
@@ -69,23 +71,25 @@ class TestRegistry:
         assert not by_id["C-3.3"].applies(3, 2, 1)  # family needs p >= 5
 
     def test_degree(self):
-        assert claims.claim_by_id("C-2.3").family.degree(3, 2) == 9
-        assert claims.claim_by_id("C-3.3").family.degree(5, 2) == 16
+        assert BY_ID["C-2.3"].family.degree(3, 2) == 9
+        assert BY_ID["C-3.3"].family.degree(5, 2) == 16
 
     def test_unknown_id(self):
+        # ids are unique, so looking a claim up by id is well defined
+        assert len(BY_ID) == len(claims.registry())
         with pytest.raises(KeyError):
-            claims.claim_by_id("C-9.9")
+            BY_ID["C-9.9"]
 
 
 class TestCheckPoint:
     def test_artin_schreier_witnesses_p3(self):
-        res = claims.check_point(claims.claim_by_id("C-2.1"), 3, 2, 1)
+        res = claims.check_point(BY_ID["C-2.1"], 3, 2, 1)
         assert res.status is Verdict.FAILS
         assert witness_triples(res) == [("t", 0, 3), ("2*t", 0, 3)]
         assert res.unspecified_counts == ()
 
     def test_trace_zero_line_p5(self):
-        res = claims.check_point(claims.claim_by_id("C-2.2"), 5, 2, 1)
+        res = claims.check_point(BY_ID["C-2.2"], 5, 2, 1)
         assert res.status is Verdict.FAILS
         assert witness_triples(res) == [
             ("0", 3, 5), ("t", 0, 5), ("2*t", 0, 5), ("3*t", 0, 5), ("4*t", 0, 5),
@@ -93,54 +97,54 @@ class TestCheckPoint:
 
     def test_full_frobenius_power(self):
         # d = 9 fixes all of F_9, so only the zero class misses
-        res = claims.check_point(claims.claim_by_id("C-2.3"), 3, 2, 2)
+        res = claims.check_point(BY_ID["C-2.3"], 3, 2, 2)
         assert res.status is Verdict.FAILS
         assert witness_triples(res) == [("0", 3, 9)]
 
     def test_unit_group_cubes(self):
-        res = claims.check_point(claims.claim_by_id("C-3.1"), 5, 2, 1)
+        res = claims.check_point(BY_ID["C-3.1"], 5, 2, 1)
         assert res.status is Verdict.FAILS
         assert witness_triples(res) == [("0", 2, 4)]
         assert res.unspecified_counts == ((0, 8), (1, 11), (3, 3))
 
     def test_prime_field_holds(self):
-        res = claims.check_point(claims.claim_by_id("C-2.4"), 3, 1, 2)
+        res = claims.check_point(BY_ID["C-2.4"], 3, 1, 2)
         assert res.status is Verdict.HOLDS
         assert res.witnesses == ()
 
-        res = claims.check_point(claims.claim_by_id("C-3.4"), 7, 1, 1)
+        res = claims.check_point(BY_ID["C-3.4"], 7, 1, 1)
         assert res.status is Verdict.HOLDS
         assert res.unspecified_counts == ((1, 4),)
 
     def test_prime_field_fails_off_p3(self):
         # z^5 - z vanishes on all of F_5: 5 roots at c = 0, not 3
-        res = claims.check_point(claims.claim_by_id("C-2.4"), 5, 1, 1)
+        res = claims.check_point(BY_ID["C-2.4"], 5, 1, 1)
         assert res.status is Verdict.FAILS
         assert witness_triples(res) == [("0", 3, 5)]
 
     def test_minus_one_class_on_extension(self):
-        res = claims.check_point(claims.claim_by_id("C-3.2"), 7, 2, 1)
+        res = claims.check_point(BY_ID["C-3.2"], 7, 2, 1)
         assert res.status is Verdict.FAILS
         assert witness_triples(res) == [("6", 0, 2)]
 
     def test_not_applicable(self):
-        res = claims.check_point(claims.claim_by_id("C-2.1"), 5, 2, 1)
+        res = claims.check_point(BY_ID["C-2.1"], 5, 2, 1)
         assert res.status is Verdict.NOT_APPLICABLE
         assert res.note == "outside the stated hypotheses"
         assert res.witnesses == ()
 
     def test_skipped_on_field_cap(self):
-        res = claims.check_point(claims.claim_by_id("C-2.2"), 5, 2, 1, field_cap=20)
+        res = claims.check_point(BY_ID["C-2.2"], 5, 2, 1, field_cap=20)
         assert res.status is Verdict.SKIPPED
         assert "field order" in res.note
 
     def test_skipped_on_exponent_cap(self):
-        res = claims.check_point(claims.claim_by_id("C-2.3"), 3, 2, 5, exp_cap=100)
+        res = claims.check_point(BY_ID["C-2.3"], 3, 2, 5, exp_cap=100)
         assert res.status is Verdict.SKIPPED
         assert "degree 243" in res.note
 
     def test_bad_grid_points(self):
-        spec = claims.claim_by_id("C-2.2")
+        spec = BY_ID["C-2.2"]
         with pytest.raises(ValueError):
             claims.check_point(spec, 4, 2, 1)
         with pytest.raises(ValueError):
@@ -151,7 +155,7 @@ class TestCheckPoint:
     def test_witnesses_recheck(self):
         # every reported witness must reproduce under the direct counter
         for cid, pt in [("C-2.2", (5, 2, 1)), ("C-3.1", (5, 2, 1)), ("C-3.2", (7, 2, 1))]:
-            spec = claims.claim_by_id(cid)
+            spec = BY_ID[cid]
             res = claims.check_point(spec, *pt)
             fs = ff.standard_field(pt[0], pt[1])
             d = spec.family.degree(pt[0], pt[2])
@@ -173,7 +177,7 @@ class TestCheckPoint:
         for cid, pt in points:
             ff.field_ops(ff.standard_field(*pt[:2]))  # the log-table build decodes elements
             decoded.clear()
-            res = claims.check_point(claims.claim_by_id(cid), *pt)
+            res = claims.check_point(BY_ID[cid], *pt)
             assert res.witnesses
             assert len(decoded) == len(res.witnesses)
 
@@ -183,7 +187,7 @@ class TestCheckPoint:
             fs = ff.standard_field(3, n)
             assert dynamics.fixed_point_count(fs, 3, 0) == 3
         for spec_id, n in [("C-2.1", 2), ("C-2.1", 3), ("C-2.2", 2)]:
-            res = claims.check_point(claims.claim_by_id(spec_id), 3, n, 1)
+            res = claims.check_point(BY_ID[spec_id], 3, n, 1)
             assert all(str(w.c) != "0" for w in res.witnesses)
 
 
@@ -260,7 +264,7 @@ class TestScanSharing:
             assert report.points == tuple(claims.check_point(spec, *point) for point in self.GRID)
 
     def test_caps_checked_on_every_point(self):
-        spec = claims.claim_by_id("C-2.3")
+        spec = BY_ID["C-2.3"]
         # leaves the scan of F_27 at d = 3 in the memo; the caps still refuse it
         assert claims.check_point(spec, 3, 3, 1).status is Verdict.FAILS
         res = claims.check_point(spec, 3, 3, 1, field_cap=20)

@@ -1144,6 +1144,12 @@ class TestNf:
         assert (code, out) == (2, "")
         assert err.startswith("error: --height")
 
+    def test_zero_denominator_height_exits_2(self, capsys):
+        # Fraction("1/0") raises ZeroDivisionError, not ValueError
+        code, out, err = run(capsys, ["nf", "--d", "3", "--height", "1/0"])
+        assert (code, out) == (2, "")
+        assert err == "error: --height expects a finite number in float range: '1/0'\n"
+
     def test_squarefree_csv(self, capsys):
         code, out, _ = run(
             capsys, ["nf", "--d", "3", "--squarefree", "10", "--format", "csv"]

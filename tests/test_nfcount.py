@@ -1,10 +1,10 @@
 """Discriminants, irreducibility certificates, and counting tables.
 
-trinomial_disc (Sylvester + Bareiss) and closed_form_disc are independent;
-their equality over the verification grid is the license for the enumerators
-to use the closed form.  Irreducibility certificates are re-proved here by
-brute force: integer roots are plugged back in, and mod-q certificates are
-checked against exhaustive trial division over F_q.
+oracles.trinomial_disc (Sylvester + Bareiss) and closed_form_disc are
+independent; their equality over the verification grid is the license for
+the enumerators to use the closed form.  Irreducibility certificates are
+re-proved here by brute force: integer roots are plugged back in, and mod-q
+certificates are checked against exhaustive trial division over F_q.
 """
 
 import itertools
@@ -21,6 +21,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fixcensus import cli, dynamics, ff, nfcount, stats
 from fixcensus.nfcount import IrreducibilityStatus, ZETA2_INV
+from oracles import trinomial_disc
 
 
 def poly_mod_q_has_factor(d, c, q, k):
@@ -46,21 +47,21 @@ def brute_irreducible_mod_q(d, c, q):
 
 class TestDiscriminant:
     def test_known_values(self):
-        assert nfcount.trinomial_disc(3, 1) == -23
-        assert nfcount.trinomial_disc(3, 0) == 4
-        assert nfcount.trinomial_disc(4, 1) == 229
-        assert nfcount.trinomial_disc(4, -1) == -283
-        assert nfcount.trinomial_disc(2, 5) == -19  # 1 - 4c for d = 2
+        assert trinomial_disc(3, 1) == -23
+        assert trinomial_disc(3, 0) == 4
+        assert trinomial_disc(4, 1) == 229
+        assert trinomial_disc(4, -1) == -283
+        assert trinomial_disc(2, 5) == -19  # 1 - 4c for d = 2
 
     def test_closed_form_matches_resultant_on_grid(self):
         for d in range(2, 11):
             for c in range(-30, 31):
-                assert nfcount.trinomial_disc(d, c) == nfcount.closed_form_disc(d, c), (d, c)
+                assert trinomial_disc(d, c) == nfcount.closed_form_disc(d, c), (d, c)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(2, 12), st.integers(-200, 200))
     def test_closed_form_matches_resultant(self, d, c):
-        assert nfcount.trinomial_disc(d, c) == nfcount.closed_form_disc(d, c)
+        assert trinomial_disc(d, c) == nfcount.closed_form_disc(d, c)
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from([3, 5, 7, 9]), st.integers(0, 100))
@@ -74,7 +75,7 @@ class TestDiscriminant:
 
     def test_degree_validation(self):
         with pytest.raises(ValueError):
-            nfcount.trinomial_disc(1, 0)
+            trinomial_disc(1, 0)
         with pytest.raises(ValueError):
             nfcount.closed_form_disc(0, 1)
 
@@ -332,6 +333,10 @@ class TestCountByHeight:
         for hmax in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError):
                 nfcount.count_by_height(3, hmax)
+
+    def test_zero_denominator_is_an_argument_error(self):
+        with pytest.raises(ff.ArgumentError, match="^height bound 1/0 must be finite$"):
+            nfcount.count_by_height(3, "1/0")
 
     def test_exact_floor(self):
         h = Fraction("123456.7")
