@@ -19,7 +19,7 @@ import enum
 import functools
 import math
 from collections import Counter
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from itertools import compress, islice
 from typing import NamedTuple
 
@@ -299,34 +299,22 @@ def check_point(
     return PointResult(p, n, ell, status, tuple(witnesses), tuple(sorted(unjudged.items())))
 
 
-def check_at(
-    point: tuple[int, int, int],
-    field_cap: int = DEFAULT_FIELD_CAP,
-    exp_cap: int = DEFAULT_EXP_CAP,
-) -> list[PointResult]:
-    """Every registered claim at one grid point (p, n, ell), in registry
-    order; the claims of one family share one scan."""
-    p, n, ell = point
-    return [
-        check_point(spec, p, n, ell, field_cap=field_cap, exp_cap=exp_cap) for spec in _REGISTRY
-    ]
-
-
 def check_all(
     grid: Iterable[tuple[int, int, int]],
     *,
     field_cap: int = DEFAULT_FIELD_CAP,
     exp_cap: int = DEFAULT_EXP_CAP,
-    mapper: Callable = map,
 ) -> list[ClaimReport]:
     """Every registered claim over the same grid, in registry order.
 
-    The grid is walked point first through mapper(check_at, points), which
-    may spread the points over processes (the CLI passes its forked --jobs
-    map) as long as it returns results in task order; each report lists its
-    points in grid order.
+    The grid is walked point first, every claim at a point before the next
+    point, so the claims of one family share that point's scan; each
+    report lists its points in grid order.
     """
-    rows = list(mapper(functools.partial(check_at, field_cap=field_cap, exp_cap=exp_cap), list(grid)))
+    rows = [
+        [check_point(spec, p, n, ell, field_cap=field_cap, exp_cap=exp_cap) for spec in _REGISTRY]
+        for p, n, ell in grid
+    ]
     return [
         ClaimReport(spec, tuple(row[k] for row in rows)) for k, spec in enumerate(_REGISTRY)
     ]

@@ -3,12 +3,11 @@
 Exit codes: 0 success (claim FAILS verdicts are data, not errors), 2 usage
 errors, the library's ArgumentError and cap violations, 3 when --expect
 pins verdicts and the fresh run differs.  Any other exception is a fault
-and propagates.  Identical invocations produce byte-identical output;
---jobs changes wall time only: _map runs whole fields in forked processes,
-one field per process, and hands the results back in task order, and the
-records are fully sorted before the one writer, _write, emits them.  A
-destination that cannot be opened is a usage error that leaves no output
-anywhere.
+and propagates.  Identical invocations produce byte-identical output:
+every grid runs serially in this process, --jobs is accepted and checked
+but changes nothing, and the records are fully sorted before the one
+writer, _write, emits them.  A destination that cannot be opened is a
+usage error that leaves no output anywhere.
 
 A command imports only what it runs, in the functions that use it, and
 looks library functions up on their modules at call time, where
@@ -21,7 +20,6 @@ import argparse
 import contextlib
 import csv
 import io
-import os
 import re
 import sys
 from typing import NamedTuple
@@ -139,109 +137,6 @@ def _write(*outputs: tuple[str | None, str]) -> None:
             sink.write(text)
 
 
-def _map(jobs: int, fn, tasks: list, field_cap: int) -> list:
-    """[fn(t) for t in tasks], the fields shared out over up to jobs processes.
-
-    Every task starts with its field (p, n).  Whole fields go to
-    min(jobs, #fields) shards, largest first, each to the least-loaded
-    shard, so no field's tables are built twice.  A field weighs its order
-    p^n, formed only up to field_cap: one past the cap is refused unscanned
-    and weighs 1.  This process runs shard 0 and forks one child for each
-    other shard.  The results come back in task order; a failure raises the
-    exception of the lowest failing task index, as the serial loop does,
-    and one raised in a child has the child's traceback as its cause.
-    Every child is reaped before this returns or raises.  Where os.fork is
-    missing, the tasks run serially.
-    """
-    fields = list(dict.fromkeys(t[:2] for t in tasks))
-    if jobs == 1 or len(fields) < 2 or not hasattr(os, "fork"):
-        return [fn(t) for t in tasks]
-    weight = {
-        (p, n): p**n if 1 <= n <= field_cap.bit_length() and p**n <= field_cap else 1
-        for p, n in fields
-    }
-    loads = [0] * min(jobs, len(fields))
-    shard_of = {}
-    for field in sorted(fields, key=lambda f: (-weight[f], f)):
-        shard_of[field] = loads.index(min(loads))
-        loads[shard_of[field]] += weight[field]
-    shards = [[i for i, t in enumerate(tasks) if shard_of[t[:2]] == s] for s in range(len(loads))]
-
-    import pickle  # here, not at the top: only a forked run sends results
-    import signal
-
-    sys.stdout.flush()
-    sys.stderr.flush()
-    running = []  # (pid, read end of its pipe) for each child not yet reaped
-    try:
-        for indexes in shards[1:]:
-            read_fd, write_fd = os.pipe()
-            pid = os.fork()
-            if pid == 0:  # the child: its outcome to the pipe, then out without cleanup
-                status = 1
-                try:
-                    os.close(read_fd)
-                    values, failure = _run_shard(fn, tasks, indexes)
-                    if failure is not None:  # pickle drops the traceback, so its text goes along
-                        import traceback
-
-                        index, exc = failure
-                        text = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
-                        failure = index, exc, text
-                    with open(write_fd, "wb") as pipe:
-                        pickle.dump((values, failure), pipe)
-                    status = 0
-                finally:
-                    os._exit(status)
-            os.close(write_fd)
-            running.append((pid, open(read_fd, "rb")))
-        outcomes = [_run_shard(fn, tasks, shards[0])]
-        while running:
-            pid, pipe = running[0]
-            with pipe:
-                data = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            running.pop(0)
-            if code != 0:
-                raise RuntimeError(f"--jobs worker process {pid} died with exit status {code}")
-            outcomes.append(pickle.loads(data))  # bytes written by this program's own child
-    finally:
-        for pid, pipe in running:  # only after an interrupt or a fault: stop and reap the rest
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    failures = [failure for _, failure in outcomes if failure is not None]
-    if failures:
-        # (index, exception[, a child's traceback]): the indexes differ, so no exception is compared
-        _, exc, *remote = min(failures)
-        if remote:
-            raise exc from _RemoteTraceback(remote[0])
-        raise exc
-    results = [None] * len(tasks)
-    for indexes, (values, _) in zip(shards, outcomes):
-        for i, value in zip(indexes, values):
-            results[i] = value
-    return results
-
-
-class _RemoteTraceback(Exception):
-    """The traceback a forked --jobs child formatted, shown as the cause of its exception."""
-
-    def __str__(self) -> str:
-        return f'\n"""\n{self.args[0]}"""'
-
-
-def _run_shard(fn, tasks: list, indexes: list[int]) -> tuple[list | None, tuple | None]:
-    """(fn of each task in indexes, None), or (None, (index, exception)) for the first that raises."""
-    values = []
-    for i in indexes:
-        try:
-            values.append(fn(tasks[i]))
-        except Exception as exc:  # _map re-raises the lowest failing index over all shards
-            return None, (i, exc)
-    return values, None
-
-
 def _coefficient(fs, text: str):
     """A --c coefficient: an integer, or an element string like 2*t+1."""
     try:
@@ -262,9 +157,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # ---------------------------------------------------------------------------
 # census
 
-def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
-    p, n, family_value, k, c_spec, field_cap, exp_cap = task
-    family = Family(family_value)
+def _census_point(
+    p: int, n: int, family: Family, k: int, c_spec: tuple, *, field_cap: int, exp_cap: int
+) -> list[dynamics.CensusRecord]:
     d = dynamics.capped_degree(p, n, family, k, field_cap=field_cap, exp_cap=exp_cap)
     fs = standard_field(p, n)
     coefficients = None if c_spec == ("all",) else [_coefficient(fs, item) for item in c_spec]
@@ -277,7 +172,7 @@ def _census_point(task: tuple) -> list[dynamics.CensusRecord]:
         rows = ((c.index, str(c)) for c in coefficients)
     ell = None if family is Family.RAW else k
     return [
-        dynamics.CensusRecord(p, n, ell, family_value, dynamics.classify_residue(p, i), text, profile[i])
+        dynamics.CensusRecord(p, n, ell, family.value, dynamics.classify_residue(p, i), text, profile[i])
         for i, text in rows
     ]
 
@@ -298,13 +193,13 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         c_spec = tuple(part for part in args.c.split(",") if part.strip() != "")
 
-    tasks = [
-        (p, n, family.value, k, c_spec, cfg.field_cap, cfg.exp_cap)
+    records = [
+        rec
         for p in p_list
         for n in n_list
         for k in k_list
+        for rec in _census_point(p, n, family, k, c_spec, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     ]
-    records = [rec for chunk in _map(cfg.jobs, _census_point, tasks, cfg.field_cap) for rec in chunk]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
     columns = list(dynamics.CensusRecord._fields)
     _write(_output(cfg, "csv", columns, [r._asdict() for r in records]))
@@ -322,12 +217,7 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
     ell_list = _parse_int_list(args.ell, "--ell")
     grid = [(p, n, ell) for p in p_list for n in n_list for ell in ell_list]
     pinned = _load_expect(args.expect) if args.expect else None
-    reports = claims.check_all(
-        grid,
-        field_cap=cfg.field_cap,
-        exp_cap=cfg.exp_cap,
-        mapper=lambda fn, points: _map(cfg.jobs, fn, points, cfg.field_cap),
-    )
+    reports = claims.check_all(grid, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     rows = []  # CSV: one row per witness, or one bare row per point
     for rep in reports:
         for pt in rep.points:
@@ -509,7 +399,8 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=["csv", "json"], default=None)
-    sub.add_argument("--jobs", type=int, default=None, help="worker processes (default 1)")
+    sub.add_argument("--jobs", type=int, default=None,
+                     help="accepted for compatibility; every grid runs serially")
     sub.add_argument("--field-cap", dest="field_cap", type=int, default=None,
                      help=f"max field order p^n scanned (default {DEFAULT_FIELD_CAP})")
     sub.add_argument("--exp-cap", dest="exp_cap", type=int, default=None,

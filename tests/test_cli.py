@@ -408,132 +408,37 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
     assert err.count("\n") == 1
 
 
-def test_forked_jobs_load_no_pool_module():
+def test_jobs_loads_no_process_or_pickle_module():
     # -S: no site .pth file adds modules, so only the command's imports count
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+    unused = ["pickle", "traceback", "signal", "multiprocessing", "concurrent.futures"]
     code = (
         "import os, sys; from fixcensus.cli import main; "
         "main(['claims', '--p', '3,5', '--n', '1,2', '--ell', '1', '--jobs', '2', '--out', os.devnull]); "
-        "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+        f"print(sorted(set({unused!r}) & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert (result.stdout, result.stderr) == ("[]\n", "")
 
 
-def test_import_leaves_pickle_unloaded():
-    # pickle and traceback are imported by _map only when it forks
-    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys, fixcensus.cli; print(sorted({'pickle', 'traceback'} & set(sys.modules)))"
-    result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["census", "--p", "5,7", "--n", "1,2", "--family", "pminus1", "--ell", "1,2"],
+        ["claims", "--p", "3,5", "--n", "1,2", "--ell", "1,2"],
+    ],
+    ids=["census", "claims"],
+)
+def test_jobs_runs_in_this_process(capsys, monkeypatch, argv):
+    code, serial, _ = run(capsys, argv + ["--jobs", "1"])
+    assert code == 0
 
+    def no_fork():
+        raise AssertionError("--jobs forked a process")
 
-class TestMap:
-    # Six fields of orders 9, 3, 49, 7, 25, 5, not in order of size: --jobs 2
-    # puts F_7^2 alone in shard 0 (tasks 4 and 5), --jobs 3 F_5^2 alone in shard 1.
-    TASKS = [(p, n, ell) for p in (3, 7, 5) for n in (2, 1) for ell in (1, 2)]
-
-    @staticmethod
-    def value(task):
-        p, n, ell = task
-        return [p**n, ell]
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_equals_the_serial_loop(self, jobs):
-        assert cli._map(jobs, self.value, self.TASKS, 10**7) == [self.value(t) for t in self.TASKS]
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("jobs", [2, 3, 7])
-    def test_one_process_per_field(self, jobs):
-        pids = cli._map(jobs, lambda t: os.getpid(), self.TASKS, 10**7)
-        by_field = {}
-        for task, pid in zip(self.TASKS, pids):
-            by_field.setdefault(task[:2], set()).add(pid)
-        assert all(len(field_pids) == 1 for field_pids in by_field.values())
-        assert len(set(pids)) == min(jobs, len(by_field))
-        assert pids[4] == os.getpid()  # the largest field runs in this process
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize("failing", [(1, 5), (5, 8), (3, 9)])
-    @pytest.mark.parametrize("jobs", [1, 2, 3])
-    def test_raises_the_lowest_failing_index(self, jobs, failing):
-        def fn(task):
-            index = self.TASKS.index(task)
-            if index in failing:
-                raise ValueError(f"task {index}")
-            return task
-
-        with pytest.raises(ValueError, match=f"^task {min(failing)}$"):
-            cli._map(jobs, fn, self.TASKS, 10**7)
-        self.assert_no_child_left()
-
-    def test_a_child_exception_keeps_its_traceback(self):
-        import traceback
-
-        def fn(task):
-            if task[0] == 3:  # F_3 is the smaller field, so a child runs it
-                raise KeyError("no entry", task)
-            return task
-
-        with pytest.raises(KeyError) as info:
-            cli._map(2, fn, [(5, 2, 1), (3, 1, 1)], 10**7)
-        assert info.value.args == ("no entry", (3, 1, 1))
-        shown = "".join(traceback.format_exception(info.type, info.value, info.tb))
-        assert ", in fn\n" in shown and "_RemoteTraceback" in shown
-        self.assert_no_child_left()
-
-    def test_an_exception_in_this_process_keeps_its_own_traceback(self):
-        def fn(task):
-            if task[0] == 5:  # F_5^2 is the larger field, run in this process
-                raise KeyError("no entry", task)
-            return task
-
-        with pytest.raises(KeyError) as info:
-            cli._map(2, fn, [(5, 2, 1), (3, 1, 1)], 10**7)
-        assert info.value.__cause__ is None and info.traceback[-1].name == "fn"
-        self.assert_no_child_left()
-
-    def test_a_child_that_dies_is_a_runtime_error(self):
-        parent = os.getpid()
-
-        def fn(task):
-            if os.getpid() != parent:
-                os._exit(7)
-            return task
-
-        with pytest.raises(RuntimeError, match="died with exit status 7$"):
-            cli._map(2, fn, self.TASKS, 10**7)
-        self.assert_no_child_left()
-
-    def test_an_interrupt_stops_and_reaps_the_children(self):
-        import time
-
-        parent = os.getpid()
-
-        def fn(task):
-            if os.getpid() != parent:
-                time.sleep(60)
-            raise KeyboardInterrupt
-
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            cli._map(2, fn, self.TASKS, 10**7)
-        assert time.monotonic() - start < 30
-        self.assert_no_child_left()
-
-    def test_a_field_past_the_cap_weighs_one(self):
-        # weighed by p^n, F_3^1000 would take a shard of its own
-        tasks = [(3, 1000, 1), (5, 2, 1), (7, 2, 1), (11, 1, 1)]
-        pids = cli._map(2, lambda t: os.getpid(), tasks, 10**7)
-        assert pids[2] == os.getpid() and pids[0] == pids[1] == pids[3] != os.getpid()
-        self.assert_no_child_left()
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert run(capsys, argv + ["--jobs", "3"]) == (0, serial, "")
 
 
 def test_import_leaves_dataclasses_and_inspect_unloaded():
@@ -615,8 +520,10 @@ def test_command_parser_matches_the_full_parser(capsys, argv):
 def test_census_of_every_c_names_each_element(p, n):
     # the --c all rows are rendered from index digits, not from elements
     fs = ff.standard_field(p, n)
-    task = (p, n, "raw", 2, ("all",), ff.DEFAULT_FIELD_CAP, dynamics.DEFAULT_EXP_CAP)
-    rows = [(r.c_repr, r.c_class) for r in cli._census_point(task)]
+    records = cli._census_point(
+        p, n, dynamics.Family.RAW, 2, ("all",), field_cap=ff.DEFAULT_FIELD_CAP, exp_cap=dynamics.DEFAULT_EXP_CAP
+    )
+    rows = [(r.c_repr, r.c_class) for r in records]
     assert rows == [(str(fs.element_at(i)), dynamics.classify_residue(p, i)) for i in range(fs.order)]
 
 
@@ -920,6 +827,18 @@ class TestConfig:
         assert code == 2
         assert "caps must be positive" in err
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_jobs_below_one_rejected(self, capsys, tmp_path, source):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"jobs": 0}')
+        extra = ["--jobs", "0"] if source == "flag" else ["--config", str(cfg)]
+        code, out, err = run(
+            capsys,
+            ["census", "--p", "3", "--n", "1", "--family", "prime-power",
+             "--ell", "1", "--c", "0", *extra],
+        )
+        assert (code, out, err) == (2, "", "error: --jobs must be at least 1\n")
+
 
 class TestClaims:
     def test_json_report_set(self, capsys):
@@ -1000,7 +919,7 @@ class TestClaims:
             assert run(capsys, argv + ["--jobs", jobs]) == (0, serial, "")
 
     def test_jobs_invariant_past_the_field_cap(self, capsys):
-        # a field past the cap weighs 1 when the work is shared out: p^n is never formed
+        # F_3^100000000 is refused by the cap before p^n is formed, with or without --jobs
         argv = ["claims", "--p", "3,5", "--n", "1,100000000", "--ell", "1"]
         code, serial, _ = run(capsys, argv)
         assert code == 0 and "SKIPPED" in serial
