@@ -408,18 +408,26 @@ def test_unwritable_output_path_is_a_usage_error(capsys, tmp_path, argv, flag):
     assert err.count("\n") == 1
 
 
-def test_jobs_loads_no_process_or_pickle_module():
+def _loaded_after_claims_with_jobs(names):
     # -S: no site .pth file adds modules, so only the command's imports count
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    unused = ["pickle", "traceback", "signal", "multiprocessing", "concurrent.futures"]
     code = (
         "import os, sys; from fixcensus.cli import main; "
         "main(['claims', '--p', '3,5', '--n', '1,2', '--ell', '1', '--jobs', '2', '--out', os.devnull]); "
-        f"print(sorted(set({unused!r}) & set(sys.modules)))"
+        f"print(sorted(set({sorted(names)!r}) & set(sys.modules)))"
     )
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert (result.stdout, result.stderr) == ("[]\n", "")
+    return result.stdout, result.stderr
+
+
+def test_forked_jobs_load_no_pool_module():
+    assert _loaded_after_claims_with_jobs({"signal", "multiprocessing", "concurrent.futures"}) == ("[]\n", "")
+
+
+def test_import_leaves_pickle_unloaded():
+    # --jobs sends no result through a pipe, so nothing pickles or rebuilds a traceback
+    assert _loaded_after_claims_with_jobs({"pickle", "traceback"}) == ("[]\n", "")
 
 
 @pytest.mark.parametrize(
