@@ -6,23 +6,27 @@ pins verdicts and the fresh run differs.  Any other exception is a fault
 and propagates.  Identical invocations produce byte-identical output:
 every grid runs serially in this process, --jobs is accepted and checked
 but changes nothing, and the records are fully sorted before the one
-writer, _write, emits them.  A destination that cannot be opened is a
+writer, _write, emits them.  _output renders them in the one format
+printed: CSV through csv.writer, or JSON byte for byte as
+json.dumps(value, indent=2) writes it, with every string escaped by the
+C encode_basestring_ascii.  A destination that cannot be opened is a
 usage error that leaves no output anywhere.
 
-A command imports only what it runs, in the functions that use it, and
-looks library functions up on their modules at call time, where
-bench/tracer.py wraps them; only the command named gets parser arguments.
+A command imports only what it runs, in the functions that use it (csv
+and json too, only to write or read their format), and looks library
+functions up on their modules at call time, where bench/tracer.py wraps
+them; only the command named gets parser arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import io
+import os
 import re
 import sys
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
@@ -89,33 +93,120 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _cell(value):
-    """The CSV cell rule: a Fraction to six decimals, a list joined by ';', None empty.
+    """The CSV cell rule for the values csv.writer would not write as meant:
+    a Fraction to six decimals, a list joined by ';'; any other value as it is.
 
-    JSON never sees this rule; it keeps exact rationals as "a/b" strings
-    (the records' as_dict), so values that only look like fractions are
-    formatted strings before they reach either format.
+    Rows apply it only where such a value can stand; csv.writer writes None
+    as an empty cell.  JSON never sees this rule; it keeps exact rationals
+    as "a/b" strings (the records' as_dict), so values that only look like
+    fractions are formatted strings before they reach either format.
     """
     fractions = sys.modules.get("fractions")  # no Fraction exists before it is loaded
     if fractions and isinstance(value, fractions.Fraction):
         return f"{value.numerator / value.denominator:.6f}"
     if isinstance(value, list):
         return ";".join(map(str, value))
-    return "" if value is None else value
+    return value
+
+
+def _json_scalar(x) -> str:
+    """None, a bool, an int or a float as json.dumps writes it; else TypeError."""
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (float("inf"), -float("inf")):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
+def _json(value) -> str:
+    """json.dumps(value, indent=2), byte for byte, with the per-value work in C.
+
+    The stdlib encodes in C only without indent.  Here every str goes
+    through the C encode_basestring_ascii and every int through
+    int.__repr__: a dict writes its str and int values in its own loop, and
+    a list of only ints or only strs is one join.  A value json cannot
+    encode raises TypeError, as json.dumps does.
+    """
+    from json.encoder import encode_basestring_ascii as quote
+
+    chunks: list[str] = []
+    put = chunks.append
+
+    def write(x, newline: str) -> None:
+        # a subclass of a JSON type is written as its base, as json.dumps
+        # writes it; a dict key that is not a str is its scalar text, quoted
+        if isinstance(x, dict):
+            if not x:
+                put("{}")
+                return
+            inner = newline + "  "
+            sep, more = "{" + inner, "," + inner
+            for k, v in x.items():
+                head = sep + quote(k if isinstance(k, str) else _json_scalar(k)) + ": "
+                kind = type(v)
+                if kind is str:
+                    put(head + quote(v))
+                elif kind is int:
+                    put(head + int.__repr__(v))
+                else:
+                    put(head)
+                    write(v, inner)
+                sep = more
+            put(newline + "}")
+        elif isinstance(x, (list, tuple)):
+            if not x:
+                put("[]")
+                return
+            inner = newline + "  "
+            sep, more = "[" + inner, "," + inner
+            kinds = set(map(type, x))
+            if kinds == {int}:
+                put(sep + more.join(map(int.__repr__, x)))
+            elif kinds == {str}:
+                put(sep + more.join(map(quote, x)))
+            else:
+                for v in x:
+                    put(sep)
+                    write(v, inner)
+                    sep = more
+            put(newline + "]")
+        elif isinstance(x, str):
+            put(quote(x))
+        else:
+            put(_json_scalar(x))
+
+    write(value, "\n")
+    return "".join(chunks)
 
 
 def _output(
-    cfg: RunConfig, default_format: str, columns: list[str], rows: list[dict], payload=None
+    cfg: RunConfig, default_format: str, columns: Sequence[str], rows: Callable[[], Iterable], payload: Callable | None
 ) -> tuple[str | None, str]:
-    """(cfg.out, text): CSV of columns read from each row, or JSON of payload (else rows)."""
+    """(cfg.out, text): CSV of columns over rows(), or JSON of payload().
+
+    Only the format printed is built.  rows() returns sequences in column
+    order whose cells csv.writer writes as they are (a Fraction or a list
+    goes through _cell first); payload() returns the JSON value, written
+    with indent 2 and ASCII escapes, as json.dumps(value, indent=2) writes
+    it.  A caller that fixes the format to CSV passes no payload.
+    """
     if (cfg.format or default_format) == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        writer.writerows([_cell(row.get(key)) for key in columns] for row in rows)
+        writer.writerows(rows())
         return cfg.out, buf.getvalue()
-    import json
-
-    return cfg.out, json.dumps(rows if payload is None else payload, indent=2) + "\n"
+    return cfg.out, _json(payload()) + "\n"
 
 
 def _open(path: str):
@@ -201,8 +292,9 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
         for rec in _census_point(p, n, family, k, c_spec, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     ]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
-    columns = list(dynamics.CensusRecord._fields)
-    _write(_output(cfg, "csv", columns, [r._asdict() for r in records]))
+    # a record's fields are the CSV columns, so the records are the rows
+    _write(_output(cfg, "csv", dynamics.CensusRecord._fields, lambda: records,
+                   lambda: [r._asdict() for r in records]))
     return 0
 
 
@@ -218,13 +310,19 @@ def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
     grid = [(p, n, ell) for p in p_list for n in n_list for ell in ell_list]
     pinned = _load_expect(args.expect) if args.expect else None
     reports = claims.check_all(grid, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
-    rows = []  # CSV: one row per witness, or one bare row per point
-    for rep in reports:
-        for pt in rep.points:
-            point = {"claim": rep.claim.id, "p": pt.p, "n": pt.n, "ell": pt.ell, "status": pt.status.value}
-            rows.extend([{**point, **w.as_dict()} for w in pt.witnesses] or [point])
     columns = ["claim", "p", "n", "ell", "status", "c", "predicted", "actual"]
-    _write(_output(cfg, "json", columns, rows, [rep.as_dict() for rep in reports]))
+
+    def rows():
+        # one row per witness (csv.writer writes its element c with str, as
+        # Witness.as_dict does), or one row with empty witness cells per point
+        return [
+            (rep.claim.id, pt.p, pt.n, pt.ell, pt.status.value, *w)
+            for rep in reports
+            for pt in rep.points
+            for w in pt.witnesses or [(None, None, None)]
+        ]
+
+    _write(_output(cfg, "json", columns, rows, lambda: [rep.as_dict() for rep in reports]))
 
     if pinned is not None:
         mismatches = _compare_verdicts(pinned, reports)
@@ -302,15 +400,21 @@ def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], rows: list) -> None:
     """avg/density rows (exact ratio in JSON), and the --emit-plot-data c,ratio CSV.
 
-    The plot file is opened first, so a bad plot path leaves --out untouched.
+    Two names for one file (./x and x, a symlink) are refused before either
+    is opened; the plot file is opened first, so a bad plot path leaves
+    --out untouched.
     """
-    cells = [{**r.as_dict(), "ratio": r.ratio} for r in rows]
-    outputs = [_output(cfg, "csv", columns, cells, [r.as_dict() for r in rows])]
-    if args.emit_plot_data:
-        if args.emit_plot_data == cfg.out:
-            raise UsageError("--emit-plot-data and --out name the same file")
-        plot_cfg = cfg._replace(out=args.emit_plot_data, format="csv")
-        outputs.insert(0, _output(plot_cfg, "csv", ["c", "ratio"], cells))
+    plot = args.emit_plot_data
+    if plot and cfg.out and os.path.realpath(plot) == os.path.realpath(cfg.out):
+        raise UsageError("--emit-plot-data and --out name the same file")
+
+    def cells(names: list[str]):  # CSV rows of the named fields, the ratio to six decimals
+        return lambda: [[_cell(getattr(r, k)) for k in names] for r in rows]
+
+    outputs = [_output(cfg, "csv", columns, cells(columns), lambda: [r.as_dict() for r in rows])]
+    if plot:
+        plot_cfg = cfg._replace(out=plot, format="csv")
+        outputs.insert(0, _output(plot_cfg, "csv", ["c", "ratio"], cells(["c", "ratio"]), None))
     _write(*outputs)
 
 
@@ -365,7 +469,8 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
             )
             rows.append({**row, "height": f"{row['height']:.6f}"})
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
-    _write(_output(cfg, "json", columns, rows, payload))
+    _write(_output(cfg, "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
+                   lambda: rows if payload is None else payload))
     return 0
 
 
@@ -388,8 +493,10 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
     c = _coefficient(fs, args.c)
     census = dynamics.orbit_census(fs, d, c, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
     result = {"field": fs.as_dict(), "d": d, "c": str(c), **census.as_dict()}
+    rows = [{"p": fs.p, "n": fs.n, **result}]
     columns = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]
-    _write(_output(cfg, "json", columns, [{"p": fs.p, "n": fs.n, **result}], result))
+    _write(_output(cfg, "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
+                   lambda: result))
     return 0
 
 

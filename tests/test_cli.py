@@ -1,6 +1,8 @@
 """End-to-end CLI behavior through main(argv): schemas, exit codes,
 config resolution, and byte-identical determinism."""
 
+import enum
+import hashlib
 import json
 import os
 import pathlib
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from fixcensus import cli, dynamics, ff, nfcount, stats
 from fixcensus.cli import main
@@ -208,6 +212,88 @@ C-3.4,5,3,1,NOT-APPLICABLE,,,
 @pytest.mark.parametrize("argv, text", GOLDEN)
 def test_golden_bytes(capsys, argv, text):
     assert run(capsys, argv) == (0, text, "")
+
+
+# Whole outputs too large to inline, by size and sha256, recorded before
+# _output wrote JSON itself and CSV rows without per-cell work.
+@pytest.mark.parametrize(
+    "argv, size, digest",
+    [
+        (["census", "--p", "3,5", "--n", "1,2,3,4", "--family", "raw", "--d", "4,6", "--c", "all"],  # empty ell cells
+         51482, "f8f20c2f6a2aec3bdc3c07540a4c377520ad34efc2459b1c2440a89e4407be25"),
+        (["census", "--p", "3", "--n", "9", "--family", "prime-power", "--ell", "1", "--c", "all"],
+         1036671, "f1639c47b0e61b1b5fc11bb42bfb59dee754816bcfe3b3eb53a38ef5a0498825"),
+    ],
+    ids=["census-raw-csv", "census-3-9-csv"],
+)
+def test_large_output_bytes(capsys, argv, size, digest):
+    code, out, err = run(capsys, argv)
+    data = out.encode()
+    assert (code, err, len(data), hashlib.sha256(data).hexdigest()) == (0, "", size, digest)
+
+
+class _Level(enum.IntEnum):
+    LOW = 1
+
+
+class _Tag(str, enum.Enum):
+    A = "a\u00e9"
+
+
+_JSON_SCALARS = st.one_of(
+    st.text(st.characters(exclude_categories=())),  # lone surrogates, controls and non-ASCII too
+    st.sampled_from(['"', "\\", "\x00\x1f\x7f", "\ud800", "\u2028", "\U0001f600", _Tag.A]),
+    st.integers(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([True, False, None, _Level.LOW]),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e300]),
+)
+_JSON_KEYS = st.one_of(st.text(st.characters(exclude_categories=())), st.integers(), st.floats(), st.booleans(), st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner),
+        st.lists(inner).map(tuple),
+        st.lists(st.integers()),
+        st.lists(st.text()),
+        st.dictionaries(_JSON_KEYS, inner),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_JSON_VALUES)
+def test_json_output_is_json_dumps_indent_2(value):
+    assert cli._output(cli.RunConfig(), "json", [], None, lambda: value) == (None, json.dumps(value, indent=2) + "\n")
+
+
+@pytest.mark.parametrize(
+    "value", [Fraction(1, 2), {1, 2}, object(), [1, Fraction(1, 2)], {"a": {"b": {3}}}, {(1, 2): 3}]
+)
+def test_json_output_refuses_what_json_dumps_refuses(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, indent=2)
+    with pytest.raises(TypeError):
+        cli._output(cli.RunConfig(), "json", [], None, lambda: value)
+
+
+def test_csv_cell_rule():
+    # a Fraction to six decimals and a list joined by ';' through _cell; csv.writer writes
+    # None empty and the rest with str
+    row = [Fraction(2, 3), [1, 2, 3], None, True, 2.5, -7, "a,b"]
+    columns = ["fraction", "list", "none", "bool", "float", "int", "str"]
+    text = cli._output(cli.RunConfig(), "csv", columns, lambda: [list(map(cli._cell, row))], None)
+    assert text == (None, 'fraction,list,none,bool,float,int,str\n0.666667,1;2;3,,True,2.5,-7,"a,b"\n')
+
+
+def test_output_builds_only_the_format_printed():
+    def unbuilt():
+        raise AssertionError("built a format that is not printed")
+
+    assert cli._output(cli.RunConfig(), "json", ["a"], unbuilt, lambda: [1]) == (None, "[\n  1\n]\n")
+    assert cli._output(cli.RunConfig(format="csv"), "json", ["a"], lambda: [[1]], unbuilt) == (None, "a\n1\n")
 
 
 def test_readme_examples(capsys, tmp_path, monkeypatch):
@@ -466,8 +552,8 @@ _UNUSED_BY_SCANS = ["fixcensus.claims", "fixcensus.stats", "fixcensus.nfcount", 
     "argv, unused",
     [
         (["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "1"], _UNUSED_BY_SCANS),
-        (["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "1"], _UNUSED_BY_SCANS[:-1]),
-        (["claims", "--p", "3", "--n", "1", "--ell", "1"], ["fixcensus.stats", "fixcensus.nfcount", "fractions"]),
+        (["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "1"], [*_UNUSED_BY_SCANS[:-1], "csv"]),
+        (["claims", "--p", "3", "--n", "1", "--ell", "1"], ["fixcensus.stats", "fixcensus.nfcount", "fractions", "csv"]),
         (["avg", "--family", "prime-power", "--selector", "p|c", "--c", "30"],
          ["fixcensus.claims", "fixcensus.nfcount", "json"]),
         (["density", "--kind", "nc3", "--c", "30"], ["fixcensus.claims", "fixcensus.nfcount", "json"]),
@@ -1023,6 +1109,15 @@ class TestAvgDensity:
         code, _, err = run(capsys, ["density", "--kind", "nc3", "--c", "30", "--out", out, "--emit-plot-data", out])
         assert code == 2
         assert err == "error: --emit-plot-data and --out name the same file\n"
+
+    @pytest.mark.parametrize("plot", ["./trend.csv", "link.csv"])
+    def test_plot_path_naming_the_out_file_is_refused(self, capsys, tmp_path, monkeypatch, plot):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "trend.csv").write_text("kept\n")
+        (tmp_path / "link.csv").symlink_to("trend.csv")
+        argv = ["density", "--kind", "nc3", "--c", "100,1000", "--emit-plot-data", plot, "--out", "trend.csv"]
+        assert run(capsys, argv) == (2, "", "error: --emit-plot-data and --out name the same file\n")
+        assert (tmp_path / "trend.csv").read_text() == "kept\n"
 
     def test_sieve_cap_exit(self, capsys):
         code, _, err = run(
