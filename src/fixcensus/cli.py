@@ -618,7 +618,3 @@ def main(argv: list[str] | None = None) -> int:
     except (UsageError, ArgumentError, CapError) as exc:  # any other error is a fault, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -6,9 +6,8 @@ always build identical fields and every downstream census is reproducible
 bit for bit.  Such a field is the standing model for the residue ring of a
 degree-n number ring at a prime that stays inert.
 
-Everything in this module is immutable and every operation is a pure
-function, so FieldSpec and FFElement values can be shared freely across
-parallel workers.
+FieldSpec and FFElement values are immutable and every operation on them
+is a pure function, so a value can be shared freely between callers.
 """
 
 from __future__ import annotations
@@ -500,6 +499,8 @@ class _PrimeOps(FieldOps):
     def images(self, d: int, a: int, c: int, e: int) -> Iterator[int]:
         """a*z^d + c*z^e for every z in index order, as indexes."""
         p = self.p
+        if d >= p:  # z^d = z^((d - 1) mod (p - 1) + 1) for every z, 0 included (Fermat)
+            d = (d - 1) % (p - 1) + 1
         return ((a * pow(z, d, p) + c * z**e) % p for z in range(p))
 
 

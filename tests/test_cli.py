@@ -1,8 +1,11 @@
-"""End-to-end CLI behavior through main(argv): schemas, exit codes,
-config resolution, and byte-identical determinism."""
+"""End-to-end CLI behavior through main(argv), and through the process
+entry python -m fixcensus: schemas, exit codes, config resolution, and
+byte-identical determinism."""
 
 import enum
+import gc
 import hashlib
+import importlib
 import json
 import os
 import pathlib
@@ -578,6 +581,58 @@ def test_package_import_loads_no_submodule():
     code = "import sys, fixcensus; print(sorted(m for m in sys.modules if m.startswith('fixcensus.')))"
     result = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+_CLAIMS_GRID = ["claims", "--p", "3,5", "--n", "1,2", "--ell", "1"]
+
+
+def _python_m_fixcensus(argv, cwd):
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "fixcensus", *argv], cwd=cwd, env=env, capture_output=True)
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    frozen = gc.get_freeze_count()
+    assert run(capsys, _CLAIMS_GRID)[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_process_entry_freezes_once_before_main(monkeypatch):
+    entry = importlib.import_module("fixcensus.__main__")
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+
+    def fake_main():
+        calls.append("main")
+        return 3
+
+    monkeypatch.setattr(entry, "main", fake_main)
+    assert entry.run() == 3
+    assert calls == ["freeze", "main"]
+
+
+def test_process_entry_prints_the_bytes_of_main(capsys, tmp_path):
+    assert main(_CLAIMS_GRID) == 0
+    expected = capsys.readouterr().out.encode()
+    result = _python_m_fixcensus(_CLAIMS_GRID, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
+
+
+def test_process_entry_exit_codes(tmp_path):
+    result = _python_m_fixcensus(["census", "--p", "3", "--n", "400", "--family", "prime-power", "--ell", "1",
+                                  "--c", "0"], tmp_path)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"error: ")
+
+    golden = tmp_path / "golden.json"
+    assert main(_CLAIMS_GRID + ["--out", str(golden)]) == 0
+    reports = json.loads(golden.read_text())
+    reports[0]["grid"][0]["status"] = "DRIFTED"
+    golden.write_text(json.dumps(reports))
+    result = _python_m_fixcensus(_CLAIMS_GRID + ["--expect", str(golden)], tmp_path)
+    assert result.returncode == 3
+    assert b"regression:" in result.stderr
 
 
 def _exit_status_and_output(capsys, parse, argv):

@@ -432,6 +432,16 @@ class TestFieldOps:
                 assert fixers[i] == (z - z**d).index, (i, d)
                 assert successors[i] == (z**d + c).index, (i, d)
 
+    @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+    def test_prime_images_reduce_the_degree_exactly(self, p):
+        # images takes d >= p down mod p - 1; the whole field must keep pow's values
+        ops = field_ops(ff.standard_field(p, 1))
+        c = p // 3
+        for d in [*range(4 * p), 2**200]:
+            powers = [pow(z, d, p) for z in range(p)]
+            assert list(ops.images(d, p - 1, 1, 1)) == [(z - w) % p for z, w in enumerate(powers)], d
+            assert list(ops.images(d, 1, c, 0)) == [(w + c) % p for w in powers], d
+
 
 # Fields whose least primitive element is not t, with that element: the
 # walk multiplies by a general g, not only by t.
