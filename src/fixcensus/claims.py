@@ -15,7 +15,6 @@ counts are reported separately as informational material.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections import Counter
@@ -25,7 +24,7 @@ from typing import NamedTuple
 
 from . import dynamics, ff
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError
+from .ff import DEFAULT_FIELD_CAP, ArgumentError, CapError, _Label
 
 __all__ = [
     "Verdict",
@@ -39,14 +38,11 @@ __all__ = [
 ]
 
 
-class Verdict(enum.Enum):
+class Verdict(_Label):
     HOLDS = "HOLDS"
     FAILS = "FAILS"
     NOT_APPLICABLE = "NOT-APPLICABLE"
     SKIPPED = "SKIPPED"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class Witness(NamedTuple):

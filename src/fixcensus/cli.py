@@ -111,19 +111,11 @@ def _cell(value):
 
 def _json_scalar(x) -> str:
     """None, a bool, an int or a float as json.dumps writes it; else TypeError."""
-    if x is None:
-        return "null"
-    if x is True or x is False:
-        return "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if isinstance(x, float):
-        if x != x:
-            return "NaN"
-        if x in (float("inf"), -float("inf")):
-            return "Infinity" if x > 0 else "-Infinity"
-        return float.__repr__(x)
-    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    if x is not None and not isinstance(x, (int, float)):
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+    import json  # loaded already: _json, the one caller, imported json.encoder
+
+    return json.dumps(x)
 
 
 def _json(value) -> str:
@@ -132,8 +124,8 @@ def _json(value) -> str:
     The stdlib encodes in C only without indent.  Here every str goes
     through the C encode_basestring_ascii and every int through
     int.__repr__: a dict writes its str and int values in its own loop, and
-    a list of only ints or only strs is one join.  A value json cannot
-    encode raises TypeError, as json.dumps does.
+    a list of only ints is one join.  A value json cannot encode raises
+    TypeError, as json.dumps does.
     """
     from json.encoder import encode_basestring_ascii as quote
 
@@ -170,8 +162,6 @@ def _json(value) -> str:
             kinds = set(map(type, x))
             if kinds == {int}:
                 put(sep + more.join(map(int.__repr__, x)))
-            elif kinds == {str}:
-                put(sep + more.join(map(quote, x)))
             else:
                 for v in x:
                     put(sep)
@@ -462,6 +452,8 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
         except ValueError as exc:
             raise UsageError(f"--c-range expects integers: {args.c_range!r}") from exc
         stats.check_sieve_cap(c_hi - c_lo + 1, cfg.sieve_cap, f"--c-range {args.c_range}: c count")
+        if c_lo <= c_hi:  # the largest |c| is an end: refuse the range before any row
+            nfcount._check_c(args.d, max(c_lo, c_hi, key=abs))
         rows = []
         for c in range(c_lo, c_hi + 1):
             row = nfcount.trinomial_row(

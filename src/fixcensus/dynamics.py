@@ -19,7 +19,6 @@ tail depths) and exact integer fixed points of z^d + c on the integers.
 
 from __future__ import annotations
 
-import enum
 import math
 import operator
 from collections.abc import Iterator
@@ -32,6 +31,7 @@ from .ff import (
     FFElement,
     FieldCapError,
     FieldSpec,
+    _Label,
     _Value,
     check_field,
     field_ops,
@@ -65,15 +65,12 @@ class ExponentCapError(CapError):
     """The map degree d exceeds the configured exponent cap."""
 
 
-class Family(enum.Enum):
+class Family(_Label):
     """How the degree d is generated from the field data."""
 
     PRIME_POWER = "prime-power"  # d = p^ell
     P_MINUS_ONE = "pminus1"      # d = (p-1)^ell, p >= 5
     RAW = "raw"                  # d given directly
-
-    def __str__(self) -> str:
-        return self.value
 
     def degree(self, p: int, k: int) -> int:
         """The map degree of exponent k at the prime p: p^k for prime-power,
@@ -181,7 +178,7 @@ def _coefficient_index(fs: FieldSpec, c: int | FFElement) -> int:
     """The enumeration index of c in fs: an integer is embedded through the
     prime subfield, an element must belong to fs."""
     if not isinstance(c, FFElement):
-        return fs.from_int(c).index
+        return c % fs.p  # the index of from_int(c), by element_at's contract
     if c.field != fs:
         raise ArgumentError("coefficient belongs to a different field")
     return c.index

@@ -12,6 +12,7 @@ is a pure function, so a value can be shared freely between callers.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import operator
 import re
@@ -173,6 +174,14 @@ def _ppowmod(base: Sequence[int], e: int, mod: Sequence[int], p: int) -> tuple[i
         if e:
             acc = _pmod(_pmul(acc, acc, p), mod, p)
     return result
+
+
+class _Label(enum.Enum):
+    """Base of the enums whose members print as their value: CSV cells and
+    census labels show the value string."""
+
+    def __str__(self) -> str:
+        return self.value
 
 
 class _Value:
@@ -532,14 +541,14 @@ class _LogOps(FieldOps):
         def half(digits: range) -> tuple[list[int], list[int]]:
             """By the code of x's digits in the range (x zero elsewhere):
             the code of g*x and the index of x."""
-            products, indexes, reduced = [(0,) * n], [0], [0]
+            products, reduced = [(0,) * n], [0]
             for j in digits:
                 products = [tuple((u + a * v) % p for u, v in zip(w, columns[j]))
                             for a in range(p) for w in products]
-                indexes = [i + a * p**j for a in range(p) for i in indexes]
                 reduced = [r + f % p * p ** (j - digits.start) for f in range(base) for r in reduced]
             codes = [sum(u * base**k for k, u in enumerate(w)) for w in products]
-            return [codes[r] for r in reduced], [indexes[r] for r in reduced]
+            # products[r] is g*x for the x of index r * p**digits.start
+            return [codes[r] for r in reduced], [r * p**digits.start for r in reduced]
 
         (low_code, low_index), (high_code, high_index) = half(range(cut)), half(range(cut, n))
         split, typecode = base**cut, _table_typecode(q)

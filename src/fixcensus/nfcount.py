@@ -21,7 +21,6 @@ and the batch passes give every c the answer those rules give it.
 from __future__ import annotations
 
 import bisect
-import enum
 import functools
 import itertools
 import math
@@ -33,7 +32,7 @@ from typing import NamedTuple
 
 from . import stats
 from .dynamics import DEFAULT_EXP_CAP, check_degree, integer_root, integral_fixed_points
-from .ff import DEFAULT_SIEVE_CAP, ArgumentError, CapError, certify_irreducible
+from .ff import DEFAULT_SIEVE_CAP, ArgumentError, CapError, _Label, certify_irreducible
 
 __all__ = [
     "ZETA2_INV",
@@ -54,13 +53,10 @@ __all__ = [
 ZETA2_INV = 6 / math.pi**2
 
 
-class IrreducibilityStatus(enum.Enum):
+class IrreducibilityStatus(_Label):
     REDUCIBLE = "REDUCIBLE"
     IRREDUCIBLE = "IRREDUCIBLE"
     UNKNOWN = "UNKNOWN"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class FieldCountRow(NamedTuple):
@@ -239,6 +235,23 @@ def count_by_disc(
     return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
 
 
+def _check_digits(bits: int, what: str) -> None:
+    """Refuse with CapError an integer below 2^bits, named by what, that may have
+    more digits (at most bits*log10(2) + 1) than sys.get_int_max_str_digits()."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 0: no limit
+    if limit and bits * 30103 // 100000 + 1 > limit:
+        raise CapError(f"{what} may exceed the limit ({limit} digits) for integer string conversion")
+
+
+def _check_c(d: int, c: int) -> None:
+    """Refuse a c whose row cannot be written: the float height |c|^(1/d) needs
+    |c| <= the largest float, and |disc| < 2 d^d max(|c|, 1)^(d-1) must print."""
+    if abs(c) > sys.float_info.max:
+        raise ArgumentError(f"the height |c|^(1/d) needs |c| <= {sys.float_info.max!r}, the largest float")
+    width = abs(c).bit_length()  # with d <= 2^((d-1).bit_length()) and max(|c|, 1) <= 2^width
+    _check_digits(d * (d - 1).bit_length() + (d - 1) * width + 1, f"discriminant for d = {d} and a {width}-bit c")
+
+
 def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFAULT_EXP_CAP) -> int:
     """#{c integer : |c|^(1/d) <= hmax}, by the closed form 2*floor(hmax^d)+1.
 
@@ -255,14 +268,9 @@ def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFA
         raise ArgumentError(f"height bound {hmax} must be finite") from exc
     if h < 0:
         raise ArgumentError(f"height bound {hmax} must be nonnegative")
-    # h < 2^(a-b+1) for numerator/denominator bit lengths a, b, so the count
-    # is below 2^bits and has at most floor(bits * log10(2)) + 1 digits
+    # h < 2^(a-b+1) for numerator/denominator bit lengths a, b
     bits = d * max(h.numerator.bit_length() - h.denominator.bit_length() + 1, 0) + 2
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 4300)()  # 0: no limit
-    if limit and bits * 30103 // 100000 + 1 > limit:
-        raise CapError(
-            f"height count for d = {d} may exceed the limit ({limit} digits) for integer string conversion"
-        )
+    _check_digits(bits, f"height count for d = {d}")
     return 2 * (h.numerator**d // h.denominator**d) + 1
 
 
@@ -401,9 +409,10 @@ def trinomial_row(
 ) -> dict:
     """One per-trinomial record for table output; the height |c|^(1/d) is a
     float for display only, and counts by height use count_by_height.  d
-    meets exp_cap and both prime lists meet sieve_cap before c is looked at."""
+    meets exp_cap, both prime lists sieve_cap and c _check_c before any work."""
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
+    _check_c(d, c)
     primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
     disc = closed_form_disc(d, c)
     status = irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap)

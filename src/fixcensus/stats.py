@@ -16,7 +16,6 @@ at p = 5, matching the smallest primes the counting claims cover.
 
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -26,7 +25,7 @@ from typing import NamedTuple
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, _prime_factors, standard_field
+from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, _Label, _prime_factors, standard_field
 
 __all__ = [
     "DEFAULT_SIEVE_CAP",
@@ -58,7 +57,7 @@ def check_sieve_cap(size: int, sieve_cap: int, what: str = "sieve limit") -> Non
         raise SieveCapError(f"{what} {size} exceeds the cap {sieve_cap}")
 
 
-class Selector(enum.Enum):
+class Selector(_Label):
     """Which primes qualify for an average at bound c."""
 
     DIVIDES_C = "p|c"
@@ -66,11 +65,8 @@ class Selector(enum.Enum):
     DIVIDES_C_PLUS_1 = "p|c+1"
     NOT_DIVIDES_C = "p!|c"
 
-    def __str__(self) -> str:
-        return self.value
 
-
-class DensityKind(enum.Enum):
+class DensityKind(_Label):
     """Predicted-count classes whose prime densities are tabulated."""
 
     NC3 = "nc3"  # prime-power family, count 3: primes dividing c
@@ -78,9 +74,6 @@ class DensityKind(enum.Enum):
     MC2 = "mc2"  # pminus1 family, count 2: primes dividing c
     MC1 = "mc1"  # pminus1 family, count 1: primes dividing c - 1
     MC0 = "mc0"  # pminus1 family, count 0: primes dividing c + 1
-
-    def __str__(self) -> str:
-        return self.value
 
 
 class AverageRow(NamedTuple):
@@ -243,12 +236,12 @@ def average_report(
     return rows
 
 
-_KIND_RULES: dict[DensityKind, tuple[int, Selector]] = {
-    DensityKind.NC3: (3, Selector.DIVIDES_C),
-    DensityKind.NC0: (3, Selector.NOT_DIVIDES_C),
-    DensityKind.MC2: (5, Selector.DIVIDES_C),
-    DensityKind.MC1: (5, Selector.DIVIDES_C_MINUS_1),
-    DensityKind.MC0: (5, Selector.DIVIDES_C_PLUS_1),
+_KIND_RULES: dict[DensityKind, tuple[Family, Selector]] = {
+    DensityKind.NC3: (Family.PRIME_POWER, Selector.DIVIDES_C),
+    DensityKind.NC0: (Family.PRIME_POWER, Selector.NOT_DIVIDES_C),
+    DensityKind.MC2: (Family.P_MINUS_ONE, Selector.DIVIDES_C),
+    DensityKind.MC1: (Family.P_MINUS_ONE, Selector.DIVIDES_C_MINUS_1),
+    DensityKind.MC0: (Family.P_MINUS_ONE, Selector.DIVIDES_C_PLUS_1),
 }
 
 
@@ -266,7 +259,8 @@ def density_table(
     denominator comes from prime_count, the dividing primes are the prime
     factors of the shifted target.  The sieve cap still bounds c.
     """
-    floor, selector = _KIND_RULES[kind]
+    family, selector = _KIND_RULES[kind]
+    floor = _FLOOR[family]
     c_list = list(c_list)
     check_sieve_cap(max([0] + c_list), sieve_cap)
     rows = []

@@ -1295,6 +1295,38 @@ class TestNf:
         code, _, err = run(capsys, ["nf", "--d", "3", "--c-range", "a:b"])
         assert code == 2
 
+    # the largest float, as an int: the last c whose height |c|^(1/d) is a float
+    _FLOAT_MAX = int(sys.float_info.max)
+    _FLOAT_REFUSAL = f"error: the height |c|^(1/d) needs |c| <= {sys.float_info.max!r}, the largest float\n"
+    # d = 20: 20 * 5 + 19 * 746 + 1 bits is at most 4300 digits, one more c-bit is not
+    _DIGIT_REFUSAL = ("error: discriminant for d = 20 and a {}-bit c may exceed the limit (4300 digits)"
+                      " for integer string conversion\n")
+
+    @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")
+    @pytest.mark.parametrize("d, lo, hi, message", [
+        pytest.param(3, 10**309, 10**309, _FLOAT_REFUSAL, id="height-10**309"),
+        pytest.param(3, _FLOAT_MAX - 1, _FLOAT_MAX + 1, _FLOAT_REFUSAL, id="height-past-the-last-float"),
+        pytest.param(3, -_FLOAT_MAX - 1, -_FLOAT_MAX, _FLOAT_REFUSAL, id="height-negative"),
+        pytest.param(20, 10**250, 10**250, _DIGIT_REFUSAL.format(831), id="disc-10**250"),
+        pytest.param(20, 2**746 - 1, 2**746, _DIGIT_REFUSAL.format(747), id="disc-past-the-last-c"),
+    ])
+    def test_c_range_past_the_printable_row_exits_2_before_any_row(self, capsys, monkeypatch, d, lo, hi, message):
+        def no_work(*args, **kwargs):
+            raise AssertionError("a row was computed before the refusal")
+
+        monkeypatch.setattr(nfcount, "trinomial_row", no_work)
+        assert run(capsys, ["nf", "--d", str(d), "--c-range", f"{lo}:{hi}"]) == (2, "", message)
+
+    @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")
+    @pytest.mark.parametrize("d, c", [(3, _FLOAT_MAX), (3, -_FLOAT_MAX), (20, 2**746 - 1)],
+                             ids=["last-float", "last-negative-float", "last-printable-disc"])
+    def test_c_range_at_the_last_accepted_c_runs(self, capsys, d, c):
+        code, out, err = run(capsys, ["nf", "--d", str(d), "--c-range", f"{c}:{c}"])
+        assert (code, err) == (0, "")
+        (row,) = json.loads(out)
+        assert (row["c"], row["disc"]) == (c, nfcount.closed_form_disc(d, c))
+        assert row["height"] == f"{abs(c) ** (1.0 / d):.6f}"
+
 
 class TestOrbits:
     def test_json_payload(self, capsys):

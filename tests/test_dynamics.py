@@ -152,9 +152,11 @@ class TestCounterArguments:
     def test_coefficient_resolution(self):
         # an integer is the prime-subfield element it names; a foreign element is refused
         fs = ff.standard_field(5, 2)
-        for counter in COUNTERS:
-            for c in (0, 1, 7, -1):
+        for c in (0, 1, 7, -1, fs.p + 1, 10**399 + 7):
+            assert dynamics._coefficient_index(fs, c) == fs.from_int(c).index
+            for counter in COUNTERS:
                 assert counter(fs, 4, c) == counter(fs, 4, fs.from_int(c))
+        for counter in COUNTERS:
             with pytest.raises(ff.ArgumentError, match="coefficient belongs to a different field"):
                 counter(fs, 4, ff.standard_field(5, 1).one)
 

@@ -14,7 +14,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fixcensus import dynamics, ff, stats
+from fixcensus import claims, dynamics, ff, nfcount, stats
 from fixcensus.ff import FFElement, FieldSpec, field_ops
 
 # Small fields reused across property tests; mixed characteristics and
@@ -582,6 +582,13 @@ class TestValueClasses:
         value = make()
         shown = ", ".join(f"{name}={getattr(value, name)!r}" for name in type(value).__slots__)
         assert repr(value) == f"{type(value).__name__}({shown})"
+
+
+@pytest.mark.parametrize("label", [claims.Verdict, dynamics.Family, nfcount.IrreducibilityStatus,
+                                   stats.Selector, stats.DensityKind], ids=lambda label: label.__name__)
+def test_label_enums_print_their_value(label):
+    # CSV cells and census labels are str(member): a plain Enum would print "Class.NAME"
+    assert [str(member) for member in label] == [member.value for member in label]
 
 
 def test_unpickling_a_field_runs_no_certificate(monkeypatch):

@@ -475,6 +475,16 @@ class TestTrinomialRow:
         # 23 < 3^3 has at most two prime factors above 2: decided
         assert nfcount.trinomial_row(3, 1, trial_bound=2)["squarefree"] == "true"
 
+    def test_unwritable_rows_are_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ff.ArgumentError, match="the largest float"):
+            nfcount.trinomial_row(3, -int(sys.float_info.max) - 1)
+        with pytest.raises(ff.CapError, match=r"d = 20 and a 747-bit c may exceed the limit \(4300 digits\)"):
+            nfcount.trinomial_row(20, 2**746)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+        with pytest.raises(AssertionError):  # past the digit check, at the first piece of work
+            nfcount.trinomial_row(20, 2**746)
+
 
 def sqrt_rule_squarefree(u, primes):
     """The square-root rule _squarefree_by_trial used before the cube-root

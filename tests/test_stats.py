@@ -263,7 +263,10 @@ class TestClosedForms:
         st.one_of(st.integers(-30, 30), st.integers(-(10**6), 10**6)),
     )
     def test_prime_power_count_three_ways(self, p, n, ell, c):
-        # closed form, the full scan and the gcd engine share no code
+        # closed form, the full scan and the gcd engine share no code.  The
+        # closed form stays apart from the linear engine, which also counts
+        # d = p^ell, because it builds no field: no field cap limits it, and
+        # test_prime_power_average_builds_no_field pins that
         fs = ff.standard_field(p, n)
         d = Family.PRIME_POWER.degree(p, ell)
         closed = stats._prime_power_count(p, n, ell, c)
