@@ -111,11 +111,19 @@ def _cell(value):
 
 def _json_scalar(x) -> str:
     """None, a bool, an int or a float as json.dumps writes it; else TypeError."""
-    if x is not None and not isinstance(x, (int, float)):
-        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
-    import json  # loaded already: _json, the one caller, imported json.encoder
-
-    return json.dumps(x)
+    if x is None:
+        return "null"
+    if x is True or x is False:
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if isinstance(x, float):
+        if x != x:
+            return "NaN"
+        if x in (float("inf"), -float("inf")):
+            return "Infinity" if x > 0 else "-Infinity"
+        return float.__repr__(x)
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _json(value) -> str:

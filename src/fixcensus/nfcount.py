@@ -248,8 +248,9 @@ def _check_c(d: int, c: int) -> None:
     |c| <= the largest float, and |disc| < 2 d^d max(|c|, 1)^(d-1) must print."""
     if abs(c) > sys.float_info.max:
         raise ArgumentError(f"the height |c|^(1/d) needs |c| <= {sys.float_info.max!r}, the largest float")
-    width = abs(c).bit_length()  # with d <= 2^((d-1).bit_length()) and max(|c|, 1) <= 2^width
-    _check_digits(d * (d - 1).bit_length() + (d - 1) * width + 1, f"discriminant for d = {d} and a {width}-bit c")
+    # log2 of that bound, rounded up, and one spare bit for the float logarithms
+    bits = math.ceil(d * math.log2(d) + (d - 1) * math.log2(max(abs(c), 1))) + 2
+    _check_digits(bits, f"discriminant for d = {d} and a {abs(c).bit_length()}-bit c")
 
 
 def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFAULT_EXP_CAP) -> int:

@@ -1298,7 +1298,9 @@ class TestNf:
     # the largest float, as an int: the last c whose height |c|^(1/d) is a float
     _FLOAT_MAX = int(sys.float_info.max)
     _FLOAT_REFUSAL = f"error: the height |c|^(1/d) needs |c| <= {sys.float_info.max!r}, the largest float\n"
-    # d = 20: 20 * 5 + 19 * 746 + 1 bits is at most 4300 digits, one more c-bit is not
+    # d = 20: the digit rule starts to refuse near c = 2^747.13; these two c stand
+    # either side of it, each most of a bit of the bound away from a rounding step
+    _LAST_C20, _FIRST_C20 = 2**747 + 2**743, 2**747 + 2**744
     _DIGIT_REFUSAL = ("error: discriminant for d = 20 and a {}-bit c may exceed the limit (4300 digits)"
                       " for integer string conversion\n")
 
@@ -1308,7 +1310,7 @@ class TestNf:
         pytest.param(3, _FLOAT_MAX - 1, _FLOAT_MAX + 1, _FLOAT_REFUSAL, id="height-past-the-last-float"),
         pytest.param(3, -_FLOAT_MAX - 1, -_FLOAT_MAX, _FLOAT_REFUSAL, id="height-negative"),
         pytest.param(20, 10**250, 10**250, _DIGIT_REFUSAL.format(831), id="disc-10**250"),
-        pytest.param(20, 2**746 - 1, 2**746, _DIGIT_REFUSAL.format(747), id="disc-past-the-last-c"),
+        pytest.param(20, _FIRST_C20, _FIRST_C20, _DIGIT_REFUSAL.format(748), id="disc-past-the-last-c"),
     ])
     def test_c_range_past_the_printable_row_exits_2_before_any_row(self, capsys, monkeypatch, d, lo, hi, message):
         def no_work(*args, **kwargs):
@@ -1318,7 +1320,7 @@ class TestNf:
         assert run(capsys, ["nf", "--d", str(d), "--c-range", f"{lo}:{hi}"]) == (2, "", message)
 
     @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")
-    @pytest.mark.parametrize("d, c", [(3, _FLOAT_MAX), (3, -_FLOAT_MAX), (20, 2**746 - 1)],
+    @pytest.mark.parametrize("d, c", [(3, _FLOAT_MAX), (3, -_FLOAT_MAX), (20, _LAST_C20)],
                              ids=["last-float", "last-negative-float", "last-printable-disc"])
     def test_c_range_at_the_last_accepted_c_runs(self, capsys, d, c):
         code, out, err = run(capsys, ["nf", "--d", str(d), "--c-range", f"{c}:{c}"])

@@ -451,6 +451,9 @@ class TestSquarefree:
         assert several < 1.25 * one, (one, several)
 
 
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
+
+
 class TestTrinomialRow:
     def test_row_contents(self):
         row = nfcount.trinomial_row(3, 1)
@@ -479,11 +482,26 @@ class TestTrinomialRow:
         monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ff.ArgumentError, match="the largest float"):
             nfcount.trinomial_row(3, -int(sys.float_info.max) - 1)
-        with pytest.raises(ff.CapError, match=r"d = 20 and a 747-bit c may exceed the limit \(4300 digits\)"):
-            nfcount.trinomial_row(20, 2**746)
-        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)  # 0: no limit
+
+    @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")
+    def test_unprintable_discriminants_are_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ff.CapError, match=r"d = 20 and a 748-bit c may exceed the limit \(4300 digits\)"):
+            nfcount.trinomial_row(20, 2**747 + 2**744)
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # 0: no limit
         with pytest.raises(AssertionError):  # past the digit check, at the first piece of work
-            nfcount.trinomial_row(20, 2**746)
+            nfcount.trinomial_row(20, 2**747 + 2**744)
+
+    @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")
+    def test_the_digit_bound_is_tight_at_c_1(self):
+        # |disc| = d^d - (d-1)^(d-1) has 4,299 digits at d = 1370 and 4,302 at 1371
+        for d in (1300, 1370):
+            nfcount._check_c(d, 1)
+            str(nfcount.closed_form_disc(d, 1))
+        with pytest.raises(ff.CapError, match="d = 1371 and a 1-bit c"):
+            nfcount._check_c(1371, 1)
+        with pytest.raises(ValueError):
+            str(nfcount.closed_form_disc(1371, 1))
 
 
 def sqrt_rule_squarefree(u, primes):
