@@ -317,9 +317,10 @@ def _affine_orbits(fs: FieldSpec, ell: int, c: int) -> OrbitCensus:
 # The independent counter: polynomial gcd in F_q[z] against z^q - z, computed
 # on FFElement arithmetic so that it shares no engine with the scan.  The
 # number of distinct roots of f in F_q equals deg gcd(f, z^q - z); we compute
-# z^q mod f by square and multiply, using the sparse reduction z^d = z - c
-# available for the trinomial f = z^d - z + c.  Polynomials are lists of
-# elements, lowest degree first.
+# z^q mod f by square and multiply.  Each remainder walks only the divisor's
+# nonzero terms, so reducing by the trinomial f = z^d - z + c costs two
+# products per dropped degree.  Polynomials are lists of elements, lowest
+# degree first.
 
 def _poly_trim(cs: list[FFElement]) -> list[FFElement]:
     while cs and cs[-1].is_zero:
@@ -339,43 +340,30 @@ def _poly_mul(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
     return out
 
 
-def _reduce_by_trinomial(cs: list[FFElement], d: int, c: FFElement) -> list[FFElement]:
-    """In place: rewrite z^j (j >= d) via z^d = z - c until deg < d."""
-    while len(cs) > d:
-        a = cs.pop()
-        if not a.is_zero:
-            j = len(cs)  # degree of the popped term
-            cs[j - d + 1] = cs[j - d + 1] + a
-            cs[j - d] = cs[j - d] - a * c
-    return _poly_trim(cs)
-
-
-def _powmod_x(e: int, d: int, c: FFElement) -> list[FFElement]:
-    """z^e mod (z^d - z + c), most significant bit first."""
-    res = [c.field.one]
-    for bit in bin(e)[2:]:
-        res = _reduce_by_trinomial(_poly_mul(res, res), d, c)
-        if bit == "1":
-            res.insert(0, c.field.zero)
-            res = _reduce_by_trinomial(res, d, c)
-    return res
-
-
 def _poly_rem(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
-    r = list(a)
-    db = len(b) - 1
-    inv_lead = b[-1] ** (b[-1].field.order - 2)
-    while len(r) - 1 >= db:
-        lead = r[-1]
-        if not lead.is_zero:
-            coef = lead * inv_lead
-            shift = len(r) - 1 - db
-            for k in range(db):
-                bk = b[k]
-                if not bk.is_zero:
-                    r[shift + k] = r[shift + k] - coef * bk
-        r.pop()
+    """a mod the trimmed b; each step walks only b's nonzero lower terms."""
+    r, db, lead = list(a), len(b) - 1, b[-1]
+    inv_lead = None if lead.index == 1 else lead ** (lead.field.order - 2)  # index 1 is one
+    terms = [(k, bk) for k, bk in enumerate(b[:db]) if not bk.is_zero]
+    while len(r) > db:
+        top = r.pop()
+        if not top.is_zero:
+            coef = top if inv_lead is None else top * inv_lead
+            shift = len(r) - db  # the popped degree less db
+            for k, bk in terms:
+                r[shift + k] = r[shift + k] - coef * bk
     return _poly_trim(r)
+
+
+def _powmod_x(e: int, f: list[FFElement]) -> list[FFElement]:
+    """z^e mod the trimmed f, most significant bit first."""
+    fs = f[0].field
+    res = [fs.one]
+    for bit in bin(e)[2:]:
+        res = _poly_rem(_poly_mul(res, res), f)
+        if bit == "1":
+            res = _poly_rem([fs.zero] + res, f)
+    return res
 
 
 def _poly_gcd(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
@@ -399,14 +387,14 @@ def gcd_root_count(
     """
     capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=None, exp_cap=exp_cap)
     c = fs.element_at(_coefficient_index(fs, c))
-    h = _powmod_x(fs.order, d, c)  # z^q mod f
+    f = [c, -fs.one] + [fs.zero] * (d - 2) + [fs.one]
+    h = _powmod_x(fs.order, f)  # z^q mod f
     h += [fs.zero] * (2 - len(h))
     h[1] = h[1] - fs.one  # h = z^q - z mod f
     h = _poly_trim(h)
     if not h:
         return d
-    f_poly = [c, -fs.one] + [fs.zero] * (d - 2) + [fs.one]
-    return len(_poly_gcd(f_poly, h)) - 1
+    return len(_poly_gcd(f, h)) - 1
 
 
 def orbit_census(

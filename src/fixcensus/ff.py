@@ -531,9 +531,11 @@ class _LogOps(FieldOps):
         super().__init__(fs)
         p, n, q, m = self.p, self.n, self.q, fs.modulus
         self.order = order = q - 1
-        # g generates F_q^* iff g^(order/r) != 1 for every prime r | order
+        # g generates F_q^* iff g^(order/r) != 1 for every prime r | order.
+        # The search starts at index p: n >= 2 here, and the constants below
+        # it have orders dividing p - 1 < q - 1.
         primes = _prime_factors(order)
-        g = next(g for g in (_trim(fs.element_at(i).coeffs) for i in range(2, q))
+        g = next(g for g in (_trim(fs.element_at(i).coeffs) for i in range(p, q))
                  if all(_ppowmod(g, order // r, m, p) != (1,) for r in primes))
         base, cut = 2 * p - 1, n // 2
         columns = [(_pmod((0,) * j + g, m, p) + (0,) * n)[:n] for j in range(n)]  # g*t^j

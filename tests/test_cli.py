@@ -911,6 +911,27 @@ def test_undecodable_file_is_a_usage_error(capsys, tmp_path, flag, argv, message
     assert err.startswith(message)
 
 
+_PRIME_POWER_CENSUS = ["census", "--p", "3", "--n", "1", "--family", "prime-power", "--ell", "1", "--c", "0"]
+
+
+@pytest.mark.parametrize("argv, config, message", [
+    pytest.param(_PRIME_POWER_CENSUS, "[]", "config must be a JSON object", id="config-not-an-object"),
+    pytest.param(_PRIME_POWER_CENSUS, '{"format": "xml"}', "unknown format 'xml'", id="config-format"),
+    pytest.param(["census", "--p", "3,x", "--n", "1", "--family", "prime-power", "--ell", "1", "--c", "0"],
+                 None, "--p expects comma-separated integers: '3,x'", id="int-list"),
+    pytest.param(["orbits", "--p", "3", "--n", "2", "--family", "prime-power", "--c", "0"],
+                 None, "--family prime-power needs --ell", id="orbits-family-without-ell"),
+    pytest.param(["census", "--p", "3", "--n", "2", "--family", "raw", "--d", "2", "--c", "+"],
+                 None, "--c: cannot parse element '+'", id="census-c-element"),
+])
+def test_malformed_input_is_a_usage_error(capsys, tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(config)
+        argv = [*argv, "--config", str(path)]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 class TestConfig:
     def test_config_supplies_format(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
@@ -1205,7 +1226,8 @@ class TestNf:
         code, out, _ = run(capsys, ["nf", "--d", "3", "--height", "2", "--format", "csv"])
         assert out.splitlines() == ["d,hmax,count", "3,2.0,17"]
 
-    def test_height_count_beyond_the_digit_limit_exits_2(self, capsys):
+    def test_height_count_beyond_the_digit_limit_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300, raising=False)
         code, out, err = run(capsys, ["nf", "--d", "20000", "--height", "2"])
         assert (code, out) == (2, "")
         assert err == (

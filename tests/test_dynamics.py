@@ -260,6 +260,14 @@ class TestGcdOracle:
         c = fs.element_at(data.draw(st.integers(0, fs.order - 1)))
         assert dynamics.count_profile(fs, d)[c.index] == dynamics.gcd_root_count(fs, d, c)
 
+    @pytest.mark.parametrize("p, n, d", [(3, 7, 150), (3, 7, 301), (11, 3, 110)])
+    def test_matches_count_profile_past_degree_100(self, p, n, d):
+        # d < q, so z^q mod f is reduced at each squaring, not read off z^q
+        fs = ff.standard_field(p, n)
+        profile = dynamics.count_profile(fs, d)
+        for i in (0, 1, p - 1, p + 1, fs.order - 1):
+            assert dynamics.gcd_root_count(fs, d, fs.element_at(i)) == profile[i], i
+
     def test_dual_oracle_agreement_sample(self):
         for p, n in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)]:
             fs = ff.standard_field(p, n)

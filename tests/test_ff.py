@@ -188,6 +188,12 @@ class TestFieldSpec:
         assert [str(e) for e in elems[:4]] == ["0", "1", "2", "t"]
         assert all(e.index == i for i, e in enumerate(elems))
 
+    @pytest.mark.parametrize("index", [-1, 9])
+    def test_element_at_refuses_an_index_outside_the_field(self, index):
+        fs = ff.standard_field(3, 2)
+        with pytest.raises(ff.ArgumentError, match=f"^index {index} out of range for field of order 9$"):
+            fs.element_at(index)
+
     def test_element_reduction(self):
         fs = ff.standard_field(3, 2)  # t^2 = -1
         assert fs.element([0, 0, 1]) == fs.from_int(-1)
