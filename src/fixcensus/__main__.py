@@ -1,12 +1,13 @@
-"""The one process entry: ``python -m fixcensus`` and the console script call ``run``.
-
-``run`` freezes what importing ``cli`` loaded (the site modules, argparse,
-cli, dynamics, ff), which lives until exit, so the garbage collector's full
-passes during the run and at shutdown skip it.  ``cli.main`` is the
-in-process entry and leaves the collector alone.
-"""
+"""The one process entry: ``python -m fixcensus`` and the console script call
+``_exit_run``.  ``run`` freezes what importing ``cli`` loaded (the site
+modules, argparse, cli, dynamics, ff), so the collector's full passes skip it,
+and returns main's code; ``cli.main``, the in-process entry, leaves it alone.
+Once run returns, or exits with an int or None code (--help, usage errors),
+the command's files are closed: ``_exit_run`` flushes stdout and stderr and
+skips the interpreter's teardown by os._exit; a fault or failed flush does not."""
 
 import gc
+import os
 import sys
 
 from .cli import main
@@ -17,5 +18,20 @@ def run() -> int:
     return main()
 
 
+def _exit_run() -> None:
+    try:
+        code = run()
+    except SystemExit as exc:
+        if exc.code is not None and not isinstance(exc.code, int):
+            raise
+        code = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):  # a stream that cannot be written or is closed
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(run())
+    _exit_run()

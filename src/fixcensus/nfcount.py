@@ -30,7 +30,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import stats
+from . import dynamics, ff, stats
 from .dynamics import DEFAULT_EXP_CAP, check_degree, integer_root, integral_fixed_points
 from .ff import DEFAULT_SIEVE_CAP, ArgumentError, CapError, _Label, certify_irreducible
 
@@ -117,7 +117,8 @@ def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
     passes c mod q, so the key is (d, c mod q, q).
 
     f stays monic of degree d under reduction, so a pass certifies
-    irreducibility over Q as well.
+    irreducibility over Q as well.  Its step k = 1, the only one for d <= 3,
+    is the root test that count_by_disc reads off a root table when it has one.
     """
     return certify_irreducible(q, (c % q, q - 1) + (0,) * (d - 2) + (1,))
 
@@ -213,14 +214,18 @@ def count_by_disc(
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
     The candidates are filtered prime by prime: for each q <= q_max in
-    ascending order, the c still pending lose those that q certifies.  That
-    asks exactly the (d, c mod q, q) certificates that irreducibility_status
-    asks of each c, and no other.  A c left over is REDUCIBLE when c = 0 or
-    it has an integer root, and UNKNOWN otherwise.  bound_ok records
+    ascending order, the c still pending lose those that q certifies.  While
+    at least q are pending, count_profile over F_q counts the roots of
+    x^d - x + r, the fixed points of z^d + r, for every r: a residue with a
+    root is not certified, one without is for d <= 3 and goes to
+    _irreducible_mod_q for d >= 4.  So the batch asks a subset of the
+    certificates that irreducibility_status asks of each c, and reaches its
+    verdicts.  A c left over is REDUCIBLE when c = 0 or it has an integer
+    root, and UNKNOWN otherwise.  bound_ok records
     whether count <= constant * X^(d/(2d-2)), compared exactly; the
     exponent is also reported exactly as a Fraction.  A d above exp_cap,
     and a q_max or a candidate count above sieve_cap, is refused before any
-    candidate is examined.
+    candidate is examined; sieve_cap also caps the root tables.
     """
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
@@ -229,7 +234,11 @@ def count_by_disc(
     for q in stats.prime_sieve(q_max, sieve_cap=sieve_cap):
         if not pending:
             break
-        pending = [c for c in pending if not _irreducible_mod_q(d, c % q, q)]
+        if q > len(pending):  # a table costs q, the certificates at most len(pending)
+            pending = [c for c in pending if not _irreducible_mod_q(d, c % q, q)]
+            continue
+        roots = dynamics.count_profile(ff.standard_field(q, 1), d, field_cap=sieve_cap, exp_cap=exp_cap)
+        pending = [c for c in pending if roots[c % q] or d > 3 and not _irreducible_mod_q(d, c % q, q)]
     count = len(candidates) - len(pending)
     unknown = sum(1 for c in pending if c != 0 and not integral_fixed_points(d, c))
     return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))

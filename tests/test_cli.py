@@ -6,6 +6,7 @@ import enum
 import gc
 import hashlib
 import importlib
+import io
 import json
 import os
 import pathlib
@@ -586,10 +587,12 @@ def test_package_import_loads_no_submodule():
 _CLAIMS_GRID = ["claims", "--p", "3,5", "--n", "1,2", "--ell", "1"]
 
 
-def _python_m_fixcensus(argv, cwd):
+def _python_m_fixcensus(argv, cwd, *, command=("-m", "fixcensus")):
+    # stdout stays buffered, as it is by default, so the entry must flush it
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
-    return subprocess.run([sys.executable, "-m", "fixcensus", *argv], cwd=cwd, env=env, capture_output=True)
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, *command, *argv], cwd=cwd, env=env, capture_output=True)
 
 
 def test_main_leaves_the_collector_alone(capsys):
@@ -633,6 +636,71 @@ def test_process_entry_exit_codes(tmp_path):
     result = _python_m_fixcensus(_CLAIMS_GRID + ["--expect", str(golden)], tmp_path)
     assert result.returncode == 3
     assert b"regression:" in result.stderr
+
+
+def test_process_entry_help_and_usage_error(tmp_path):
+    result = _python_m_fixcensus(["--help"], tmp_path)
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert result.stdout.startswith(b"usage: fixcensus")
+    result = _python_m_fixcensus(["census", "--p", "3"], tmp_path)
+    assert (result.returncode, result.stdout) == (2, b"")
+    assert result.stderr.startswith(b"usage: fixcensus census") and b"error: " in result.stderr
+
+
+def test_process_entry_writes_a_large_output_whole(capsys, tmp_path):
+    # more than a pipe buffer holds is still pending when the command returns
+    argv = ["census", "--p", "3", "--n", "9", "--family", "prime-power", "--ell", "1", "--c", "all"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) > 1 << 16
+    result = _python_m_fixcensus(argv, tmp_path)
+    assert (result.returncode, result.stdout, result.stderr) == (0, expected, b"")
+
+
+def test_process_entry_fault_prints_a_traceback(tmp_path):
+    script = (
+        "import runpy, sys\n"
+        "from fixcensus import cli\n"
+        "def fault(args, cfg):\n"
+        "    raise RuntimeError('planted fault')\n"
+        "cli.cmd_nf = fault\n"
+        "sys.argv = ['fixcensus', 'nf', '--d', '3', '--X', '100']\n"
+        "runpy.run_module('fixcensus', run_name='__main__')\n"
+    )
+    result = _python_m_fixcensus([], tmp_path, command=("-c", script))
+    assert (result.returncode, result.stdout) == (1, b"")
+    assert result.stderr.startswith(b"Traceback") and result.stderr.endswith(b"RuntimeError: planted fault\n")
+
+
+class _Unflushable(io.StringIO):
+    def flush(self):
+        raise OSError("flush failed")
+
+
+@pytest.mark.parametrize(
+    "outcome, stdout, exits, raised",
+    [
+        (lambda: 3, io.StringIO, [3], None),
+        (sys.exit, io.StringIO, [0], None),
+        (lambda: sys.exit(2), io.StringIO, [2], None),
+        (lambda: sys.exit("a message"), io.StringIO, [], "a message"),
+        (lambda: 3, _Unflushable, [], 3),
+    ],
+    ids=["returned", "exit-none", "exit-int", "exit-message", "flush-fails"],
+)
+def test_process_exit_skips_teardown_only_after_a_flush(monkeypatch, outcome, stdout, exits, raised):
+    entry = importlib.import_module("fixcensus.__main__")
+    codes = []
+    monkeypatch.setattr(entry, "run", outcome)
+    monkeypatch.setattr(os, "_exit", codes.append)
+    monkeypatch.setattr(sys, "stdout", stdout())
+    if raised is None:
+        entry._exit_run()
+    else:  # the normal exit: SystemExit reaches the interpreter
+        with pytest.raises(SystemExit) as exit_info:
+            entry._exit_run()
+        assert exit_info.value.code == raised
+    assert codes == exits
 
 
 def _exit_status_and_output(capsys, parse, argv):

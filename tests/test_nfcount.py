@@ -235,7 +235,49 @@ class TestCountByDisc:
         tally = Counter(nfcount.irreducibility_status(d, c, q_max=q_max) for c in nfcount.bounded_trinomials(d, X))
         assert row.count == tally[IrreducibilityStatus.IRREDUCIBLE]
         assert row.unknown == tally[IrreducibilityStatus.UNKNOWN]
-        assert batch == nfcount._irreducible_mod_q.cache_info().misses  # the same certificates, no more
+        assert batch <= nfcount._irreducible_mod_q.cache_info().misses  # a subset: root tables settle the rest
+
+    def test_cubic_asks_no_certificate_at_a_trillion(self):
+        # at d <= 3 a certificate is the root test, which the tables answer;
+        # the 256 UNKNOWN c alone outnumber every q <= 50, so each q has a table
+        nfcount._irreducible_mod_q.cache_clear()
+        row = nfcount.count_by_disc(3, 10**12)
+        assert (row.count, row.unknown) == (384532, 256)
+        assert nfcount._irreducible_mod_q.cache_info().misses == 0
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_root_table_rules_out_certificates(self, d):
+        # the scan's fixed-point counts against the gcd certificate: a root
+        # mod q is a linear factor, and for d <= 3 the only factor to test
+        for q in stats.prime_sieve(50):
+            roots = dynamics.count_profile(ff.standard_field(q, 1), d)
+            for r in range(q):
+                certified = ff.certify_irreducible(q, (r, q - 1) + (0,) * (d - 2) + (1,))
+                if roots[r]:
+                    assert not certified, (q, r)
+                elif d <= 3:
+                    assert certified, (q, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 8), st.integers(20, 60), st.integers(-1, 1))
+    def test_root_tables_and_certificates_in_one_call(self, d, a, e):
+        # 41 to 121 candidates: the small primes filter by root table, and
+        # once the pending c are fewer than q, by certificate per residue
+        X = abs(nfcount.closed_form_disc(d, a)) + e
+        tabled, profile = [], dynamics.count_profile
+
+        def spy(fs, degree, **caps):
+            tabled.append(fs.p)
+            return profile(fs, degree, **caps)
+
+        with mock.patch.object(dynamics, "count_profile", spy):
+            row = nfcount.count_by_disc(d, X)
+        primes = stats.prime_sieve(nfcount.DEFAULT_Q_MAX)
+        tally = Counter(nfcount.irreducibility_status(d, c) for c in nfcount.bounded_trinomials(d, X))
+        assert (row.count, row.unknown) == (tally[IrreducibilityStatus.IRREDUCIBLE], tally[IrreducibilityStatus.UNKNOWN])
+        # c = 0 stays pending to the end, so the primes past the tables certify per residue
+        assert tally[IrreducibilityStatus.REDUCIBLE] > 0
+        assert 0 < len(tabled) < len(primes) and tabled == list(primes[: len(tabled)])
 
     def test_cubic_at_100(self):
         row = nfcount.count_by_disc(3, 100)
