@@ -11,11 +11,11 @@ cofactor) for the discriminant of the number field a given trinomial cuts
 out; irreducibility over Q is certified, never guessed, with UNKNOWN as a
 first-class answer.
 
-The counts over many c work by residue class.  count_by_disc filters its
-candidates prime by prime, and squarefree_disc_fraction sieves windows of c
-by the roots of the discriminant mod p before trial division takes over.
-irreducibility_status and _squarefree_by_trial stay the rules for one c,
-and the batch passes give every c the answer those rules give it.
+The counts over many c work by residue class.  One filter, _uncertified,
+sorts out the mod-q certificates prime by prime for one c and for many, and
+squarefree_disc_fraction sieves windows of c by the roots of the
+discriminant mod p before trial division takes over; _squarefree_by_trial
+stays the rule for one c, and the sieve gives every c the answer it gives.
 """
 
 from __future__ import annotations
@@ -113,30 +113,36 @@ DEFAULT_Q_MAX = 50
 
 @functools.lru_cache(maxsize=1 << 16)
 def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
-    """certify_irreducible on x^d - x + c over F_q, memoized; certifying_prime
+    """certify_irreducible on x^d - x + c over F_q, memoized; _uncertified
     passes c mod q, so the key is (d, c mod q, q).
 
     f stays monic of degree d under reduction, so a pass certifies
     irreducibility over Q as well.  Its step k = 1, the only one for d <= 3,
-    is the root test that count_by_disc reads off a root table when it has one.
+    is the root test that _uncertified reads off a root table when it has one.
     """
     return certify_irreducible(q, (c % q, q - 1) + (0,) * (d - 2) + (1,))
 
 
-def certifying_prime(
-    d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> int | None:
-    """The smallest prime q <= q_max with f irreducible mod q, if any.
+def _uncertified(d: int, cs: list[int], primes: tuple[int, ...], exp_cap: int, sieve_cap: int) -> list[int]:
+    """The c of cs, in order, that no q in primes certifies irreducible.
 
-    f mod q depends only on c mod q, so the certificate is looked up by
-    (d, c mod q, q): a run computes at most the sum of the primes up to
-    q_max of them per degree.  A reducible f has no certifying prime, since
-    its monic factors stay factors mod every q.  The primes are the shared
-    tuple of stats.prime_sieve, so q_max above sieve_cap is refused.
+    For each q in ascending order, while at least q c are pending,
+    count_profile over F_q (capped by exp_cap and sieve_cap) counts the
+    roots of x^d - x + r, the fixed points of z^d + r, for every r: a
+    residue with a root is not certified, one without is for d <= 3 and
+    goes to _irreducible_mod_q for d >= 4, as every residue does once fewer
+    than q c are pending; so one c builds no table.
     """
-    check_degree(d)
-    primes = stats.prime_sieve(q_max, sieve_cap=sieve_cap)
-    return next((q for q in primes if _irreducible_mod_q(d, c % q, q)), None)
+    pending = cs
+    for q in primes:
+        if not pending:
+            break
+        if q > len(pending):  # a table costs q, the certificates at most len(pending)
+            pending = [c for c in pending if not _irreducible_mod_q(d, c % q, q)]
+            continue
+        roots = dynamics.count_profile(ff.standard_field(q, 1), d, field_cap=sieve_cap, exp_cap=exp_cap)
+        pending = [c for c in pending if roots[c % q] or d > 3 and not _irreducible_mod_q(d, c % q, q)]
+    return pending
 
 
 def irreducibility_status(
@@ -145,14 +151,16 @@ def irreducibility_status(
     """Certified irreducibility of x^d - x + c over Q; UNKNOWN when unsure.
 
     IRREDUCIBLE comes from irreducibility modulo some prime q <= q_max,
-    which a reducible f never has, so it is sought first (and q_max meets
-    the cap before c is looked at); REDUCIBLE comes with an integer root
-    (monic integer polynomials have integer rational roots) or c = 0.  No
+    which a reducible f, whose monic factors stay factors mod every q,
+    never has, so it is sought first (and q_max meets the cap before c is
+    looked at); REDUCIBLE comes with an integer root (monic integer
+    polynomials have integer rational roots), which c = 0 always has.  No
     heuristic ever upgrades UNKNOWN.
     """
-    if certifying_prime(d, c, q_max=q_max, sieve_cap=sieve_cap) is not None:
+    check_degree(d)
+    if not _uncertified(d, [c], stats.prime_sieve(q_max, sieve_cap=sieve_cap), DEFAULT_EXP_CAP, sieve_cap):
         return IrreducibilityStatus.IRREDUCIBLE
-    if c == 0 or integral_fixed_points(d, c):
+    if integral_fixed_points(d, c):
         return IrreducibilityStatus.REDUCIBLE
     return IrreducibilityStatus.UNKNOWN
 
@@ -213,34 +221,20 @@ def count_by_disc(
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
-    The candidates are filtered prime by prime: for each q <= q_max in
-    ascending order, the c still pending lose those that q certifies.  While
-    at least q are pending, count_profile over F_q counts the roots of
-    x^d - x + r, the fixed points of z^d + r, for every r: a residue with a
-    root is not certified, one without is for d <= 3 and goes to
-    _irreducible_mod_q for d >= 4.  So the batch asks a subset of the
-    certificates that irreducibility_status asks of each c, and reaches its
-    verdicts.  A c left over is REDUCIBLE when c = 0 or it has an integer
-    root, and UNKNOWN otherwise.  bound_ok records
-    whether count <= constant * X^(d/(2d-2)), compared exactly; the
-    exponent is also reported exactly as a Fraction.  A d above exp_cap,
-    and a q_max or a candidate count above sieve_cap, is refused before any
-    candidate is examined; sieve_cap also caps the root tables.
+    The candidates go through _uncertified, irreducibility_status's filter,
+    over the primes q <= q_max; a c left over is UNKNOWN unless it has an
+    integer root.  bound_ok records whether count <= constant *
+    X^(d/(2d-2)), compared exactly; the exponent is also reported exactly
+    as a Fraction.  A d above exp_cap, and a q_max or a candidate count
+    above sieve_cap, is refused before any candidate is examined; sieve_cap
+    also caps the root tables.
     """
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
     candidates = bounded_trinomials(d, X, sieve_cap=sieve_cap)
-    pending = candidates
-    for q in stats.prime_sieve(q_max, sieve_cap=sieve_cap):
-        if not pending:
-            break
-        if q > len(pending):  # a table costs q, the certificates at most len(pending)
-            pending = [c for c in pending if not _irreducible_mod_q(d, c % q, q)]
-            continue
-        roots = dynamics.count_profile(ff.standard_field(q, 1), d, field_cap=sieve_cap, exp_cap=exp_cap)
-        pending = [c for c in pending if roots[c % q] or d > 3 and not _irreducible_mod_q(d, c % q, q)]
+    pending = _uncertified(d, candidates, stats.prime_sieve(q_max, sieve_cap=sieve_cap), exp_cap, sieve_cap)
     count = len(candidates) - len(pending)
-    unknown = sum(1 for c in pending if c != 0 and not integral_fixed_points(d, c))
+    unknown = sum(1 for c in pending if not integral_fixed_points(d, c))
     return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
 
 

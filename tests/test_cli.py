@@ -13,6 +13,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 from fractions import Fraction
@@ -1337,6 +1338,21 @@ class TestNf:
         assert lines[1] == "3,0,4,0.000000,REDUCIBLE,false"
         assert lines[2] == "3,1,-23,1.000000,IRREDUCIBLE,true"
         assert lines[3] == "3,2,-104,1.259921,IRREDUCIBLE,false"
+
+    @pytest.mark.parametrize("d, X, count, unknown, candidates", [
+        (3, 10**6, 376, 0, 385), (4, 10**9, 308, 1, 315), (5, 10**12, 262, 2, 267),
+    ])
+    def test_c_range_rows_tally_to_the_disc_count(self, capsys, d, X, count, unknown, candidates):
+        # every c with |disc| < X has |c| <= 200 at these (d, X)
+        code, out, _ = run(capsys, ["nf", "--d", str(d), "--c-range=-200:200"])
+        assert code == 0
+        tally = Counter(row["irreducibility"] for row in json.loads(out) if abs(row["disc"]) < X)
+        assert sum(tally.values()) == candidates
+        assert (tally["IRREDUCIBLE"], tally["UNKNOWN"]) == (count, unknown)
+        code, out, _ = run(capsys, ["nf", "--d", str(d), "--X", str(X)])
+        assert code == 0
+        row = json.loads(out)
+        assert (row["count"], row["unknown"]) == (count, unknown)
 
     def test_readme_negative_c_range(self, capsys):
         code, out, err = run(capsys, ["nf", "--d", "3", "--c-range", "-5:5"])

@@ -7,6 +7,7 @@ re-proved here by brute force: integer roots are plugged back in, and mod-q
 certificates are checked against exhaustive trial division over F_q.
 """
 
+import functools
 import itertools
 import math
 import sys
@@ -43,6 +44,9 @@ def poly_mod_q_has_factor(d, c, q, k):
 
 def brute_irreducible_mod_q(d, c, q):
     return not any(poly_mod_q_has_factor(d, c, q, k) for k in range(1, d // 2 + 1))
+
+
+brute_residue = functools.lru_cache(maxsize=None)(brute_irreducible_mod_q)  # by (d, c mod q, q)
 
 
 class TestDiscriminant:
@@ -91,26 +95,30 @@ class TestIrreducibility:
         # x^3 - x + 4 factors mod 2, so a 2-only search cannot decide
         assert nfcount.irreducibility_status(3, 4, q_max=2) is IrreducibilityStatus.UNKNOWN
         assert nfcount.irreducibility_status(3, 4) is IrreducibilityStatus.IRREDUCIBLE
-        assert nfcount.certifying_prime(3, 4) == 3
+        assert not brute_irreducible_mod_q(3, 4, 2) and brute_irreducible_mod_q(3, 4, 3)
 
     def test_reducible_has_integer_root(self):
         from fixcensus.dynamics import integral_fixed_points
 
-        for d in (2, 3, 4, 5):
-            for c in range(-20, 21):
-                if nfcount.irreducibility_status(d, c) is IrreducibilityStatus.REDUCIBLE:
-                    roots = integral_fixed_points(d, c)
-                    assert c == 0 or roots
-                    for z in roots:
-                        assert z**d - z + c == 0
+        # c = 0 has the roots 0 and 1 at every degree, so it is REDUCIBLE
+        cases = [(d, c) for d in (2, 3, 4, 5) for c in range(-20, 21)] + [(d, 0) for d in range(6, 13)]
+        for d, c in cases:
+            status = nfcount.irreducibility_status(d, c)
+            if c == 0:
+                assert status is IrreducibilityStatus.REDUCIBLE
+                assert {0, 1} <= integral_fixed_points(d, c)
+            if status is IrreducibilityStatus.REDUCIBLE:
+                roots = integral_fixed_points(d, c)
+                assert roots
+                for z in roots:
+                    assert z**d - z + c == 0
 
-    def test_certifying_prime_recheck(self):
+    def test_irreducible_recheck(self):
         # independent exhaustive factor search over F_q confirms each certificate
         for d in (2, 3, 4):
             for c in range(-8, 9):
-                q = nfcount.certifying_prime(d, c, q_max=7)
-                if q is not None:
-                    assert brute_irreducible_mod_q(d, c, q)
+                if nfcount.irreducibility_status(d, c, q_max=7) is IrreducibilityStatus.IRREDUCIBLE:
+                    assert any(brute_irreducible_mod_q(d, c, q) for q in (2, 3, 5, 7))
 
     def test_internal_mod_q_test_matches_brute_force(self):
         for d in (2, 3, 4):
@@ -121,8 +129,9 @@ class TestIrreducibility:
                     ), (d, c, q)
 
     def test_no_certificate_for_reducible(self):
-        assert nfcount.certifying_prime(3, 0) is None
-        assert nfcount.certifying_prime(3, 6) is None
+        primes = stats.prime_sieve(nfcount.DEFAULT_Q_MAX)
+        assert nfcount._uncertified(3, [0, 6], primes, dynamics.DEFAULT_EXP_CAP, stats.DEFAULT_SIEVE_CAP) == [0, 6]
+        assert not any(brute_irreducible_mod_q(3, c, q) for c in (0, 6) for q in primes)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -143,18 +152,33 @@ class TestIrreducibility:
         primes = [q for q in range(2, nfcount.DEFAULT_Q_MAX + 1) if all(q % k for k in range(2, q))]
         assert nfcount._irreducible_mod_q.cache_info().misses <= sum(primes)
 
-    def test_status_and_certifying_prime_agree(self):
+    def test_status_agrees_with_brute_force(self):
         for d in (2, 3, 4, 5):
             for c in range(-40, 41):
-                q = nfcount.certifying_prime(d, c, q_max=11)
                 status = nfcount.irreducibility_status(d, c, q_max=11)
-                if status is IrreducibilityStatus.IRREDUCIBLE:
-                    assert q is not None
-                    assert not any(
-                        brute_irreducible_mod_q(d, c, r) for r in (2, 3, 5, 7, 11) if r < q
-                    )
-                else:
-                    assert q is None
+                certified = any(brute_irreducible_mod_q(d, c, q) for q in (2, 3, 5, 7, 11))
+                assert (status is IrreducibilityStatus.IRREDUCIBLE) == certified, (d, c)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 5), st.integers(-1000, 999), st.integers(30, 60))
+    def test_filter_equals_brute_force(self, d, lo, n):
+        # primes to 13 over 30 to 60 c: the first q build root tables, and
+        # once fewer than q c are pending, the rest certify per residue
+        cs = list(range(lo, lo + n))
+        primes = stats.prime_sieve(13)
+        tabled, profile = [], dynamics.count_profile
+
+        def spy(fs, degree, **caps):
+            tabled.append(fs.p)
+            return profile(fs, degree, **caps)
+
+        with mock.patch.object(dynamics, "count_profile", spy):
+            got = nfcount._uncertified(d, cs, primes, dynamics.DEFAULT_EXP_CAP, stats.DEFAULT_SIEVE_CAP)
+        irreducible = {(c, q): brute_residue(d, c % q, q) for c in cs for q in primes}
+        assert got == [c for c in cs if not any(irreducible[c, q] for q in primes)]
+        assert 0 < len(tabled) < len(primes) and tabled == list(primes[: len(tabled)])
+        # some c outlasts the tables, so the next prime ran per residue
+        assert any(not any(irreducible[c, q] for q in tabled) for c in cs)
 
 
 class TestBoundedTrinomials:
