@@ -22,8 +22,8 @@ _HOME = {
                     " count_profile gcd_root_count orbit_census classify_residue"
                     " integral_fixed_points integer_root",
         "claims": "Verdict Witness ClaimSpec ClaimReport registry check_all",
-        "stats": "Selector DensityKind AverageRow DensityRow prime_sieve prime_count average_report"
-                 " density_table",
+        "stats": "Selector DensityKind AverageRow DensityRow prime_sieve prime_count prime_counts"
+                 " average_report density_table",
         "nfcount": "IrreducibilityStatus FieldCountRow SquarefreeReport closed_form_disc"
                    " irreducibility_status count_by_disc count_by_height squarefree_disc_fraction",
     }.items()

@@ -13,9 +13,9 @@ first-class answer.
 
 The counts over many c work by residue class.  One filter, _uncertified,
 sorts out the mod-q certificates prime by prime for one c and for many, and
-squarefree_disc_fraction sieves windows of c by the roots of the
-discriminant mod p before trial division takes over; _squarefree_by_trial
-stays the rule for one c, and the sieve gives every c the answer it gives.
+squarefree_disc_fraction sieves windows of c by every prime trial division
+would try, at the discriminant's roots mod p, taken by root extraction;
+_squarefree_by_trial stays the rule for one c and for each cofactor left.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import bisect
 import functools
 import itertools
 import math
-import operator
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -281,9 +280,7 @@ def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFA
 DEFAULT_TRIAL_BOUND = 10**5
 
 
-def _squarefree_by_trial(
-    u: int, trial_bound: int, primes: tuple[int, ...], start: int = 0, rem: int | None = None
-) -> bool | None:
+def _squarefree_by_trial(u: int, trial_bound: int, primes: tuple[int, ...], rem: int | None = None) -> bool | None:
     """True/False when decided by trial division, None when out of reach.
 
     Trial division runs over the primes p <= min(B, u^(1/3)), B the trial
@@ -294,14 +291,12 @@ def _squarefree_by_trial(
     above 1.  As the cofactor is at most u < (u^(1/3) + 1)^3, that bound can
     only fail when u^(1/3) >= B, where m = max(B, 1): so every u < B^3 is
     decided, and a cofactor of at least (max(B, 1) + 1)^3 only when it is a
-    perfect square.  A caller that has divided out primes[:start], none of
-    them twice, passes that cofactor as rem; the cube root, needed only to
-    end the division, is not taken once no prime is left.
+    perfect square.  A caller that has divided out those primes, none of
+    them twice, passes the cofactor as rem, and only that last rule is left.
     """
     if rem is None:
         rem = u
-    if start < len(primes):
-        for p in itertools.islice(primes, start, bisect.bisect_right(primes, integer_root(u, 3))):
+        for p in itertools.islice(primes, bisect.bisect_right(primes, integer_root(u, 3))):
             if rem % p == 0:
                 rem //= p
                 if rem % p == 0:
@@ -310,6 +305,50 @@ def _squarefree_by_trial(
     if not square and rem >= (max(trial_bound, 1) + 1) ** 3:
         return None
     return rem == 1 or not square
+
+
+def _lth_roots(x: int, l: int, p: int) -> list[int]:
+    """The l roots of y^l = x mod p, for a prime l | p - 1 and an l-th power
+    x != 0 (Adleman-Manders-Miller; Tonelli-Shanks when l = 2).
+
+    With l^t || p - 1 = l^t s and c a generator of the l-Sylow subgroup,
+    r = x^(1/l mod s) has r^l / x of order dividing l^(t-1).  Step k reads
+    (r^l / x)^(l^(k-1)) as zeta^j, zeta = c^(l^(t-1)) of order l, and
+    multiplies r by c^(-j l^(t-1-k)); r^l / x then has order dividing l^(k-1).
+    """
+    q = p - 1
+    t = next(t for t in itertools.count(1) if q % l ** (t + 1))
+    c = pow(next(z for z in range(2, p) if pow(z, q // l, p) != 1), q // l**t, p)
+    zeta = pow(c, l ** (t - 1), p)
+    r = pow(x, pow(l, -1, q // l**t), p)
+    for k in range(t - 1, 0, -1):
+        y = pow(pow(r, l, p) * pow(x, -1, p), l ** (k - 1), p)
+        j = next(j for j in range(l) if pow(zeta, j, p) == y)
+        r = r * pow(c, -j * l ** (t - 1 - k), p) % p
+    return [r * pow(zeta, i, p) % p for i in range(l)]
+
+
+def _disc_roots(d: int, p: int) -> list[int]:
+    """The c mod p, ascending, with p | u(c) = A c^e - K, A = d^d, K = (d-1)^(d-1), e = d - 1.
+
+    p | d leaves u = -K, a unit: no root; p | e leaves A c^e: c = 0.
+    Otherwise b = K/A is a unit, g = gcd(e, p - 1), and c^e = b has a root
+    iff b^((p-1)/g) = 1.  Then c^e = b iff c^g = b^s, s e = g mod p - 1,
+    and its g roots come from _lth_roots, one prime l | g at a time: every
+    l-th root of a g-th power is a (g/l)-th power, as g | p - 1.  So a
+    prime costs O(log p) products for a fixed d, and no u(c) is formed.
+    """
+    e, q = d - 1, p - 1
+    if d * e % p == 0:
+        return [0] if e % p == 0 else []
+    b, g = pow(e, e, p) * pow(d, -d, p) % p, math.gcd(e, q)
+    if pow(b, q // g, p) != 1:
+        return []
+    roots = [pow(b, pow(e // g, -1, q // g), p)]
+    while g > 1:
+        l = ff._prime_factors(g)[0]
+        roots, g = [y for x in roots for y in _lth_roots(x, l, p)], g // l
+    return sorted(roots)
 
 
 # The c that _squarefree_verdicts holds at once: its memory, not a setting.
@@ -321,52 +360,31 @@ def _squarefree_verdicts(d: int, limit: int, trial_bound: int, primes: tuple[int
 
     u(c) = A c^(d-1) - K, A = d^d and K = (d-1)^(d-1), increases on c >= 1,
     so the c that trial division tests against p, those with u(c) >= p^3,
-    are those from one start on, found by an integer root.  Whether p
-    divides u(c) depends only on c mod p.  The c are taken in windows of
-    _SQUAREFREE_WINDOW.  In each, the primes are sieved in ascending order
-    while their roots mod p are known: each root is walked as a
+    are those from one start on, found by bisection.  Whether p divides
+    u(c) depends only on c mod p, and _disc_roots gives those residues.
+    The c are taken in windows of _SQUAREFREE_WINDOW, and the roots are
+    taken again in each, so memory does not grow with the limit.  In a
+    window every prime is sieved in ascending order, each root walked as a
     progression, where p^2 | u ends that c and otherwise p leaves the
-    cofactor.  A prime's roots are learned once, from u at p consecutive c,
-    when that costs no more than testing the c it would still be tested on
-    in the window; at the first prime not learned, every c still undecided
-    goes to _squarefree_by_trial from that prime on, with its cofactor, so
-    one rule gives every verdict.
+    cofactor; each cofactor then goes to _squarefree_by_trial with no prime
+    left to divide, so one rule gives every verdict.
     """
     A, K, e = d**d, (d - 1) ** (d - 1), d - 1
-    roots: list[list[int]] = []  # roots[j]: the c mod primes[j] with primes[j] | u(c)
-    starts: list[int] = []  # starts[j]: the least c with u(c) >= primes[j]^3
     for lo in range(1, limit + 1, _SQUAREFREE_WINDOW):
         u = [A * c**e - K for c in range(lo, min(lo + _SQUAREFREE_WINDOW, limit + 1))]
         rem: list[int | None] = u.copy()  # the cofactor, None once a square divides u
-        live, tested = len(u), 0  # live: the c from offset tested on that no square has ended
-        for j, p in enumerate(primes):
-            if j == len(starts):
-                starts.append(integer_root(-(-(p**3 + K) // A) - 1, e) + 1)
-            start = min(max(starts[j] - lo, 0), len(u))  # primes[j:] are tested on the c from here on
-            live -= start - tested - rem[tested:start].count(None)
-            tested = start
-            if tested == len(u) or j == len(roots) and live < p:  # nothing to test, or p not worth learning
+        for p in primes:
+            start = bisect.bisect_left(u, p**3)  # p is tested on the c from here on
+            if start == len(u):
                 break
-            if j == len(roots):
-                roots.append([  # the c mod p with p | u(c), read off p consecutive c
-                    c % p for c in itertools.compress(range(lo, lo + p), map(operator.not_, map(p.__rmod__, u)))
-                ])
-            for r in roots[j]:
-                for i in range(tested + (r - lo - tested) % p, len(u), p):
+            for r in _disc_roots(d, p):
+                for i in range(start + (r - lo - start) % p, len(u), p):
                     v = rem[i]
                     if v is not None:
                         v //= p
-                        if v % p:
-                            rem[i] = v
-                        else:
-                            rem[i] = None
-                            live -= 1
-        else:
-            j, tested = len(primes), len(u)
+                        rem[i] = v if v % p else None
         for i, v in enumerate(rem):
-            yield v is not None and _squarefree_by_trial(
-                u[i], trial_bound, primes, j if i >= tested else len(primes), v
-            )
+            yield v is not None and _squarefree_by_trial(u[i], trial_bound, primes, v)
         del u, rem  # before the next window is built
 
 
@@ -394,7 +412,10 @@ def squarefree_disc_fraction(
     if limit < 1:
         raise ArgumentError(f"limit {limit} must be at least 1")
     stats.check_sieve_cap(limit, sieve_cap, f"c in [1, {limit}]: c count")
-    primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
+    stats.check_sieve_cap(trial_bound, sieve_cap)
+    # the primes to min(B, |disc(limit)|^(1/3)): no c tests a prime past its own cube root
+    top = min(d**d * limit ** (d - 1) - (d - 1) ** (d - 1), max(trial_bound, 0) ** 3)
+    primes = stats.prime_sieve(integer_root(top, 3), sieve_cap=sieve_cap)
     tally = Counter(_squarefree_verdicts(d, limit, trial_bound, primes))
     squarefree, unknown = tally[True], tally[None]
     return SquarefreeReport(

@@ -5,8 +5,9 @@ divisibility: which small primes divide c, c - 1 or c + 1.  The tables here
 make that quantitative at desk scale, summing exact counts over qualifying
 primes (averages) or counting qualifying primes directly (densities).  No
 table enumerates primes where number theory gives the answer: the
-prime-power count has a closed form, prime_count gives pi(x) without a
-prime list, and the dividing primes are the prime factors of one integer.
+prime-power count has a closed form, prime_counts gives pi(x) for every
+bound of a table, from one pass and without a prime list, and the dividing
+primes are the prime factors of one integer.
 Everything is exact rational arithmetic via Fraction; floats appear only
 when a renderer formats a ratio.
 
@@ -37,6 +38,7 @@ __all__ = [
     "DensityRow",
     "prime_sieve",
     "prime_count",
+    "prime_counts",
     "average_report",
     "density_table",
 ]
@@ -129,16 +131,15 @@ def _sieve(limit: int) -> tuple[int, ...]:
     return (2, *itertools.compress(range(1, limit + 1, 2), mark))
 
 
-def prime_count(x: int) -> int:
-    """pi(x), the number of primes <= x, exactly and without a prime list.
+def _lucy(x: int) -> tuple[list[int], list[int]]:
+    """pi(v) for every v <= sqrt(x) (small[v]) and every v = x // k,
+    k <= sqrt(x) (large[k]), for x >= 2, from one pass.
 
     Lucy's recursion keeps S(v), the count of integers in [2, v] that no
     prime below the current p divides, for the O(sqrt x) values v = x // k,
     and removes the multiples of each prime p <= sqrt x in turn:
     S(v) -= S(v // p) - S(p - 1) for every v >= p^2.  O(x^(3/4)) steps.
     """
-    if x < 2:
-        return 0
     r = math.isqrt(x)
     small = [v - 1 for v in range(r + 1)]  # small[v] = S(v) for v <= r
     large = [0] + [x // k - 1 for k in range(1, r + 1)]  # large[k] = S(x // k)
@@ -152,12 +153,32 @@ def prime_count(x: int) -> int:
             large[k] -= (large[kp] if kp <= r else small[x // kp]) - below
         for v in range(r, p2 - 1, -1):
             small[v] -= small[v // p] - below
-    return large[1]
+    return small, large
 
 
-def _primes_between(floor: int, bound: int) -> int:
-    """The number of primes in [floor, bound]."""
-    return prime_count(bound) - prime_count(floor - 1) if bound >= floor else 0
+def prime_counts(bounds: Iterable[int]) -> dict[int, int]:
+    """pi(x) for each x of bounds, exactly and without a prime list.
+
+    A _lucy pass at x answers every bound at most sqrt(x) and every bound
+    x // k, so one pass runs at the largest bound not yet answered and
+    answers every bound it covers: 10^6, 2 * 10^6 and 4 * 10^6 take one.
+    """
+    bounds = set(bounds)
+    counts = {x: 0 for x in bounds if x < 2}
+    for x in sorted(bounds - counts.keys(), reverse=True):
+        if x not in counts:
+            small, large = _lucy(x)
+            for v in bounds - counts.keys():
+                if v < len(small):
+                    counts[v] = small[v]
+                elif x // (x // v) == v:
+                    counts[v] = large[x // v]
+    return counts
+
+
+def prime_count(x: int) -> int:
+    """pi(x), the number of primes <= x, by one _lucy pass."""
+    return prime_counts([x])[x]
 
 
 def _prime_power_count(p: int, n: int, ell: int, c: int) -> int:
@@ -200,7 +221,7 @@ def average_report(
     sum and the prime count are kept separate so the ratio stays an exact
     rational; an empty qualifying set yields denominator 0 and no ratio
     rather than an error.  The qualifying primes are the prime factors of
-    the selector's target; for p!|c they are counted by prime_count, and
+    the selector's target; for p!|c they are counted by prime_counts, and
     listed only where a count can be nonzero (prime-power) or is scanned
     (pminus1).
     """
@@ -212,6 +233,7 @@ def average_report(
     targets = [(c, c + _SHIFT.get(selector, 0)) for c in c_list]
     check_sieve_cap(max([0] + [t for _, t in targets]), sieve_cap)
     g = math.gcd(n, ell)
+    pi = prime_counts([floor - 1, *(c for c, _ in targets)]) if selector is Selector.NOT_DIVIDES_C else {}
 
     def count(p: int, c: int) -> int:
         if family is Family.PRIME_POWER:
@@ -225,7 +247,7 @@ def average_report(
             qual = _prime_factors(target, floor)
             denominator = len(qual)
         else:
-            denominator = _primes_between(floor, c) - len(_prime_factors(c, floor))
+            denominator = max(pi[c] - pi[floor - 1], 0) - len(_prime_factors(c, floor))
             if family is Family.PRIME_POWER:  # p does not divide c, so the count needs p | n/g
                 qual = [p for p in _prime_factors(n // g, floor) if p <= c and c % p]
             else:
@@ -256,16 +278,17 @@ def density_table(
     numerator counts primes p in [floor, c] satisfying the kind's
     divisibility condition; denominator counts all primes in [floor, c].
     The counts depend on divisibility in the integers alone: the
-    denominator comes from prime_count, the dividing primes are the prime
+    denominator comes from prime_counts, the dividing primes are the prime
     factors of the shifted target.  The sieve cap still bounds c.
     """
     family, selector = _KIND_RULES[kind]
     floor = _FLOOR[family]
     c_list = list(c_list)
     check_sieve_cap(max([0] + c_list), sieve_cap)
+    pi = prime_counts([floor - 1, *c_list])
     rows = []
     for c in c_list:
-        denominator = _primes_between(floor, c)
+        denominator = max(pi[c] - pi[floor - 1], 0)
         target = c + _SHIFT.get(selector, 0)
         dividing = sum(1 for p in _prime_factors(target, floor) if p <= c)
         numerator = denominator - dividing if selector is Selector.NOT_DIVIDES_C else dividing

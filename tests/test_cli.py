@@ -894,9 +894,10 @@ def test_integer_side_sizes_meet_one_cap(capsys, monkeypatch, above, message, at
         raise AssertionError("work began before the cap check")
 
     for module, name in [
-        (stats, "_sieve"), (stats, "prime_count"), (stats, "_prime_factors"), (stats, "standard_field"),
+        (stats, "_sieve"), (stats, "prime_count"), (stats, "prime_counts"), (stats, "_lucy"),
+        (stats, "_prime_factors"), (stats, "standard_field"),
         (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
-        (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"),
+        (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"), (nfcount, "_disc_roots"),
     ]:
         monkeypatch.setattr(module, name, no_work)
     assert run(capsys, above) == (2, "", f"error: {message}\n")
@@ -927,7 +928,7 @@ def test_map_degrees_meet_one_exponent_cap(capsys, monkeypatch, argv, d):
     for module, name in [
         (cli, "standard_field"), (stats, "standard_field"), (dynamics, "count_profile"), (stats, "prime_sieve"),
         (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
-        (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"),
+        (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"), (nfcount, "_disc_roots"),
     ]:
         monkeypatch.setattr(module, name, no_work)
     assert run(capsys, [*argv, "--exp-cap", str(d - 1)]) == (

@@ -480,8 +480,11 @@ class TestSquarefree:
         st.sampled_from([1, 2, 5, 64, 1 << 14]),
     )
     @example(3, 300, 2, 64)  # UNKNOWN verdicts, past one window
-    @example(4, 300, 1000, 5)  # primes handed to trial division, in many windows
-    @example(6, 200, 50, 1 << 14)  # the trial tail at one window
+    @example(4, 300, 1000, 5)  # many windows of five c
+    @example(6, 200, 50, 1 << 14)  # one window, the primes cut at the trial bound
+    @example(4, 300, 2000, 64)  # roots of c^3 = K/A: gcd(3, p - 1) is 1 or 3
+    @example(5, 300, 1000, 128)  # gcd(4, p - 1) is 2 or 4: a root of a root
+    @example(6, 250, 2000, 100)  # gcd(5, p - 1) is 1 or 5
     def test_equals_the_per_c_trial_tally(self, d, limit, trial_bound, window):
         primes = stats.prime_sieve(trial_bound)
         verdicts = Counter(
@@ -500,6 +503,15 @@ class TestSquarefree:
             for c in range(1, limit + 1)
         ]
         assert list(nfcount._squarefree_verdicts(3, limit, nfcount.DEFAULT_TRIAL_BOUND, primes)) == verdicts
+
+    def test_disc_roots_equal_brute_force(self):
+        # the grid holds p = 2, p | d (no root), p | d - 1 (the root 0) and
+        # composite g = gcd(d - 1, p - 1) at d - 1 = 4, 6, 8 and 9
+        for d in range(2, 11):
+            A, K = d**d, (d - 1) ** (d - 1)
+            for p in stats.prime_sieve(400):
+                want = [c for c in range(p) if (A * c ** (d - 1) - K) % p == 0]
+                assert nfcount._disc_roots(d, p) == want, (d, p)
 
     def test_memory_is_bounded_by_the_window(self, monkeypatch):
         # a sieve over the whole range would hold every c at once

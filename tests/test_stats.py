@@ -334,6 +334,31 @@ class TestClosedForms:
     def test_prime_count_matches_sieve(self, x):
         assert stats.prime_count(x) == len(stats.prime_sieve(x))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 10**6).flatmap(
+            lambda x: st.lists(
+                st.one_of(st.just(x), st.integers(1, 2000).map(lambda k: x // k), st.integers(-3, x)), max_size=4
+            ).map(lambda rest: [x, *rest])
+        )
+    )
+    def test_prime_counts_equal_one_count_at_a_time(self, bounds):
+        # duplicates, bounds below 2, and bounds in and out of the largest
+        # bound's quotient set x // k, each answered as prime_count alone
+        counts = stats.prime_counts(bounds)
+        assert counts == {x: stats.prime_count(x) for x in bounds}
+
+    def test_prime_counts_read_quotients_off_one_pass(self, monkeypatch):
+        passes = []
+        lucy = stats._lucy
+        monkeypatch.setattr(stats, "_lucy", lambda x: passes.append(x) or lucy(x))
+        assert stats.prime_counts([10**6, 2 * 10**6, 4 * 10**6, 4, 1]) == {
+            10**6: 78498, 2 * 10**6: 148933, 4 * 10**6: 283146, 4: 2, 1: 0
+        }
+        assert passes == [4 * 10**6]
+        stats.prime_counts([1000, 999])  # 999 is no 1000 // k and above sqrt(1000)
+        assert passes == [4 * 10**6, 1000, 999]
+
     @settings(max_examples=100, deadline=None)
     @given(st.sampled_from(list(DensityKind)), st.lists(st.integers(-10, 5000), max_size=6))
     def test_density_rows_match_sieve_walk(self, kind, c_list):
