@@ -5,9 +5,10 @@ F_{p^n} from the residue class of c alone, for one family of degrees and
 one slice of (p, n, ell).  The checker takes a claim at face value and
 judges every residue of the field against the prediction, read from one
 count_profile per family and grid point (the linear engine for d = p^ell,
-a scan otherwise): a mismatch is data, reported as a witness, never
-repaired.  Claims whose statements rest on an auxiliary hypothesis are
-flagged conditional, and their failures are expected output, not bugs.
+a scan otherwise), and the claims of one family share one judgement: a
+mismatch is data, reported as a witness, never repaired.  Claims whose
+statements rest on an auxiliary hypothesis are flagged conditional, and
+their failures are expected output, not bugs.
 
 Residues outside a claim's stated classes are never judged; their observed
 counts are reported separately as informational material.
@@ -109,10 +110,14 @@ class ClaimSpec(NamedTuple):
         """The predicted count for a census label (see classify_residue),
         or None when the claim does not judge that label; the class
         "nonzero" covers every label but "0"."""
-        for key, count in self.predictions:
-            if key == label or (key == "nonzero" and label != "0"):
-                return count
-        return None
+        return _expected(self.predictions, label)
+
+
+def _expected(predictions: tuple[tuple[str, int], ...], label: str) -> int | None:
+    for key, count in predictions:
+        if key == label or (key == "nonzero" and label != "0"):
+            return count
+    return None
 
 
 class ClaimReport(NamedTuple):
@@ -245,11 +250,30 @@ def registry() -> list[ClaimSpec]:
 
 
 @functools.lru_cache(maxsize=1)
-def _profile(fs: ff.FieldSpec, d: int, field_cap: int, exp_cap: int) -> tuple[int, ...]:
-    """count_profile(fs, d) under the caller's caps, kept for the next claim
-    of the same family at the same grid point; a tuple, since every caller
-    shares it."""
-    return tuple(dynamics.count_profile(fs, d, field_cap=field_cap, exp_cap=exp_cap))
+def _judge(
+    fs: ff.FieldSpec, d: int, predictions: tuple[tuple[str, int], ...], field_cap: int, exp_cap: int
+) -> tuple[tuple[Witness, ...], tuple[tuple[int, int], ...]]:
+    """The witnesses and the unjudged histogram of predictions against
+    count_profile(fs, d) under the caller's caps.  It is kept for the next
+    claim with the same predictions at the same grid point, so C-2.1 to
+    C-2.3 share one judgement and C-3.1 to C-3.3 another.  Residues are
+    labelled by enumeration index; an element is built only for a witness."""
+    p = fs.p
+    profile = dynamics.count_profile(fs, d, field_cap=field_cap, exp_cap=exp_cap)
+    other = _expected(predictions, "other")
+    # the labels 0, 1 and -1 sit at indexes 0, 1 and p - 1, and the runs
+    # between and after them are "other": each run is judged in bulk
+    runs = {(i, i + 1): _expected(predictions, dynamics.classify_residue(p, i)) for i in (0, 1, p - 1)}
+    runs |= {(2, p - 1): other, (p, len(profile)): other}
+    witnesses, unjudged = [], Counter()
+    for (lo, hi), predicted in sorted(runs.items()):
+        counts = islice(profile, lo, hi)
+        if predicted is None:
+            unjudged.update(counts)
+        else:
+            misses = compress(range(lo, hi), map(predicted.__ne__, counts))
+            witnesses += [Witness(fs.element_at(i), predicted, profile[i]) for i in misses]
+    return tuple(witnesses), tuple(sorted(unjudged.items()))
 
 
 def check_point(
@@ -263,9 +287,8 @@ def check_point(
 ) -> PointResult:
     """Evaluate one claim at one grid point, judging every residue.
 
-    Residues are labelled by enumeration index; an element is built only
-    for a witness.  A point past a cap is SKIPPED, with the refusal of
-    dynamics.capped_degree as its note."""
+    A point past a cap is SKIPPED, with the refusal of dynamics.capped_degree
+    as its note."""
     if not ff.is_prime(p):
         raise ArgumentError(f"grid point has non-prime p = {p}")
     if n < 1 or ell < 1:
@@ -276,23 +299,8 @@ def check_point(
         d = dynamics.capped_degree(p, n, claim.family, ell, field_cap=field_cap, exp_cap=exp_cap)
     except CapError as exc:
         return PointResult(p, n, ell, Verdict.SKIPPED, note=str(exc))
-    fs = ff.standard_field(p, n)
-    profile = _profile(fs, d, field_cap, exp_cap)
-    other = claim.expected("other")
-    # the labels 0, 1 and -1 sit at indexes 0, 1 and p - 1, and the runs
-    # between and after them are "other": each run is judged in bulk
-    runs = {(i, i + 1): claim.expected(dynamics.classify_residue(p, i)) for i in (0, 1, p - 1)}
-    runs |= {(2, p - 1): other, (p, len(profile)): other}
-    witnesses, unjudged = [], Counter()
-    for (lo, hi), predicted in sorted(runs.items()):
-        counts = islice(profile, lo, hi)
-        if predicted is None:
-            unjudged.update(counts)
-        else:
-            misses = compress(range(lo, hi), map(predicted.__ne__, counts))
-            witnesses += [Witness(fs.element_at(i), predicted, profile[i]) for i in misses]
-    status = Verdict.FAILS if witnesses else Verdict.HOLDS
-    return PointResult(p, n, ell, status, tuple(witnesses), tuple(sorted(unjudged.items())))
+    witnesses, unjudged = _judge(ff.standard_field(p, n), d, claim.predictions, field_cap, exp_cap)
+    return PointResult(p, n, ell, Verdict.FAILS if witnesses else Verdict.HOLDS, witnesses, unjudged)
 
 
 def check_all(

@@ -13,7 +13,7 @@ C encode_basestring_ascii.  A destination that cannot be opened is a
 usage error that leaves no output anywhere.
 
 A command imports only what it runs, in the functions that use it (csv
-and json too, only to write or read their format), and looks library
+to write its format, json only to read a file), and looks library
 functions up on their modules at call time, where bench/tracer.py wraps
 them; only the command named gets parser arguments.
 """
@@ -133,9 +133,11 @@ def _json(value) -> str:
     through the C encode_basestring_ascii and every int through
     int.__repr__: a dict writes its str and int values in its own loop, and
     a list of only ints is one join.  A value json cannot encode raises
-    TypeError, as json.dumps does.
+    TypeError, as json.dumps does.  The escaper is taken from _json, the C
+    module that json.encoder re-exports it from, so the json package is
+    never loaded.
     """
-    from json.encoder import encode_basestring_ascii as quote
+    from _json import encode_basestring_ascii as quote
 
     chunks: list[str] = []
     put = chunks.append

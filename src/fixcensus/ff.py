@@ -276,14 +276,28 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
     Candidates t^n + a_(n-1) t^(n-1) + ... + a_0 are ordered by the tuple
     (a_(n-1), ..., a_0) and the first one passing the gcd certificate wins,
-    so the result is canonical for each (p, n).
+    so the result is canonical for each (p, n).  At n >= 2 a candidate with
+    a root in F_p is reducible and is skipped before its certificate: the p
+    candidates of one block share h = t^n + ... + a_1 t, and h + a_0 has a
+    root exactly when -a_0 is a value of h, so one pass over F_p screens
+    the block.
     """
     check_field(p, n)
-    for high in itertools.product(range(p), repeat=n):
-        cand = tuple(reversed(high)) + (1,)
-        if certify_irreducible(p, cand):
-            return cand
+    for high in itertools.product(range(p), repeat=n - 1):
+        tail = tuple(reversed(high)) + (1,)  # a_1, ..., a_(n-1), 1
+        rooted = {-x * _horner(tail, x, p) % p for x in range(p)} if n >= 2 else set()
+        for a0 in range(p):
+            if a0 not in rooted and certify_irreducible(p, cand := (a0, *tail)):
+                return cand
     raise RuntimeError("unreachable: irreducibles of every degree exist")
+
+
+def _horner(cs: Sequence[int], x: int, p: int) -> int:
+    """The polynomial cs (lowest degree first) at x, mod p."""
+    v = 0
+    for a in reversed(cs):
+        v = (v * x + a) % p
+    return v
 
 
 class FieldSpec(_Value):
@@ -513,6 +527,43 @@ class _PrimeOps(FieldOps):
         return ((a * pow(z, d, p) + c * z**e) % p for z in range(p))
 
 
+def _norm(g: Sequence[int], m: Sequence[int], p: int) -> int:
+    """N(g) = Res(m, g) mod p for a monic modulus m and a g of lower degree
+    prime to it: the product of g at the roots of m, by Euclid's remainders,
+    as Res(a, b) = (-1)^(deg a deg b) lc(b)^(deg a - deg r) Res(b, r) for
+    r = a mod b, and Res(a, b) = b^(deg a) for a constant b."""
+    norm, a, b = 1, m, _trim(g)
+    while len(b) > 1:
+        r = _pmod(a, b, p)
+        if (len(a) - 1) * (len(b) - 1) % 2:
+            norm = -norm
+        norm = norm * pow(b[-1], len(a) - len(r), p) % p
+        a, b = b, r
+    return norm * pow(b[0], len(a) - 1, p) % p
+
+
+def _primitive_element(fs: FieldSpec) -> tuple[int, ...]:
+    """The smallest-index generator g of F_q^*, n >= 2, as a trimmed tuple.
+
+    g generates iff g^((q - 1)/r) != 1 for every prime r | q - 1.  For
+    r | p - 1 that power is N(g)^((p - 1)/r) with N(g) = g^((q - 1)/(p - 1))
+    the norm to F_p (Lidl & Niederreiter, 2.3): one int pow after one norm
+    per candidate, and only the r that do not divide p - 1 take a power in
+    F_q.  The search starts at index p: the constants below it have orders
+    dividing p - 1 < q - 1.
+    """
+    p, m, order = fs.p, fs.modulus, fs.order - 1
+    primes = _prime_factors(order)
+    by_norm = [(p - 1) // r for r in primes if (p - 1) % r == 0]
+    in_field = [order // r for r in primes if (p - 1) % r]
+
+    def generates(g: tuple[int, ...]) -> bool:
+        norm = _norm(g, m, p)
+        return all(pow(norm, e, p) != 1 for e in by_norm) and all(_ppowmod(g, e, m, p) != (1,) for e in in_field)
+
+    return next(filter(generates, (_trim(fs.element_at(i).coeffs) for i in range(p, fs.order))))
+
+
 class _LogOps(FieldOps):
     """Discrete-log and Zech tables (K. Huber, IEEE Trans. Inf. Theory 36, 1990).
 
@@ -531,12 +582,7 @@ class _LogOps(FieldOps):
         super().__init__(fs)
         p, n, q, m = self.p, self.n, self.q, fs.modulus
         self.order = order = q - 1
-        # g generates F_q^* iff g^(order/r) != 1 for every prime r | order.
-        # The search starts at index p: n >= 2 here, and the constants below
-        # it have orders dividing p - 1 < q - 1.
-        primes = _prime_factors(order)
-        g = next(g for g in (_trim(fs.element_at(i).coeffs) for i in range(p, q))
-                 if all(_ppowmod(g, order // r, m, p) != (1,) for r in primes))
+        g = _primitive_element(fs)
         base, cut = 2 * p - 1, n // 2
         columns = [(_pmod((0,) * j + g, m, p) + (0,) * n)[:n] for j in range(n)]  # g*t^j
 

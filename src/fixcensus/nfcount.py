@@ -438,8 +438,12 @@ def trinomial_row(
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
     _check_c(d, c)
-    primes = stats.prime_sieve(trial_bound, sieve_cap=sieve_cap)
+    stats.check_sieve_cap(trial_bound, sieve_cap)
     disc = closed_form_disc(d, c)
+    # trial division stops at |disc|^(1/3); the sieve stops at the power of
+    # two above it, so the rows of one c range share one cached sieve
+    top = 1 << (integer_root(abs(disc), 3) - 1).bit_length()
+    primes = stats.prime_sieve(min(trial_bound, top), sieve_cap=sieve_cap)
     status = irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap)
     sf = _squarefree_by_trial(abs(disc), trial_bound, primes)
     return {

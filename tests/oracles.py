@@ -5,9 +5,35 @@ builds the full Sylvester matrix of (f, f') for f = x^d - x + c and takes
 its determinant by fraction-free Bareiss elimination, sharing no code with
 the two-term closed form.  It lives with the tests, not in the package,
 because no command computes a discriminant this way.
+
+unscreened_modulus and unscreened_generator are the searches of
+ff.find_irreducible and the log engine's primitive element without their
+screens: every candidate takes the full certificate, and every prime
+r | q - 1 a power in F_q.
 """
 
+import itertools
+
 from fixcensus.dynamics import check_degree
+from fixcensus.ff import FieldSpec, _ppowmod, _prime_factors, _trim, certify_irreducible
+
+
+def unscreened_modulus(p: int, n: int) -> tuple[int, ...]:
+    """The lex-least monic irreducible of degree n over F_p, by certifying
+    every candidate in order."""
+    for high in itertools.product(range(p), repeat=n):
+        cand = tuple(reversed(high)) + (1,)
+        if certify_irreducible(p, cand):
+            return cand
+    raise AssertionError("irreducibles of every degree exist")
+
+
+def unscreened_generator(fs: FieldSpec) -> tuple[int, ...]:
+    """The smallest-index generator of F_q^* (n >= 2), trimmed: the first g
+    from index p with g^((q - 1)/r) != 1 for every prime r | q - 1."""
+    order = fs.order - 1
+    return next(g for g in (_trim(fs.element_at(i).coeffs) for i in range(fs.p, fs.order))
+                if all(_ppowmod(g, order // r, fs.modulus, fs.p) != (1,) for r in _prime_factors(order)))
 
 
 def _det_bareiss(m: list[list[int]]) -> int:

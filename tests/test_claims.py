@@ -177,6 +177,7 @@ class TestCheckPoint:
         for cid, pt in points:
             ff.field_ops(ff.standard_field(*pt[:2]))  # the log-table build decodes elements
             decoded.clear()
+            claims._judge.cache_clear()
             res = claims.check_point(BY_ID[cid], *pt)
             assert res.witnesses
             assert len(decoded) == len(res.witnesses)
@@ -255,13 +256,53 @@ class TestScanSharing:
             return real(fs, d, **caps)
 
         monkeypatch.setattr(dynamics, "count_profile", counting)
-        claims._profile.cache_clear()
+        claims._judge.cache_clear()
         reports = claims.check_all(self.GRID)
         assert len(scans) == len(set(scans)) == 42
         # point-first walking keeps registry order and grid order
         assert [r.claim for r in reports] == list(claims.registry())
         for spec, report in zip(claims.registry(), reports):
             assert report.points == tuple(claims.check_point(spec, *point) for point in self.GRID)
+
+    def test_claims_of_one_family_share_one_judgement(self):
+        reports = claims.check_all(self.GRID)
+        shared = 0
+        for k, point in enumerate(self.GRID):
+            for family in (Family.PRIME_POWER, Family.P_MINUS_ONE):
+                judged = [r.points[k] for r in reports
+                          if r.claim.family is family and r.points[k].status in (Verdict.HOLDS, Verdict.FAILS)]
+                for pt in judged[1:]:
+                    assert pt.witnesses is judged[0].witnesses, (point, family)
+                    assert pt.unspecified_counts == judged[0].unspecified_counts
+                    shared += 1
+        assert shared == 18
+
+    def test_each_witness_is_decoded_once_per_point_and_family(self, monkeypatch):
+        decoded, scanning = [], []
+        real_at, real_profile = ff.FieldSpec.element_at, dynamics.count_profile
+
+        def element_at(fs, index):
+            if not scanning:  # the log-table build decodes elements of its own
+                decoded.append(index)
+            return real_at(fs, index)
+
+        def count_profile(fs, d, **caps):
+            scanning.append(d)
+            try:
+                return real_profile(fs, d, **caps)
+            finally:
+                scanning.pop()
+
+        monkeypatch.setattr(ff.FieldSpec, "element_at", element_at)
+        monkeypatch.setattr(dynamics, "count_profile", count_profile)
+        claims._judge.cache_clear()
+        reports = claims.check_all(self.GRID)
+        per_claim = [len(r.points[k].witnesses) for r in reports for k in range(len(self.GRID))]
+        per_family = [
+            max(len(r.points[k].witnesses) for r in reports if r.claim.family is family)
+            for k in range(len(self.GRID)) for family in (Family.PRIME_POWER, Family.P_MINUS_ONE)
+        ]
+        assert len(decoded) == sum(per_family) < sum(per_claim)
 
     def test_caps_checked_on_every_point(self):
         spec = BY_ID["C-2.3"]

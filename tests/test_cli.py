@@ -274,6 +274,24 @@ def test_json_output_is_json_dumps_indent_2(value):
     assert cli._output(cli.RunConfig(), "json", [], None, lambda: value) == (None, json.dumps(value, indent=2) + "\n")
 
 
+def test_json_strings_go_through_the_escaper_json_uses(monkeypatch):
+    # cli._json takes the escaper from the C module _json, not from json.encoder,
+    # which loads the whole json package; it must stay the function json.dumps uses
+    import _json
+
+    assert _json.encode_basestring_ascii is json.encoder.encode_basestring_ascii
+    seen = []
+
+    def recording(text):
+        seen.append(text)
+        return json.encoder.encode_basestring_ascii(text)
+
+    monkeypatch.setattr(_json, "encode_basestring_ascii", recording)
+    value = {"k\u00e9": ["v\n", 1], "w": "\ud800"}
+    assert cli._json(value) == json.dumps(value, indent=2)
+    assert seen == ["k\u00e9", "v\n", "w", "\ud800"]
+
+
 @pytest.mark.parametrize(
     "value", [Fraction(1, 2), {1, 2}, object(), [1, Fraction(1, 2)], {"a": {"b": {3}}}, {(1, 2): 3}]
 )
@@ -557,8 +575,9 @@ _UNUSED_BY_SCANS = ["fixcensus.claims", "fixcensus.stats", "fixcensus.nfcount", 
     "argv, unused",
     [
         (["census", "--p", "3", "--n", "2", "--family", "prime-power", "--ell", "1"], _UNUSED_BY_SCANS),
-        (["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "1"], [*_UNUSED_BY_SCANS[:-1], "csv"]),
-        (["claims", "--p", "3", "--n", "1", "--ell", "1"], ["fixcensus.stats", "fixcensus.nfcount", "fractions", "csv"]),
+        (["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "1"], [*_UNUSED_BY_SCANS, "csv"]),
+        (["claims", "--p", "3", "--n", "1", "--ell", "1"],
+         ["fixcensus.stats", "fixcensus.nfcount", "fractions", "csv", "json"]),
         (["avg", "--family", "prime-power", "--selector", "p|c", "--c", "30"],
          ["fixcensus.claims", "fixcensus.nfcount", "json"]),
         (["density", "--kind", "nc3", "--c", "30"], ["fixcensus.claims", "fixcensus.nfcount", "json"]),

@@ -12,10 +12,11 @@ import weakref
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from fixcensus import claims, dynamics, ff, nfcount, stats
 from fixcensus.ff import FFElement, FieldSpec, field_ops
+from oracles import unscreened_generator, unscreened_modulus
 
 # Small fields reused across property tests; mixed characteristics and
 # degrees, all with canonical moduli.
@@ -150,6 +151,44 @@ class TestFindIrreducible:
             ff.find_irreducible(4, 2)
         with pytest.raises(ValueError):
             ff.find_irreducible(3, 0)
+
+
+class TestScreens:
+    """find_irreducible skips candidates with a root in F_p, and the log
+    engine's generator search settles each prime r | p - 1 by the norm;
+    neither changes what is found."""
+
+    @given(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_norm_is_the_power_into_the_prime_field(self, p, n, data):
+        m = ff.find_irreducible(p, n)
+        g = ff._trim(data.draw(st.lists(st.integers(0, p - 1), min_size=n, max_size=n)))
+        assume(g)
+        assert (ff._norm(g, m, p),) == ff._ppowmod(g, (p**n - 1) // (p - 1), m, p)
+
+    def test_norm_screen_keeps_the_generator(self):
+        fields = [(p, n) for p in range(2, 224) if ff.is_prime(p) for n in range(2, 16) if p**n <= 5 * 10**4]
+        assert len(fields) == 84
+        for p, n in fields:
+            fs = FieldSpec(p, n, unscreened_modulus(p, n))
+            assert ff._primitive_element(fs) == unscreened_generator(fs), (p, n)
+
+    def test_root_screen_keeps_the_modulus(self):
+        for p in (2, 3, 5, 7, 11, 13):
+            for n in itertools.takewhile(lambda n: p**n <= 10**5, itertools.count(1)):
+                assert ff.find_irreducible(p, n) == unscreened_modulus(p, n), (p, n)
+
+    def test_prime_fields_are_never_screened(self, monkeypatch):
+        # every t + a_0 has a root, so a screen at n = 1 would refuse them all
+        def screen(*args):
+            raise AssertionError("screened")
+
+        monkeypatch.setattr(ff, "_horner", screen)
+        monkeypatch.setattr(ff, "_primitive_element", screen)
+        for p in (2, 3, 13, 10**9 + 7):
+            assert ff.find_irreducible(p, 1) == (0, 1)
+        fs = FieldSpec(13, 1, (0, 1))
+        assert list(field_ops(fs).images(2, 1, 0, 0)) == [z * z % 13 for z in range(13)]
 
 
 class TestFieldSpec:

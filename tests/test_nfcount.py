@@ -557,6 +557,35 @@ class TestTrinomialRow:
         # 23 < 3^3 has at most two prime factors above 2: decided
         assert nfcount.trinomial_row(3, 1, trial_bound=2)["squarefree"] == "true"
 
+    @given(st.integers(2, 12), st.integers(-(10**6), 10**6), st.integers(0, 3000))
+    @settings(max_examples=200, deadline=None)
+    def test_squarefree_cell_as_from_the_whole_prime_list(self, d, c, bound):
+        # the row sieves only to the power of two above |disc|^(1/3)
+        sf = nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), bound, stats._sieve(bound))
+        cell = "unknown" if sf is None else ("true" if sf else "false")
+        assert nfcount.trinomial_row(d, c, trial_bound=bound)["squarefree"] == cell
+
+    def test_rows_of_a_c_range_share_one_sieve(self, monkeypatch):
+        limits = []
+        real = stats.prime_sieve
+
+        def recording(limit, **caps):
+            limits.append(limit)
+            return real(limit, **caps)
+
+        monkeypatch.setattr(stats, "prime_sieve", recording)
+        for c in range(1000, 1101):
+            nfcount.trinomial_row(3, c)
+        # the certificate primes, and the trial primes to 2^9 > (27 * 1100^2)^(1/3)
+        assert set(limits) == {nfcount.DEFAULT_Q_MAX, 512}
+
+    def test_trial_bound_is_refused_before_any_work(self, monkeypatch):
+        monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(stats, "_sieve", mock.Mock(side_effect=AssertionError))
+        # the row itself would sieve only to 4, the power of two above 23^(1/3)
+        with pytest.raises(stats.SieveCapError, match="^sieve limit 11 exceeds the cap 10$"):
+            nfcount.trinomial_row(3, 1, q_max=5, trial_bound=11, sieve_cap=10)
+
     def test_unwritable_rows_are_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ff.ArgumentError, match="the largest float"):
