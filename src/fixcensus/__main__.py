@@ -1,7 +1,7 @@
 """The one process entry: ``python -m fixcensus`` and the console script call
 ``_exit_run``.  ``run`` freezes what importing ``cli`` loaded (the site
-modules, argparse, cli, dynamics, ff), so the collector's full passes skip it,
-and returns main's code; ``cli.main``, the in-process entry, leaves it alone.
+modules, cli, dynamics, ff), so the collector's full passes skip it, and
+returns main's code; ``cli.main``, the in-process entry, leaves it alone.
 Once run returns, or exits with an int or None code (--help, usage errors),
 the command's files are closed: ``_exit_run`` flushes stdout and stderr and
 skips the interpreter's teardown by os._exit; a fault or failed flush does not."""

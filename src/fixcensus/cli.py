@@ -15,22 +15,29 @@ usage error that leaves no output anywhere.
 A command imports only what it runs, in the functions that use it (csv
 to write its format, json only to read a file), and looks library
 functions up on their modules at call time, where bench/tracer.py wraps
-them; only the command named gets parser arguments.
+them.  Each command's arguments are declared once, in its adder: a plain
+command line (exact long flags with values that pass) is parsed from them
+by _parse_plain, without argparse; any other (help, abbreviations, usage
+errors) goes to argparse, imported then, where only the command named gets
+parser arguments.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import os
 import re
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
 from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, standard_field
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["RunConfig", "main"]
 
@@ -78,7 +85,7 @@ def _load_config(path: str) -> dict:
     return data
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _resolve_config(args: SimpleNamespace) -> RunConfig:
     """Flags over the --config file over the RunConfig defaults."""
     file_values = _load_config(args.config) if args.config else {}
     flags = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES and value is not None}
@@ -268,7 +275,7 @@ def _census_point(
     ]
 
 
-def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_census(args: SimpleNamespace, cfg: RunConfig) -> int:
     p_list = _parse_int_list(args.p, "--p")
     n_list = _parse_int_list(args.n, "--n")
     family = Family(args.family)
@@ -301,7 +308,7 @@ def cmd_census(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # claims
 
-def cmd_claims(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_claims(args: SimpleNamespace, cfg: RunConfig) -> int:
     from . import claims
 
     p_list = _parse_int_list(args.p, "--p")
@@ -367,7 +374,7 @@ def _compare_verdicts(pinned: dict, reports: list) -> list[str]:
 # ---------------------------------------------------------------------------
 # avg / density
 
-def cmd_avg(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_avg(args: SimpleNamespace, cfg: RunConfig) -> int:
     from . import stats
 
     family = Family(args.family)
@@ -387,7 +394,7 @@ def cmd_avg(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_density(args: SimpleNamespace, cfg: RunConfig) -> int:
     from . import stats
 
     kind = stats.DensityKind(args.kind)
@@ -397,7 +404,7 @@ def cmd_density(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0
 
 
-def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], rows: list) -> None:
+def _write_ratios(args: SimpleNamespace, cfg: RunConfig, columns: list[str], rows: list) -> None:
     """avg/density rows (exact ratio in JSON), and the --emit-plot-data c,ratio CSV.
 
     Two names for one file (./x and x, a symlink) are refused before either
@@ -421,7 +428,7 @@ def _write_ratios(args: argparse.Namespace, cfg: RunConfig, columns: list[str], 
 # ---------------------------------------------------------------------------
 # nf
 
-def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
     from fractions import Fraction
 
     from . import nfcount, stats
@@ -479,7 +486,7 @@ def cmd_nf(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # orbits
 
-def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
+def cmd_orbits(args: SimpleNamespace, cfg: RunConfig) -> int:
     if args.d is not None:
         if args.family is not None or args.ell is not None:
             raise UsageError("orbits takes --d or --family with --ell, not both")
@@ -505,7 +512,7 @@ def cmd_orbits(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--out", default=None, help="output path (default stdout)")
     sub.add_argument("--format", choices=["csv", "json"], default=None)
     sub.add_argument("--jobs", type=int, default=None,
@@ -520,7 +527,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
 
 
-def _census_args(sub: argparse.ArgumentParser) -> None:
+def _census_args(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--p", required=True, help="comma list of primes")
     sub.add_argument("--n", required=True, help="comma list of extension degrees")
     sub.add_argument("--ell", default=None, help="comma list of exponents ell")
@@ -529,14 +536,14 @@ def _census_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", default="all", help='"all", or comma list of integers/element strings')
 
 
-def _claims_args(sub: argparse.ArgumentParser) -> None:
+def _claims_args(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--p", required=True)
     sub.add_argument("--n", required=True)
     sub.add_argument("--ell", required=True)
     sub.add_argument("--expect", default=None, help="golden report JSON; exit 3 on verdict drift")
 
 
-def _avg_args(sub: argparse.ArgumentParser) -> None:
+def _avg_args(sub: argparse.ArgumentParser | _Flags) -> None:
     from .stats import Selector
 
     sub.add_argument("--family", choices=["prime-power", "pminus1"], required=True)
@@ -548,7 +555,7 @@ def _avg_args(sub: argparse.ArgumentParser) -> None:
                      help="also write c,ratio pairs to this path")
 
 
-def _density_args(sub: argparse.ArgumentParser) -> None:
+def _density_args(sub: argparse.ArgumentParser | _Flags) -> None:
     from .stats import DensityKind
 
     sub.add_argument("--kind", choices=[k.value for k in DensityKind], required=True)
@@ -557,7 +564,7 @@ def _density_args(sub: argparse.ArgumentParser) -> None:
                      help="also write c,ratio pairs to this path")
 
 
-def _nf_args(sub: argparse.ArgumentParser) -> None:
+def _nf_args(sub: argparse.ArgumentParser | _Flags) -> None:
     from .nfcount import DEFAULT_Q_MAX, DEFAULT_TRIAL_BOUND
 
     sub.add_argument("--d", type=int, required=True)
@@ -571,7 +578,7 @@ def _nf_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trial-bound", dest="trial_bound", type=int, default=DEFAULT_TRIAL_BOUND)
 
 
-def _orbits_args(sub: argparse.ArgumentParser) -> None:
+def _orbits_args(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--p", type=int, required=True)
     sub.add_argument("--n", type=int, required=True)
     sub.add_argument("--family", choices=["prime-power", "pminus1"], default=None)
@@ -580,24 +587,88 @@ def _orbits_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--c", required=True, help="integer or element string")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The fixcensus parser.  Every command is registered, so --help is whole, but
-    only command (every one for None) gets its arguments and their imports."""
-    parser = argparse.ArgumentParser(
-        prog="fixcensus",
-        description="Exact fixed-point censuses of z -> z^d + c over finite fields",
-    )
-    subs = parser.add_subparsers(dest="command", required=True)
-    # (name, help, adder of its own arguments, command), in --help order; the
-    # commands are read at build time, so a function patched onto cli is run
-    for name, help_text, add_args, func in [
+def _commands() -> list[tuple[str, str, Callable, Callable]]:
+    """(name, help, adder of its own arguments, command), in --help order.  The
+    commands are read at parse time, so a function patched onto cli is run."""
+    return [
         ("census", "fixed-point counts over a parameter grid", _census_args, cmd_census),
         ("claims", "check every registered claim over a grid", _claims_args, cmd_claims),
         ("avg", "average oracle counts over qualifying primes", _avg_args, cmd_avg),
         ("density", "prime densities of the count classes", _density_args, cmd_density),
         ("nf", "trinomial discriminant and height counting", _nf_args, cmd_nf),
         ("orbits", "functional-graph census of one map", _orbits_args, cmd_orbits),
-    ]:
+    ]
+
+
+class _Flags(dict):
+    """Stands in for a command's parser in its adders: flag -> add_argument keywords."""
+
+    def add_argument(self, flag: str, **spec) -> None:
+        self[flag] = spec
+
+
+def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes build_parser(argv[0]).parse_args(argv) returns, for a
+    plain argv; None for any other.
+
+    Plain is a command name, then distinct exact long flags of that command,
+    each --flag=value or --flag value with a spaced value not starting with
+    "-", every value passing its flag's type and choices, and every required
+    flag given.  A value "--" is not plain: some argparse versions (3.11
+    among them) drop it.
+    Help, abbreviations, repeats, unknown tokens and bad values are left to
+    argparse, the one author of help text and usage errors.
+    """
+    command = {name: (add_args, func) for name, _, add_args, func in _commands()}.get(argv[0] if argv else "")
+    if command is None:
+        return None
+    add_args, func = command
+    flags = _Flags()
+    add_args(flags)
+    _add_common(flags)
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        flag, eq, value = token.partition("=")
+        if not eq:
+            value = next(tokens, "-")  # a flag with no value is not plain
+            if value.startswith("-"):
+                return None
+        spec = flags.get(flag)
+        if spec is None or flag in values or value == "--":
+            return None
+        try:
+            value = spec.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if value not in spec.get("choices", [value]):
+            return None
+        values[flag] = value
+    args = {"command": argv[0], "func": func}
+    for flag, spec in flags.items():
+        if flag in values:
+            value = values[flag]
+        elif spec.get("required"):
+            return None
+        else:  # argparse passes a str default through the flag's type
+            value = spec.get("default")
+            if isinstance(value, str):
+                value = spec.get("type", str)(value)
+        args[spec.get("dest", flag[2:].replace("-", "_"))] = value
+    return SimpleNamespace(**args)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The fixcensus parser.  Every command is registered, so --help is whole, but
+    only command (every one for None) gets its arguments and their imports."""
+    import argparse
+
+    parser = argparse.ArgumentParser(
+        prog="fixcensus",
+        description="Exact fixed-point censuses of z -> z^d + c over finite fields",
+    )
+    subs = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_args, func in _commands():
         sub = subs.add_parser(name, help=help_text)
         if command in (None, name):
             add_args(sub)
@@ -611,9 +682,11 @@ def main(argv: list[str] | None = None) -> int:
     for k in range(len(argv) - 1, 0, -1):  # argparse takes "-5:5", "-1,2" or "-t" for a flag
         if argv[k - 1] in ("--c", "--c-range") and re.match(r"-[^-]", argv[k]):
             argv[k - 1 : k + 1] = [f"{argv[k - 1]}={argv[k]}"]
-    # the top level has no option with a value: its first non-option is the command
-    command = next((arg for arg in argv if not arg.startswith("-")), "")
-    args = build_parser(command).parse_args(argv)
+    args = _parse_plain(argv)
+    if args is None:
+        # the top level has no option with a value: its first non-option is the command
+        command = next((arg for arg in argv if not arg.startswith("-")), "")
+        args = SimpleNamespace(**vars(build_parser(command).parse_args(argv)))
     try:
         cfg = _resolve_config(args)
         return args.func(args, cfg)

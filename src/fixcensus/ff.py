@@ -276,20 +276,37 @@ def find_irreducible(p: int, n: int) -> tuple[int, ...]:
 
     Candidates t^n + a_(n-1) t^(n-1) + ... + a_0 are ordered by the tuple
     (a_(n-1), ..., a_0) and the first one passing the gcd certificate wins,
-    so the result is canonical for each (p, n).  At n >= 2 a candidate with
-    a root in F_p is reducible and is skipped before its certificate: the p
-    candidates of one block share h = t^n + ... + a_1 t, and h + a_0 has a
-    root exactly when -a_0 is a value of h, so one pass over F_p screens
-    the block.
+    so the result is canonical for each (p, n).  Where _screens_roots(p, n),
+    a candidate with a root in F_p is reducible and is skipped before its
+    certificate: the p candidates of one block share h = t^n + ... + a_1 t,
+    and h + a_0 has a root exactly when -a_0 is a value of h, so one pass
+    over F_p screens the block.
     """
     check_field(p, n)
+    screen = _screens_roots(p, n)
     for high in itertools.product(range(p), repeat=n - 1):
         tail = tuple(reversed(high)) + (1,)  # a_1, ..., a_(n-1), 1
-        rooted = {-x * _horner(tail, x, p) % p for x in range(p)} if n >= 2 else set()
+        rooted = {-x * _horner(tail, x, p) % p for x in range(p)} if screen else set()
         for a0 in range(p):
             if a0 not in rooted and certify_irreducible(p, cand := (a0, *tail)):
                 return cand
     raise RuntimeError("unreachable: irreducibles of every degree exist")
+
+
+def _screens_roots(p: int, n: int) -> bool:
+    """Whether find_irreducible screens its degree-n candidates for roots.
+
+    Degree 1 never is: every t + a_0 has a root.  A screen costs a pass over
+    F_p per block and saves a certificate per candidate with a root; it pays
+    below p = 100 (the measured crossover, n = 2..8), and wherever the first
+    block, the binomials t^n + a_0, holds no irreducible, since the search
+    then certifies all p of them.  It holds one exactly when every prime
+    factor of n divides p - 1, and 4 divides p - 1 if 4 divides n (Lidl &
+    Niederreiter, Theorem 3.75); the search then ends in that block after a
+    few certificates.
+    """
+    binomial = all((p - 1) % r == 0 for r in _prime_factors(n)) and (n % 4 != 0 or (p - 1) % 4 == 0)
+    return n >= 2 and (p < 100 or not binomial)
 
 
 def _horner(cs: Sequence[int], x: int, p: int) -> int:

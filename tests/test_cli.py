@@ -2,6 +2,7 @@
 entry python -m fixcensus: schemas, exit codes, config resolution, and
 byte-identical determinism."""
 
+import contextlib
 import enum
 import gc
 import hashlib
@@ -17,7 +18,7 @@ from collections import Counter
 
 import pytest
 from fractions import Fraction
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 from fixcensus import cli, dynamics, ff, nfcount, stats
 from fixcensus.cli import main
@@ -567,7 +568,9 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
     assert result.stdout == "[]\n"
 
 
-# Modules a command has no use for; each command imports only what it runs.
+# Modules a command has no use for; each command imports only what it runs,
+# and a plain command line is parsed without argparse and what it imports.
+_UNUSED_BY_ALL = ["argparse", "gettext", "locale", "shutil"]
 _UNUSED_BY_SCANS = ["fixcensus.claims", "fixcensus.stats", "fixcensus.nfcount", "fractions", "decimal", "json"]
 
 
@@ -581,13 +584,15 @@ _UNUSED_BY_SCANS = ["fixcensus.claims", "fixcensus.stats", "fixcensus.nfcount", 
         (["avg", "--family", "prime-power", "--selector", "p|c", "--c", "30"],
          ["fixcensus.claims", "fixcensus.nfcount", "json"]),
         (["density", "--kind", "nc3", "--c", "30"], ["fixcensus.claims", "fixcensus.nfcount", "json"]),
+        (["nf", "--d", "3", "--X", "1000"], ["fixcensus.claims", "csv", "json"]),
     ],
-    ids=["census", "orbits", "claims", "avg", "density"],
+    ids=["census", "orbits", "claims", "avg", "density", "nf"],
 )
 def test_command_loads_only_its_modules(argv, unused):
     # -S: no site .pth file adds modules, so only the command's imports count
     src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
+    unused = [*unused, *_UNUSED_BY_ALL]
     code = (
         f"import os, sys; from fixcensus.cli import main; code = main({argv!r} + ['--out', os.devnull]); "
         f"print(code, sorted(set({unused!r}) & set(sys.modules)))"
@@ -723,11 +728,14 @@ def test_process_exit_skips_teardown_only_after_a_flush(monkeypatch, outcome, st
     assert codes == exits
 
 
-def _exit_status_and_output(capsys, parse, argv):
-    with pytest.raises(SystemExit) as exit_info:
-        parse(argv)
+def _main_outcome(capsys, argv):
+    """main's (code, stdout, stderr), also when argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     out, err = capsys.readouterr()
-    return exit_info.value.code, out, err
+    return code, out, err
 
 
 @pytest.mark.parametrize(
@@ -741,16 +749,95 @@ def _exit_status_and_output(capsys, parse, argv):
         ["density", "--kind", "nc9", "--c", "30"],
         ["nf", "--X", "10"],
         ["orbits", "--p", "3", "--n", "2", "--family", "raw", "--ell", "1", "--c", "1"],
+        ["census", "--p", "3", "--n", "2", "--fam", "prime-power", "--ell", "1"],
+        ["census", "--p", "5", "--n", "2", "--family", "prime-power", "--ell", "1", "--p", "3"],
+        ["claims", "--p", "3", "--n", "1", "--ell", "1", "--jobs", "x"],
+        ["orbits", "--p", "3", "--n", "2", "--d", "2", "--c", "1", "--format", "xml"],
     ],
     ids=" ".join,
 )
-def test_command_parser_matches_the_full_parser(capsys, argv):
-    # main builds only the named command's arguments; help text and usage
-    # errors must be the bytes of the parser that carries every command's
-    full = _exit_status_and_output(capsys, cli.build_parser().parse_args, argv)
-    assert _exit_status_and_output(capsys, main, argv) == full
-    assert full[0] == (0 if argv[-1] == "--help" else 2)
-    assert full[1 if full[0] == 0 else 2].startswith("usage: fixcensus")
+def test_command_parser_matches_the_full_parser(capsys, monkeypatch, argv):
+    # main parses a plain command line itself, and builds only the named
+    # command's arguments for any other; help text, usage errors and the
+    # command lines argparse alone accepts (an abbreviation, a repeated flag)
+    # must give the outcome of the parser that carries every command's
+    ours = _main_outcome(capsys, argv)
+    full_parser = cli.build_parser
+    monkeypatch.setattr(cli, "_parse_plain", lambda argv: None)
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: full_parser())
+    code, out, err = full = _main_outcome(capsys, argv)
+    assert ours == full
+    if "--help" in argv:
+        assert (code, err) == (0, "") and out.startswith("usage: fixcensus")
+    elif err:
+        assert (code, out) == (2, "") and err.startswith("usage: fixcensus")
+    else:
+        assert code == 0 and out.startswith("p,n,ell,family")
+
+
+def test_plain_command_line_runs_the_command_patched_onto_cli(monkeypatch):
+    def no_parser(command=None):
+        raise AssertionError("a plain command line built a parser")
+
+    seen = []
+    monkeypatch.setattr(cli, "build_parser", no_parser)
+    monkeypatch.setattr(cli, "cmd_census", lambda args, cfg: seen.append((vars(args), cfg)) or 7)
+    assert main(["census", "--p=3", "--n", "2", "--family", "raw", "--d", "2", "--field-cap", "9"]) == 7
+    assert seen == [(
+        {"command": "census", "func": cli.cmd_census, "p": "3", "n": "2", "ell": None, "d": "2", "family": "raw",
+         "c": "all", "out": None, "format": None, "jobs": None, "field_cap": 9, "exp_cap": None, "sieve_cap": None,
+         "config": None},
+        cli.RunConfig(field_cap=9),
+    )]
+
+
+# Values that pass or fail a flag's type and choices in the ways that matter
+# to a parser: int() takes "1_0" and " 7"; argparse treats a spaced value
+# that starts with "-" as a flag, and some versions (3.11 among them) drop a
+# value "--".
+_ODD_VALUES = ["3", "1_0", " 7", "", "-1", "-x", "--", "x", "3,5", "2*t+1", "1:3", "0.5", "xml", "-h"]
+
+
+@st.composite
+def _command_lines(draw):
+    name, _, add_args, _ = draw(st.sampled_from(cli._commands()))
+    flags = cli._Flags()
+    add_args(flags)
+    cli._add_common(flags)
+
+    def value(flag, odd=False):
+        return draw(st.sampled_from(_ODD_VALUES if odd else flags.get(flag, {}).get("choices", ["3"])))
+
+    # most required flags with values that pass, then other tokens, in any order
+    items = [[flag, value(flag)] for flag in flags if flags[flag].get("required") and draw(st.integers(0, 9))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(list(flags)))
+        form = draw(st.sampled_from(["exact"] * 4 + ["abbreviated", "--zz", "-h", "--help", "--"]))
+        if form == "abbreviated":
+            flag = flag[: draw(st.integers(2, len(flag) - 1))]
+        elif form != "exact":
+            flag = form
+        items.append([flag, value(flag, draw(st.booleans()))][: draw(st.integers(1, 2))])
+    argv = [name]
+    for item in draw(st.permutations(items)):
+        argv += item if len(item) < 2 or draw(st.booleans()) else ["=".join(item)]
+    return argv
+
+
+@given(_command_lines())
+@example(["census", "--p=--", "--n", "2", "--family", "raw", "--d", "2"])
+@settings(max_examples=400, deadline=None)
+def test_plain_parser_agrees_with_argparse(argv):
+    # the plain parser may decline any command line, but one it accepts must
+    # be one argparse accepts, with the same attributes
+    plain = cli._parse_plain(argv)
+    event("plain" if plain else "declined")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            full = cli.build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            full = None
+    assert plain is None or (full is not None and vars(plain) == vars(full)), argv
 
 
 @pytest.mark.parametrize("p, n", [(2, 6), (3, 5), (5, 3), (7, 2), (11, 1)])

@@ -176,7 +176,22 @@ class TestScreens:
     def test_root_screen_keeps_the_modulus(self):
         for p in (2, 3, 5, 7, 11, 13):
             for n in itertools.takewhile(lambda n: p**n <= 10**5, itertools.count(1)):
+                assert ff._screens_roots(p, n) is (n >= 2)
                 assert ff.find_irreducible(p, n) == unscreened_modulus(p, n), (p, n)
+
+    @pytest.mark.parametrize(
+        "p, n, screened",
+        [
+            (97, 2, True), (101, 2, False), (3163, 2, False), (100003, 2, False),
+            (1009, 3, False), (3163, 3, False), (101, 3, True), (809, 3, True),
+            (101, 4, False), (103, 4, True), (30011, 5, False), (809, 5, True), (101, 6, True),
+        ],
+    )
+    def test_root_screen_runs_where_it_pays(self, p, n, screened):
+        # past p = 100 only fields whose binomials t^n + a_0 are all reducible
+        # are screened; either way the modulus is the lex-least irreducible
+        assert ff._screens_roots(p, n) is screened
+        assert ff.find_irreducible(p, n) == unscreened_modulus(p, n)
 
     def test_prime_fields_are_never_screened(self, monkeypatch):
         # every t + a_0 has a root, so a screen at n = 1 would refuse them all
