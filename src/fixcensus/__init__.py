@@ -1,10 +1,11 @@
 """fixcensus: exact fixed-point censuses of z -> z^d + c over finite fields.
 
-The package counts fixed points of power maps on F_{p^n} three independent
-ways, checks a registry of encoded counting claims against those counts
-(mismatches become witnesses, not errors), tabulates exact average
-and density statistics for integer coefficients, and counts trinomials
-x^d - x + c by discriminant and height.
+The package counts fixed points of power maps on F_{p^n} by a scan of the
+field and, for d = p^ell, by F_p-linear algebra; the tests hold both to a
+brute force and a gcd oracle.  It checks a registry of encoded counting
+claims against those counts (mismatches become witnesses, not errors),
+tabulates exact average and density statistics for integer coefficients,
+and counts trinomials x^d - x + c by discriminant and height.
 
 Importing the package loads no submodule: each public name below is
 imported from its submodule on first use (PEP 562).
@@ -19,8 +20,7 @@ _HOME = {
         "ff": "DEFAULT_FIELD_CAP ArgumentError CapError FieldCapError is_prime find_irreducible"
               " certify_irreducible FieldSpec FFElement standard_field",
         "dynamics": "DEFAULT_EXP_CAP ExponentCapError Family CensusRecord OrbitCensus fixed_point_count"
-                    " count_profile gcd_root_count orbit_census classify_residue"
-                    " integral_fixed_points integer_root",
+                    " count_profile orbit_census classify_residue integral_fixed_points integer_root",
         "claims": "Verdict Witness ClaimSpec ClaimReport registry check_all",
         "stats": "Selector DensityKind AverageRow DensityRow prime_sieve prime_count prime_counts"
                  " average_report density_table",

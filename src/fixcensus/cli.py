@@ -440,9 +440,7 @@ def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
     payload = None  # every mode but --c-range has one result: JSON is one object
     caps = {"exp_cap": cfg.exp_cap, "sieve_cap": cfg.sieve_cap}
     if args.X is not None:
-        payload = nfcount.count_by_disc(
-            args.d, args.X, constant=args.bound_constant, q_max=args.q_max, **caps
-        ).as_dict()
+        payload = nfcount.count_by_disc(args.d, args.X, q_max=args.q_max, **caps).as_dict()
         rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
     elif args.height is not None:
         try:
@@ -573,7 +571,6 @@ def _nf_args(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--squarefree", type=int, default=None,
                      help="squarefree |disc| fraction over c in [1, C]")
     sub.add_argument("--c-range", dest="c_range", default=None, help="LO:HI per-trinomial table")
-    sub.add_argument("--bound-constant", dest="bound_constant", type=float, default=4.0)
     sub.add_argument("--q-max", dest="q_max", type=int, default=DEFAULT_Q_MAX)
     sub.add_argument("--trial-bound", dest="trial_bound", type=int, default=DEFAULT_TRIAL_BOUND)
 

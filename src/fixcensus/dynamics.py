@@ -1,17 +1,16 @@
 """Power maps z -> z^d + c on finite fields.
 
 Fixed points of the map are the roots of z^d - z + c, and this module counts
-them three independent ways on purpose.  The scan: one pass over the field
-computes z - z^d for every z, the one coefficient c that makes z a fixed
-point, so its histogram (count_profile) answers every c at once, and
-fixed_point_count counts one c on the same scan.  The gcd side,
-gcd_root_count, measures deg gcd(z^d - z + c, z^q - z) in the quotient
-ring without enumerating the field.  The linear side serves
-d = p^ell, where z -> z^d + c is Frob^ell + c, an F_p-affine map:
-count_profile and orbit_census use it for those d, by elimination on the
-n x n matrix of Frob^ell - 1.  The scan runs on the index tables of
-ff.field_ops, the other two on FFElement operators, so their agreement on
-a grid is a real consistency check, and the test suite enforces it.
+them with two engines.  The scan: one pass over the field computes z - z^d
+for every z, the one coefficient c that makes z a fixed point, so its
+histogram (count_profile) answers every c at once, and fixed_point_count
+counts one c on the same scan.  The linear side serves d = p^ell, where
+z -> z^d + c is Frob^ell + c, an F_p-affine map: count_profile and
+orbit_census use it for those d, by elimination on the n x n matrix of
+Frob^ell - 1.  The scan runs on the index tables of ff.field_ops, the
+linear side on FFElement operators.  fixed_point_count stays a scan for
+every d, so the scan is the reference the test suite holds the linear
+engine to, and the tests hold both to a brute force and to a gcd oracle.
 
 Also here: the full functional-graph census (components, cycle structure,
 tail depths) and exact integer fixed points of z^d + c on the integers.
@@ -48,16 +47,15 @@ __all__ = [
     "OrbitCensus",
     "fixed_point_count",
     "count_profile",
-    "gcd_root_count",
     "orbit_census",
     "classify_residue",
     "integral_fixed_points",
     "integer_root",
 ]
 
-# Degrees above this are refused: a scan costs up to O(q log d) and the gcd
-# engine O(d^2 log q), so a runaway exponent hurts long before a runaway
-# field does.
+# Degrees above this are refused: a scan costs up to O(q log d), but an nf
+# certificate takes d/2 gcds of degree-d polynomials, so a runaway exponent
+# hurts long before a runaway field does.
 DEFAULT_EXP_CAP = 10**6
 
 
@@ -155,13 +153,13 @@ def check_degree(k: int, exp_cap: int | None = None, base: int | None = None) ->
 
 def capped_degree(
     p: int, n: int, family: Family, k: int, *,
-    field_cap: int | None = DEFAULT_FIELD_CAP, exp_cap: int = DEFAULT_EXP_CAP,
+    field_cap: int = DEFAULT_FIELD_CAP, exp_cap: int = DEFAULT_EXP_CAP,
 ) -> int:
     """family.degree(p, k), once it and the order p^n pass the caps: the one cap rule.
 
     The counters call it with Family.RAW and their degree, the commands
     before any field is built.  Checked in order: the family's arguments,
-    the field's, a raw d >= 2, the field cap (None: none), then
+    the field's, a raw d >= 2, the field cap, then
     check_degree with the exponent cap.
     """
     # family.degree(p, 1) runs the family's checks and gives the base (k < 1 fails them)
@@ -169,7 +167,7 @@ def capped_degree(
     check_field(p, n)
     if base is None:
         check_degree(k)
-    if field_cap is not None and (n > field_cap.bit_length() or p**n > field_cap):
+    if n > field_cap.bit_length() or p**n > field_cap:
         raise FieldCapError(f"field order {p}^{n} exceeds the cap {field_cap}")
     return check_degree(k, exp_cap, base)
 
@@ -311,90 +309,6 @@ def _affine_orbits(fs: FieldSpec, ell: int, c: int) -> OrbitCensus:
         exact[k] = fixed - sum(count for j, count in exact.items() if k % j == 0)
         lengths += (k,) * (exact[k] // k)
     return OrbitCensus(lengths, 0, fs.order, lengths)
-
-
-# ---------------------------------------------------------------------------
-# The independent counter: polynomial gcd in F_q[z] against z^q - z, computed
-# on FFElement arithmetic so that it shares no engine with the scan.  The
-# number of distinct roots of f in F_q equals deg gcd(f, z^q - z); we compute
-# z^q mod f by square and multiply.  Each remainder walks only the divisor's
-# nonzero terms, so reducing by the trinomial f = z^d - z + c costs two
-# products per dropped degree.  Polynomials are lists of elements, lowest
-# degree first.
-
-def _poly_trim(cs: list[FFElement]) -> list[FFElement]:
-    while cs and cs[-1].is_zero:
-        cs.pop()
-    return cs
-
-
-def _poly_mul(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
-    if not a or not b:
-        return []
-    out = [a[0].field.zero] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if not ai.is_zero:
-            for j, bj in enumerate(b):
-                if not bj.is_zero:
-                    out[i + j] = out[i + j] + ai * bj
-    return out
-
-
-def _poly_rem(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
-    """a mod the trimmed b; each step walks only b's nonzero lower terms."""
-    r, db, lead = list(a), len(b) - 1, b[-1]
-    inv_lead = None if lead.index == 1 else lead ** (lead.field.order - 2)  # index 1 is one
-    terms = [(k, bk) for k, bk in enumerate(b[:db]) if not bk.is_zero]
-    while len(r) > db:
-        top = r.pop()
-        if not top.is_zero:
-            coef = top if inv_lead is None else top * inv_lead
-            shift = len(r) - db  # the popped degree less db
-            for k, bk in terms:
-                r[shift + k] = r[shift + k] - coef * bk
-    return _poly_trim(r)
-
-
-def _powmod_x(e: int, f: list[FFElement]) -> list[FFElement]:
-    """z^e mod the trimmed f, most significant bit first."""
-    fs = f[0].field
-    res = [fs.one]
-    for bit in bin(e)[2:]:
-        res = _poly_rem(_poly_mul(res, res), f)
-        if bit == "1":
-            res = _poly_rem([fs.zero] + res, f)
-    return res
-
-
-def _poly_gcd(a: list[FFElement], b: list[FFElement]) -> list[FFElement]:
-    """A gcd of trimmed a and b, not normalised: only its degree is read."""
-    while b:
-        a, b = b, _poly_rem(a, b)
-    return a
-
-
-def gcd_root_count(
-    fs: FieldSpec,
-    d: int,
-    c: int | FFElement,
-    *,
-    exp_cap: int = DEFAULT_EXP_CAP,
-) -> int:
-    """Exact count of z with z^d + c = z, without enumerating the field.
-
-    Counts distinct roots of f = z^d - z + c as deg gcd(f, z^q - z); no
-    field cap applies because the work is polynomial in d and log q.
-    """
-    capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=None, exp_cap=exp_cap)
-    c = fs.element_at(_coefficient_index(fs, c))
-    f = [c, -fs.one] + [fs.zero] * (d - 2) + [fs.one]
-    h = _powmod_x(fs.order, f)  # z^q mod f
-    h += [fs.zero] * (2 - len(h))
-    h[1] = h[1] - fs.one  # h = z^q - z mod f
-    h = _poly_trim(h)
-    if not h:
-        return d
-    return len(_poly_gcd(f, h)) - 1
 
 
 def orbit_census(

@@ -199,21 +199,18 @@ def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) ->
     return candidates
 
 
-def _within_bound(count: int, constant: float, d: int, X: int) -> bool:
-    """count <= constant * X^(d/(2d-2)) for X >= 1, decided in integers.
+def _within_bound(count: int, d: int, X: int) -> bool:
+    """count <= 4 * X^(d/(2d-2)) for X >= 1, decided in integers.
 
     A zero count forms no power of X, which at a large d would be huge.
     """
-    if not math.isfinite(constant) or constant <= 0:  # X^(d/(2d-2)) is positive
-        return constant > 0 or (constant == 0 and count == 0)
-    return count == 0 or (count / Fraction(constant)) ** (2 * d - 2) <= X**d
+    return count == 0 or count ** (2 * d - 2) <= 4 ** (2 * d - 2) * X**d
 
 
 def count_by_disc(
     d: int,
     X: int,
     *,
-    constant: float = 4.0,
     q_max: int = DEFAULT_Q_MAX,
     exp_cap: int = DEFAULT_EXP_CAP,
     sieve_cap: int = DEFAULT_SIEVE_CAP,
@@ -222,11 +219,11 @@ def count_by_disc(
 
     The candidates go through _uncertified, irreducibility_status's filter,
     over the primes q <= q_max; a c left over is UNKNOWN unless it has an
-    integer root.  bound_ok records whether count <= constant *
-    X^(d/(2d-2)), compared exactly; the exponent is also reported exactly
-    as a Fraction.  A d above exp_cap, and a q_max or a candidate count
-    above sieve_cap, is refused before any candidate is examined; sieve_cap
-    also caps the root tables.
+    integer root.  bound_ok records whether count <= 4 * X^(d/(2d-2)),
+    compared exactly; the exponent is also reported exactly as a Fraction.
+    A d above exp_cap, and a q_max or a candidate count above sieve_cap, is
+    refused before any candidate is examined; sieve_cap also caps the root
+    tables.
     """
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
@@ -234,7 +231,7 @@ def count_by_disc(
     pending = _uncertified(d, candidates, stats.prime_sieve(q_max, sieve_cap=sieve_cap), exp_cap, sieve_cap)
     count = len(candidates) - len(pending)
     unknown = sum(1 for c in pending if not integral_fixed_points(d, c))
-    return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, constant, d, X))
+    return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, d, X))
 
 
 def _check_digits(bits: int, what: str) -> None:

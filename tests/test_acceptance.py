@@ -11,7 +11,7 @@ from fixcensus import claims, dynamics, ff, nfcount, stats
 from fixcensus.claims import Verdict
 from fixcensus.dynamics import Family
 from fixcensus.stats import DensityKind, Selector
-from oracles import trinomial_disc
+from oracles import gcd_root_count, trinomial_disc
 
 
 def _verdict(num, label, problems):
@@ -39,7 +39,7 @@ def test_01_dual_oracle_equivalence():
         for idx in range(fs.order):
             c = fs.element_at(idx)
             scan = dynamics.fixed_point_count(fs, d, c)
-            via_gcd = dynamics.gcd_root_count(fs, d, c)
+            via_gcd = gcd_root_count(fs, d, c)
             if scan != via_gcd:
                 problems.append((fs.p, fs.n, d, str(c), scan, via_gcd))
     _verdict(1, "scan and gcd fixed-point counters agree on the full grid", problems)
@@ -131,7 +131,7 @@ def test_07_desk_counts_and_growth_bound():
     if nfcount.count_by_height(3, 2) != 17:
         problems.append(("count_by_height(3, 2)", nfcount.count_by_height(3, 2)))
     for X in (100, 1000, 10000):
-        r = nfcount.count_by_disc(3, X, constant=4.0)
+        r = nfcount.count_by_disc(3, X)
         if not r.bound_ok:
             problems.append(("bound violated", X, r.count))
     _verdict(7, "desk-scale counts match and stay under 4 * X^(3/4)", problems)

@@ -1,7 +1,9 @@
 """Fixed-point counting, functional graphs, and integer roots.
 
-The scan counter, the gcd counter, and the plain FFElement brute force used
-here are three separate code paths; the tests hold them to exact agreement.
+The package counts by the scan and, for d = p^ell, by the Frobenius-linear
+engine.  The tests hold both, in exact agreement, to the plain FFElement
+brute force used here and to the gcd oracle of tests/oracles.py, which
+shares no engine with either.
 """
 
 import math
@@ -17,6 +19,7 @@ from fixcensus.claims import Verdict
 from fixcensus.cli import _census_point
 from fixcensus.dynamics import Family
 from fixcensus.ff import FieldCapError
+from oracles import gcd_root_count
 
 
 def brute_force_fixed_points(fs, d, c):
@@ -140,10 +143,10 @@ class TestCapRule:
             dynamics.capped_degree(3, 10**9, Family.RAW, 2)
 
 
-# The three field counters, each as (fs, d, c) -> a comparable result.
+# The field counters and the gcd oracle, each as (fs, d, c) -> a comparable result.
 COUNTERS = [
     dynamics.fixed_point_count,
-    dynamics.gcd_root_count,
+    gcd_root_count,
     dynamics.orbit_census,
 ]
 
@@ -217,37 +220,39 @@ class TestFixedPointCount:
             dynamics.fixed_point_count(fs, 10**7, 1)
 
     def test_gcd_counter_ignores_field_cap(self):
-        # the gcd path is polynomial in d and log q, so only the exponent cap binds
+        # the gcd oracle is polynomial in d and log q, so no field cap binds
         fs = ff.standard_field(11, 2)
-        assert dynamics.gcd_root_count(fs, 3, 1) == len(
+        assert gcd_root_count(fs, 3, 1) == len(
             brute_force_fixed_points(fs, 3, fs.from_int(1))
         )
 
 
 class TestGcdOracle:
     def test_examples(self):
-        assert dynamics.gcd_root_count(ff.standard_field(7, 1), 6, 3) == 1
-        assert dynamics.gcd_root_count(ff.standard_field(5, 2), 4, 0) == 4
-        assert dynamics.gcd_root_count(ff.standard_field(3, 2), 9, 0) == 9
+        assert gcd_root_count(ff.standard_field(7, 1), 6, 3) == 1
+        assert gcd_root_count(ff.standard_field(5, 2), 4, 0) == 4
+        assert gcd_root_count(ff.standard_field(3, 2), 9, 0) == 9
 
     def test_reaches_no_scan_engine(self, monkeypatch):
         cases = [(ff.standard_field(p, n), d, c) for p, n, d, c in
                  [(3, 2, 9, 0), (5, 2, 4, 0), (7, 1, 6, 3), (2, 4, 3, 1), (11, 2, 5, 7)]]
         expected = [len(brute_force_fixed_points(fs, d, fs.from_int(c))) for fs, d, c in cases]
 
-        def refuse(fs):
-            raise AssertionError("gcd_root_count reached a scan engine")
+        def refuse(*args):
+            raise AssertionError("gcd_root_count reached a package engine")
 
         monkeypatch.setattr(ff, "field_ops", refuse)
         monkeypatch.setattr(dynamics, "field_ops", refuse)
-        assert [dynamics.gcd_root_count(fs, d, c) for fs, d, c in cases] == expected
+        monkeypatch.setattr(dynamics, "_image_test", refuse)
+        monkeypatch.setattr(dynamics, "_affine_profile", refuse)
+        assert [gcd_root_count(fs, d, c) for fs, d, c in cases] == expected
 
     def test_no_field_cap_on_a_large_field(self):
         # F_5^40 has about 9e27 elements; the closed form is 5^gcd(40, ell)
         fs = ff.standard_field(5, 40)
         for ell, c in [(1, 0), (1, 3)]:
             expected = stats._prime_power_count(5, 40, ell, c)
-            assert dynamics.gcd_root_count(fs, 5**ell, c) == expected == 5**ell
+            assert gcd_root_count(fs, 5**ell, c) == expected == 5**ell
 
     @given(
         st.sampled_from([(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 11) if p**n <= 2000]),
@@ -258,7 +263,7 @@ class TestGcdOracle:
     def test_matches_count_profile(self, field, d, data):
         fs = ff.standard_field(*field)
         c = fs.element_at(data.draw(st.integers(0, fs.order - 1)))
-        assert dynamics.count_profile(fs, d)[c.index] == dynamics.gcd_root_count(fs, d, c)
+        assert dynamics.count_profile(fs, d)[c.index] == gcd_root_count(fs, d, c)
 
     @pytest.mark.parametrize("p, n, d", [(3, 7, 150), (3, 7, 301), (11, 3, 110)])
     def test_matches_count_profile_past_degree_100(self, p, n, d):
@@ -266,7 +271,7 @@ class TestGcdOracle:
         fs = ff.standard_field(p, n)
         profile = dynamics.count_profile(fs, d)
         for i in (0, 1, p - 1, p + 1, fs.order - 1):
-            assert dynamics.gcd_root_count(fs, d, fs.element_at(i)) == profile[i], i
+            assert gcd_root_count(fs, d, fs.element_at(i)) == profile[i], i
 
     def test_dual_oracle_agreement_sample(self):
         for p, n in [(3, 1), (3, 2), (5, 1), (5, 2), (7, 1), (7, 2), (11, 1)]:
@@ -274,7 +279,7 @@ class TestGcdOracle:
             for d in (2, 3, 5, 6, 12):
                 for idx in range(fs.order):
                     c = fs.element_at(idx)
-                    assert dynamics.fixed_point_count(fs, d, c) == dynamics.gcd_root_count(fs, d, c), (
+                    assert dynamics.fixed_point_count(fs, d, c) == gcd_root_count(fs, d, c), (
                         p, n, d, str(c),
                     )
 
@@ -419,7 +424,7 @@ class TestLinearEngine:
             c = fs.element_at(i)
             assert profile[i] == dynamics.fixed_point_count(fs, d, c, exp_cap=d), (p, n, ell, i)
             if d <= 32:  # the gcd costs O(d^2 log q) products
-                assert profile[i] == dynamics.gcd_root_count(fs, d, c, exp_cap=d), (p, n, ell, i)
+                assert profile[i] == gcd_root_count(fs, d, c), (p, n, ell, i)
 
     @pytest.mark.parametrize("p, n, ell", [
         (2, 12, 3), (3, 4, 2), (3, 5, 1), (3, 6, 3), (3, 6, 4), (5, 6, 3), (7, 4, 2), (11, 3, 1), (11, 4, 2),

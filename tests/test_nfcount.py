@@ -335,26 +335,18 @@ class TestCountByDisc:
         assert row.count == statuses.count(IrreducibilityStatus.IRREDUCIBLE)
         assert row.unknown == statuses.count(IrreducibilityStatus.UNKNOWN)
 
-    def test_bound_flag_responds_to_constant(self):
-        assert nfcount.count_by_disc(3, 1000, constant=4.0).bound_ok
-        assert not nfcount.count_by_disc(3, 1000, constant=0.01).bound_ok
-
     def test_bound_compared_exactly_where_float_is_wrong(self):
-        # 16 = 1 * 64^(4/6) exactly, but the float power rounds below 16
-        assert not 16 <= 1.0 * 64 ** (4 / 6)
-        assert nfcount._within_bound(16, 1.0, 4, 64)
-        # 9742^3 > (9742^4 - 1)^(3/4), but the float power rounds up to it
+        # 64 = 4 * 64^(4/6) exactly, but the float power rounds below 16
+        assert not 64 <= 4 * 64 ** (4 / 6)
+        assert nfcount._within_bound(64, 4, 64)
+        # 4 * 9742^3 > 4 * (9742^4 - 1)^(3/4), but the float power rounds up to it
         t = 9742
-        assert t**3 <= 1.0 * (t**4 - 1) ** 0.75
-        assert not nfcount._within_bound(t**3, 1.0, 3, t**4 - 1)
-        assert nfcount._within_bound(t**3, 1.0, 3, t**4)
-
-    def test_bound_sign_cases(self):
-        assert nfcount._within_bound(0, 0.0, 3, 10)
-        assert not nfcount._within_bound(1, 0.0, 3, 10)
-        assert not nfcount._within_bound(0, -1.0, 3, 10)
-        assert nfcount._within_bound(10**9, float("inf"), 3, 10)
-        assert not nfcount._within_bound(0, float("nan"), 3, 10)
+        assert 4 * t**3 <= 4 * (t**4 - 1) ** 0.75
+        assert not nfcount._within_bound(4 * t**3, 3, t**4 - 1)
+        assert nfcount._within_bound(4 * t**3, 3, t**4)
+        # the boundary at d = 3: 4 * 16^(3/4) = 32
+        assert nfcount._within_bound(32, 3, 16)
+        assert not nfcount._within_bound(33, 3, 16)
 
     def test_bound_at_huge_X(self, monkeypatch):
         X = 10**400
@@ -364,7 +356,6 @@ class TestCountByDisc:
         row = nfcount.count_by_disc(3, X)
         assert (row.count, row.unknown) == (2, 0)
         assert row.bound_ok
-        assert not nfcount.count_by_disc(3, X, constant=-1.0).bound_ok
 
     def test_as_dict_schema(self):
         payload = nfcount.count_by_disc(3, 100).as_dict()

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from fixcensus import dynamics, ff, stats
 from fixcensus.dynamics import Family
 from fixcensus.stats import DensityKind, Selector
+from oracles import gcd_root_count
 
 
 def trial_division_primes(limit):
@@ -120,7 +121,7 @@ class TestAverageReport:
             total = 0
             for p in qual:
                 fs = ff.standard_field(p, 1)
-                total += dynamics.gcd_root_count(fs, family.degree(p, 1), c)
+                total += gcd_root_count(fs, family.degree(p, 1), c)
             assert row.numerator == total
             assert row.denominator == len(qual)
 
@@ -263,14 +264,14 @@ class TestClosedForms:
         st.one_of(st.integers(-30, 30), st.integers(-(10**6), 10**6)),
     )
     def test_prime_power_count_three_ways(self, p, n, ell, c):
-        # closed form, the full scan and the gcd engine share no code.  The
+        # closed form, the full scan and the gcd oracle share no code.  The
         # closed form stays apart from the linear engine, which also counts
         # d = p^ell, because it builds no field: no field cap limits it, and
         # test_prime_power_average_builds_no_field pins that
         fs = ff.standard_field(p, n)
         d = Family.PRIME_POWER.degree(p, ell)
         closed = stats._prime_power_count(p, n, ell, c)
-        assert closed == dynamics.fixed_point_count(fs, d, c) == dynamics.gcd_root_count(fs, d, c)
+        assert closed == dynamics.fixed_point_count(fs, d, c) == gcd_root_count(fs, d, c)
 
     def test_prime_power_count_at_every_residue(self):
         # count_profile runs the linear engine here, ell = n and ell > n included
