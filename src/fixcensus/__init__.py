@@ -22,7 +22,7 @@ _HOME = {
         "dynamics": "DEFAULT_EXP_CAP ExponentCapError Family CensusRecord OrbitCensus fixed_point_count"
                     " count_profile orbit_census classify_residue integral_fixed_points integer_root",
         "claims": "Verdict Witness ClaimSpec ClaimReport registry check_all",
-        "stats": "Selector DensityKind AverageRow DensityRow prime_sieve prime_count prime_counts"
+        "stats": "Selector DensityKind AverageRow DensityRow prime_sieve prime_counts"
                  " average_report density_table",
         "nfcount": "IrreducibilityStatus FieldCountRow SquarefreeReport closed_form_disc"
                    " irreducibility_status count_by_disc count_by_height squarefree_disc_fraction",

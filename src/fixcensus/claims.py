@@ -17,7 +17,6 @@ counts are reported separately as informational material.
 from __future__ import annotations
 
 import functools
-import math
 from collections import Counter
 from collections.abc import Iterable
 from itertools import compress, islice
@@ -90,7 +89,7 @@ class ClaimSpec(NamedTuple):
     predictions maps residue classes to exact counts.  For the prime-power
     family the classes are "0" and "nonzero"; for the pminus1 family they
     are "0", "1" and "-1", with everything else unjudged.  The slice is
-    three inclusive (lo, hi) ranges for p, n and ell.
+    three inclusive (lo, hi) ranges for p, n and ell; a hi of None is open.
     """
 
     id: str
@@ -98,13 +97,13 @@ class ClaimSpec(NamedTuple):
     statement: str
     conditional: bool
     predictions: tuple[tuple[str, int], ...]
-    p_range: tuple[int, float] = (2, math.inf)
-    n_range: tuple[int, float] = (1, math.inf)
-    ell_range: tuple[int, float] = (1, math.inf)
+    p_range: tuple[int, int | None] = (2, None)
+    n_range: tuple[int, int | None] = (1, None)
+    ell_range: tuple[int, int | None] = (1, None)
 
     def applies(self, p: int, n: int, ell: int) -> bool:
         ranges = (self.p_range, self.n_range, self.ell_range)
-        return all(lo <= v <= hi for v, (lo, hi) in zip((p, n, ell), ranges))
+        return all(lo <= v and (hi is None or v <= hi) for v, (lo, hi) in zip((p, n, ell), ranges))
 
     def expected(self, label: str) -> int | None:
         """The predicted count for a census label (see classify_residue),
@@ -149,7 +148,7 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         conditional=False,
         predictions=_N_PREDICTIONS,
         p_range=(3, 3),
-        n_range=(2, math.inf),
+        n_range=(2, None),
         ell_range=(1, 1),
     ),
     ClaimSpec(
@@ -161,8 +160,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=True,
         predictions=_N_PREDICTIONS,
-        p_range=(3, math.inf),
-        n_range=(2, math.inf),
+        p_range=(3, None),
+        n_range=(2, None),
         ell_range=(1, 1),
     ),
     ClaimSpec(
@@ -175,8 +174,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=True,
         predictions=_N_PREDICTIONS,
-        p_range=(3, math.inf),
-        n_range=(2, math.inf),
+        p_range=(3, None),
+        n_range=(2, None),
     ),
     ClaimSpec(
         id="C-2.4",
@@ -187,7 +186,7 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=True,
         predictions=_N_PREDICTIONS,
-        p_range=(3, math.inf),
+        p_range=(3, None),
         n_range=(1, 1),
     ),
     ClaimSpec(
@@ -201,7 +200,7 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         conditional=False,
         predictions=_M_PREDICTIONS,
         p_range=(5, 5),
-        n_range=(2, math.inf),
+        n_range=(2, None),
         ell_range=(1, 1),
     ),
     ClaimSpec(
@@ -213,8 +212,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_range=(5, math.inf),
-        n_range=(2, math.inf),
+        p_range=(5, None),
+        n_range=(2, None),
         ell_range=(1, 1),
     ),
     ClaimSpec(
@@ -226,8 +225,8 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_range=(5, math.inf),
-        n_range=(2, math.inf),
+        p_range=(5, None),
+        n_range=(2, None),
     ),
     ClaimSpec(
         id="C-3.4",
@@ -238,7 +237,7 @@ _REGISTRY: tuple[ClaimSpec, ...] = (
         ),
         conditional=False,
         predictions=_M_PREDICTIONS,
-        p_range=(5, math.inf),
+        p_range=(5, None),
         n_range=(1, 1),
     ),
 )

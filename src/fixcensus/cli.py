@@ -12,6 +12,10 @@ json.dumps(value, indent=2) writes it, with every string escaped by the
 C encode_basestring_ascii.  A destination that cannot be opened is a
 usage error that leaves no output anywhere.
 
+Each run setting (the three caps, --out, --format, --jobs) has its default
+in _SETTINGS and its flag in _add_common; _resolve_config fills each on
+args: its flag if given, else its --config key, else its default.
+
 A command imports only what it runs, in the functions that use it (csv
 to write its format, json only to read a file), and looks library
 functions up on their modules at call time, where bench/tracer.py wraps
@@ -30,33 +34,21 @@ import os
 import re
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
 from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, standard_field
 
-if TYPE_CHECKING:
-    import argparse
-
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 
 class UsageError(ValueError):
     pass
 
 
-class RunConfig(NamedTuple):
-    field_cap: int = DEFAULT_FIELD_CAP
-    exp_cap: int = DEFAULT_EXP_CAP
-    sieve_cap: int = DEFAULT_SIEVE_CAP
-    out: str | None = None
-    format: str | None = None
-    jobs: int = 1
-
-
-_CONFIG_TYPES = {
-    "field_cap": int, "exp_cap": int, "sieve_cap": int, "out": str, "format": str, "jobs": int,
+_SETTINGS = {
+    "field_cap": DEFAULT_FIELD_CAP, "exp_cap": DEFAULT_EXP_CAP, "sieve_cap": DEFAULT_SIEVE_CAP,
+    "out": None, "format": None, "jobs": 1,
 }
 
 
@@ -75,28 +67,30 @@ def _load_config(path: str) -> dict:
     data = _read_json(path, "config")
     if not isinstance(data, dict):
         raise UsageError("config must be a JSON object")
-    unknown = set(data) - set(_CONFIG_TYPES)
+    unknown = set(data) - set(_SETTINGS)
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    flags = _Flags()
+    _add_common(flags)
     for key, value in data.items():
-        kind = _CONFIG_TYPES[key]
+        kind = flags["--" + key.replace("_", "-")].get("type", str)  # the JSON type is the flag's
         if not isinstance(value, kind) or isinstance(value, bool):
             raise UsageError(f"config key {key} must be a JSON {'integer' if kind is int else 'string'}")
     return data
 
 
-def _resolve_config(args: SimpleNamespace) -> RunConfig:
-    """Flags over the --config file over the RunConfig defaults."""
+def _resolve_config(args: SimpleNamespace) -> None:
+    """Set each run setting on args: its flag if given, else its --config key, else its default."""
     file_values = _load_config(args.config) if args.config else {}
-    flags = {key: value for key, value in vars(args).items() if key in _CONFIG_TYPES and value is not None}
-    cfg = RunConfig(**{**file_values, **flags})
-    if cfg.field_cap <= 0 or cfg.exp_cap <= 0 or cfg.sieve_cap <= 0:
+    for key, default in _SETTINGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, file_values.get(key, default))
+    if args.field_cap <= 0 or args.exp_cap <= 0 or args.sieve_cap <= 0:
         raise UsageError("caps must be positive")
-    if cfg.jobs < 1:
+    if args.jobs < 1:
         raise UsageError("--jobs must be at least 1")
-    if cfg.format is not None and cfg.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {cfg.format!r}")
-    return cfg
+    if args.format is not None and args.format not in ("csv", "json"):
+        raise UsageError(f"unknown format {args.format!r}")
 
 
 def _cell(value):
@@ -195,9 +189,9 @@ def _json(value) -> str:
 
 
 def _output(
-    cfg: RunConfig, default_format: str, columns: Sequence[str], rows: Callable[[], Iterable], payload: Callable | None
+    out: str | None, fmt: str, columns: Sequence[str], rows: Callable[[], Iterable], payload: Callable | None
 ) -> tuple[str | None, str]:
-    """(cfg.out, text): CSV of columns over rows(), or JSON of payload().
+    """(out, text): in format fmt, CSV of columns over rows(), or JSON of payload().
 
     Only the format printed is built.  rows() returns sequences in column
     order whose cells csv.writer writes as they are (a Fraction or a list
@@ -205,15 +199,15 @@ def _output(
     with indent 2 and ASCII escapes, as json.dumps(value, indent=2) writes
     it.  A caller that fixes the format to CSV passes no payload.
     """
-    if (cfg.format or default_format) == "csv":
+    if fmt == "csv":
         import csv
 
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
         writer.writerows(rows())
-        return cfg.out, buf.getvalue()
-    return cfg.out, _json(payload()) + "\n"
+        return out, buf.getvalue()
+    return out, _json(payload()) + "\n"
 
 
 def _open(path: str):
@@ -275,7 +269,7 @@ def _census_point(
     ]
 
 
-def cmd_census(args: SimpleNamespace, cfg: RunConfig) -> int:
+def cmd_census(args: SimpleNamespace) -> int:
     p_list = _parse_int_list(args.p, "--p")
     n_list = _parse_int_list(args.n, "--n")
     family = Family(args.family)
@@ -296,11 +290,11 @@ def cmd_census(args: SimpleNamespace, cfg: RunConfig) -> int:
         for p in p_list
         for n in n_list
         for k in k_list
-        for rec in _census_point(p, n, family, k, c_spec, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+        for rec in _census_point(p, n, family, k, c_spec, field_cap=args.field_cap, exp_cap=args.exp_cap)
     ]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
     # a record's fields are the CSV columns, so the records are the rows
-    _write(_output(cfg, "csv", dynamics.CensusRecord._fields, lambda: records,
+    _write(_output(args.out, args.format or "csv", dynamics.CensusRecord._fields, lambda: records,
                    lambda: [r._asdict() for r in records]))
     return 0
 
@@ -308,7 +302,7 @@ def cmd_census(args: SimpleNamespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # claims
 
-def cmd_claims(args: SimpleNamespace, cfg: RunConfig) -> int:
+def cmd_claims(args: SimpleNamespace) -> int:
     from . import claims
 
     p_list = _parse_int_list(args.p, "--p")
@@ -316,7 +310,7 @@ def cmd_claims(args: SimpleNamespace, cfg: RunConfig) -> int:
     ell_list = _parse_int_list(args.ell, "--ell")
     grid = [(p, n, ell) for p in p_list for n in n_list for ell in ell_list]
     pinned = _load_expect(args.expect) if args.expect else None
-    reports = claims.check_all(grid, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+    reports = claims.check_all(grid, field_cap=args.field_cap, exp_cap=args.exp_cap)
     columns = ["claim", "p", "n", "ell", "status", "c", "predicted", "actual"]
 
     def rows():
@@ -329,7 +323,7 @@ def cmd_claims(args: SimpleNamespace, cfg: RunConfig) -> int:
             for w in pt.witnesses or [(None, None, None)]
         ]
 
-    _write(_output(cfg, "json", columns, rows, lambda: [rep.as_dict() for rep in reports]))
+    _write(_output(args.out, args.format or "json", columns, rows, lambda: [rep.as_dict() for rep in reports]))
 
     if pinned is not None:
         mismatches = _compare_verdicts(pinned, reports)
@@ -374,7 +368,7 @@ def _compare_verdicts(pinned: dict, reports: list) -> list[str]:
 # ---------------------------------------------------------------------------
 # avg / density
 
-def cmd_avg(args: SimpleNamespace, cfg: RunConfig) -> int:
+def cmd_avg(args: SimpleNamespace) -> int:
     from . import stats
 
     family = Family(args.family)
@@ -386,25 +380,25 @@ def cmd_avg(args: SimpleNamespace, cfg: RunConfig) -> int:
         args.ell,
         selector,
         c_list,
-        field_cap=cfg.field_cap,
-        exp_cap=cfg.exp_cap,
-        sieve_cap=cfg.sieve_cap,
+        field_cap=args.field_cap,
+        exp_cap=args.exp_cap,
+        sieve_cap=args.sieve_cap,
     )
-    _write_ratios(args, cfg, ["c", "selector", "numerator", "denominator", "ratio"], rows)
+    _write_ratios(args, ["c", "selector", "numerator", "denominator", "ratio"], rows)
     return 0
 
 
-def cmd_density(args: SimpleNamespace, cfg: RunConfig) -> int:
+def cmd_density(args: SimpleNamespace) -> int:
     from . import stats
 
     kind = stats.DensityKind(args.kind)
     c_list = _parse_int_list(args.c, "--c")
-    rows = stats.density_table(kind, c_list=c_list, sieve_cap=cfg.sieve_cap)
-    _write_ratios(args, cfg, ["c", "kind", "numerator", "denominator", "ratio"], rows)
+    rows = stats.density_table(kind, c_list=c_list, sieve_cap=args.sieve_cap)
+    _write_ratios(args, ["c", "kind", "numerator", "denominator", "ratio"], rows)
     return 0
 
 
-def _write_ratios(args: SimpleNamespace, cfg: RunConfig, columns: list[str], rows: list) -> None:
+def _write_ratios(args: SimpleNamespace, columns: list[str], rows: list) -> None:
     """avg/density rows (exact ratio in JSON), and the --emit-plot-data c,ratio CSV.
 
     Two names for one file (./x and x, a symlink) are refused before either
@@ -412,23 +406,22 @@ def _write_ratios(args: SimpleNamespace, cfg: RunConfig, columns: list[str], row
     --out untouched.
     """
     plot = args.emit_plot_data
-    if plot and cfg.out and os.path.realpath(plot) == os.path.realpath(cfg.out):
+    if plot and args.out and os.path.realpath(plot) == os.path.realpath(args.out):
         raise UsageError("--emit-plot-data and --out name the same file")
 
     def cells(names: list[str]):  # CSV rows of the named fields, the ratio to six decimals
         return lambda: [[_cell(getattr(r, k)) for k in names] for r in rows]
 
-    outputs = [_output(cfg, "csv", columns, cells(columns), lambda: [r.as_dict() for r in rows])]
+    outputs = [_output(args.out, args.format or "csv", columns, cells(columns), lambda: [r.as_dict() for r in rows])]
     if plot:
-        plot_cfg = cfg._replace(out=plot, format="csv")
-        outputs.insert(0, _output(plot_cfg, "csv", ["c", "ratio"], cells(["c", "ratio"]), None))
+        outputs.insert(0, _output(plot, "csv", ["c", "ratio"], cells(["c", "ratio"]), None))
     _write(*outputs)
 
 
 # ---------------------------------------------------------------------------
 # nf
 
-def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
+def cmd_nf(args: SimpleNamespace) -> int:
     from fractions import Fraction
 
     from . import nfcount, stats
@@ -436,9 +429,9 @@ def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
     chosen = [v is not None for v in (args.X, args.height, args.squarefree, args.c_range)]
     if sum(chosen) != 1:
         raise UsageError("nf needs exactly one of --X, --height, --squarefree, --c-range")
-    dynamics.check_degree(args.d, cfg.exp_cap)  # every mode, an empty --c-range too
+    dynamics.check_degree(args.d, args.exp_cap)  # every mode, an empty --c-range too
     payload = None  # every mode but --c-range has one result: JSON is one object
-    caps = {"exp_cap": cfg.exp_cap, "sieve_cap": cfg.sieve_cap}
+    caps = {"exp_cap": args.exp_cap, "sieve_cap": args.sieve_cap}
     if args.X is not None:
         payload = nfcount.count_by_disc(args.d, args.X, q_max=args.q_max, **caps).as_dict()
         rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
@@ -448,7 +441,7 @@ def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
             shown = float(hmax)
         except (ValueError, OverflowError, ZeroDivisionError) as exc:  # inf, nan, junk, 1/0, beyond float range
             raise UsageError(f"--height expects a finite number in float range: {args.height!r}") from exc
-        count = nfcount.count_by_height(args.d, hmax, exp_cap=cfg.exp_cap)
+        count = nfcount.count_by_height(args.d, hmax, exp_cap=args.exp_cap)
         payload = {"d": args.d, "hmax": shown, "count": count}
         rows, columns = [payload], ["d", "hmax", "count"]
     elif args.squarefree is not None:
@@ -466,7 +459,7 @@ def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
             c_lo, c_hi = int(lo), int(hi)
         except ValueError as exc:
             raise UsageError(f"--c-range expects integers: {args.c_range!r}") from exc
-        stats.check_sieve_cap(c_hi - c_lo + 1, cfg.sieve_cap, f"--c-range {args.c_range}: c count")
+        stats.check_sieve_cap(c_hi - c_lo + 1, args.sieve_cap, f"--c-range {args.c_range}: c count")
         if c_lo <= c_hi:  # the largest |c| is an end: refuse the range before any row
             nfcount._check_c(args.d, max(c_lo, c_hi, key=abs))
         rows = []
@@ -476,7 +469,7 @@ def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
             )
             rows.append({**row, "height": f"{row['height']:.6f}"})
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
-    _write(_output(cfg, "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
+    _write(_output(args.out, args.format or "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
                    lambda: rows if payload is None else payload))
     return 0
 
@@ -484,7 +477,7 @@ def cmd_nf(args: SimpleNamespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 # orbits
 
-def cmd_orbits(args: SimpleNamespace, cfg: RunConfig) -> int:
+def cmd_orbits(args: SimpleNamespace) -> int:
     if args.d is not None:
         if args.family is not None or args.ell is not None:
             raise UsageError("orbits takes --d or --family with --ell, not both")
@@ -495,14 +488,14 @@ def cmd_orbits(args: SimpleNamespace, cfg: RunConfig) -> int:
         raise UsageError(f"--family {args.family} needs --ell")
     else:
         family, k = Family(args.family), args.ell
-    d = dynamics.capped_degree(args.p, args.n, family, k, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+    d = dynamics.capped_degree(args.p, args.n, family, k, field_cap=args.field_cap, exp_cap=args.exp_cap)
     fs = standard_field(args.p, args.n)
     c = _coefficient(fs, args.c)
-    census = dynamics.orbit_census(fs, d, c, field_cap=cfg.field_cap, exp_cap=cfg.exp_cap)
+    census = dynamics.orbit_census(fs, d, c, field_cap=args.field_cap, exp_cap=args.exp_cap)
     result = {"field": fs.as_dict(), "d": d, "c": str(c), **census.as_dict()}
     rows = [{"p": fs.p, "n": fs.n, **result}]
     columns = ["p", "n", "d", "c", "components", "cycle_lengths", "fixed_points", "max_tail"]
-    _write(_output(cfg, "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
+    _write(_output(args.out, args.format or "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
                    lambda: result))
     return 0
 
@@ -515,11 +508,11 @@ def _add_common(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--format", choices=["csv", "json"], default=None)
     sub.add_argument("--jobs", type=int, default=None,
                      help="accepted for compatibility; every grid runs serially")
-    sub.add_argument("--field-cap", dest="field_cap", type=int, default=None,
+    sub.add_argument("--field-cap", type=int, default=None,
                      help=f"max field order p^n scanned (default {DEFAULT_FIELD_CAP})")
-    sub.add_argument("--exp-cap", dest="exp_cap", type=int, default=None,
+    sub.add_argument("--exp-cap", type=int, default=None,
                      help=f"max map degree d (default {DEFAULT_EXP_CAP})")
-    sub.add_argument("--sieve-cap", dest="sieve_cap", type=int, default=None,
+    sub.add_argument("--sieve-cap", type=int, default=None,
                      help=f"max prime-sieve limit (nf's --q-max and --trial-bound too) and max count of c"
                           f" nf enumerates (default {DEFAULT_SIEVE_CAP})")
     sub.add_argument("--config", default=None, help="JSON config file; flags override it")
@@ -549,8 +542,7 @@ def _avg_args(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--ell", type=int, default=1)
     sub.add_argument("--selector", choices=[s.value for s in Selector], required=True)
     sub.add_argument("--c", required=True, help="comma list of bounds")
-    sub.add_argument("--emit-plot-data", dest="emit_plot_data", default=None,
-                     help="also write c,ratio pairs to this path")
+    sub.add_argument("--emit-plot-data", default=None, help="also write c,ratio pairs to this path")
 
 
 def _density_args(sub: argparse.ArgumentParser | _Flags) -> None:
@@ -558,8 +550,7 @@ def _density_args(sub: argparse.ArgumentParser | _Flags) -> None:
 
     sub.add_argument("--kind", choices=[k.value for k in DensityKind], required=True)
     sub.add_argument("--c", required=True, help="comma list of bounds")
-    sub.add_argument("--emit-plot-data", dest="emit_plot_data", default=None,
-                     help="also write c,ratio pairs to this path")
+    sub.add_argument("--emit-plot-data", default=None, help="also write c,ratio pairs to this path")
 
 
 def _nf_args(sub: argparse.ArgumentParser | _Flags) -> None:
@@ -570,9 +561,9 @@ def _nf_args(sub: argparse.ArgumentParser | _Flags) -> None:
     sub.add_argument("--height", default=None, help="count height <= Hmax")
     sub.add_argument("--squarefree", type=int, default=None,
                      help="squarefree |disc| fraction over c in [1, C]")
-    sub.add_argument("--c-range", dest="c_range", default=None, help="LO:HI per-trinomial table")
-    sub.add_argument("--q-max", dest="q_max", type=int, default=DEFAULT_Q_MAX)
-    sub.add_argument("--trial-bound", dest="trial_bound", type=int, default=DEFAULT_TRIAL_BOUND)
+    sub.add_argument("--c-range", default=None, help="LO:HI per-trinomial table")
+    sub.add_argument("--q-max", type=int, default=DEFAULT_Q_MAX)
+    sub.add_argument("--trial-bound", type=int, default=DEFAULT_TRIAL_BOUND)
 
 
 def _orbits_args(sub: argparse.ArgumentParser | _Flags) -> None:
@@ -651,7 +642,7 @@ def _parse_plain(argv: list[str]) -> SimpleNamespace | None:
             value = spec.get("default")
             if isinstance(value, str):
                 value = spec.get("type", str)(value)
-        args[spec.get("dest", flag[2:].replace("-", "_"))] = value
+        args[flag[2:].replace("-", "_")] = value
     return SimpleNamespace(**args)
 
 
@@ -685,8 +676,8 @@ def main(argv: list[str] | None = None) -> int:
         command = next((arg for arg in argv if not arg.startswith("-")), "")
         args = SimpleNamespace(**vars(build_parser(command).parse_args(argv)))
     try:
-        cfg = _resolve_config(args)
-        return args.func(args, cfg)
+        _resolve_config(args)
+        return args.func(args)
     except (UsageError, ArgumentError, CapError) as exc:  # any other error is a fault, not a usage error
         print(f"error: {exc}", file=sys.stderr)
         return 2

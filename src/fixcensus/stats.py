@@ -37,7 +37,6 @@ __all__ = [
     "AverageRow",
     "DensityRow",
     "prime_sieve",
-    "prime_count",
     "prime_counts",
     "average_report",
     "density_table",
@@ -174,11 +173,6 @@ def prime_counts(bounds: Iterable[int]) -> dict[int, int]:
                 elif x // (x // v) == v:
                     counts[v] = large[x // v]
     return counts
-
-
-def prime_count(x: int) -> int:
-    """pi(x), the number of primes <= x, by one _lucy pass."""
-    return prime_counts([x])[x]
 
 
 def _prime_power_count(p: int, n: int, ell: int, c: int) -> int:

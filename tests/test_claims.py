@@ -70,6 +70,15 @@ class TestRegistry:
         assert not by_id["C-3.1"].applies(7, 2, 1)
         assert not by_id["C-3.3"].applies(3, 2, 1)  # family needs p >= 5
 
+    def test_slice_bounds_are_ints_or_open(self):
+        # an open end is None, so no float decides NOT-APPLICABLE
+        for spec in claims.registry():
+            ranges = (spec.p_range, spec.n_range, spec.ell_range)
+            for lo, hi in ranges:
+                assert type(lo) is int and (hi is None or type(hi) is int), spec.id
+            if spec.n_range[1] is None:
+                assert spec.applies(spec.p_range[0], 10**400, spec.ell_range[0]), spec.id
+
     def test_degree(self):
         assert BY_ID["C-2.3"].family.degree(3, 2) == 9
         assert BY_ID["C-3.3"].family.degree(5, 2) == 16

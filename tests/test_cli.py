@@ -272,7 +272,7 @@ _JSON_VALUES = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(_JSON_VALUES)
 def test_json_output_is_json_dumps_indent_2(value):
-    assert cli._output(cli.RunConfig(), "json", [], None, lambda: value) == (None, json.dumps(value, indent=2) + "\n")
+    assert cli._output(None, "json", [], None, lambda: value) == (None, json.dumps(value, indent=2) + "\n")
 
 
 def test_json_strings_go_through_the_escaper_json_uses(monkeypatch):
@@ -300,7 +300,7 @@ def test_json_output_refuses_what_json_dumps_refuses(value):
     with pytest.raises(TypeError):
         json.dumps(value, indent=2)
     with pytest.raises(TypeError):
-        cli._output(cli.RunConfig(), "json", [], None, lambda: value)
+        cli._output(None, "json", [], None, lambda: value)
 
 
 def test_csv_cell_rule():
@@ -308,7 +308,7 @@ def test_csv_cell_rule():
     # None empty and the rest with str
     row = [Fraction(2, 3), [1, 2, 3], None, True, 2.5, -7, "a,b"]
     columns = ["fraction", "list", "none", "bool", "float", "int", "str"]
-    text = cli._output(cli.RunConfig(), "csv", columns, lambda: [list(map(cli._cell, row))], None)
+    text = cli._output(None, "csv", columns, lambda: [list(map(cli._cell, row))], None)
     assert text == (None, 'fraction,list,none,bool,float,int,str\n0.666667,1;2;3,,True,2.5,-7,"a,b"\n')
 
 
@@ -316,8 +316,8 @@ def test_output_builds_only_the_format_printed():
     def unbuilt():
         raise AssertionError("built a format that is not printed")
 
-    assert cli._output(cli.RunConfig(), "json", ["a"], unbuilt, lambda: [1]) == (None, "[\n  1\n]\n")
-    assert cli._output(cli.RunConfig(format="csv"), "json", ["a"], lambda: [[1]], unbuilt) == (None, "a\n1\n")
+    assert cli._output(None, "json", ["a"], unbuilt, lambda: [1]) == (None, "[\n  1\n]\n")
+    assert cli._output(None, "csv", ["a"], lambda: [[1]], unbuilt) == (None, "a\n1\n")
 
 
 def test_readme_examples(capsys, tmp_path, monkeypatch):
@@ -686,7 +686,7 @@ def test_process_entry_fault_prints_a_traceback(tmp_path):
     script = (
         "import runpy, sys\n"
         "from fixcensus import cli\n"
-        "def fault(args, cfg):\n"
+        "def fault(args):\n"
         "    raise RuntimeError('planted fault')\n"
         "cli.cmd_nf = fault\n"
         "sys.argv = ['fixcensus', 'nf', '--d', '3', '--X', '100']\n"
@@ -781,14 +781,13 @@ def test_plain_command_line_runs_the_command_patched_onto_cli(monkeypatch):
 
     seen = []
     monkeypatch.setattr(cli, "build_parser", no_parser)
-    monkeypatch.setattr(cli, "cmd_census", lambda args, cfg: seen.append((vars(args), cfg)) or 7)
+    monkeypatch.setattr(cli, "cmd_census", lambda args: seen.append(vars(args)) or 7)
     assert main(["census", "--p=3", "--n", "2", "--family", "raw", "--d", "2", "--field-cap", "9"]) == 7
-    assert seen == [(
+    assert seen == [
         {"command": "census", "func": cli.cmd_census, "p": "3", "n": "2", "ell": None, "d": "2", "family": "raw",
-         "c": "all", "out": None, "format": None, "jobs": None, "field_cap": 9, "exp_cap": None, "sieve_cap": None,
-         "config": None},
-        cli.RunConfig(field_cap=9),
-    )]
+         "c": "all", "out": None, "format": None, "jobs": 1, "field_cap": 9, "exp_cap": dynamics.DEFAULT_EXP_CAP,
+         "sieve_cap": ff.DEFAULT_SIEVE_CAP, "config": None},
+    ]
 
 
 # Values that pass or fail a flag's type and choices in the ways that matter
@@ -868,7 +867,7 @@ def test_negative_c_value_matches_the_equals_form(capsys, argv, value):
 
 
 def test_internal_key_error_is_not_a_usage_error(capsys, monkeypatch):
-    def broken(args, cfg):
+    def broken(args):
         return {}["missing"]
 
     monkeypatch.setattr(cli, "cmd_nf", broken)
@@ -1000,7 +999,7 @@ def test_integer_side_sizes_meet_one_cap(capsys, monkeypatch, above, message, at
         raise AssertionError("work began before the cap check")
 
     for module, name in [
-        (stats, "_sieve"), (stats, "prime_count"), (stats, "prime_counts"), (stats, "_lucy"),
+        (stats, "_sieve"), (stats, "prime_counts"), (stats, "_lucy"),
         (stats, "_prime_factors"), (stats, "standard_field"),
         (nfcount, "closed_form_disc"), (nfcount, "_irreducible_mod_q"), (nfcount, "integral_fixed_points"),
         (nfcount, "_squarefree_by_trial"), (nfcount, "_squarefree_verdicts"), (nfcount, "_disc_roots"),
@@ -1184,6 +1183,25 @@ class TestConfig:
              "--ell", "1", "--c", "0", *extra],
         )
         assert (code, out, err) == (2, "", "error: --jobs must be at least 1\n")
+
+    @pytest.mark.parametrize("key, default, in_file, on_flag", [
+        ("field_cap", ff.DEFAULT_FIELD_CAP, 100, 200),
+        ("exp_cap", dynamics.DEFAULT_EXP_CAP, 100, 200),
+        ("sieve_cap", ff.DEFAULT_SIEVE_CAP, 100, 200),
+        ("out", None, "file.csv", "flag.csv"),
+        ("format", None, "json", "csv"),
+        ("jobs", 1, 2, 3),
+    ])
+    def test_setting_is_flag_else_config_else_default(self, monkeypatch, tmp_path, key, default, in_file, on_flag):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_census", lambda args: seen.append(getattr(args, key)) or 0)
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: in_file}))
+        argv = ["census", "--p", "3", "--n", "1", "--family", "prime-power", "--ell", "1", "--c", "0"]
+        flag = ["--" + key.replace("_", "-"), str(on_flag)]
+        for extra in ([], ["--config", str(cfg)], ["--config", str(cfg), *flag]):
+            assert main([*argv, *extra]) == 0
+        assert seen == [default, in_file, on_flag]
 
 
 class TestClaims:

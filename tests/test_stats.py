@@ -242,7 +242,7 @@ def sieve_average_rows(family, n, ell, selector, c_list):
 
 
 def sieve_density_rows(kind, c_list):
-    """density_table as the walk over the sieve it used before prime_count."""
+    """density_table as the walk over the sieve it used before prime_counts."""
     floor, selector = _KIND[kind]
     rows = []
     for c in c_list:
@@ -325,15 +325,15 @@ class TestClosedForms:
     def test_prime_count_known_values(self):
         want = trial_division_primes(3000)
         for x in range(-3, 3001):
-            assert stats.prime_count(x) == sum(1 for p in want if p <= x), x
-        assert stats.prime_count(10**6) == 78498
-        assert stats.prime_count(4 * 10**6) == 283146
-        assert stats.prime_count(10**8) == 5761455
+            assert stats.prime_counts([x])[x] == sum(1 for p in want if p <= x), x
+        assert stats.prime_counts([10**6])[10**6] == 78498
+        assert stats.prime_counts([4 * 10**6])[4 * 10**6] == 283146
+        assert stats.prime_counts([10**8])[10**8] == 5761455
 
     @settings(max_examples=200, deadline=None)
     @given(st.one_of(st.integers(0, 10**5), st.builds(lambda k, e: k * k + e, st.integers(2, 316), st.integers(-1, 1))))
     def test_prime_count_matches_sieve(self, x):
-        assert stats.prime_count(x) == len(stats.prime_sieve(x))
+        assert stats.prime_counts([x])[x] == len(stats.prime_sieve(x))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -345,9 +345,9 @@ class TestClosedForms:
     )
     def test_prime_counts_equal_one_count_at_a_time(self, bounds):
         # duplicates, bounds below 2, and bounds in and out of the largest
-        # bound's quotient set x // k, each answered as prime_count alone
+        # bound's quotient set x // k, each answered as a count alone
         counts = stats.prime_counts(bounds)
-        assert counts == {x: stats.prime_count(x) for x in bounds}
+        assert counts == {x: stats.prime_counts([x])[x] for x in bounds}
 
     def test_prime_counts_read_quotients_off_one_pass(self, monkeypatch):
         passes = []
