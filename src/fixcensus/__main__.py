@@ -1,26 +1,18 @@
 """The one process entry: ``python -m fixcensus`` and the console script call
-``_exit_run``.  ``run`` freezes what importing ``cli`` loaded (the site
-modules, cli, dynamics, ff), so the collector's full passes skip it, and
-returns main's code; ``cli.main``, the in-process entry, leaves it alone.
-Once run returns, or exits with an int or None code (--help, usage errors),
+``_exit_run``, which runs ``cli.main``, the entry the tests call in process.
+Once main returns, or exits with an int or None code (--help, usage errors),
 the command's files are closed: ``_exit_run`` flushes stdout and stderr and
 skips the interpreter's teardown by os._exit; a fault or failed flush does not."""
 
-import gc
 import os
 import sys
 
 from .cli import main
 
 
-def run() -> int:
-    gc.freeze()
-    return main()
-
-
 def _exit_run() -> None:
     try:
-        code = run()
+        code = main()
     except SystemExit as exc:
         if exc.code is not None and not isinstance(exc.code, int):
             raise

@@ -6,7 +6,11 @@ z = c + 1 branch for d = p - 1) and then frozen.  The checker must
 reproduce them exactly, witnesses in field enumeration order.
 """
 
+import functools
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fixcensus import claims, dynamics, ff
 from fixcensus.claims import Verdict
@@ -199,6 +203,48 @@ class TestCheckPoint:
         for spec_id, n in [("C-2.1", 2), ("C-2.1", 3), ("C-2.2", 2)]:
             res = claims.check_point(BY_ID[spec_id], 3, n, 1)
             assert all(str(w.c) != "0" for w in res.witnesses)
+
+
+@functools.lru_cache(maxsize=None)
+def recount(p, n, d):
+    """Each coefficient's fixed-point count of z -> z^d + c on F_{p^n}, by
+    index, and the elements in index order: z is fixed by the map with
+    c = z - z^d, so every z adds one to that c.  Element arithmetic only."""
+    fs = ff.standard_field(p, n)
+    elements = [fs.element_at(i) for i in range(fs.order)]
+    counts = Counter((z - z**d).index for z in elements)
+    return [counts[i] for i in range(fs.order)], elements
+
+
+def rejudge(spec, p, n, ell):
+    """spec's verdict, witness triples and unjudged histogram at (p, n, ell),
+    read from the recount and the claim's own prediction table."""
+    if not spec.applies(p, n, ell):
+        return Verdict.NOT_APPLICABLE, [], ()
+    d = (p if spec.family is Family.PRIME_POWER else p - 1) ** ell
+    counts, elements = recount(p, n, d)
+    predictions = dict(spec.predictions)
+    witnesses, unjudged = [], Counter()
+    for i, actual in enumerate(counts):
+        label = {p - 1: "-1", 0: "0", 1: "1"}.get(i, "other")  # at p = 2, index 1 is "1"
+        predicted = predictions.get(label, None if label == "0" else predictions.get("nonzero"))
+        if predicted is None:
+            unjudged[actual] += 1
+        elif predicted != actual:
+            witnesses.append((str(elements[i]), predicted, actual))
+    return Verdict.FAILS if witnesses else Verdict.HOLDS, witnesses, tuple(sorted(unjudged.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.tuples(st.sampled_from([2, 3, 5, 7, 11, 13]), st.integers(1, 3), st.integers(1, 2)).filter(
+        lambda point: point[0] ** point[1] <= 2000
+    )
+)
+def test_every_claim_matches_an_element_recount(point):
+    for spec in claims.registry():
+        res = claims.check_point(spec, *point)
+        assert (res.status, witness_triples(res), res.unspecified_counts) == rejudge(spec, *point), spec.id
 
 
 def statuses(report):

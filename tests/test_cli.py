@@ -626,20 +626,6 @@ def test_main_leaves_the_collector_alone(capsys):
     assert gc.get_freeze_count() == frozen
 
 
-def test_process_entry_freezes_once_before_main(monkeypatch):
-    entry = importlib.import_module("fixcensus.__main__")
-    calls = []
-    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
-
-    def fake_main():
-        calls.append("main")
-        return 3
-
-    monkeypatch.setattr(entry, "main", fake_main)
-    assert entry.run() == 3
-    assert calls == ["freeze", "main"]
-
-
 def test_process_entry_prints_the_bytes_of_main(capsys, tmp_path):
     assert main(_CLAIMS_GRID) == 0
     expected = capsys.readouterr().out.encode()
@@ -716,7 +702,7 @@ class _Unflushable(io.StringIO):
 def test_process_exit_skips_teardown_only_after_a_flush(monkeypatch, outcome, stdout, exits, raised):
     entry = importlib.import_module("fixcensus.__main__")
     codes = []
-    monkeypatch.setattr(entry, "run", outcome)
+    monkeypatch.setattr(entry, "main", outcome)
     monkeypatch.setattr(os, "_exit", codes.append)
     monkeypatch.setattr(sys, "stdout", stdout())
     if raised is None:

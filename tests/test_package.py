@@ -1,7 +1,10 @@
 """The lazy package namespace: each public name resolves on first use to
-the object its submodule defines."""
+the object its submodule defines; and the names the benchmark tracer wraps."""
 
 import importlib
+import importlib.util
+import pathlib
+import sys
 
 import pytest
 
@@ -38,3 +41,19 @@ def test_submodules_import_by_name():
 
     assert claims is importlib.import_module("fixcensus.claims")
     assert stats.Selector is fixcensus.Selector
+
+
+def test_benchmark_tracer_names_exist(monkeypatch):
+    # bench/tracer.py wraps each LAYERS name with getattr on every module it
+    # lists, so a name that moves breaks every traced benchmark run
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.LAYERS
+    for name, _info, modules in tracer.LAYERS:
+        attr = name.rsplit(".", 1)[1]
+        for module in modules:
+            assert callable(getattr(module, attr, None)), f"{name}: {module.__name__}.{attr}"
+    assert hasattr(tracer.ff.FieldOps, "mul_table")  # _ops_info reads it
