@@ -94,20 +94,19 @@ def _resolve_config(args: SimpleNamespace) -> None:
 
 
 def _cell(value):
-    """The CSV cell rule for the values csv.writer would not write as meant:
-    a Fraction to six decimals, a list joined by ';'; any other value as it is.
-
-    Rows apply it only where such a value can stand; csv.writer writes None
-    as an empty cell.  JSON never sees this rule; it keeps exact rationals
-    as "a/b" strings (the records' as_dict), so values that only look like
-    fractions are formatted strings before they reach either format.
+    """The CSV cell rule for a list, which csv.writer would not write as
+    meant: its items joined by ';'.  Any other value is returned as it is;
+    csv.writer writes None as an empty cell.  An exact ratio reaches CSV as
+    _decimals text and JSON as its record's "a/b" text (stats.ratio_text).
     """
-    fractions = sys.modules.get("fractions")  # no Fraction exists before it is loaded
-    if fractions and isinstance(value, fractions.Fraction):
-        return f"{value.numerator / value.denominator:.6f}"
     if isinstance(value, list):
         return ";".join(map(str, value))
     return value
+
+
+def _decimals(numerator: int, denominator: int) -> str | None:
+    """An exact ratio's CSV cell: six decimals (int / int rounds correctly), None over 0."""
+    return f"{numerator / denominator:.6f}" if denominator else None
 
 
 def _json_scalar(x) -> str:
@@ -194,8 +193,8 @@ def _output(
     """(out, text): in format fmt, CSV of columns over rows(), or JSON of payload().
 
     Only the format printed is built.  rows() returns sequences in column
-    order whose cells csv.writer writes as they are (a Fraction or a list
-    goes through _cell first); payload() returns the JSON value, written
+    order of cells csv.writer writes as they are (_cell joins a list,
+    _decimals writes a ratio); payload() returns the JSON value, written
     with indent 2 and ASCII escapes, as json.dumps(value, indent=2) writes
     it.  A caller that fixes the format to CSV passes no payload.
     """
@@ -409,8 +408,8 @@ def _write_ratios(args: SimpleNamespace, columns: list[str], rows: list) -> None
     if plot and args.out and os.path.realpath(plot) == os.path.realpath(args.out):
         raise UsageError("--emit-plot-data and --out name the same file")
 
-    def cells(names: list[str]):  # CSV rows of the named fields, the ratio to six decimals
-        return lambda: [[_cell(getattr(r, k)) for k in names] for r in rows]
+    def cells(names: list[str]):  # CSV rows of the named fields, the last the ratio, to six decimals
+        return lambda: [[*(getattr(r, k) for k in names[:-1]), _decimals(r.numerator, r.denominator)] for r in rows]
 
     outputs = [_output(args.out, args.format or "csv", columns, cells(columns), lambda: [r.as_dict() for r in rows])]
     if plot:
@@ -422,8 +421,6 @@ def _write_ratios(args: SimpleNamespace, columns: list[str], rows: list) -> None
 # nf
 
 def cmd_nf(args: SimpleNamespace) -> int:
-    from fractions import Fraction
-
     from . import nfcount, stats
 
     chosen = [v is not None for v in (args.X, args.height, args.squarefree, args.c_range)]
@@ -436,6 +433,8 @@ def cmd_nf(args: SimpleNamespace) -> int:
         payload = nfcount.count_by_disc(args.d, args.X, q_max=args.q_max, **caps).as_dict()
         rows, columns = [payload], ["d", "X", "count", "unknown", "exponent_ref", "bound_ok"]
     elif args.height is not None:
+        from fractions import Fraction  # a decimal height is read exactly
+
         try:
             hmax = Fraction(args.height)
             shown = float(hmax)
@@ -449,7 +448,7 @@ def cmd_nf(args: SimpleNamespace) -> int:
             args.d, args.squarefree, trial_bound=args.trial_bound, **caps
         )
         payload = report.as_dict()
-        rows = [{**payload, "fraction": report.fraction}]
+        rows = [{**payload, "fraction": _decimals(report.squarefree, report.limit)}]
         columns = ["d", "limit", "squarefree", "unknown", "fraction", "reference"]
     else:
         lo, sep, hi = args.c_range.partition(":")
@@ -469,7 +468,7 @@ def cmd_nf(args: SimpleNamespace) -> int:
             )
             rows.append({**row, "height": f"{row['height']:.6f}"})
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
-    _write(_output(args.out, args.format or "json", columns, lambda: [[_cell(row[k]) for k in columns] for row in rows],
+    _write(_output(args.out, args.format or "json", columns, lambda: [[row[k] for k in columns] for row in rows],
                    lambda: rows if payload is None else payload))
     return 0
 

@@ -26,7 +26,6 @@ import itertools
 import math
 import sys
 from collections import Counter
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import dynamics, ff, stats
@@ -65,11 +64,11 @@ class FieldCountRow(NamedTuple):
     X: int
     count: int
     unknown: int
-    exponent_ref: Fraction
+    exponent_ref: str  # d/(2d-2), as ratio_text writes it
     bound_ok: bool
 
     def as_dict(self) -> dict:
-        return {**self._asdict(), "exponent_ref": str(self.exponent_ref)}
+        return self._asdict()
 
 
 class SquarefreeReport(NamedTuple):
@@ -79,7 +78,6 @@ class SquarefreeReport(NamedTuple):
     limit: int
     squarefree: int
     unknown: int
-    fraction: Fraction
     reference: float
 
     def as_dict(self) -> dict:
@@ -90,7 +88,7 @@ class SquarefreeReport(NamedTuple):
             "unknown": self.unknown,
             "numerator": self.squarefree,
             "denominator": self.limit,
-            "fraction": str(self.fraction),
+            "fraction": stats.ratio_text(self.squarefree, self.limit),
             "reference": f"{self.reference:.6f}",
         }
 
@@ -220,7 +218,7 @@ def count_by_disc(
     The candidates go through _uncertified, irreducibility_status's filter,
     over the primes q <= q_max; a c left over is UNKNOWN unless it has an
     integer root.  bound_ok records whether count <= 4 * X^(d/(2d-2)),
-    compared exactly; the exponent is also reported exactly as a Fraction.
+    compared exactly; the exponent is reported as its exact ratio text.
     A d above exp_cap, and a q_max or a candidate count above sieve_cap, is
     refused before any candidate is examined; sieve_cap also caps the root
     tables.
@@ -231,7 +229,7 @@ def count_by_disc(
     pending = _uncertified(d, candidates, stats.prime_sieve(q_max, sieve_cap=sieve_cap), exp_cap, sieve_cap)
     count = len(candidates) - len(pending)
     unknown = sum(1 for c in pending if not integral_fixed_points(d, c))
-    return FieldCountRow(d, X, count, unknown, Fraction(d, 2 * d - 2), _within_bound(count, d, X))
+    return FieldCountRow(d, X, count, unknown, stats.ratio_text(d, 2 * d - 2), _within_bound(count, d, X))
 
 
 def _check_digits(bits: int, what: str) -> None:
@@ -261,6 +259,8 @@ def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFA
     int-to-str digit limit, are refused with CapError before the power is
     formed.
     """
+    from fractions import Fraction  # imported here, so only a height count loads fractions
+
     check_degree(d, exp_cap)
     try:
         h = Fraction(hmax)
@@ -415,9 +415,7 @@ def squarefree_disc_fraction(
     primes = stats.prime_sieve(integer_root(top, 3), sieve_cap=sieve_cap)
     tally = Counter(_squarefree_verdicts(d, limit, trial_bound, primes))
     squarefree, unknown = tally[True], tally[None]
-    return SquarefreeReport(
-        d, limit, squarefree, unknown, Fraction(squarefree, limit), ZETA2_INV
-    )
+    return SquarefreeReport(d, limit, squarefree, unknown, ZETA2_INV)
 
 
 def trinomial_row(

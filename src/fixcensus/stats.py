@@ -8,8 +8,8 @@ table enumerates primes where number theory gives the answer: the
 prime-power count has a closed form, prime_counts gives pi(x) for every
 bound of a table, from one pass and without a prime list, and the dividing
 primes are the prime factors of one integer.
-Everything is exact rational arithmetic via Fraction; floats appear only
-when a renderer formats a ratio.
+Everything is exact integer arithmetic, each ratio kept as two ints; floats
+appear only when a renderer formats a ratio.
 
 Prime floors: the prime-power family starts at p = 3 and the pminus1 family
 at p = 5, matching the smallest primes the counting claims cover.
@@ -21,7 +21,6 @@ import functools
 import itertools
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from typing import NamedTuple
 
 from . import dynamics
@@ -40,6 +39,7 @@ __all__ = [
     "prime_counts",
     "average_report",
     "density_table",
+    "ratio_text",
 ]
 
 
@@ -85,10 +85,9 @@ class AverageRow(NamedTuple):
     prime_floor: int
     numerator: int
     denominator: int
-    ratio: Fraction | None
 
     def as_dict(self) -> dict:
-        ratio = str(self.ratio) if self.ratio is not None else None
+        ratio = ratio_text(self.numerator, self.denominator)
         return {**self._asdict(), "selector": self.selector.value, "ratio": ratio}
 
 
@@ -99,11 +98,18 @@ class DensityRow(NamedTuple):
     kind: DensityKind
     numerator: int
     denominator: int
-    ratio: Fraction | None
 
     def as_dict(self) -> dict:
-        ratio = str(self.ratio) if self.ratio is not None else None
+        ratio = ratio_text(self.numerator, self.denominator)
         return {**self._asdict(), "kind": self.kind.value, "ratio": ratio}
+
+
+def ratio_text(numerator: int, denominator: int) -> str | None:
+    """numerator/denominator (both >= 0) as str(Fraction) writes it: lowest terms, no /1, None over 0."""
+    if not denominator:
+        return None
+    g = math.gcd(numerator, denominator)
+    return str(numerator // g) if denominator == g else f"{numerator // g}/{denominator // g}"
 
 
 def prime_sieve(limit: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> tuple[int, ...]:
@@ -246,9 +252,7 @@ def average_report(
                 qual = [p for p in _prime_factors(n // g, floor) if p <= c and c % p]
             else:
                 qual = [p for p in prime_sieve(c, sieve_cap=sieve_cap) if p >= floor and c % p]
-        numerator = sum(count(p, c) for p in qual)
-        ratio = Fraction(numerator, denominator) if denominator else None
-        rows.append(AverageRow(c, selector, floor, numerator, denominator, ratio))
+        rows.append(AverageRow(c, selector, floor, sum(count(p, c) for p in qual), denominator))
     return rows
 
 
@@ -286,6 +290,5 @@ def density_table(
         target = c + _SHIFT.get(selector, 0)
         dividing = sum(1 for p in _prime_factors(target, floor) if p <= c)
         numerator = denominator - dividing if selector is Selector.NOT_DIVIDES_C else dividing
-        ratio = Fraction(numerator, denominator) if denominator else None
-        rows.append(DensityRow(c, kind, numerator, denominator, ratio))
+        rows.append(DensityRow(c, kind, numerator, denominator))
     return rows

@@ -212,6 +212,52 @@ C-3.4,5,3,1,NOT-APPLICABLE,,,
 """,
         id="claims-csv-bare-rows",
     ),
+    # exact ratios: six decimals of a denominator no power of ten divides, a
+    # ratio reducing to an integer (2/1 and 4/2), and one left unreduced in
+    # the record (nf's exponent 2/2)
+    pytest.param(
+        ["density", "--kind", "nc3", "--c", "30,1000,2310"],
+        "c,kind,numerator,denominator,ratio\n"
+        "30,nc3,2,9,0.222222\n"
+        "1000,nc3,1,167,0.005988\n"
+        "2310,nc3,4,342,0.011696\n",
+        id="density-csv-decimals",
+    ),
+    pytest.param(
+        ["avg", "--family", "pminus1", "--selector", "p|c", "--c", "30,210", "--format", "json"],
+        """[
+  {
+    "c": 30,
+    "selector": "p|c",
+    "prime_floor": 5,
+    "numerator": 2,
+    "denominator": 1,
+    "ratio": "2"
+  },
+  {
+    "c": 210,
+    "selector": "p|c",
+    "prime_floor": 5,
+    "numerator": 4,
+    "denominator": 2,
+    "ratio": "2"
+  }
+]
+""",
+        id="avg-json-integer-ratios",
+    ),
+    pytest.param(
+        ["nf", "--d", "3", "--squarefree", "7", "--format", "csv"],
+        "d,limit,squarefree,unknown,fraction,reference\n"
+        "3,7,4,0,0.571429,0.607927\n",
+        id="nf-squarefree-csv",
+    ),
+    pytest.param(
+        ["nf", "--d", "2", "--X", "10", "--format", "csv"],
+        "d,X,count,unknown,exponent_ref,bound_ok\n"
+        "2,10,3,0,1,True\n",
+        id="nf-X-csv-integer-exponent",
+    ),
 ]
 
 
@@ -304,12 +350,37 @@ def test_json_output_refuses_what_json_dumps_refuses(value):
 
 
 def test_csv_cell_rule():
-    # a Fraction to six decimals and a list joined by ';' through _cell; csv.writer writes
-    # None empty and the rest with str
-    row = [Fraction(2, 3), [1, 2, 3], None, True, 2.5, -7, "a,b"]
-    columns = ["fraction", "list", "none", "bool", "float", "int", "str"]
+    # a list joined by ';' through _cell; csv.writer writes None empty and the rest with str
+    row = [[1, 2, 3], None, True, 2.5, -7, "a,b"]
+    columns = ["list", "none", "bool", "float", "int", "str"]
     text = cli._output(None, "csv", columns, lambda: [list(map(cli._cell, row))], None)
-    assert text == (None, 'fraction,list,none,bool,float,int,str\n0.666667,1;2;3,,True,2.5,-7,"a,b"\n')
+    assert text == (None, 'list,none,bool,float,int,str\n1;2;3,,True,2.5,-7,"a,b"\n')
+
+
+_RATIO_INTS = st.one_of(st.integers(0, 1000), st.integers(0, 2**200))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_RATIO_INTS, _RATIO_INTS, st.booleans())
+@example(0, 0, False)
+@example(0, 7, False)
+@example(7, 0, False)
+@example(2, 1, False)
+@example(4, 2, False)
+@example(2**64 + 1, 2**64 - 1, False)
+@example(2**70, 2**65, False)
+@example(2**1100 + 1, 2**1099, False)  # each int past the float range, the ratio in it
+def test_exact_ratio_text_and_cell_are_those_of_fraction(a, b, multiple):
+    # the JSON text and the CSV cell of a ratio held as two ints, against Fraction
+    if multiple:
+        a *= b  # b | a
+    text = stats.ratio_text(a, b)
+    cell = cli._output(None, "csv", ["b", "ratio"], lambda: [[b, cli._decimals(a, b)]], None)[1]
+    if b:
+        assert text == str(Fraction(a, b))
+        assert cell == f"b,ratio\n{b},{float(Fraction(a, b)):.6f}\n"
+    else:
+        assert (text, cell) == (None, "b,ratio\n0,\n")
 
 
 def test_output_builds_only_the_format_printed():
@@ -582,11 +653,14 @@ _UNUSED_BY_SCANS = ["fixcensus.claims", "fixcensus.stats", "fixcensus.nfcount", 
         (["claims", "--p", "3", "--n", "1", "--ell", "1"],
          ["fixcensus.stats", "fixcensus.nfcount", "fractions", "csv", "json"]),
         (["avg", "--family", "prime-power", "--selector", "p|c", "--c", "30"],
-         ["fixcensus.claims", "fixcensus.nfcount", "json"]),
-        (["density", "--kind", "nc3", "--c", "30"], ["fixcensus.claims", "fixcensus.nfcount", "json"]),
-        (["nf", "--d", "3", "--X", "1000"], ["fixcensus.claims", "csv", "json"]),
+         ["fixcensus.claims", "fixcensus.nfcount", "fractions", "decimal", "json"]),
+        (["density", "--kind", "nc3", "--c", "30"],
+         ["fixcensus.claims", "fixcensus.nfcount", "fractions", "decimal", "json"]),
+        (["nf", "--d", "3", "--X", "1000"], ["fixcensus.claims", "fractions", "decimal", "csv", "json"]),
+        (["nf", "--d", "3", "--squarefree", "10"], ["fixcensus.claims", "fractions", "decimal", "csv", "json"]),
+        (["nf", "--d", "3", "--c-range", "1:3"], ["fixcensus.claims", "fractions", "decimal", "csv", "json"]),
     ],
-    ids=["census", "orbits", "claims", "avg", "density", "nf"],
+    ids=["census", "orbits", "claims", "avg", "density", "nf", "nf-squarefree", "nf-c-range"],
 )
 def test_command_loads_only_its_modules(argv, unused):
     # -S: no site .pth file adds modules, so only the command's imports count
