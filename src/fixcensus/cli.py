@@ -421,7 +421,7 @@ def _write_ratios(args: SimpleNamespace, columns: list[str], rows: list) -> None
 # nf
 
 def cmd_nf(args: SimpleNamespace) -> int:
-    from . import nfcount, stats
+    from . import nfcount
 
     chosen = [v is not None for v in (args.X, args.height, args.squarefree, args.c_range)]
     if sum(chosen) != 1:
@@ -458,15 +458,10 @@ def cmd_nf(args: SimpleNamespace) -> int:
             c_lo, c_hi = int(lo), int(hi)
         except ValueError as exc:
             raise UsageError(f"--c-range expects integers: {args.c_range!r}") from exc
-        stats.check_sieve_cap(c_hi - c_lo + 1, args.sieve_cap, f"--c-range {args.c_range}: c count")
-        if c_lo <= c_hi:  # the largest |c| is an end: refuse the range before any row
-            nfcount._check_c(args.d, max(c_lo, c_hi, key=abs))
-        rows = []
-        for c in range(c_lo, c_hi + 1):
-            row = nfcount.trinomial_row(
-                args.d, c, q_max=args.q_max, trial_bound=args.trial_bound, **caps
-            )
-            rows.append({**row, "height": f"{row['height']:.6f}"})
+        rows = nfcount.trinomial_rows(args.d, c_lo, c_hi, q_max=args.q_max, trial_bound=args.trial_bound,
+                                      what=f"--c-range {args.c_range}", **caps)
+        for row in rows:
+            row["height"] = f"{row['height']:.6f}"
         columns = ["d", "c", "disc", "height", "irreducibility", "squarefree"]
     _write(_output(args.out, args.format or "json", columns, lambda: [[row[k] for k in columns] for row in rows],
                    lambda: rows if payload is None else payload))

@@ -11,11 +11,13 @@ cofactor) for the discriminant of the number field a given trinomial cuts
 out; irreducibility over Q is certified, never guessed, with UNKNOWN as a
 first-class answer.
 
-The counts over many c work by residue class.  One filter, _uncertified,
-sorts out the mod-q certificates prime by prime for one c and for many, and
-squarefree_disc_fraction sieves windows of c by every prime trial division
-would try, at the discriminant's roots mod p, taken by root extraction;
-_squarefree_by_trial stays the rule for one c and for each cofactor left.
+Every nf verdict is one pass over a set of c, by residue class.
+Irreducibility is _statuses: the filter _uncertified sorts out the mod-q
+certificates prime by prime, and an integer root splits REDUCIBLE from
+UNKNOWN in what it leaves.  Squarefree is _squarefree_column: a sieve over
+an interval of c by every prime trial division would try, at the
+discriminant's roots mod p, with _squarefree_by_trial's rule on each
+cofactor left.  trinomial_row and irreducibility_status are their one-c views.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "closed_form_disc",
     "irreducibility_status",
     "trinomial_row",
+    "trinomial_rows",
     "bounded_trinomials",
     "count_by_disc",
     "count_by_height",
@@ -81,16 +84,9 @@ class SquarefreeReport(NamedTuple):
     reference: float
 
     def as_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "limit": self.limit,
-            "squarefree": self.squarefree,
-            "unknown": self.unknown,
-            "numerator": self.squarefree,
-            "denominator": self.limit,
-            "fraction": stats.ratio_text(self.squarefree, self.limit),
-            "reference": f"{self.reference:.6f}",
-        }
+        d, limit, squarefree, unknown, reference = self
+        return {"d": d, "limit": limit, "squarefree": squarefree, "unknown": unknown, "numerator": squarefree,
+                "denominator": limit, "fraction": stats.ratio_text(squarefree, limit), "reference": f"{reference:.6f}"}
 
 
 def closed_form_disc(d: int, c: int) -> int:
@@ -142,24 +138,27 @@ def _uncertified(d: int, cs: list[int], primes: tuple[int, ...], exp_cap: int, s
     return pending
 
 
-def irreducibility_status(
-    d: int, c: int, *, q_max: int = DEFAULT_Q_MAX, sieve_cap: int = DEFAULT_SIEVE_CAP
-) -> IrreducibilityStatus:
-    """Certified irreducibility of x^d - x + c over Q; UNKNOWN when unsure.
+def _statuses(d: int, cs: list[int], q_max: int, exp_cap: int, sieve_cap: int) -> dict[int, IrreducibilityStatus]:
+    """The c of cs that _uncertified leaves over the primes q <= q_max, REDUCIBLE
+    with an integer root and UNKNOWN without; every other c is IRREDUCIBLE."""
+    pending = _uncertified(d, cs, stats.prime_sieve(q_max, sieve_cap=sieve_cap), exp_cap, sieve_cap)
+    return {c: IrreducibilityStatus.REDUCIBLE if integral_fixed_points(d, c) else IrreducibilityStatus.UNKNOWN
+            for c in pending}
+
+
+def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX,
+                          sieve_cap: int = DEFAULT_SIEVE_CAP) -> IrreducibilityStatus:
+    """Certified irreducibility of x^d - x + c over Q, the one-c view of _statuses.
 
     IRREDUCIBLE comes from irreducibility modulo some prime q <= q_max,
     which a reducible f, whose monic factors stay factors mod every q,
     never has, so it is sought first (and q_max meets the cap before c is
     looked at); REDUCIBLE comes with an integer root (monic integer
-    polynomials have integer rational roots), which c = 0 always has.  No
-    heuristic ever upgrades UNKNOWN.
+    polynomials have integer rational roots), which c = 0 always has.
+    UNKNOWN is the answer when unsure; no heuristic ever upgrades it.
     """
     check_degree(d)
-    if not _uncertified(d, [c], stats.prime_sieve(q_max, sieve_cap=sieve_cap), DEFAULT_EXP_CAP, sieve_cap):
-        return IrreducibilityStatus.IRREDUCIBLE
-    if integral_fixed_points(d, c):
-        return IrreducibilityStatus.REDUCIBLE
-    return IrreducibilityStatus.UNKNOWN
+    return _statuses(d, [c], q_max, DEFAULT_EXP_CAP, sieve_cap).get(c, IrreducibilityStatus.IRREDUCIBLE)
 
 
 def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
@@ -206,19 +205,13 @@ def _within_bound(count: int, d: int, X: int) -> bool:
 
 
 def count_by_disc(
-    d: int,
-    X: int,
-    *,
-    q_max: int = DEFAULT_Q_MAX,
-    exp_cap: int = DEFAULT_EXP_CAP,
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
+    d: int, X: int, *, q_max: int = DEFAULT_Q_MAX, exp_cap: int = DEFAULT_EXP_CAP, sieve_cap: int = DEFAULT_SIEVE_CAP
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
-    The candidates go through _uncertified, irreducibility_status's filter,
-    over the primes q <= q_max; a c left over is UNKNOWN unless it has an
-    integer root.  bound_ok records whether count <= 4 * X^(d/(2d-2)),
-    compared exactly; the exponent is reported as its exact ratio text.
+    The candidates go through _statuses over the primes q <= q_max.
+    bound_ok records whether count <= 4 * X^(d/(2d-2)), compared exactly;
+    the exponent is reported as its exact ratio text.
     A d above exp_cap, and a q_max or a candidate count above sieve_cap, is
     refused before any candidate is examined; sieve_cap also caps the root
     tables.
@@ -226,9 +219,9 @@ def count_by_disc(
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
     candidates = bounded_trinomials(d, X, sieve_cap=sieve_cap)
-    pending = _uncertified(d, candidates, stats.prime_sieve(q_max, sieve_cap=sieve_cap), exp_cap, sieve_cap)
-    count = len(candidates) - len(pending)
-    unknown = sum(1 for c in pending if not integral_fixed_points(d, c))
+    left = _statuses(d, candidates, q_max, exp_cap, sieve_cap)
+    count = len(candidates) - len(left)
+    unknown = sum(1 for status in left.values() if status is IrreducibilityStatus.UNKNOWN)
     return FieldCountRow(d, X, count, unknown, stats.ratio_text(d, 2 * d - 2), _within_bound(count, d, X))
 
 
@@ -276,29 +269,30 @@ def count_by_height(d: int, hmax: int | float | Fraction, *, exp_cap: int = DEFA
 
 DEFAULT_TRIAL_BOUND = 10**5
 
+# The squares mod 64, 63, 65, 11, 17 and 19: one reduction mod their product,
+# below 2^30, serves the six tests, which pass 1 in 430 non-squares.  Below
+# _SCREEN_FROM math.isqrt alone is cheaper: a constant, not a setting.
+_SQUARES_MOD = tuple((m, frozenset(x * x % m for x in range(m))) for m in (64, 63, 65, 11, 17, 19))
+_SCREEN_FROM = 1 << 256
 
-def _squarefree_by_trial(u: int, trial_bound: int, primes: tuple[int, ...], rem: int | None = None) -> bool | None:
-    """True/False when decided by trial division, None when out of reach.
 
-    Trial division runs over the primes p <= min(B, u^(1/3)), B the trial
-    bound and primes the primes <= B; a prime dividing twice means not
-    squarefree.  Every prime factor of the cofactor then exceeds
-    m = max(min(B, u^(1/3)), 1), so a cofactor below (m + 1)^3 has at most
-    two prime factors: it is squarefree iff it is not a perfect square
-    above 1.  As the cofactor is at most u < (u^(1/3) + 1)^3, that bound can
-    only fail when u^(1/3) >= B, where m = max(B, 1): so every u < B^3 is
-    decided, and a cofactor of at least (max(B, 1) + 1)^3 only when it is a
-    perfect square.  A caller that has divided out those primes, none of
-    them twice, passes the cofactor as rem, and only that last rule is left.
+def _is_square(n: int) -> bool:
+    """Whether n >= 0 is a perfect square, screened by residues before math.isqrt."""
+    r = n % 931170240  # 64 * 63 * 65 * 11 * 17 * 19
+    return all(r % m in squares for m, squares in _SQUARES_MOD) and math.isqrt(n) ** 2 == n
+
+
+def _squarefree_by_trial(rem: int, trial_bound: int) -> bool | None:
+    """Trial division's verdict on u, True/False or None when out of reach,
+    from rem: u with each prime p <= min(B, u^(1/3)) divided out, none twice.
+
+    Every prime factor of rem exceeds m = max(min(B, u^(1/3)), 1), so below
+    (m + 1)^3 it has at most two: it is squarefree iff it is not a perfect
+    square above 1.  As rem <= u < (u^(1/3) + 1)^3, that bound fails only
+    when u^(1/3) >= B: every u < B^3 is decided, and a cofactor of at least
+    (max(B, 1) + 1)^3 only when it is a perfect square.
     """
-    if rem is None:
-        rem = u
-        for p in itertools.islice(primes, bisect.bisect_right(primes, integer_root(u, 3))):
-            if rem % p == 0:
-                rem //= p
-                if rem % p == 0:
-                    return False
-    square = math.isqrt(rem) ** 2 == rem
+    square = math.isqrt(rem) ** 2 == rem if rem < _SCREEN_FROM else _is_square(rem)
     if not square and rem >= (max(trial_bound, 1) + 1) ** 3:
         return None
     return rem == 1 or not square
@@ -325,20 +319,20 @@ def _lth_roots(x: int, l: int, p: int) -> list[int]:
     return [r * pow(zeta, i, p) % p for i in range(l)]
 
 
-def _disc_roots(d: int, p: int) -> list[int]:
-    """The c mod p, ascending, with p | u(c) = A c^e - K, A = d^d, K = (d-1)^(d-1), e = d - 1.
+def _disc_roots(d: int, p: int, sign: int = -1) -> list[int]:
+    """The a mod p, ascending, with p | u(a) = A a^e + sign K, A = d^d, K = (d-1)^(d-1), e = d - 1.
 
-    p | d leaves u = -K, a unit: no root; p | e leaves A c^e: c = 0.
-    Otherwise b = K/A is a unit, g = gcd(e, p - 1), and c^e = b has a root
-    iff b^((p-1)/g) = 1.  Then c^e = b iff c^g = b^s, s e = g mod p - 1,
+    p | d leaves u = sign K, a unit: no root; p | e leaves A a^e: a = 0.
+    Otherwise b = -sign K/A is a unit, g = gcd(e, p - 1), and a^e = b has a
+    root iff b^((p-1)/g) = 1.  Then a^e = b iff a^g = b^s, s e = g mod p - 1,
     and its g roots come from _lth_roots, one prime l | g at a time: every
     l-th root of a g-th power is a (g/l)-th power, as g | p - 1.  So a
-    prime costs O(log p) products for a fixed d, and no u(c) is formed.
+    prime costs O(log p) products for a fixed d, and no u(a) is formed.
     """
     e, q = d - 1, p - 1
     if d * e % p == 0:
         return [0] if e % p == 0 else []
-    b, g = pow(e, e, p) * pow(d, -d, p) % p, math.gcd(e, q)
+    b, g = -sign * pow(e, e, p) * pow(d, -d, p) % p, math.gcd(e, q)
     if pow(b, q // g, p) != 1:
         return []
     roots = [pow(b, pow(e // g, -1, q // g), p)]
@@ -348,104 +342,111 @@ def _disc_roots(d: int, p: int) -> list[int]:
     return sorted(roots)
 
 
-# The c that _squarefree_verdicts holds at once: its memory, not a setting.
-_SQUAREFREE_WINDOW = 1 << 14
+# The a that _squarefree_verdicts holds at once (its memory), and the costs of
+# root extraction for one p and of one b-bit reduction mod p, as 2^15 and
+# b + 2^9 bits reduced: constants, not settings.
+_SQUAREFREE_WINDOW, _ROOT_COST, _STEP_COST = 1 << 14, 1 << 15, 1 << 9
 
 
-def _squarefree_verdicts(d: int, limit: int, trial_bound: int, primes: tuple[int, ...]):
-    """The _squarefree_by_trial verdict on |disc| of each c = 1, ..., limit, in order.
+def _squarefree_verdicts(d: int, lo: int, hi: int, sign: int, trial_bound: int, primes: tuple[int, ...]):
+    """The _squarefree_by_trial verdict on u(a) = |A a^(d-1) + sign K| for each a = lo, ..., hi >= 0, in order.
 
-    u(c) = A c^(d-1) - K, A = d^d and K = (d-1)^(d-1), increases on c >= 1,
-    so the c that trial division tests against p, those with u(c) >= p^3,
-    are those from one start on, found by bisection.  Whether p divides
-    u(c) depends only on c mod p, and _disc_roots gives those residues.
-    The c are taken in windows of _SQUAREFREE_WINDOW, and the roots are
-    taken again in each, so memory does not grow with the limit.  In a
-    window every prime is sieved in ascending order, each root walked as a
-    progression, where p^2 | u ends that c and otherwise p leaves the
-    cofactor; each cofactor then goes to _squarefree_by_trial with no prime
-    left to divide, so one rule gives every verdict.
+    A = d^d, K = (d-1)^(d-1); u(0) = K and A >= 2K, so u does not decrease
+    and the a tested against p, u(a) >= p^3, start at a bisection point.
+    Whether p | u(a) depends on a mod p: _disc_roots gives the residues, or
+    the tested a do where they are too few to pay for it.  In windows of
+    _SQUAREFREE_WINDOW a, each prime in ascending order walks its roots:
+    p^2 | u ends that a, else p leaves the cofactor for _squarefree_by_trial.
     """
     A, K, e = d**d, (d - 1) ** (d - 1), d - 1
-    for lo in range(1, limit + 1, _SQUAREFREE_WINDOW):
-        u = [A * c**e - K for c in range(lo, min(lo + _SQUAREFREE_WINDOW, limit + 1))]
+    sK = sign * K
+    for first in range(lo, hi + 1, _SQUAREFREE_WINDOW):
+        u = [A * a**e + sK for a in range(first, min(first + _SQUAREFREE_WINDOW, hi + 1))]
+        if first == 0:
+            u[0] = K
+        few = _ROOT_COST // (u[-1].bit_length() + _STEP_COST)
         rem: list[int | None] = u.copy()  # the cofactor, None once a square divides u
         for p in primes:
-            start = bisect.bisect_left(u, p**3)  # p is tested on the c from here on
+            start = bisect.bisect_left(u, p**3)  # p is tested on the a from here on
             if start == len(u):
                 break
-            for r in _disc_roots(d, p):
-                for i in range(start + (r - lo - start) % p, len(u), p):
+            if len(u) - start < few:
+                roots = {(first + i) % p for i in range(start, len(u)) if rem[i] is not None and not rem[i] % p}
+            else:
+                roots = _disc_roots(d, p, sign)
+            for r in roots:
+                for i in range(start + (r - first - start) % p, len(u), p):
                     v = rem[i]
                     if v is not None:
                         v //= p
                         rem[i] = v if v % p else None
-        for i, v in enumerate(rem):
-            yield v is not None and _squarefree_by_trial(u[i], trial_bound, primes, v)
+        for v in rem:
+            yield v is not None and _squarefree_by_trial(v, trial_bound)
         del u, rem  # before the next window is built
 
 
-def squarefree_disc_fraction(
-    d: int,
-    limit: int,
-    *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    exp_cap: int = DEFAULT_EXP_CAP,
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
-) -> SquarefreeReport:
-    """Fraction of c in [1, limit] whose |disc| is squarefree.
+def _squarefree_column(d: int, lo: int, hi: int, trial_bound: int, sieve_cap: int):
+    """The squarefree verdict on |disc| of each c = lo, ..., hi, in order.
 
-    A squarefree polynomial discriminant certifies that the ring generated
-    by a root is already maximal, the standard sufficient condition for
-    monogenicity.  Each c gets the verdict of _squarefree_by_trial, by way
-    of the windowed sieve _squarefree_verdicts.  Candidates that trial
-    division up to trial_bound cannot settle (never one with
-    |disc| < trial_bound^3) are counted as unknown, never as squarefree.
-    A d above exp_cap, and a limit or a trial bound above sieve_cap, are
-    refused before any work.  The reference value 6/pi^2 is carried
-    alongside purely for display; no convergence is asserted or checked.
+    |disc(c)| is u(|c|) with sign -1, but +1 for c < 0 of even d; the c < 0
+    are sieved as a = -c and read back.  |disc(-a)| >= |disc(a)|, so |disc|
+    is largest at the end of larger |c| (lo on a tie), and the primes stop
+    at min(B, its cube root).
+    """
+    top = min(abs(closed_form_disc(d, max(lo, hi, key=abs))), max(trial_bound, 0) ** 3)
+    primes = stats.prime_sieve(integer_root(top, 3), sieve_cap=sieve_cap)
+    negative = _squarefree_verdicts(d, max(-hi, 1), -lo, 1 if d % 2 == 0 else -1, trial_bound, primes)
+    return itertools.chain(reversed(list(negative)), _squarefree_verdicts(d, max(lo, 0), hi, -1, trial_bound, primes))
+
+
+def squarefree_disc_fraction(d: int, limit: int, *, trial_bound: int = DEFAULT_TRIAL_BOUND,
+                             exp_cap: int = DEFAULT_EXP_CAP, sieve_cap: int = DEFAULT_SIEVE_CAP) -> SquarefreeReport:
+    """Fraction of c in [1, limit] whose |disc| is squarefree, by _squarefree_column.
+
+    A squarefree polynomial discriminant means the ring generated by a root
+    is maximal, the standard sufficient condition for monogenicity.  A c
+    that trial division up to trial_bound cannot settle (never one with
+    |disc| < trial_bound^3) is unknown, never squarefree.  A d above
+    exp_cap, and a limit or a trial bound above sieve_cap, are refused
+    before any work.  6/pi^2 is carried for display; no convergence is checked.
     """
     check_degree(d, exp_cap)
     if limit < 1:
         raise ArgumentError(f"limit {limit} must be at least 1")
     stats.check_sieve_cap(limit, sieve_cap, f"c in [1, {limit}]: c count")
     stats.check_sieve_cap(trial_bound, sieve_cap)
-    # the primes to min(B, |disc(limit)|^(1/3)): no c tests a prime past its own cube root
-    top = min(d**d * limit ** (d - 1) - (d - 1) ** (d - 1), max(trial_bound, 0) ** 3)
-    primes = stats.prime_sieve(integer_root(top, 3), sieve_cap=sieve_cap)
-    tally = Counter(_squarefree_verdicts(d, limit, trial_bound, primes))
-    squarefree, unknown = tally[True], tally[None]
-    return SquarefreeReport(d, limit, squarefree, unknown, ZETA2_INV)
+    tally = Counter(_squarefree_column(d, 1, limit, trial_bound, sieve_cap))
+    return SquarefreeReport(d, limit, tally[True], tally[None], ZETA2_INV)
 
 
-def trinomial_row(
-    d: int,
-    c: int,
-    *,
-    q_max: int = DEFAULT_Q_MAX,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
-    exp_cap: int = DEFAULT_EXP_CAP,
-    sieve_cap: int = DEFAULT_SIEVE_CAP,
-) -> dict:
-    """One per-trinomial record for table output; the height |c|^(1/d) is a
-    float for display only, and counts by height use count_by_height.  d
-    meets exp_cap, both prime lists sieve_cap and c _check_c before any work."""
+def trinomial_rows(d: int, lo: int, hi: int, *, q_max: int = DEFAULT_Q_MAX, trial_bound: int = DEFAULT_TRIAL_BOUND,
+                   exp_cap: int = DEFAULT_EXP_CAP, sieve_cap: int = DEFAULT_SIEVE_CAP,
+                   what: str | None = None) -> list[dict]:
+    """The record of each c = lo, ..., hi for table output, each verdict one
+    pass over the interval: _statuses and _squarefree_column.
+
+    The height |c|^(1/d) is a float for display only.  Before any work, d
+    meets exp_cap, the c count (named by what) sieve_cap, the largest |c|
+    _check_c, and both prime lists sieve_cap; an empty interval stops after
+    its count.
+    """
     check_degree(d, exp_cap)
+    stats.check_sieve_cap(hi - lo + 1, sieve_cap, f"{what or f'c in [{lo}, {hi}]'}: c count")
+    if lo > hi:
+        return []
+    _check_c(d, max(lo, hi, key=abs))
     stats.check_sieve_cap(q_max, sieve_cap)
-    _check_c(d, c)
     stats.check_sieve_cap(trial_bound, sieve_cap)
-    disc = closed_form_disc(d, c)
-    # trial division stops at |disc|^(1/3); the sieve stops at the power of
-    # two above it, so the rows of one c range share one cached sieve
-    top = 1 << (integer_root(abs(disc), 3) - 1).bit_length()
-    primes = stats.prime_sieve(min(trial_bound, top), sieve_cap=sieve_cap)
-    status = irreducibility_status(d, c, q_max=q_max, sieve_cap=sieve_cap)
-    sf = _squarefree_by_trial(abs(disc), trial_bound, primes)
-    return {
-        "d": d,
-        "c": c,
-        "disc": disc,
-        "height": abs(c) ** (1.0 / d),
-        "irreducibility": status.value,
-        "squarefree": "unknown" if sf is None else ("true" if sf else "false"),
-    }
+    cs = range(lo, hi + 1)
+    left = _statuses(d, list(cs), q_max, exp_cap, sieve_cap)
+    cells = {None: "unknown", True: "true", False: "false"}
+    return [
+        {"d": d, "c": c, "disc": closed_form_disc(d, c), "height": abs(c) ** (1.0 / d),
+         "irreducibility": left.get(c, IrreducibilityStatus.IRREDUCIBLE).value, "squarefree": cells[sf]}
+        for c, sf in zip(cs, _squarefree_column(d, lo, hi, trial_bound, sieve_cap))
+    ]
+
+
+def trinomial_row(d: int, c: int, **options) -> dict:
+    """The one-c view of trinomial_rows, which takes the same options."""
+    return trinomial_rows(d, c, c, **options)[0]

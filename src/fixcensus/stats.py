@@ -223,7 +223,7 @@ def average_report(
     rather than an error.  The qualifying primes are the prime factors of
     the selector's target; for p!|c they are counted by prime_counts, and
     listed only where a count can be nonzero (prime-power) or is scanned
-    (pminus1).
+    (pminus1).  For pminus1 every (c, p) meets capped_degree before any scan.
     """
     if family not in _FLOOR:
         raise ArgumentError("averages and densities are defined for the two named families")
@@ -235,13 +235,7 @@ def average_report(
     g = math.gcd(n, ell)
     pi = prime_counts([floor - 1, *(c for c, _ in targets)]) if selector is Selector.NOT_DIVIDES_C else {}
 
-    def count(p: int, c: int) -> int:
-        if family is Family.PRIME_POWER:
-            return _prime_power_count(p, n, ell, c)
-        d = dynamics.capped_degree(p, n, family, ell, field_cap=field_cap, exp_cap=exp_cap)
-        return dynamics.fixed_point_count(standard_field(p, n), d, c, field_cap=field_cap, exp_cap=exp_cap)
-
-    rows = []
+    plan = []  # (c, its qualifying primes, denominator) for each c, before any count
     for c, target in targets:
         if selector is not Selector.NOT_DIVIDES_C:
             qual = _prime_factors(target, floor)
@@ -252,8 +246,16 @@ def average_report(
                 qual = [p for p in _prime_factors(n // g, floor) if p <= c and c % p]
             else:
                 qual = [p for p in prime_sieve(c, sieve_cap=sieve_cap) if p >= floor and c % p]
-        rows.append(AverageRow(c, selector, floor, sum(count(p, c) for p in qual), denominator))
-    return rows
+        plan.append((c, qual, denominator))
+    degree = {p: dynamics.capped_degree(p, n, family, ell, field_cap=field_cap, exp_cap=exp_cap)
+              for _, qual, _ in plan for p in qual} if family is Family.P_MINUS_ONE else {}
+
+    def count(p: int, c: int) -> int:
+        if family is Family.PRIME_POWER:
+            return _prime_power_count(p, n, ell, c)
+        return dynamics.fixed_point_count(standard_field(p, n), degree[p], c, field_cap=field_cap, exp_cap=exp_cap)
+
+    return [AverageRow(c, selector, floor, sum(count(p, c) for p in qual), den) for c, qual, den in plan]
 
 
 _KIND_RULES: dict[DensityKind, tuple[Family, Selector]] = {

@@ -13,15 +13,23 @@ its determinant by fraction-free Bareiss elimination, sharing no code with
 the two-term closed form.  It lives with the tests, not in the package,
 because no command computes a discriminant this way.
 
+squarefree_by_trial is the per-c reference for nfcount's squarefree
+sieve: it trial-divides one |disc| by the primes up to min(B, |disc|^(1/3))
+and settles the cofactor by math.isqrt alone, with no residue screen.  It
+lives with the tests, not in the package, because every command takes its
+squarefree verdicts from the sieve over an interval of c.
+
 unscreened_modulus and unscreened_generator are the searches of
 ff.find_irreducible and the log engine's primitive element without their
 screens: every candidate takes the full certificate, and every prime
 r | q - 1 a power in F_q.
 """
 
+import bisect
 import itertools
+import math
 
-from fixcensus.dynamics import _coefficient_index, check_degree
+from fixcensus.dynamics import _coefficient_index, check_degree, integer_root
 from fixcensus.ff import FFElement, FieldSpec, _ppowmod, _prime_factors, _trim, certify_irreducible
 
 
@@ -172,3 +180,25 @@ def trinomial_disc(d: int, c: int) -> int:
     res = _det_bareiss(_sylvester(f, fp))
     sign = -1 if (d * (d - 1) // 2) % 2 else 1
     return sign * res
+
+
+def squarefree_by_trial(u: int, trial_bound: int, primes: tuple[int, ...]) -> bool | None:
+    """True/False when trial division decides whether u >= 1 is squarefree,
+    None when it is out of reach.
+
+    Divides by the primes p <= min(B, u^(1/3)), primes holding at least
+    those, B the trial bound; a prime dividing twice means not squarefree.
+    The cofactor then has at most two prime factors unless it is at least
+    (max(B, 1) + 1)^3, so below that it is squarefree iff it is not a
+    perfect square above 1, and above it only a perfect square is decided.
+    """
+    rem = u
+    for p in itertools.islice(primes, bisect.bisect_right(primes, integer_root(u, 3))):
+        if rem % p == 0:
+            rem //= p
+            if rem % p == 0:
+                return False
+    square = math.isqrt(rem) ** 2 == rem
+    if not square and rem >= (max(trial_bound, 1) + 1) ** 3:
+        return None
+    return rem == 1 or not square

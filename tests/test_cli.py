@@ -1008,6 +1008,20 @@ def test_caps_refuse_before_any_field_is_built(capsys, monkeypatch, argv, messag
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("caps, message", [
+    (["--ell", "1", "--field-cap", "5000"], "field order 5003^1 exceeds the cap 5000"),
+    (["--ell", "2", "--exp-cap", "10000"], "map degree 10404 exceeds the exponent cap 10000"),
+])
+def test_avg_caps_refuse_before_any_scan(capsys, monkeypatch, caps, message):
+    # c = 100 passes every cap; c = 20000 reaches p = 5003 (103 for ell = 2) after it
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a field was scanned before the caps were checked")
+
+    monkeypatch.setattr(dynamics, "fixed_point_count", no_scan)
+    argv = ["avg", "--family", "pminus1", "--n", "1", *caps, "--selector", "p!|c", "--c", "100,20000"]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 # Every integer-side size, each run once just above --sieve-cap and once at
 # it: (the argv above the cap, its refusal, the argv at the cap).
 _INTEGER_SIZES = [
@@ -1539,6 +1553,18 @@ class TestNf:
         row = json.loads(out)
         assert (row["count"], row["unknown"]) == (count, unknown)
 
+    @pytest.mark.parametrize("d, limit, trial_bound", [(3, 300, 10**5), (4, 300, 2), (5, 200, 10), (6, 150, 10**5)])
+    def test_c_range_rows_tally_to_the_squarefree_count(self, capsys, d, limit, trial_bound):
+        bound = ["--trial-bound", str(trial_bound)]
+        code, out, _ = run(capsys, ["nf", "--d", str(d), "--c-range", f"1:{limit}", *bound])
+        assert code == 0
+        tally = Counter(row["squarefree"] for row in json.loads(out))
+        code, out, _ = run(capsys, ["nf", "--d", str(d), "--squarefree", str(limit), *bound])
+        assert code == 0
+        row = json.loads(out)
+        assert (row["squarefree"], row["unknown"]) == (tally["true"], tally["unknown"])
+        assert tally["unknown"] or trial_bound == 10**5  # the small bounds leave some unknown
+
     def test_readme_negative_c_range(self, capsys):
         code, out, err = run(capsys, ["nf", "--d", "3", "--c-range", "-5:5"])
         assert code == 0 and err == ""
@@ -1565,7 +1591,7 @@ class TestNf:
             raise AssertionError("work began before the cap check")
 
         monkeypatch.setattr(nfcount, "closed_form_disc", no_work)
-        monkeypatch.setattr(nfcount, "trinomial_row", no_work)
+        monkeypatch.setattr(nfcount, "_uncertified", no_work)
         monkeypatch.setattr(nfcount, "_squarefree_by_trial", no_work)
         monkeypatch.setattr(nfcount, "_squarefree_verdicts", no_work)
         assert run(capsys, ["nf", "--d", "3", *argv]) == (2, "", message)
@@ -1607,7 +1633,8 @@ class TestNf:
         def no_work(*args, **kwargs):
             raise AssertionError("a row was computed before the refusal")
 
-        monkeypatch.setattr(nfcount, "trinomial_row", no_work)
+        monkeypatch.setattr(nfcount, "_uncertified", no_work)
+        monkeypatch.setattr(nfcount, "_squarefree_verdicts", no_work)
         assert run(capsys, ["nf", "--d", str(d), "--c-range", f"{lo}:{hi}"]) == (2, "", message)
 
     @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")

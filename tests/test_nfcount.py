@@ -22,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from fixcensus import cli, dynamics, ff, nfcount, stats
 from fixcensus.nfcount import IrreducibilityStatus, ZETA2_INV
-from oracles import trinomial_disc
+from oracles import squarefree_by_trial, trinomial_disc
 
 
 def poly_mod_q_has_factor(d, c, q, k):
@@ -480,7 +480,7 @@ class TestSquarefree:
     def test_equals_the_per_c_trial_tally(self, d, limit, trial_bound, window):
         primes = stats.prime_sieve(trial_bound)
         verdicts = Counter(
-            nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), trial_bound, primes)
+            squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), trial_bound, primes)
             for c in range(1, limit + 1)
         )
         with mock.patch.object(nfcount, "_SQUAREFREE_WINDOW", window):
@@ -491,10 +491,11 @@ class TestSquarefree:
         limit = nfcount._SQUAREFREE_WINDOW + 300
         primes = stats.prime_sieve(nfcount.DEFAULT_TRIAL_BOUND)
         verdicts = [
-            nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(3, c)), nfcount.DEFAULT_TRIAL_BOUND, primes)
+            squarefree_by_trial(abs(nfcount.closed_form_disc(3, c)), nfcount.DEFAULT_TRIAL_BOUND, primes)
             for c in range(1, limit + 1)
         ]
-        assert list(nfcount._squarefree_verdicts(3, limit, nfcount.DEFAULT_TRIAL_BOUND, primes)) == verdicts
+        column = nfcount._squarefree_column(3, 1, limit, nfcount.DEFAULT_TRIAL_BOUND, stats.DEFAULT_SIEVE_CAP)
+        assert list(column) == verdicts
 
     def test_disc_roots_equal_brute_force(self):
         # the grid holds p = 2, p | d (no root), p | d - 1 (the root 0) and
@@ -552,8 +553,8 @@ class TestTrinomialRow:
     @given(st.integers(2, 12), st.integers(-(10**6), 10**6), st.integers(0, 3000))
     @settings(max_examples=200, deadline=None)
     def test_squarefree_cell_as_from_the_whole_prime_list(self, d, c, bound):
-        # the row sieves only to the power of two above |disc|^(1/3)
-        sf = nfcount._squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), bound, stats._sieve(bound))
+        # the row sieves only to min(bound, |disc|^(1/3))
+        sf = squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), bound, stats._sieve(bound))
         cell = "unknown" if sf is None else ("true" if sf else "false")
         assert nfcount.trinomial_row(d, c, trial_bound=bound)["squarefree"] == cell
 
@@ -566,26 +567,25 @@ class TestTrinomialRow:
             return real(limit, **caps)
 
         monkeypatch.setattr(stats, "prime_sieve", recording)
-        for c in range(1000, 1101):
-            nfcount.trinomial_row(3, c)
-        # the certificate primes, and the trial primes to 2^9 > (27 * 1100^2)^(1/3)
-        assert set(limits) == {nfcount.DEFAULT_Q_MAX, 512}
+        assert len(nfcount.trinomial_rows(3, 1000, 1100)) == 101
+        # one list of certificate primes, and one of trial primes to (27 * 1100^2 - 4)^(1/3)
+        assert limits == [nfcount.DEFAULT_Q_MAX, 319]
 
     def test_trial_bound_is_refused_before_any_work(self, monkeypatch):
-        monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(nfcount, "_uncertified", mock.Mock(side_effect=AssertionError))
         monkeypatch.setattr(stats, "_sieve", mock.Mock(side_effect=AssertionError))
-        # the row itself would sieve only to 4, the power of two above 23^(1/3)
+        # the row itself would sieve only to 2, the cube root of 23
         with pytest.raises(stats.SieveCapError, match="^sieve limit 11 exceeds the cap 10$"):
             nfcount.trinomial_row(3, 1, q_max=5, trial_bound=11, sieve_cap=10)
 
     def test_unwritable_rows_are_refused_before_any_work(self, monkeypatch):
-        monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(nfcount, "_uncertified", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ff.ArgumentError, match="the largest float"):
             nfcount.trinomial_row(3, -int(sys.float_info.max) - 1)
 
     @pytest.mark.skipif(_DIGIT_LIMIT != 4300, reason="the bounds below are for the default digit limit")
     def test_unprintable_discriminants_are_refused_before_any_work(self, monkeypatch):
-        monkeypatch.setattr(nfcount, "irreducibility_status", mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(nfcount, "_uncertified", mock.Mock(side_effect=AssertionError))
         with pytest.raises(ff.CapError, match=r"d = 20 and a 748-bit c may exceed the limit \(4300 digits\)"):
             nfcount.trinomial_row(20, 2**747 + 2**744)
         monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)  # 0: no limit
@@ -602,6 +602,80 @@ class TestTrinomialRow:
             nfcount._check_c(1371, 1)
         with pytest.raises(ValueError):
             str(nfcount.closed_form_disc(1371, 1))
+
+
+_CELLS = {None: "unknown", True: "true", False: "false"}
+
+
+class TestIntervalRows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(-40, 40),
+        st.integers(0, 40),
+        st.sampled_from([0, 1, 2, 10, 10**5]),
+        st.sampled_from([1, 7, 1 << 14]),
+        st.sampled_from([0, 1 << 15, 1 << 40]),  # root extraction always, as shipped, never
+    )
+    @example(4, -20, 40, 10**5, 1 << 14, 1 << 15)  # even d, both signs
+    @example(5, -40, 40, 2, 7, 0)  # odd d, UNKNOWN verdicts, many windows
+    @example(2, 0, 0, 0, 1, 1 << 40)  # c = 0 alone, |disc| = K = 1
+    @example(2, -40, 39, 10**5, 1 << 14, 1 << 15)  # the primes reach past |disc(hi)|^(1/3)
+    @example(2, -31, 62, 10**5, 1 << 14, 1 << 15)  # a tie in |c|: |disc(lo)| is the larger
+    def test_rows_equal_the_per_c_references(self, d, lo, size, trial_bound, window, root_cost):
+        hi = lo + size
+        with mock.patch.object(nfcount, "_SQUAREFREE_WINDOW", window), mock.patch.object(
+            nfcount, "_ROOT_COST", root_cost
+        ):
+            rows = nfcount.trinomial_rows(d, lo, hi, trial_bound=trial_bound)
+        primes = stats.prime_sieve(trial_bound)
+        assert rows == [
+            {
+                "d": d,
+                "c": c,
+                "disc": nfcount.closed_form_disc(d, c),
+                "height": abs(c) ** (1.0 / d),
+                "irreducibility": nfcount.irreducibility_status(d, c).value,
+                "squarefree": _CELLS[squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), trial_bound, primes)],
+            }
+            for c in range(lo, hi + 1)
+        ]
+
+    def test_negative_c_of_even_degree_sieve_the_plus_k_roots(self):
+        # |disc(-a)| = A a^(d-1) + K for even d: the residues of A a^(d-1) = -K
+        for d in (2, 4, 6, 8, 10):
+            A, K = d**d, (d - 1) ** (d - 1)
+            for p in stats.prime_sieve(400):
+                want = [a for a in range(p) if (A * a ** (d - 1) + K) % p == 0]
+                assert nfcount._disc_roots(d, p, 1) == want, (d, p)
+                assert all(abs(nfcount.closed_form_disc(d, -a)) == A * a ** (d - 1) + K for a in range(1, 5))
+
+
+class TestSquareScreen:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.integers(0, 10**6),
+            st.integers(0, 1 << 4000),
+            st.integers(0, 1 << 2000).map(lambda r: r * r),
+            st.integers(1, 1 << 2000).map(lambda r: r * r - 1),
+            st.integers(0, 1 << 2000).map(lambda r: r * r + 1),
+            st.integers(0, 1 << 2000).map(lambda r: 931170240 * r * r),
+        )
+    )
+    @example(0)
+    @example(1)
+    @example((1 << 256) - 1)  # the last cofactor below the screen, and the first at it
+    @example(1 << 256)
+    def test_agrees_with_isqrt(self, n):
+        assert nfcount._is_square(n) == (math.isqrt(n) ** 2 == n)
+        if n:  # the cofactor rule, with or without the screen, against the oracle's plain isqrt
+            assert nfcount._squarefree_by_trial(n, 0) == squarefree_by_trial(n, 0, ())
+
+    def test_the_residue_tables_hold_every_square(self):
+        for m, squares in nfcount._SQUARES_MOD:
+            assert squares == {x * x % m for x in range(m)}
+        assert math.prod(m for m, _ in nfcount._SQUARES_MOD) == 931170240 < 1 << 30
 
 
 def sqrt_rule_squarefree(u, primes):
@@ -629,7 +703,7 @@ def sqrt_rule_squarefree(u, primes):
 
 
 def by_trial(u, trial_bound):
-    return nfcount._squarefree_by_trial(u, trial_bound, stats.prime_sieve(trial_bound))
+    return squarefree_by_trial(u, trial_bound, stats.prime_sieve(trial_bound))
 
 
 def brute_squarefree(u):
