@@ -11,13 +11,13 @@ cofactor) for the discriminant of the number field a given trinomial cuts
 out; irreducibility over Q is certified, never guessed, with UNKNOWN as a
 first-class answer.
 
-Every nf verdict is one pass over a set of c, by residue class.
-Irreducibility is _statuses: the filter _uncertified sorts out the mod-q
-certificates prime by prime, and an integer root splits REDUCIBLE from
-UNKNOWN in what it leaves.  Squarefree is _squarefree_column: a sieve over
-an interval of c by every prime trial division would try, at the
-discriminant's roots mod p, with _squarefree_by_trial's rule on each
-cofactor left.  trinomial_row and irreducibility_status are their one-c views.
+Every nf verdict is one pass over an interval of c (for |disc| < X, the one
+bounded_trinomials returns), by residue class.  Irreducibility is _statuses:
+the filter _uncertified sorts out the mod-q certificates prime by prime, and
+an integer root splits REDUCIBLE from UNKNOWN in what it leaves.  Squarefree
+is _squarefree_column: a sieve by every prime trial division would try, at
+the discriminant's roots mod p, with _squarefree_by_trial's rule on each
+cofactor left.  trinomial_row and irreducibility_status are one-c views.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import itertools
 import math
 import sys
 from collections import Counter
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from . import dynamics, ff, stats
@@ -116,7 +117,7 @@ def _irreducible_mod_q(d: int, c: int, q: int) -> bool:
     return certify_irreducible(q, (c % q, q - 1) + (0,) * (d - 2) + (1,))
 
 
-def _uncertified(d: int, cs: list[int], primes: tuple[int, ...], exp_cap: int, sieve_cap: int) -> list[int]:
+def _uncertified(d: int, cs: Sequence[int], primes: tuple[int, ...], exp_cap: int, sieve_cap: int) -> Sequence[int]:
     """The c of cs, in order, that no q in primes certifies irreducible.
 
     For each q in ascending order, while at least q c are pending,
@@ -138,7 +139,7 @@ def _uncertified(d: int, cs: list[int], primes: tuple[int, ...], exp_cap: int, s
     return pending
 
 
-def _statuses(d: int, cs: list[int], q_max: int, exp_cap: int, sieve_cap: int) -> dict[int, IrreducibilityStatus]:
+def _statuses(d: int, cs: Sequence[int], q_max: int, exp_cap: int, sieve_cap: int) -> dict[int, IrreducibilityStatus]:
     """The c of cs that _uncertified leaves over the primes q <= q_max, REDUCIBLE
     with an integer root and UNKNOWN without; every other c is IRREDUCIBLE."""
     pending = _uncertified(d, cs, stats.prime_sieve(q_max, sieve_cap=sieve_cap), exp_cap, sieve_cap)
@@ -161,39 +162,37 @@ def irreducibility_status(d: int, c: int, *, q_max: int = DEFAULT_Q_MAX,
     return _statuses(d, [c], q_max, DEFAULT_EXP_CAP, sieve_cap).get(c, IrreducibilityStatus.IRREDUCIBLE)
 
 
-def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> list[int]:
-    """The c of every trinomial with |disc| < X, ascending in |c| (0, 1, -1, 2, ...).
+def _disc_bits(d: int, c: int) -> int:
+    """A lower bound on the bit length of |disc(c)| from those of d and c: |disc| >= K,
+    and >= A |c|^(d-1) / 2 for c != 0 (see bounded_trinomials), and n >= 2^(n.bit_length() - 1)."""
+    k, a = d - 1, abs(c).bit_length()
+    return max(k * (k.bit_length() - 1), d * (d.bit_length() - 1) + k * (a - 1) - 1 if c else 0) + 1
+
+
+def bounded_trinomials(d: int, X: int, *, sieve_cap: int = DEFAULT_SIEVE_CAP) -> range:
+    """The c of every trinomial with |disc| < X: an interval of c.
 
     Write A = d^d and K = (d-1)^(d-1).  For a >= 1, |disc(a)| = A a^(d-1) - K,
     and |disc(-a)| is the same for odd d and A a^(d-1) + K for even d; both
     strictly increase in a.  |disc(0)| = K, and every |disc(c)| >= K, since
-    A >= 2K makes A a^(d-1) - K >= K.  So the hits are c = 0 when K < X;
-    c = a for a <= r, the largest a with A a^(d-1) <= X + K - 1; and c = -a
-    for a <= r, or for even d for a up to the largest a with
-    A a^(d-1) <= X - K - 1.  That is two integer roots, and no discriminant
-    is formed.  As K >= 2^((d-1)(bit_length(d-1) - 1)), once that exponent
-    reaches X.bit_length() there is no hit, and neither power is formed.
-    The 2r + 1 values |c| <= r are refused above sieve_cap before the list
-    is built.
+    A >= 2K makes A a^(d-1) - K >= K, and >= A a^(d-1) / 2.  So the hits are
+    c = 0 when K < X; c = a for a <= r, the largest a with A a^(d-1) <= X + K - 1;
+    and c = -a for a <= r, or for even d up to the largest a with
+    A a^(d-1) <= X - K - 1: two integer roots, and no discriminant is formed
+    (none at all once _disc_bits(d, 0) passes X.bit_length(), as then K > X).
+    The 2r + 1 values |c| <= r are refused above sieve_cap first.
     """
     check_degree(d)
     if X < 1:
         raise ArgumentError(f"bound {X} must be at least 1")
-    k = d - 1
-    reach = below = 0
-    hits = k * (k.bit_length() - 1) < X.bit_length() and k**k < X
+    k, reach, below = d - 1, 0, 0
+    hits = _disc_bits(d, 0) <= X.bit_length() and k**k < X
     if hits:
         A, K = d**d, k**k
         reach = integer_root((X + K - 1) // A, k)
         below = reach if d % 2 else integer_root(max(X - K - 1, 0) // A, k)
     stats.check_sieve_cap(2 * reach + 1, sieve_cap, f"|disc| < {X}: c count")
-    if not hits:
-        return []
-    candidates = [0] * (2 * below + 1)
-    candidates[1::2] = range(1, below + 1)
-    candidates[2::2] = range(-1, -below - 1, -1)
-    candidates += range(below + 1, reach + 1)
-    return candidates
+    return range(-below, reach + 1) if hits else range(0)
 
 
 def _within_bound(count: int, d: int, X: int) -> bool:
@@ -209,18 +208,17 @@ def count_by_disc(
 ) -> FieldCountRow:
     """Count irreducible trinomials with |disc| < X, UNKNOWNs set aside.
 
-    The candidates go through _statuses over the primes q <= q_max.
-    bound_ok records whether count <= 4 * X^(d/(2d-2)), compared exactly;
-    the exponent is reported as its exact ratio text.
-    A d above exp_cap, and a q_max or a candidate count above sieve_cap, is
-    refused before any candidate is examined; sieve_cap also caps the root
-    tables.
+    _statuses runs over bounded_trinomials' interval, q <= q_max; bound_ok
+    records whether count <= 4 * X^(d/(2d-2)), compared exactly, and the
+    exponent is reported as its exact ratio text.  A d above exp_cap, and a
+    q_max or a c count above sieve_cap, is refused before any c is examined;
+    sieve_cap also caps the root tables.
     """
     check_degree(d, exp_cap)
     stats.check_sieve_cap(q_max, sieve_cap)
-    candidates = bounded_trinomials(d, X, sieve_cap=sieve_cap)
-    left = _statuses(d, candidates, q_max, exp_cap, sieve_cap)
-    count = len(candidates) - len(left)
+    cs = bounded_trinomials(d, X, sieve_cap=sieve_cap)
+    left = _statuses(d, cs, q_max, exp_cap, sieve_cap)
+    count = len(cs) - len(left)
     unknown = sum(1 for status in left.values() if status is IrreducibilityStatus.UNKNOWN)
     return FieldCountRow(d, X, count, unknown, stats.ratio_text(d, 2 * d - 2), _within_bound(count, d, X))
 
@@ -385,15 +383,24 @@ def _squarefree_verdicts(d: int, lo: int, hi: int, sign: int, trial_bound: int, 
         del u, rem  # before the next window is built
 
 
+# The most bits a |disc| that _squarefree_column sieves may have, past
+# nf --d 100000 --squarefree 30 (2,151,649 bits): a constant, not a setting.
+_SQUAREFREE_BITS = 1 << 22
+
+
 def _squarefree_column(d: int, lo: int, hi: int, trial_bound: int, sieve_cap: int):
     """The squarefree verdict on |disc| of each c = lo, ..., hi, in order.
 
     |disc(c)| is u(|c|) with sign -1, but +1 for c < 0 of even d; the c < 0
     are sieved as a = -c and read back.  |disc(-a)| >= |disc(a)|, so |disc|
-    is largest at the end of larger |c| (lo on a tie), and the primes stop
-    at min(B, its cube root).
+    is largest at the end of larger |c| (lo on a tie); the primes stop at
+    min(B, its cube root), which is B where _disc_bits puts it past B^3.
+    Where _disc_bits puts it past _SQUAREFREE_BITS, the interval is refused.
     """
-    top = min(abs(closed_form_disc(d, max(lo, hi, key=abs))), max(trial_bound, 0) ** 3)
+    c, cube = max(lo, hi, key=abs), max(trial_bound, 0) ** 3
+    if (bits := _disc_bits(d, c)) > _SQUAREFREE_BITS:
+        raise CapError(f"|disc| for d = {d} and c = {c} has over {_SQUAREFREE_BITS} bits, the squarefree limit")
+    top = cube if bits > cube.bit_length() else min(abs(closed_form_disc(d, c)), cube)
     primes = stats.prime_sieve(integer_root(top, 3), sieve_cap=sieve_cap)
     negative = _squarefree_verdicts(d, max(-hi, 1), -lo, 1 if d % 2 == 0 else -1, trial_bound, primes)
     return itertools.chain(reversed(list(negative)), _squarefree_verdicts(d, max(lo, 0), hi, -1, trial_bound, primes))
@@ -423,7 +430,8 @@ def trinomial_rows(d: int, lo: int, hi: int, *, q_max: int = DEFAULT_Q_MAX, tria
                    exp_cap: int = DEFAULT_EXP_CAP, sieve_cap: int = DEFAULT_SIEVE_CAP,
                    what: str | None = None) -> list[dict]:
     """The record of each c = lo, ..., hi for table output, each verdict one
-    pass over the interval: _statuses and _squarefree_column.
+    pass over the interval: _squarefree_column, first for its size rule, and
+    _statuses.
 
     The height |c|^(1/d) is a float for display only.  Before any work, d
     meets exp_cap, the c count (named by what) sieve_cap, the largest |c|
@@ -438,12 +446,13 @@ def trinomial_rows(d: int, lo: int, hi: int, *, q_max: int = DEFAULT_Q_MAX, tria
     stats.check_sieve_cap(q_max, sieve_cap)
     stats.check_sieve_cap(trial_bound, sieve_cap)
     cs = range(lo, hi + 1)
-    left = _statuses(d, list(cs), q_max, exp_cap, sieve_cap)
+    squarefree = _squarefree_column(d, lo, hi, trial_bound, sieve_cap)
+    left = _statuses(d, cs, q_max, exp_cap, sieve_cap)
     cells = {None: "unknown", True: "true", False: "false"}
     return [
         {"d": d, "c": c, "disc": closed_form_disc(d, c), "height": abs(c) ** (1.0 / d),
          "irreducibility": left.get(c, IrreducibilityStatus.IRREDUCIBLE).value, "squarefree": cells[sf]}
-        for c, sf in zip(cs, _squarefree_column(d, lo, hi, trial_bound, sieve_cap))
+        for c, sf in zip(cs, squarefree)
     ]
 
 

@@ -25,7 +25,8 @@ from typing import NamedTuple
 
 from . import dynamics
 from .dynamics import DEFAULT_EXP_CAP, Family
-from .ff import DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, _Label, _prime_factors, standard_field
+from .ff import (DEFAULT_FIELD_CAP, DEFAULT_SIEVE_CAP, ArgumentError, CapError, _Label, _prime_factors, is_prime,
+                 standard_field)
 
 __all__ = [
     "DEFAULT_SIEVE_CAP",
@@ -202,6 +203,23 @@ _FLOOR = {Family.PRIME_POWER: 3, Family.P_MINUS_ONE: 5}
 _SHIFT = {Selector.DIVIDES_C_MINUS_1: -1, Selector.DIVIDES_C_PLUS_1: 1}
 
 
+def _refuse_first_capped(n: int, ell: int, selector: Selector, targets: list[tuple[int, int]], floor: int,
+                         field_cap: int, exp_cap: int) -> None:
+    """capped_degree on the first (c, p) that a pminus1 average refuses, c in order and p
+    ascending, before any prime is listed.  Both caps grow with p, so p is the least qualifying
+    prime from max(floor, the least p with p^n > field_cap or (p-1)^ell > exp_cap) on: a prime
+    factor of the target, or for p!|c the first prime up from there, by is_prime, not dividing c."""
+    start = max(floor, min(dynamics.integer_root(max(field_cap, 0), n) + 1,
+                           dynamics.integer_root(max(exp_cap, 0), ell) + 2))
+    for c, target in targets:
+        if selector is Selector.NOT_DIVIDES_C:
+            p = next((p for p in range(start, c + 1) if c % p and is_prime(p)), None)
+        else:
+            p = next(iter(_prime_factors(target, start)), None)
+        if p is not None:
+            dynamics.capped_degree(p, n, Family.P_MINUS_ONE, ell, field_cap=field_cap, exp_cap=exp_cap)
+
+
 def average_report(
     family: Family,
     n: int,
@@ -223,7 +241,8 @@ def average_report(
     rather than an error.  The qualifying primes are the prime factors of
     the selector's target; for p!|c they are counted by prime_counts, and
     listed only where a count can be nonzero (prime-power) or is scanned
-    (pminus1).  For pminus1 every (c, p) meets capped_degree before any scan.
+    (pminus1).  For pminus1 every (c, p) meets capped_degree before any scan,
+    and _refuse_first_capped finds a refused one before any prime is listed.
     """
     if family not in _FLOOR:
         raise ArgumentError("averages and densities are defined for the two named families")
@@ -232,6 +251,8 @@ def average_report(
     floor = _FLOOR[family]
     targets = [(c, c + _SHIFT.get(selector, 0)) for c in c_list]
     check_sieve_cap(max([0] + [t for _, t in targets]), sieve_cap)
+    if family is Family.P_MINUS_ONE:
+        _refuse_first_capped(n, ell, selector, targets, floor, field_cap, exp_cap)
     g = math.gcd(n, ell)
     pi = prime_counts([floor - 1, *(c for c, _ in targets)]) if selector is Selector.NOT_DIVIDES_C else {}
 

@@ -1022,6 +1022,23 @@ def test_avg_caps_refuse_before_any_scan(capsys, monkeypatch, caps, message):
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("c, caps, message", [
+    # p = 1,000,003 is the least prime past 10^6 + 1 that does not divide 10^8
+    ("100000000", ["--ell", "1"], "map degree 1000002 exceeds the exponent cap 1000000"),
+    ("100,20000", ["--ell", "1", "--field-cap", "5000"], "field order 5003^1 exceeds the cap 5000"),
+    ("100,20000", ["--ell", "2", "--exp-cap", "10000"], "map degree 10404 exceeds the exponent cap 10000"),
+])
+def test_avg_caps_refuse_before_any_prime_list(capsys, monkeypatch, c, caps, message):
+    # the refused (c, p) is found by is_prime, with no prime list and no Lucy pass
+    def no_primes(*args):
+        raise AssertionError("primes were listed or counted before the caps were checked")
+
+    monkeypatch.setattr(stats, "_sieve", no_primes)
+    monkeypatch.setattr(stats, "_lucy", no_primes)
+    argv = ["avg", "--family", "pminus1", "--n", "1", *caps, "--selector", "p!|c", "--c", c]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 # Every integer-side size, each run once just above --sieve-cap and once at
 # it: (the argv above the cap, its refusal, the argv at the cap).
 _INTEGER_SIZES = [

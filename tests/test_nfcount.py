@@ -10,6 +10,7 @@ certificates are checked against exhaustive trial division over F_q.
 import functools
 import itertools
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -182,22 +183,22 @@ class TestIrreducibility:
 
 
 class TestBoundedTrinomials:
-    def test_enumeration_order_and_contents(self):
+    def test_interval_and_contents(self):
         cs = nfcount.bounded_trinomials(3, 100)
-        assert cs == [0, 1, -1]
-        assert [nfcount.closed_form_disc(3, c) for c in cs] == [4, -23, -23]
+        assert isinstance(cs, range) and cs == range(-1, 2)
+        assert [nfcount.closed_form_disc(3, c) for c in cs] == [-23, 4, -23]
 
     def test_tight_bound(self):
-        assert nfcount.bounded_trinomials(3, 1) == []
-        assert nfcount.bounded_trinomials(3, 5) == [0]
+        assert nfcount.bounded_trinomials(3, 1) == range(0)
+        assert nfcount.bounded_trinomials(3, 5) == range(0, 1)
 
     def test_bad_bound(self):
         with pytest.raises(ValueError):
             nfcount.bounded_trinomials(3, 0)
 
     def test_completeness_against_window_scan(self):
-        # the enumeration stops at its first empty |c| level; the window
-        # scan checks that no later level holds a hit
+        # the interval ends where |disc| reaches X on each side; the window
+        # scan checks that no c past either end is a hit
         for d in range(2, 9):
             # every c with |disc| below this bound has |c| <= 300
             reach = abs(nfcount.closed_form_disc(d, 301))
@@ -207,8 +208,7 @@ class TestBoundedTrinomials:
                     continue
                 got = nfcount.bounded_trinomials(d, X)
                 want = [c for c in range(-300, 301) if abs(nfcount.closed_form_disc(d, c)) < X]
-                assert sorted(got) == want, (d, X)
-                assert [abs(c) for c in got] == sorted(abs(c) for c in got)
+                assert list(got) == want, (d, X)
 
     @pytest.mark.parametrize("d", range(2, 11))
     def test_equals_the_disc_filter_at_every_level_boundary(self, d):
@@ -223,7 +223,7 @@ class TestBoundedTrinomials:
             level = abs(nfcount.closed_form_disc(d, c))
             for X in (level - 1, level, level + 1, level + 2):
                 if X >= 1:
-                    assert nfcount.bounded_trinomials(d, X) == filtered(X), (d, X)
+                    assert list(nfcount.bounded_trinomials(d, X)) == sorted(filtered(X)), (d, X)
 
     def test_no_power_formed_when_the_constant_term_passes_X(self, monkeypatch):
         # (d-1)^(d-1) >= 2^((d-1)(bit_length(d-1) - 1)) > X decides it from bit lengths
@@ -231,10 +231,19 @@ class TestBoundedTrinomials:
             raise AssertionError("an integer root was taken")
 
         monkeypatch.setattr(nfcount, "integer_root", no_root)
-        assert nfcount.bounded_trinomials(10**6, 10) == []
-        assert nfcount.bounded_trinomials(300, 10**700) == []
+        assert nfcount.bounded_trinomials(10**6, 10) == range(0)
+        assert nfcount.bounded_trinomials(300, 10**700) == range(0)
         with pytest.raises(stats.SieveCapError, match=r"^\|disc\| < 10: c count 1 exceeds the cap 0$"):
             nfcount.bounded_trinomials(10**6, 10, sieve_cap=0)
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 60), st.one_of(st.integers(-300, 300), st.integers(-(10**30), 10**30)))
+    @example(2, 0)  # |disc| = K = 1
+    @example(2, -1)
+    @example(16, 15)  # c = 2^k - 1, where c.bit_length() is furthest above log2(c)
+    def test_disc_bits_is_a_lower_bound(self, d, c):
+        assert abs(nfcount.closed_form_disc(d, c)).bit_length() >= nfcount._disc_bits(d, c)
 
 
 class TestCountByDisc:
@@ -260,6 +269,23 @@ class TestCountByDisc:
         assert row.count == tally[IrreducibilityStatus.IRREDUCIBLE]
         assert row.unknown == tally[IrreducibilityStatus.UNKNOWN]
         assert batch <= nfcount._irreducible_mod_q.cache_info().misses  # a subset: root tables settle the rest
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 12), st.integers(-60, 60), st.integers(-1, 1))
+    @example(4, -3, 0)  # even d: X at |disc(-3)| = A 27 + K admits c = 3, not c = -3
+    @example(5, -3, 1)  # odd d: both ends at |c| = 3
+    @example(7, 0, 0)  # X = K: no c at all
+    def test_equals_the_row_tallies_over_its_interval(self, d, c, e):
+        # X at and around the |disc| of a level of either sign
+        X = max(abs(nfcount.closed_form_disc(d, c)) + e, 1)
+        cs = nfcount.bounded_trinomials(d, X)
+        assert all(abs(nfcount.closed_form_disc(d, c)) < X for c in cs)
+        assert abs(nfcount.closed_form_disc(d, cs.start - 1)) >= X <= abs(nfcount.closed_form_disc(d, cs.stop))
+        if cs:  # an even d reaches no further below 0 than above, as |disc(-a)| = |disc(a)| + 2K
+            assert -cs.start == cs.stop - 1 if d % 2 else -cs.start <= cs.stop - 1
+        row = nfcount.count_by_disc(d, X)
+        tally = Counter(r["irreducibility"] for r in nfcount.trinomial_rows(d, cs.start, cs.stop - 1, trial_bound=0))
+        assert (row.count, row.unknown) == (tally["IRREDUCIBLE"], tally["UNKNOWN"])
 
     def test_cubic_asks_no_certificate_at_a_trillion(self):
         # at d <= 3 a certificate is the root test, which the tables answer;
@@ -307,8 +333,9 @@ class TestCountByDisc:
         row = nfcount.count_by_disc(3, 100)
         assert row.count == 2
         assert row.unknown == 0
-        assert [nfcount.irreducibility_status(3, c).value for c in nfcount.bounded_trinomials(3, 100)] == [
-            "REDUCIBLE", "IRREDUCIBLE", "IRREDUCIBLE",
+        assert nfcount.bounded_trinomials(3, 100) == range(-1, 2)
+        assert [nfcount.irreducibility_status(3, c).value for c in range(-1, 2)] == [
+            "IRREDUCIBLE", "REDUCIBLE", "IRREDUCIBLE",
         ]
         assert row.exponent_ref == "3/4"
         assert row.bound_ok
@@ -322,7 +349,8 @@ class TestCountByDisc:
         row = nfcount.count_by_disc(4, 300)
         assert row.count == 2
         assert row.exponent_ref == "2/3"
-        assert nfcount.bounded_trinomials(4, 300) == [0, 1, -1]
+        # |disc(-1)| = 256 + 27 and |disc(1)| = 256 - 27 pass 300, |disc(2)| = 2048 - 27 does not
+        assert nfcount.bounded_trinomials(4, 300) == range(-1, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 6), st.integers(0, 200), st.integers(-1, 1), st.sampled_from([2, 3, 50]))
@@ -568,8 +596,9 @@ class TestTrinomialRow:
 
         monkeypatch.setattr(stats, "prime_sieve", recording)
         assert len(nfcount.trinomial_rows(3, 1000, 1100)) == 101
-        # one list of certificate primes, and one of trial primes to (27 * 1100^2 - 4)^(1/3)
-        assert limits == [nfcount.DEFAULT_Q_MAX, 319]
+        # one list of trial primes to (27 * 1100^2 - 4)^(1/3), taken first, as the squarefree
+        # size rule comes before any irreducibility work, and one of certificate primes
+        assert limits == [319, nfcount.DEFAULT_Q_MAX]
 
     def test_trial_bound_is_refused_before_any_work(self, monkeypatch):
         monkeypatch.setattr(nfcount, "_uncertified", mock.Mock(side_effect=AssertionError))
@@ -784,6 +813,61 @@ class TestCaps:
         monkeypatch.setattr(nfcount, "_squarefree_verdicts", no_work)
         with pytest.raises(stats.SieveCapError, match=r"^c in \[1, 11\]: c count 11 exceeds the cap 10$"):
             nfcount.squarefree_disc_fraction(3, 11, sieve_cap=10)
+
+
+class TestSquarefreeSizeRule:
+    """_squarefree_column refuses an interval whose |disc| _disc_bits puts past
+    _SQUAREFREE_BITS, before any power is formed."""
+
+    @pytest.fixture
+    def no_power(self, monkeypatch):
+        def power(*args):
+            raise AssertionError("a power was formed")
+
+        monkeypatch.setattr(nfcount, "_squarefree_verdicts", power)
+        monkeypatch.setattr(nfcount, "closed_form_disc", power)
+
+    def test_huge_degree_is_refused(self, no_power, capsys):
+        message = f"|disc| for d = 1000000 and c = 1 has over {nfcount._SQUAREFREE_BITS} bits, the squarefree limit"
+        with pytest.raises(ff.CapError, match=re.escape(message)):
+            nfcount.squarefree_disc_fraction(10**6, 1)
+        assert cli.main(["nf", "--d", "1000000", "--squarefree", "1"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_the_edge_of_the_rule(self, no_power):
+        # 17 d <= 2^22 up to d = 246,723 at c = 1; c = 2 adds d - 1 bits
+        assert nfcount._disc_bits(100000, 30) <= nfcount._SQUAREFREE_BITS  # README's d = 10^5, limit 30 is answered
+        with pytest.raises(AssertionError, match="a power was formed"):
+            nfcount.squarefree_disc_fraction(246723, 1)
+        for d, limit in ((246724, 1), (246723, 2)):
+            with pytest.raises(ff.CapError, match="the squarefree limit"):
+                nfcount.squarefree_disc_fraction(d, limit)
+
+    def test_the_larger_end_decides(self, no_power):
+        with pytest.raises(ff.CapError, match=r"^\|disc\| for d = 246723 and c = -2 has"):
+            nfcount._squarefree_column(246723, -2, 1, 10, 10**8)
+
+    def test_c_range_refused_before_any_irreducibility_work(self, no_power, monkeypatch):
+        # with no digit limit only the size rule stands between a c-range row and d^d
+        monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0, raising=False)
+        monkeypatch.setattr(nfcount, "_uncertified", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(ff.CapError, match="the squarefree limit"):
+            nfcount.trinomial_rows(10**6, 1, 1)
+
+    @pytest.mark.parametrize("d, lo, hi, trial_bound", [
+        (3, 10**6, 10**6 + 40, 100),
+        (4, -500, 200, 10),
+        (6, -30, 30, 1000),
+        (2, 1, 50, 0),
+        (12, -3, 3, 1),
+    ])
+    def test_no_discriminant_where_the_bound_settles_the_primes(self, monkeypatch, d, lo, hi, trial_bound):
+        # past B^3 by bit length, the prime list stops at B, and no |disc| is formed to say so
+        assert nfcount._disc_bits(d, max(lo, hi, key=abs)) > (trial_bound**3).bit_length()
+        primes = stats.prime_sieve(trial_bound)
+        want = [squarefree_by_trial(abs(nfcount.closed_form_disc(d, c)), trial_bound, primes) for c in range(lo, hi + 1)]
+        monkeypatch.setattr(nfcount, "closed_form_disc", mock.Mock(side_effect=AssertionError))
+        assert list(nfcount._squarefree_column(d, lo, hi, trial_bound, stats.DEFAULT_SIEVE_CAP)) == want
 
 
 class TestHeightProperty:

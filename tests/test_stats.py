@@ -5,6 +5,7 @@ primes, apply the divisibility rule, sum the oracle counts.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -306,6 +307,41 @@ class TestClosedForms:
     def test_pminus1_rows_match_sieve_walk(self, n, ell, selector, c_list):
         got = stats.average_report(Family.P_MINUS_ONE, n, ell, selector, c_list)
         assert got == sieve_average_rows(Family.P_MINUS_ONE, n, ell, selector, c_list)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from(list(Selector)),
+        st.lists(st.integers(-10, 3000), max_size=4),
+        st.sampled_from([5, 7, 11, 13, 29, 53, 97, 331, 2003]),
+        st.integers(-1, 0),
+        st.booleans(),
+    )
+    def test_pminus1_refusal_is_the_sieve_walks_first_capped_pair(self, n, ell, selector, c_list, q, e, by_field):
+        # one cap refuses from the prime q on (e = -1) or from just past it (e = 0), the other refuses nothing;
+        # the refusal is the first (c, p), c in order and p ascending over the sieve, that capped_degree refuses
+        field_cap, exp_cap = (q**n + e, 10**12) if by_field else (10**12, (q - 1) ** ell + e)
+        refused = None
+        for c in c_list:
+            target = c + _SHIFT.get(selector, 0)
+            wanted = selector is not Selector.NOT_DIVIDES_C
+            for p in stats.prime_sieve(target):
+                if refused is None and p >= 5 and (target % p == 0) is wanted:
+                    try:
+                        dynamics.capped_degree(p, n, Family.P_MINUS_ONE, ell, field_cap=field_cap, exp_cap=exp_cap)
+                    except ff.CapError as exc:
+                        refused = str(exc)
+        caps = {"field_cap": field_cap, "exp_cap": exp_cap}
+        with mock.patch.object(dynamics, "fixed_point_count", return_value=0):
+            if refused is None:
+                stats.average_report(Family.P_MINUS_ONE, n, ell, selector, c_list, **caps)
+                return
+            with mock.patch.object(stats, "_sieve", side_effect=AssertionError), mock.patch.object(
+                stats, "_lucy", side_effect=AssertionError
+            ), pytest.raises(ff.CapError) as exc:
+                stats.average_report(Family.P_MINUS_ONE, n, ell, selector, c_list, **caps)
+        assert str(exc.value) == refused
 
     def test_prime_power_average_builds_no_field(self, monkeypatch):
         def no_field(*args, **kwargs):
