@@ -275,6 +275,14 @@ def _judge(
     return tuple(witnesses), tuple(sorted(unjudged.items()))
 
 
+def _check_grid_point(p: int, n: int, ell: int) -> None:
+    """ArgumentError unless p is prime and n, ell >= 1: the checks of every grid point."""
+    if not ff.is_prime(p):
+        raise ArgumentError(f"grid point has non-prime p = {p}")
+    if n < 1 or ell < 1:
+        raise ArgumentError(f"grid point ({p}, {n}, {ell}) needs n >= 1 and ell >= 1")
+
+
 def check_point(
     claim: ClaimSpec,
     p: int,
@@ -288,10 +296,7 @@ def check_point(
 
     A point past a cap is SKIPPED, with the refusal of dynamics.capped_degree
     as its note."""
-    if not ff.is_prime(p):
-        raise ArgumentError(f"grid point has non-prime p = {p}")
-    if n < 1 or ell < 1:
-        raise ArgumentError(f"grid point ({p}, {n}, {ell}) needs n >= 1 and ell >= 1")
+    _check_grid_point(p, n, ell)
     if not claim.applies(p, n, ell):
         return PointResult(p, n, ell, Verdict.NOT_APPLICABLE, note="outside the stated hypotheses")
     try:
@@ -312,8 +317,12 @@ def check_all(
 
     The grid is walked point first, every claim at a point before the next
     point, so the claims of one family share that point's scan; each
-    report lists its points in grid order.
+    report lists its points in grid order.  Every point's arguments are
+    checked, in grid order, before the first is judged.
     """
+    grid = list(grid)
+    for point in grid:
+        _check_grid_point(*point)
     rows = [
         [check_point(spec, p, n, ell, field_cap=field_cap, exp_cap=exp_cap) for spec in _REGISTRY]
         for p, n, ell in grid

@@ -249,9 +249,9 @@ def _parse_int_list(text: str, flag: str) -> list[int]:
 # census
 
 def _census_point(
-    p: int, n: int, family: Family, k: int, c_spec: tuple, *, field_cap: int, exp_cap: int
+    p: int, n: int, family: Family, k: int, d: int, c_spec: tuple, *, field_cap: int, exp_cap: int
 ) -> list[dynamics.CensusRecord]:
-    d = dynamics.capped_degree(p, n, family, k, field_cap=field_cap, exp_cap=exp_cap)
+    """The records of one grid point, whose degree d has passed capped_degree."""
     fs = standard_field(p, n)
     coefficients = None if c_spec == ("all",) else [_coefficient(fs, item) for item in c_spec]
     if coefficients == []:
@@ -284,13 +284,10 @@ def cmd_census(args: SimpleNamespace) -> int:
     else:
         c_spec = tuple(part for part in args.c.split(",") if part.strip() != "")
 
-    records = [
-        rec
-        for p in p_list
-        for n in n_list
-        for k in k_list
-        for rec in _census_point(p, n, family, k, c_spec, field_cap=args.field_cap, exp_cap=args.exp_cap)
-    ]
+    caps = {"field_cap": args.field_cap, "exp_cap": args.exp_cap}
+    # every point meets the caps, in grid order, before the first field is built
+    grid = [(p, n, k, dynamics.capped_degree(p, n, family, k, **caps)) for p in p_list for n in n_list for k in k_list]
+    records = [rec for p, n, k, d in grid for rec in _census_point(p, n, family, k, d, c_spec, **caps)]
     records.sort(key=lambda r: (r.p, r.n, r.ell if r.ell is not None else 0, r.c_repr))
     # a record's fields are the CSV columns, so the records are the rows
     _write(_output(args.out, args.format or "csv", dynamics.CensusRecord._fields, lambda: records,

@@ -340,10 +340,11 @@ def _disc_roots(d: int, p: int, sign: int = -1) -> list[int]:
     return sorted(roots)
 
 
-# The a that _squarefree_verdicts holds at once (its memory), and the costs of
-# root extraction for one p and of one b-bit reduction mod p, as 2^15 and
-# b + 2^9 bits reduced: constants, not settings.
-_SQUAREFREE_WINDOW, _ROOT_COST, _STEP_COST = 1 << 14, 1 << 15, 1 << 9
+# The most a, and the most bits of their u(a), that _squarefree_verdicts holds
+# at once (its memory; 2^26 bits, the least power of 2 that keeps nf --d 100000
+# --squarefree 30 one window), and the costs of root extraction for one p and of
+# one b-bit reduction mod p, as 2^15 and b + 2^9 bits reduced: constants, not settings.
+_SQUAREFREE_WINDOW, _WINDOW_BITS, _ROOT_COST, _STEP_COST = 1 << 14, 1 << 26, 1 << 15, 1 << 9
 
 
 def _squarefree_verdicts(d: int, lo: int, hi: int, sign: int, trial_bound: int, primes: tuple[int, ...]):
@@ -352,14 +353,17 @@ def _squarefree_verdicts(d: int, lo: int, hi: int, sign: int, trial_bound: int, 
     A = d^d, K = (d-1)^(d-1); u(0) = K and A >= 2K, so u does not decrease
     and the a tested against p, u(a) >= p^3, start at a bisection point.
     Whether p | u(a) depends on a mod p: _disc_roots gives the residues, or
-    the tested a do where they are too few to pay for it.  In windows of
-    _SQUAREFREE_WINDOW a, each prime in ascending order walks its roots:
-    p^2 | u ends that a, else p leaves the cofactor for _squarefree_by_trial.
+    the tested a do where they are too few to pay for it.  In windows of at
+    most _SQUAREFREE_WINDOW a and about _WINDOW_BITS bits, each prime in
+    ascending order walks its roots: p^2 | u ends that a, else p leaves the
+    cofactor for _squarefree_by_trial.
     """
     A, K, e = d**d, (d - 1) ** (d - 1), d - 1
     sK = sign * K
-    for first in range(lo, hi + 1, _SQUAREFREE_WINDOW):
-        u = [A * a**e + sK for a in range(first, min(first + _SQUAREFREE_WINDOW, hi + 1))]
+    # u(a) for a <= hi has at most A.bit_length() + e hi.bit_length() + 1 bits
+    size = max(min(_SQUAREFREE_WINDOW, _WINDOW_BITS // (A.bit_length() + e * hi.bit_length())), 1)
+    for first in range(lo, hi + 1, size):
+        u = [A * a**e + sK for a in range(first, min(first + size, hi + 1))]
         if first == 0:
             u[0] = K
         few = _ROOT_COST // (u[-1].bit_length() + _STEP_COST)

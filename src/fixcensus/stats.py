@@ -241,8 +241,8 @@ def average_report(
     rather than an error.  The qualifying primes are the prime factors of
     the selector's target; for p!|c they are counted by prime_counts, and
     listed only where a count can be nonzero (prime-power) or is scanned
-    (pminus1).  For pminus1 every (c, p) meets capped_degree before any scan,
-    and _refuse_first_capped finds a refused one before any prime is listed.
+    (pminus1).  For pminus1, _refuse_first_capped refuses the first capped
+    (c, p) before any prime is listed, so every degree it leaves passes the caps.
     """
     if family not in _FLOOR:
         raise ArgumentError("averages and densities are defined for the two named families")
@@ -256,7 +256,13 @@ def average_report(
     g = math.gcd(n, ell)
     pi = prime_counts([floor - 1, *(c for c, _ in targets)]) if selector is Selector.NOT_DIVIDES_C else {}
 
-    plan = []  # (c, its qualifying primes, denominator) for each c, before any count
+    def count(p: int, c: int) -> int:
+        if family is Family.PRIME_POWER:
+            return _prime_power_count(p, n, ell, c)
+        return dynamics.fixed_point_count(standard_field(p, n), family.degree(p, ell), c, field_cap=field_cap,
+                                          exp_cap=exp_cap)
+
+    rows = []
     for c, target in targets:
         if selector is not Selector.NOT_DIVIDES_C:
             qual = _prime_factors(target, floor)
@@ -267,16 +273,8 @@ def average_report(
                 qual = [p for p in _prime_factors(n // g, floor) if p <= c and c % p]
             else:
                 qual = [p for p in prime_sieve(c, sieve_cap=sieve_cap) if p >= floor and c % p]
-        plan.append((c, qual, denominator))
-    degree = {p: dynamics.capped_degree(p, n, family, ell, field_cap=field_cap, exp_cap=exp_cap)
-              for _, qual, _ in plan for p in qual} if family is Family.P_MINUS_ONE else {}
-
-    def count(p: int, c: int) -> int:
-        if family is Family.PRIME_POWER:
-            return _prime_power_count(p, n, ell, c)
-        return dynamics.fixed_point_count(standard_field(p, n), degree[p], c, field_cap=field_cap, exp_cap=exp_cap)
-
-    return [AverageRow(c, selector, floor, sum(count(p, c) for p in qual), den) for c, qual, den in plan]
+        rows.append(AverageRow(c, selector, floor, sum(count(p, c) for p in qual), denominator))
+    return rows
 
 
 _KIND_RULES: dict[DensityKind, tuple[Family, Selector]] = {

@@ -15,6 +15,7 @@ import shlex
 import subprocess
 import sys
 from collections import Counter
+from unittest import mock
 
 import pytest
 from fractions import Fraction
@@ -904,7 +905,7 @@ def test_census_of_every_c_names_each_element(p, n):
     # the --c all rows are rendered from index digits, not from elements
     fs = ff.standard_field(p, n)
     records = cli._census_point(
-        p, n, dynamics.Family.RAW, 2, ("all",), field_cap=ff.DEFAULT_FIELD_CAP, exp_cap=dynamics.DEFAULT_EXP_CAP
+        p, n, dynamics.Family.RAW, 2, 2, ("all",), field_cap=ff.DEFAULT_FIELD_CAP, exp_cap=dynamics.DEFAULT_EXP_CAP
     )
     rows = [(r.c_repr, r.c_class) for r in records]
     assert rows == [(str(fs.element_at(i)), dynamics.classify_residue(p, i)) for i in range(fs.order)]
@@ -995,6 +996,14 @@ _REFUSED = [
      "map degree 3^10000 exceeds the exponent cap 1000000"),
     (["avg", "--family", "pminus1", "--ell", "10000", "--selector", "p|c", "--c", "35"],
      "map degree 4^10000 exceeds the exponent cap 1000000"),
+    # a later grid point is refused before the field of an earlier one is built
+    (["census", "--p", "3", "--n", "2,400", "--family", "prime-power", "--ell", "1", "--c", "0"],
+     "field order 3^400 exceeds the cap 10000000"),
+    (["census", "--p", "3,4", "--n", "2", "--family", "prime-power", "--ell", "1", "--c", "0"],
+     "prime-power family needs a prime p and ell >= 1"),
+    (["census", "--p", "5,7", "--n", "8,9", "--family", "pminus1", "--ell", "1", "--c", "0"],
+     "field order 7^9 exceeds the cap 10000000"),
+    (["claims", "--p", "5,7,11,13,4", "--n", "2,3,4,5", "--ell", "1,2"], "grid point has non-prime p = 4"),
 ]
 
 
@@ -1003,9 +1012,51 @@ def test_caps_refuse_before_any_field_is_built(capsys, monkeypatch, argv, messag
     def no_field(*args):
         raise AssertionError("a field was built before the caps were checked")
 
-    for module, name in [(ff, "find_irreducible"), (cli, "standard_field"), (stats, "standard_field")]:
+    for module, name in [(ff, "find_irreducible"), (ff, "standard_field"), (cli, "standard_field"),
+                         (stats, "standard_field")]:
         monkeypatch.setattr(module, name, no_field)
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+# Per family: the census flag of its exponent, and valid and refused values of (p, n, k)
+_CENSUS_AXES = {
+    "prime-power": ("--ell", ([3, 5, 7], [1, 2], [1, 2]), ([4, 1], [0, 400], [0, 10**9])),
+    "pminus1": ("--ell", ([5, 7], [1, 2], [1, 2]), ([3, 9], [0, 20], [0, 10])),
+    "raw": ("--d", ([3, 5], [1, 2], [2, 3]), ([0, 6], [0, 15], [1, 10**7])),
+}
+
+
+@st.composite
+def _census_grid_with_one_bad_value(draw):
+    family = draw(st.sampled_from(sorted(_CENSUS_AXES)))
+    flag, good, bad = _CENSUS_AXES[family]
+    axes = [draw(st.lists(st.sampled_from(values), min_size=1, max_size=3)) for values in good]
+    axis = draw(st.integers(0, 2))
+    axes[axis].insert(draw(st.integers(0, len(axes[axis]))), draw(st.sampled_from(bad[axis])))
+    return family, flag, axes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_census_grid_with_one_bad_value())
+def test_census_refuses_the_first_bad_point_before_any_field(grid):
+    family, flag, (ps, ns, ks) = grid
+    want = None
+    for p in ps:
+        for n in ns:
+            for k in ks:
+                try:
+                    dynamics.capped_degree(p, n, dynamics.Family(family), k)
+                except (ff.ArgumentError, ff.CapError) as exc:
+                    want = want or str(exc)
+    argv = ["census", "--p", ",".join(map(str, ps)), "--n", ",".join(map(str, ns)), "--family", family,
+            flag, ",".join(map(str, ks)), "--c", "0"]
+    no_field = mock.Mock(side_effect=AssertionError("a field was built before the caps were checked"))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(ff, "find_irreducible", no_field), mock.patch.object(cli, "standard_field", no_field), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue(), err.getvalue()) == (2, "", f"error: {want}\n")
+    no_field.assert_not_called()
 
 
 @pytest.mark.parametrize("caps, message", [

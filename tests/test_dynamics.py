@@ -513,7 +513,7 @@ class TestClassifyResidue:
     def test_census_record(self):
         # the record the census command builds for z -> z^3 + t on F_9
         caps = {"field_cap": ff.DEFAULT_FIELD_CAP, "exp_cap": dynamics.DEFAULT_EXP_CAP}
-        assert _census_point(3, 2, Family.PRIME_POWER, 1, ("t",), **caps) == [
+        assert _census_point(3, 2, Family.PRIME_POWER, 1, 3, ("t",), **caps) == [
             dynamics.CensusRecord(
                 p=3, n=2, ell=1, family="prime-power", c_class="other", c_repr="t", fixed_count=3
             )

@@ -550,6 +550,40 @@ class TestSquarefree:
         one, several = peak(1024), peak(8 * 1024)
         assert several < 1.25 * one, (one, several)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 12),
+        st.integers(0, 60),
+        st.integers(0, 60),
+        st.sampled_from([0, 2, 50, 10**5]),
+        st.sampled_from([1, -1]),
+        st.integers(1, 400),
+    )
+    @example(7, 0, 40, 10**5, -1, 1)  # a window of one a from a = 0
+    @example(4, 10, 50, 2, 1, 300)  # even d, the + K side, UNKNOWN verdicts
+    def test_window_bits_change_no_verdict(self, d, lo, size, trial_bound, sign, bits):
+        # windows of a few bits (one or a few a each) give the verdicts of one window
+        hi, primes = lo + size, stats.prime_sieve(trial_bound)
+        whole = list(nfcount._squarefree_verdicts(d, lo, hi, sign, trial_bound, primes))
+        with mock.patch.object(nfcount, "_WINDOW_BITS", bits):
+            assert list(nfcount._squarefree_verdicts(d, lo, hi, sign, trial_bound, primes)) == whole
+
+    def test_memory_is_bounded_by_the_window_bits(self, monkeypatch):
+        # at d = 1000 each |disc| has about 20,000 bits: a window of 2^14 a would hold every c at once
+        monkeypatch.setattr(nfcount, "_WINDOW_BITS", 8 * 20_000)
+        stats.prime_sieve(100)
+
+        def peak(limit):
+            tracemalloc.start()
+            try:
+                nfcount.squarefree_disc_fraction(1000, limit, trial_bound=100)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, several = peak(64), peak(8 * 64)
+        assert several < 1.25 * one, (one, several)
+
 
 _DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit
 
