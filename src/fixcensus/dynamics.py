@@ -12,15 +12,17 @@ linear side on FFElement operators.  fixed_point_count stays a scan for
 every d, so the scan is the reference the test suite holds the linear
 engine to, and the tests hold both to a brute force and to a gcd oracle.
 
-Also here: the full functional-graph census (components, cycle structure,
-tail depths) and exact integer fixed points of z^d + c on the integers.
+Also here: the functional-graph census (its cycles and its longest tail)
+and exact integer fixed points of z^d + c on the integers.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from array import array
 from collections.abc import Iterator
+from itertools import compress
 from typing import NamedTuple
 
 from .ff import (
@@ -31,6 +33,7 @@ from .ff import (
     FieldCapError,
     FieldSpec,
     _Label,
+    _table_typecode,
     _Value,
     check_field,
     field_ops,
@@ -102,21 +105,14 @@ class OrbitCensus(_Value):
     cycle_lengths.  tail length 0 means the element already lies on a cycle.
     """
 
-    __slots__ = ("cycle_lengths", "max_tail_length", "element_total", "component_sizes")
+    __slots__ = ("cycle_lengths", "max_tail_length")
     cycle_lengths: tuple[int, ...]
     max_tail_length: int
-    element_total: int
-    component_sizes: tuple[int, ...]
 
-    def __init__(
-        self, cycle_lengths: tuple[int, ...], max_tail_length: int, element_total: int,
-        component_sizes: tuple[int, ...],
-    ) -> None:
-        if len(component_sizes) != len(cycle_lengths):
-            raise ValueError("one cycle per component is violated")
-        if sum(component_sizes) != element_total:
-            raise ValueError("component sizes must cover the whole field")
-        self._init(cycle_lengths, max_tail_length, element_total, component_sizes)
+    def __init__(self, cycle_lengths: tuple[int, ...], max_tail_length: int) -> None:
+        if min(cycle_lengths, default=1) < 1 or max_tail_length < 0:
+            raise ValueError("cycle lengths must be at least 1 and the longest tail at least 0")
+        self._init(cycle_lengths, max_tail_length)
 
     @property
     def component_count(self) -> int:
@@ -308,7 +304,7 @@ def _affine_orbits(fs: FieldSpec, ell: int, c: int) -> OrbitCensus:
         fixed = 0 if any(sum(map(operator.mul, w, s)) % p for w in rows) else p ** len(rows)
         exact[k] = fixed - sum(count for j, count in exact.items() if k % j == 0)
         lengths += (k,) * (exact[k] // k)
-    return OrbitCensus(lengths, 0, fs.order, lengths)
+    return OrbitCensus(lengths, 0)
 
 
 def orbit_census(
@@ -321,56 +317,36 @@ def orbit_census(
 ) -> OrbitCensus:
     """Full functional-graph decomposition of the map on the field.
 
-    Walks each unvisited element forward until it hits either a fresh cycle
-    or already-finished territory, then gives every element of the pending
-    path its component and tail depth: linear in q.  A d = p^ell is counted
-    by _affine_orbits instead, without a walk.
+    Peels the graph (Kahn's topological sort): each layer removes the
+    elements that nothing left maps to, so what remains are the cycles, and
+    the number of layers is the longest tail.  One walk round each remaining
+    cycle gives its length: linear in q, on two arrays of q entries.  A
+    d = p^ell is counted by _affine_orbits instead, without a walk.
     """
     capped_degree(fs.p, fs.n, Family.RAW, d, field_cap=field_cap, exp_cap=exp_cap)
     if (ell := _frobenius_exponent(fs.p, d)) is not None:
         return _affine_orbits(fs, ell, _coefficient_index(fs, c))
-    q = fs.order
-    succ = list(field_ops(fs).images(d, 1, _coefficient_index(fs, c), 0))
-
-    ACTIVE = -2  # comp is -1 for an unvisited element, ACTIVE on the current path
-    comp = [-1] * q
-    tail = [0] * q
-    cycle_lengths: list[int] = []
-    comp_sizes: list[int] = []
-
-    for s in range(q):
-        if comp[s] != -1:
-            continue
-        path: list[int] = []
-        v = s
-        while comp[v] == -1:
-            comp[v] = ACTIVE
-            path.append(v)
-            v = succ[v]
-        if comp[v] == ACTIVE:
-            # closed a brand-new cycle along the current path; its tails are 0
-            k = path.index(v)
-            cid, base = len(cycle_lengths), 0
-            cycle_lengths.append(len(path) - k)
-            comp_sizes.append(len(path) - k)
-            for u in path[k:]:
-                comp[u] = cid
-            rest = path[:k]
-        else:
-            cid, base, rest = comp[v], tail[v], path
-        # rest is a chain into v, so its i-th element lies len(rest) - i steps above v
-        top = base + len(rest)
-        for i, u in enumerate(rest):
-            comp[u] = cid
-            tail[u] = top - i
-        comp_sizes[cid] += len(rest)
-
-    return OrbitCensus(
-        cycle_lengths=tuple(sorted(cycle_lengths)),
-        max_tail_length=max(tail) if q else 0,
-        element_total=q,
-        component_sizes=tuple(sorted(comp_sizes)),
-    )
+    q, typecode = fs.order, _table_typecode(fs.order)
+    succ = array(typecode, field_ops(fs).images(d, 1, _coefficient_index(fs, c), 0))
+    indegree = array(typecode, [0]) * q
+    for v in succ:
+        indegree[v] += 1
+    layer, layers = array(typecode, compress(range(q), map(operator.not_, indegree))), 0
+    while layer:
+        layers, removed, layer = layers + 1, layer, array(typecode)
+        for u in removed:
+            v = succ[u]
+            indegree[v] -= 1
+            if not indegree[v]:
+                layer.append(v)
+    cycle_lengths = []
+    for v in compress(range(q), indegree):  # read as it goes, so a cycle already walked (0) is passed
+        length = 0
+        while indegree[v]:
+            indegree[v] = 0
+            v, length = succ[v], length + 1
+        cycle_lengths.append(length)
+    return OrbitCensus(tuple(sorted(cycle_lengths)), layers)
 
 
 def classify_residue(p: int, index: int) -> str:

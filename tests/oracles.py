@@ -23,6 +23,12 @@ unscreened_modulus and unscreened_generator are the searches of
 ff.find_irreducible and the log engine's primitive element without their
 screens: every candidate takes the full certificate, and every prime
 r | q - 1 a power in F_q.
+
+brute_force_orbit is the functional-graph oracle for dynamics.orbit_census:
+it evaluates z^d + c on FFElement arithmetic for every z and finds the
+cycles as the eventual image of the map, not by peeling in-degrees.  It
+lives with the tests because every command takes its cycles and longest
+tail from orbit_census.
 """
 
 import bisect
@@ -126,6 +132,38 @@ def gcd_root_count(fs: FieldSpec, d: int, c: int | FFElement) -> int:
     if not h:
         return d
     return len(_poly_gcd(f, h)) - 1
+
+
+def brute_force_orbit(fs: FieldSpec, d: int, c: int | FFElement) -> tuple[list[int], int, int]:
+    """(sorted cycle lengths, component count, longest tail) of z -> z^d + c.
+
+    The map is applied to the whole field until its image stops shrinking:
+    on that set it is onto, hence a bijection, so it is exactly the set of
+    cyclic elements.  Each component holds one cycle; tails are walked
+    directly.  Elements are keyed by index, and the map is FFElement
+    arithmetic.
+    """
+    c = fs.element_at(_coefficient_index(fs, c))
+    succ = {z.index: (z**d + c).index for z in map(fs.element_at, range(fs.order))}
+    cyclic = set(succ)
+    while (image := {succ[z] for z in cyclic}) != cyclic:
+        cyclic = image
+    cycle_lengths, seen = [], set()
+    for start in cyclic:
+        z, length = start, 0
+        while z not in seen:
+            seen.add(z)
+            z, length = succ[z], length + 1
+        if length:  # a cycle not met before
+            cycle_lengths.append(length)
+
+    def tail_length(z):
+        steps = 0
+        while z not in cyclic:
+            z, steps = succ[z], steps + 1
+        return steps
+
+    return sorted(cycle_lengths), len(cycle_lengths), max(map(tail_length, succ))
 
 
 def _det_bareiss(m: list[list[int]]) -> int:

@@ -2,8 +2,8 @@
 
 The package counts by the scan and, for d = p^ell, by the Frobenius-linear
 engine.  The tests hold both, in exact agreement, to the plain FFElement
-brute force used here and to the gcd oracle of tests/oracles.py, which
-shares no engine with either.
+brute force used here and to the gcd and functional-graph oracles of
+tests/oracles.py, which share no engine with either.
 """
 
 import math
@@ -19,55 +19,12 @@ from fixcensus.claims import Verdict
 from fixcensus.cli import _census_point
 from fixcensus.dynamics import Family
 from fixcensus.ff import FieldCapError
-from oracles import gcd_root_count
+from oracles import brute_force_orbit, gcd_root_count
 
 
 def brute_force_fixed_points(fs, d, c):
     """Independent oracle: direct FFElement evaluation of z^d + c = z."""
     return [z for z in map(fs.element_at, range(fs.order)) if z**d + c == z]
-
-
-def brute_force_orbit(fs, d, c):
-    """Independent functional-graph oracle, quadratic and obvious.
-
-    An element is cyclic iff walking forward returns to it within q steps.
-    Components are the weakly connected pieces; tails are walked directly.
-    """
-    elems = list(map(fs.element_at, range(fs.order)))
-    succ = {z: z**d + c for z in elems}
-    q = len(elems)
-
-    def is_cyclic(z):
-        u = succ[z]
-        for _ in range(q):
-            if u == z:
-                return True
-            u = succ[u]
-        return False
-
-    cyclic = {z for z in elems if is_cyclic(z)}
-    seen = set()
-    cycle_lengths = []
-    for z in cyclic:
-        if z in seen:
-            continue
-        length = 0
-        u = z
-        while u not in seen:
-            seen.add(u)
-            length += 1
-            u = succ[u]
-        cycle_lengths.append(length)
-
-    def tail_length(z):
-        steps = 0
-        while z not in cyclic:
-            z = succ[z]
-            steps += 1
-        return steps
-
-    max_tail = max(tail_length(z) for z in elems)
-    return sorted(cycle_lengths), len(cycle_lengths), max_tail
 
 
 class TestFamilyDegree:
@@ -354,8 +311,7 @@ class TestOrbitCensus:
         assert oc.component_count == 2
         assert oc.cycle_lengths == (1, 1)
         assert oc.fixed_point_count == 2
-        assert oc.max_tail_length == 1
-        assert oc.element_total == 5
+        assert oc.max_tail_length == 1  # 2, 3 and 4 map to 1
 
     def test_example_c2(self):
         fs = ff.standard_field(5, 1)
@@ -376,6 +332,35 @@ class TestOrbitCensus:
                     assert oc.component_count == components
                     assert oc.max_tail_length == max_tail
 
+    @given(
+        st.sampled_from([(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 11) if p**n <= 2000]),
+        st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_peeling_matches_the_oracle(self, field, data):
+        # powers of p take the linear engine, the other degrees the peeling walk
+        fs = ff.standard_field(*field)
+        p = fs.p
+        d = data.draw(st.one_of(st.integers(2, 300), st.sampled_from([p**k for k in range(1, 9) if p**k <= 300])),
+                      label="d")
+        c = fs.element_at(data.draw(st.integers(0, fs.order - 1), label="c"))
+        oc = dynamics.orbit_census(fs, d, c)
+        assert (list(oc.cycle_lengths), oc.component_count, oc.max_tail_length) == brute_force_orbit(fs, d, c)
+
+    def test_walk_keeps_two_arrays(self):
+        # succ and the in-degrees take 4 bytes per element each, and the two
+        # layers in hand at most 4 more; a list takes 8 per entry plus the ints
+        fs = ff.standard_field(3, 9)
+        ff.field_ops(fs)
+        tracemalloc.start()
+        try:
+            oc = dynamics.orbit_census(fs, 2, fs.element([0, 1]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (oc.cycle_lengths, oc.max_tail_length) == ((2, 355), 197)
+        assert peak <= 16 * fs.order, peak / fs.order
+
     def test_structural_invariants(self):
         for p, n in [(7, 1), (11, 1), (3, 2)]:
             fs = ff.standard_field(p, n)
@@ -383,9 +368,8 @@ class TestOrbitCensus:
                 for idx in range(fs.order):
                     c = fs.element_at(idx)
                     oc = dynamics.orbit_census(fs, d, c)
-                    assert sum(oc.component_sizes) == fs.order
                     assert oc.fixed_point_count == dynamics.fixed_point_count(fs, d, c)
-                    assert sum(oc.cycle_lengths) <= fs.order
+                    assert sum(oc.cycle_lengths) + oc.max_tail_length <= fs.order
 
     def test_as_dict_schema(self):
         fs = ff.standard_field(5, 1)
@@ -454,7 +438,7 @@ class TestLinearEngine:
             assert list(oc.cycle_lengths) == lengths, (p, n, ell, str(c))
             assert oc.component_count == components
             assert oc.max_tail_length == max_tail == 0
-            assert oc.component_sizes == oc.cycle_lengths
+            assert sum(oc.cycle_lengths) == fs.order  # a bijection: every element is on a cycle
             assert oc.fixed_point_count == dynamics.count_profile(fs, d, exp_cap=d)[c.index]
 
     def test_reaches_no_scan_engine(self, monkeypatch):

@@ -595,9 +595,9 @@ VALUE_CLASSES = [
         id="FFElement",
     ),
     pytest.param(
-        lambda: dynamics.OrbitCensus((1,), 0, 3, (3,)),
-        lambda: dynamics.OrbitCensus((1, 1), 1, 5, (2, 3)),
-        [((1,), 0, 3, (2,)), ((1,), 0, 3, (1, 2)), ((1, 2), 0, 3, (3,))],
+        lambda: dynamics.OrbitCensus((1,), 2),
+        lambda: dynamics.OrbitCensus((1, 1), 1),
+        [((0,), 0), ((1, -2), 0), ((1,), -1)],
         ValueError,
         id="OrbitCensus",
     ),
