@@ -6,11 +6,11 @@ for every z, the one coefficient c that makes z a fixed point, so its
 histogram (count_profile) answers every c at once, and fixed_point_count
 counts one c on the same scan.  The linear side serves d = p^ell, where
 z -> z^d + c is Frob^ell + c, an F_p-affine map: count_profile and
-orbit_census use it for those d, by elimination on the n x n matrix of
-Frob^ell - 1.  The scan runs on the index tables of ff.field_ops, the
-linear side on FFElement operators.  fixed_point_count stays a scan for
-every d, so the scan is the reference the test suite holds the linear
-engine to, and the tests hold both to a brute force and to a gcd oracle.
+orbit_census use it for those d, by a trace to a subfield.  The scan runs on
+the index tables of ff.field_ops, the linear side on FFElement operators.
+fixed_point_count stays a scan for every d, so the scan is the reference
+the test suite holds the linear engine to, and the tests hold both to a
+brute force and to a gcd oracle.
 
 Also here: the functional-graph census (its cycles and its longest tail)
 and exact integer fixed points of z^d + c on the integers.
@@ -225,46 +225,35 @@ def count_profile(
 # ---------------------------------------------------------------------------
 # The linear counter for d = p^ell.  Frob: z -> z^p is F_p-linear, so
 # A(z) = Frob^ell(z) + c is an affine bijection, and A^k(z) = Frob^(ell k)(z)
-# + s_k with s_k = sum_{i<k} Frob^(ell i)(c).  A^k fixes the p^gcd(n, ell k)
-# points of ker(Frob^(ell k) - 1) when s_k lies in its image, the kernel of the
-# trace to F_{p^gcd(n, ell k)}, and none otherwise (Lidl & Niederreiter, 2.3).
+# + s_k with s_k = sum_{i<k} Frob^(ell i)(c).  A^k fixes the p^g points of
+# ker(Frob^(ell k) - 1), g = gcd(n, ell k), when s_k lies in its image, the
+# kernel of the trace Tr_{n->g}, and none otherwise (Lidl & Niederreiter,
+# 2.3).  Both counters and stats._prime_power_count decide by that trace.
 
 def _frobenius_exponent(p: int, d: int) -> int | None:
     """The ell with d = p^ell, or None when d is not a power of p."""
     return next((ell for ell in range(1, d.bit_length() + 1) if p**ell == d), None)
 
 
-def _image_test(fs: FieldSpec, e: int) -> list[list[int]]:
-    """A basis of the functionals w on F_p^n that vanish on the image of
-    Frob^e - 1, so that v lies in it exactly when every w.v = 0; there are
-    gcd(n, e).  Gauss-Jordan on the columns of Frob^e - 1 as rows: each free
-    column f gives w = e_f - sum of row[f] e_pivot over the reduced rows."""
-    p, n = fs.p, fs.n
-    x, column = fs.element((0, 1)), fs.one
-    for _ in range(e % n):
-        x = x.frobenius()  # x = t^(p^e), and column j of Frob^e is x^j
-    rows: dict[int, list[int]] = {}  # pivot -> reduced row
-    for j in range(n):
-        v = [(a - (i == j)) % p for i, a in enumerate(column.coeffs)]
-        column = column * x
-        for pivot, row in rows.items():
-            v = [(a - v[pivot] * b) % p for a, b in zip(v, row)] if v[pivot] else v
-        pivot = next((i for i, a in enumerate(v) if a), None)
-        if pivot is not None:
-            v = [a * pow(v[pivot], -1, p) % p for a in v]
-            rows = {k: [(a - row[pivot] * b) % p for a, b in zip(row, v)] for k, row in rows.items()}
-            rows[pivot] = v
-    return [[-rows[i][f] % p if i in rows else int(i == f) for i in range(n)] for f in range(n) if f not in rows]
+def _trace(x: FFElement, g: int) -> FFElement:
+    """Tr_{n->g}(x) for g dividing n: the sum of x^(p^(g i)) for i < n/g."""
+    fs, total = x.field, x
+    for _ in range(fs.n // g - 1):
+        x = x ** fs.p**g
+        total = total + x
+    return total
 
 
 def _affine_profile(fs: FieldSpec, ell: int) -> list[int]:
-    """count_profile for d = p^ell: p^g at each c in the image of Frob^ell - 1,
-    0 elsewhere.  The image test's rows are evaluated on the low and the high
-    half of the index digits apart, and c = low + high is a hit where the two
-    agree; only the profile has more than about sqrt(q) entries."""
-    p, n = fs.p, fs.n
-    rows = _image_test(fs, ell)
-    hit = p ** len(rows)
+    """count_profile for d = p^ell: p^g at each c with Tr_{n->g}(c) = 0,
+    g = gcd(n, ell), and 0 elsewhere.  The nonzero rows of the matrix whose
+    column j is Tr(t^j) are evaluated on the low and the high half of the
+    index digits apart, and c = low + high is a hit where the two agree;
+    only the profile has more than about sqrt(q) entries."""
+    p, n, g = fs.p, fs.n, math.gcd(fs.n, ell)
+    columns = [_trace(fs.element((0,) * j + (1,)), g).coeffs for j in range(n)]
+    rows = [w for w in zip(*columns) if any(w)]
+    hit = p**g
 
     def codes(digits: range, sign: int) -> list[int]:
         # sign * (w.x for each row w), packed base p, for each x with digits in the range only
@@ -290,8 +279,9 @@ def _affine_profile(fs: FieldSpec, ell: int) -> list[int]:
 def _affine_orbits(fs: FieldSpec, ell: int, c: int) -> OrbitCensus:
     """orbit_census for d = p^ell and the coefficient of index c.  Frob^ell
     has order m = n / gcd(n, ell), so A^m is the translation by s_m = Tr(c)
-    and every cycle length divides p m.  For each divisor k, |Fix(A^k)| less
-    the points of each smaller period dividing k have period exactly k."""
+    and every cycle length divides p m.  For each divisor k, |Fix(A^k)| (by
+    the trace of s_k) less the points of each smaller period dividing k have
+    period exactly k."""
     p, m = fs.p, fs.n // math.gcd(fs.n, ell)
     x, partial = fs.element_at(c), [fs.zero]
     for _ in range(m):  # partial[k] = s_k
@@ -299,9 +289,9 @@ def _affine_orbits(fs: FieldSpec, ell: int, c: int) -> OrbitCensus:
         x = x ** p**ell
     exact, lengths = {}, ()  # by cycle length: the points, the cycle list
     for k in sorted({a * b for a in (1, p) for b in range(1, m + 1) if m % b == 0}):
-        s = (fs.from_int(k // m) * partial[m] + partial[k % m]).coeffs
-        rows = _image_test(fs, ell * k)
-        fixed = 0 if any(sum(map(operator.mul, w, s)) % p for w in rows) else p ** len(rows)
+        g = math.gcd(fs.n, ell * k)
+        s = fs.from_int(k // m) * partial[m] + partial[k % m]
+        fixed = p**g if _trace(s, g).is_zero else 0
         exact[k] = fixed - sum(count for j, count in exact.items() if k % j == 0)
         lengths += (k,) * (exact[k] // k)
     return OrbitCensus(lengths, 0)

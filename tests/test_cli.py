@@ -9,6 +9,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import pathlib
 import shlex
@@ -1632,6 +1633,19 @@ class TestNf:
         row = json.loads(out)
         assert (row["squarefree"], row["unknown"]) == (tally["true"], tally["unknown"])
         assert tally["unknown"] or trial_bound == 10**5  # the small bounds leave some unknown
+
+    @pytest.mark.parametrize("d, height, rows", [
+        (3, "0.5", 1), (3, "2", 17), (3, "3.7", 101), (2, "10", 201), (4, "2.5", 79), (5, "1.5", 15),
+    ])
+    def test_c_range_rows_tally_to_the_height_count(self, capsys, d, height, rows):
+        # the height count is the c with |c|^(1/d) <= H, so |c| <= N = floor(H^d)
+        bound = math.floor(Fraction(height) ** d)
+        code, out, _ = run(capsys, ["nf", "--d", str(d), f"--c-range=-{bound}:{bound}"])
+        assert code == 0
+        assert len(json.loads(out)) == rows
+        code, out, _ = run(capsys, ["nf", "--d", str(d), "--height", height])
+        assert code == 0
+        assert json.loads(out)["count"] == rows
 
     def test_readme_negative_c_range(self, capsys):
         code, out, err = run(capsys, ["nf", "--d", "3", "--c-range", "-5:5"])

@@ -200,7 +200,7 @@ class TestGcdOracle:
 
         monkeypatch.setattr(ff, "field_ops", refuse)
         monkeypatch.setattr(dynamics, "field_ops", refuse)
-        monkeypatch.setattr(dynamics, "_image_test", refuse)
+        monkeypatch.setattr(dynamics, "_trace", refuse)
         monkeypatch.setattr(dynamics, "_affine_profile", refuse)
         assert [gcd_root_count(fs, d, c) for fs, d, c in cases] == expected
 
@@ -210,6 +210,11 @@ class TestGcdOracle:
         for ell, c in [(1, 0), (1, 3)]:
             expected = stats._prime_power_count(5, 40, ell, c)
             assert gcd_root_count(fs, 5**ell, c) == expected == 5**ell
+        # the closed form is the linear engine's trace rule at an integer c
+        for ell, c in [(1, 3), (8, 2), (20, 4), (40, 0), (40, 1), (80, 3)]:
+            g = math.gcd(40, ell)
+            on_trace = dynamics._trace(fs.from_int(c), g).is_zero
+            assert stats._prime_power_count(5, 40, ell, c) == (5**g if on_trace else 0), (ell, c)
 
     @given(
         st.sampled_from([(p, n) for p in (2, 3, 5, 7, 11, 13) for n in range(1, 11) if p**n <= 2000]),
@@ -410,11 +415,30 @@ class TestLinearEngine:
             if d <= 32:  # the gcd costs O(d^2 log q) products
                 assert profile[i] == gcd_root_count(fs, d, c), (p, n, ell, i)
 
+    @given(
+        st.sampled_from([(p, n) for p in (2, 3, 5, 7) for n in range(1, 12) if p**n <= 3**7]),
+        st.data(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_trace_kernel_is_the_image_of_frobenius_minus_one(self, field, data):
+        fs = ff.standard_field(*field)
+        p, n = field
+        e = data.draw(st.integers(1, 2 * n), label="e")
+        g = math.gcd(n, e)
+        elements = list(map(fs.element_at, range(fs.order)))
+        image = {(z ** p**e - z).index for z in elements}
+        traces = [dynamics._trace(c, g) for c in elements]
+        assert {c.index for c, tr in zip(elements, traces) if tr.is_zero} == image
+        for tr in data.draw(st.lists(st.sampled_from(traces), min_size=1, max_size=4), label="traces"):
+            assert tr ** p**g == tr  # the trace lies in F_{p^g}
+
     @pytest.mark.parametrize("p, n, ell", [
-        (2, 12, 3), (3, 4, 2), (3, 5, 1), (3, 6, 3), (3, 6, 4), (5, 6, 3), (7, 4, 2), (11, 3, 1), (11, 4, 2),
+        (2, 6, 3), (2, 8, 4), (2, 12, 3), (3, 4, 2), (3, 5, 1), (3, 6, 3), (3, 6, 4), (5, 6, 3), (7, 4, 2),
+        (11, 3, 1), (11, 4, 2),
     ])
     def test_profile_is_the_scan_histogram(self, p, n, ell):
-        # fields whose image tests are not coordinate functionals, every c at once
+        # fields whose trace rows are not coordinate functionals, every c at once; most have more
+        # than g nonzero rows, and on F_2^6 and F_2^8 the first g of them leave the rank short
         fs = ff.standard_field(p, n)
         histogram = [0] * fs.order
         for c in dynamics._scan(fs, p**ell):
