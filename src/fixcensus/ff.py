@@ -490,10 +490,6 @@ class FFElement(_Value):
         rem = _ppowmod(self.coeffs, e, fs.modulus, fs.p)
         return FFElement(fs, rem + (0,) * (fs.n - len(rem)))
 
-    def frobenius(self) -> "FFElement":
-        """The p-power map a -> a^p, the canonical field automorphism."""
-        return self ** self.field.p
-
     def __str__(self) -> str:
         return render_poly(self.coeffs)
 

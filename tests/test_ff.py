@@ -305,7 +305,7 @@ class TestArithmeticExamples:
         assert t * t == fs.from_int(2)
         assert fs.element([1, 2]) + fs.element([2, 2]) == t
         assert t**4 == fs.one
-        assert t.frobenius() == fs.element([0, 2])
+        assert t**fs.p == fs.element([0, 2])
 
     def test_f25(self):
         fs = ff.standard_field(5, 2)  # modulus t^2 + 2
@@ -362,7 +362,6 @@ class TestFieldAxioms:
         if not a.is_zero:
             assert a * a ** (fs.order - 2) == fs.one
         assert a**fs.order == a  # q-power map is the identity
-        assert a.frobenius() == a**fs.p
 
     @given(field_and_indexes(1, FIELDS + [ff.standard_field(3, 7)]), st.integers(0, 40))
     @settings(max_examples=200, deadline=None)
@@ -376,7 +375,7 @@ class TestFieldAxioms:
 
     def test_frobenius_fixes_exactly_the_prime_subfield(self):
         for fs in FIELDS:
-            fixed = [e for e in map(fs.element_at, range(fs.order)) if e.frobenius() == e]
+            fixed = [e for e in map(fs.element_at, range(fs.order)) if e**fs.p == e]
             assert len(fixed) == fs.p
 
     def test_frobenius_is_additive_and_multiplicative(self):
@@ -384,8 +383,8 @@ class TestFieldAxioms:
         elems = list(map(fs.element_at, range(fs.order)))
         for a in elems[::3]:
             for b in elems[::4]:
-                assert (a + b).frobenius() == a.frobenius() + b.frobenius()
-                assert (a * b).frobenius() == a.frobenius() * b.frobenius()
+                assert (a + b) ** fs.p == a**fs.p + b**fs.p
+                assert (a * b) ** fs.p == a**fs.p * b**fs.p
 
 
 class TestFieldOps:

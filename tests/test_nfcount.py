@@ -534,6 +534,23 @@ class TestSquarefree:
                 want = [c for c in range(p) if (A * c ** (d - 1) - K) % p == 0]
                 assert nfcount._disc_roots(d, p) == want, (d, p)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 40),
+        st.sampled_from([p for p in stats.prime_sieve(20000) if p >= 400]),
+        st.sampled_from([1, -1]),
+    )
+    # g = gcd(d - 1, p - 1) roots for each sign, from several Adleman-Manders-Miller
+    # steps: g = 16 with 2^6 | p - 1, and g = 27 with 3^4 | p - 1
+    @example(17, 4673, 1)
+    @example(17, 4673, -1)
+    @example(28, 2269, 1)
+    @example(28, 2269, -1)
+    def test_disc_roots_equal_brute_force_at_large_primes(self, d, p, sign):
+        A, K = d**d, (d - 1) ** (d - 1)
+        want = [a for a in range(p) if (A * a ** (d - 1) + sign * K) % p == 0]
+        assert nfcount._disc_roots(d, p, sign) == want
+
     def test_memory_is_bounded_by_the_window(self, monkeypatch):
         # a sieve over the whole range would hold every c at once
         monkeypatch.setattr(nfcount, "_SQUAREFREE_WINDOW", 1024)
@@ -678,18 +695,17 @@ class TestIntervalRows:
         st.integers(0, 40),
         st.sampled_from([0, 1, 2, 10, 10**5]),
         st.sampled_from([1, 7, 1 << 14]),
-        st.sampled_from([0, 1 << 15, 1 << 40]),  # root extraction always, as shipped, never
     )
-    @example(4, -20, 40, 10**5, 1 << 14, 1 << 15)  # even d, both signs
-    @example(5, -40, 40, 2, 7, 0)  # odd d, UNKNOWN verdicts, many windows
-    @example(2, 0, 0, 0, 1, 1 << 40)  # c = 0 alone, |disc| = K = 1
-    @example(2, -40, 39, 10**5, 1 << 14, 1 << 15)  # the primes reach past |disc(hi)|^(1/3)
-    @example(2, -31, 62, 10**5, 1 << 14, 1 << 15)  # a tie in |c|: |disc(lo)| is the larger
-    def test_rows_equal_the_per_c_references(self, d, lo, size, trial_bound, window, root_cost):
+    @example(4, -20, 40, 10**5, 1 << 14)  # even d, both signs
+    @example(5, -40, 40, 2, 7)  # odd d, UNKNOWN verdicts, many windows
+    @example(8, -20, 40, 1000, 7)  # even d >= 6, few a per prime in each of many windows
+    @example(11, -10, 30, 1000, 7)  # odd d >= 6, likewise
+    @example(2, 0, 0, 0, 1)  # c = 0 alone, |disc| = K = 1
+    @example(2, -40, 39, 10**5, 1 << 14)  # the primes reach past |disc(hi)|^(1/3)
+    @example(2, -31, 62, 10**5, 1 << 14)  # a tie in |c|: |disc(lo)| is the larger
+    def test_rows_equal_the_per_c_references(self, d, lo, size, trial_bound, window):
         hi = lo + size
-        with mock.patch.object(nfcount, "_SQUAREFREE_WINDOW", window), mock.patch.object(
-            nfcount, "_ROOT_COST", root_cost
-        ):
+        with mock.patch.object(nfcount, "_SQUAREFREE_WINDOW", window):
             rows = nfcount.trinomial_rows(d, lo, hi, trial_bound=trial_bound)
         primes = stats.prime_sieve(trial_bound)
         assert rows == [
